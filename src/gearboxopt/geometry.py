@@ -22,6 +22,8 @@ from enum import Enum
 from math import cos, pi, sin
 from typing import Optional
 
+import numpy as np
+
 
 # Standard metric module steps within typical small-actuator limits (mm)
 STANDARD_MODULE_SET_MM = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2]
@@ -82,10 +84,14 @@ class ConstraintParams:
     ring_clearance_mm: float = 10.0   # delta_clr, ring-to-housing margin
 
     def __post_init__(self):
+        if self.min_teeth < 1:
+            raise ValueError("min_teeth must be >= 1")
         if self.module_min_mm > self.module_max_mm:
             raise ValueError("module_min_mm must not exceed module_max_mm")
         if self.max_teeth is not None and self.max_teeth < self.min_teeth:
             raise ValueError("max_teeth must be >= min_teeth")
+        if self.min_planets < 2:
+            raise ValueError("min_planets must be >= 2")
         if self.min_planets > self.max_planets:
             raise ValueError("min_planets must not exceed max_planets")
         if self.planet_clearance_mm <= 0:
@@ -220,7 +226,8 @@ def constraint_failures(design: GearboxDesign, motor: MotorSpec,
         failures.append("geometric")
     if not check_meshing(design):
         failures.append("meshing")
-    if not check_interference(design, params):
+    # a single planet has no neighbour; planet_count names that design
+    if design.num_planets >= 2 and not check_interference(design, params):
         failures.append("planet_interference")
     if not (params.module_min_mm <= design.module_mm <= params.module_max_mm):
         failures.append("module_range")
@@ -235,3 +242,50 @@ def constraint_failures(design: GearboxDesign, motor: MotorSpec,
     if not params.min_planets <= design.num_planets <= params.max_planets:
         failures.append("planet_count")
     return failures
+
+
+def constraint_masks(arch: Architecture, module_mm, num_planets, sun_teeth,
+                     planet_teeth, ring_teeth, motor: MotorSpec,
+                     params: ConstraintParams) -> dict[str, np.ndarray]:
+    """
+    Columnar ``constraint_failures``: one boolean mask per rule, True
+    on the rows that violate it.
+
+    The tooth counts and planet counts are integer columns of equal
+    length; ``module_mm`` is a scalar or a column. Rules carry the same
+    names in the same order and use the same float64 expressions, so
+    every mask equals the scalar rule row by row.
+    """
+    m = np.asarray(module_mm, dtype=np.float64)
+    planets = np.asarray(num_planets, dtype=np.int64)
+    sun = np.asarray(sun_teeth, dtype=np.int64)
+    planet = np.asarray(planet_teeth, dtype=np.int64)
+    ring = np.asarray(ring_teeth, dtype=np.int64)
+    shape = np.broadcast_shapes(m.shape, planets.shape, sun.shape,
+                                planet.shape, ring.shape)
+    # math.sin per distinct planet count: np.sin may differ from libm
+    # in the last bit, which would move designs across the clearance
+    counts, index = np.unique(planets, return_inverse=True)
+    sines = np.array([sin(pi / k) if k >= 2 else 0.0
+                      for k in counts.tolist()])[index.reshape(planets.shape)]
+    two_m = 2.0 * m
+    margin = (two_m * (sun + planet)) * sines - two_m * planet
+    masks = {
+        "geometric": ring != sun + 2 * planet,
+        "meshing": (sun + ring) % planets != 0,
+        "planet_interference": (planets >= 2)
+        & ~(margin >= params.planet_clearance_mm),
+        "module_range": ~((params.module_min_mm <= m)
+                          & (m <= params.module_max_mm)),
+        "undercutting": (sun < params.min_teeth)
+        | (planet < params.min_teeth),
+        "tooth_count_cap": (np.maximum(sun, planet) > params.max_teeth
+                            if params.max_teeth is not None
+                            else np.zeros(shape, dtype=bool)),
+        "ring_diameter": m * ring > max_gearbox_diameter(motor, arch,
+                                                         params),
+        "planet_count": ~((params.min_planets <= planets)
+                          & (planets <= params.max_planets)),
+    }
+    return {name: np.broadcast_to(mask, shape)
+            for name, mask in masks.items()}

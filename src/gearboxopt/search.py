@@ -1,17 +1,23 @@
 """
-Brute-force enumeration of the feasible design space and per-ratio-bin
-cost minimization.
+Per-ratio-bin candidate generation and cost minimization.
 
-Every admissible decision vector (N_s, N_p, N_r, m, n_p) is generated
-in a fixed lexicographic order, evaluated for efficiency, face width,
-and full actuator mass, and scored with
+Candidates are generated per ratio window, not enumerated over the
+whole (m, n_p, N_s, N_p) box and then binned. Since the reduction is
+R = (N_s+N_r)/N_s = 2 + 2*N_p/N_s, the planets of each sun that fall
+in a half-open bin [lo, hi) form one short integer range. A window is
+walked one module at a time as numpy columns in lexicographic
+(n_p, N_s, N_p) order, with one failure mask per feasibility rule.
+
+The search keeps the rows that fail no rule, evaluates them for
+efficiency, face width, and full actuator mass, and scores them with
 
     cost = K_m * actuator_mass - K_e * efficiency
 
-The reduction-ratio axis is partitioned into half-open bins (default
-[5,6) ... [14,15)) and the cheapest feasible design per bin and
+The cheapest feasible design per bin (default [5,6) ... [14,15)) and
 architecture is reported. Ties break deterministically: lower mass,
-then higher efficiency, then lexicographic (m, n_p, N_s, N_p).
+then higher efficiency, then lexicographic (m, n_p, N_s, N_p). An
+empty bin sums the failure masks of its window instead and reports
+the most frequent blocker.
 
 Evaluation is embarrassingly parallel; the reduction is an associative
 min-by-key fold, so results are identical for any worker count.
@@ -21,15 +27,16 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
-from math import ceil, floor
+from math import floor, inf
 from typing import Iterator, Optional
+
+import numpy as np
 
 from .efficiency import (EfficiencyBreakdown, EfficiencyParams,
                          GeometryInfeasibleError, ModelRangeError,
                          planetary_efficiency)
 from .geometry import (Architecture, ConstraintParams, GearboxDesign,
-                       MotorSpec, check_bounds, check_interference,
-                       check_meshing, constraint_failures,
+                       MotorSpec, constraint_failures, constraint_masks,
                        max_gearbox_diameter)
 from .mass import (BearingModel, MassBreakdown, MassModelParams,
                    MaterialSpec, actuator_mass, load_bearing_model)
@@ -144,44 +151,92 @@ def default_bins() -> list[tuple[float, float]]:
     return [(float(lo), float(lo + 1)) for lo in range(5, 15)]
 
 
+def _ratio_window(motor: MotorSpec, arch: Architecture,
+                  constraints: ConstraintParams, module_set: list[float],
+                  lo: float, hi: float, sun_cap: Optional[int] = None
+                  ) -> Iterator[tuple[float, np.ndarray, np.ndarray,
+                                      np.ndarray, dict[str, np.ndarray]]]:
+    """
+    Walk the ratio window lo <= R < hi one module at a time, yielding
+    (module_mm, n_p, N_s, N_p, masks): integer columns in lexicographic
+    (n_p, N_s, N_p) order and the ``constraint_masks`` of those rows.
+
+    R = 2 + 2*N_p/N_s, so each sun's planets lie in
+    [ceil((lo-2)*N_s/2), ceil((hi-2)*N_s/2)), floored at min_teeth.
+    Without ``sun_cap`` this is the search window: suns and planets stop
+    at the ring envelope and the tooth cap, and the planet range is
+    widened by one tooth at each end, because rounding of the window
+    edges can drop a design whose float ratio lies in [lo, hi); callers
+    filter on that ratio. With ``sun_cap`` it is the diagnosis window:
+    suns from min_teeth to sun_cap and planets exactly the ratio window.
+    """
+    n_min = constraints.min_teeth
+    n_cap = constraints.max_teeth
+    d_max = max_gearbox_diameter(motor, arch, constraints)
+    planet_counts = np.arange(constraints.min_planets,
+                              constraints.max_planets + 1)
+    for module_mm in sorted(module_set):
+        if sun_cap is None:
+            max_ring = floor(d_max / module_mm + 1e-9)
+            sun_max = max_ring - 2 * n_min
+            if n_cap is not None:
+                sun_max = min(sun_max, n_cap)
+            suns = np.arange(n_min, sun_max + 1)
+            planet_max = (max_ring - suns) // 2
+            if n_cap is not None:
+                planet_max = np.minimum(planet_max, n_cap)
+            slack = 1
+        else:
+            suns = np.arange(n_min, sun_cap + 1)
+            planet_max = np.inf
+            slack = 0
+        first = np.maximum(np.ceil((lo - 2.0) * suns / 2.0) - slack, n_min)
+        stop = np.minimum(np.ceil((hi - 2.0) * suns / 2.0) + slack,
+                          planet_max + 1)
+        sizes = np.maximum(stop - first, 0).astype(np.int64)
+        offsets = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes,
+                                                     sizes)
+        sun = np.tile(np.repeat(suns, sizes), len(planet_counts))
+        planet = np.tile(np.repeat(first.astype(np.int64), sizes) + offsets,
+                         len(planet_counts))
+        num_planets = np.repeat(planet_counts, sizes.sum())
+        yield module_mm, num_planets, sun, planet, constraint_masks(
+            arch, module_mm, num_planets, sun, planet, sun + 2 * planet,
+            motor, constraints)
+
+
+def bin_candidates(motor: MotorSpec, arch: Architecture,
+                   constraints: ConstraintParams, module_set: list[float],
+                   lo: float, hi: float) -> list[GearboxDesign]:
+    """
+    Every feasible design with lo <= R < hi, in lexicographic
+    (m, n_p, N_s, N_p) order; R is the float (N_s+N_r)/N_s.
+    """
+    designs = []
+    for module_mm, num_planets, sun, planet, masks in _ratio_window(
+            motor, arch, constraints, module_set, lo, hi):
+        ratio = (2 * sun + 2 * planet) / sun
+        keep = (~np.any(list(masks.values()), axis=0)
+                & (lo <= ratio) & (ratio < hi))
+        designs.extend(
+            GearboxDesign(arch=arch, sun_teeth=s, planet_teeth=p,
+                          ring_teeth=s + 2 * p, module_mm=module_mm,
+                          num_planets=n)
+            for n, s, p in zip(num_planets[keep].tolist(),
+                               sun[keep].tolist(), planet[keep].tolist()))
+    return designs
+
+
 def enumerate_feasible(motor: MotorSpec, arch: Architecture,
                        constraints: ConstraintParams,
                        module_set: list[float]) -> Iterator[GearboxDesign]:
     """
     Yield every feasible decision vector in lexicographic
-    (m, n_p, N_s, N_p) order.
-
-    The ring teeth follow from the concentricity condition, and the
-    sun/planet upper bounds are derived from the ring-diameter limit,
-    so no admissible vector is skipped.
+    (m, n_p, N_s, N_p) order: the candidates of an unbounded ratio
+    window.
     """
-    d_max = max_gearbox_diameter(motor, arch, constraints)
-    n_min = constraints.min_teeth
-    n_cap = constraints.max_teeth
-    for module_mm in sorted(module_set):
-        max_ring = floor(d_max / module_mm + 1e-9)
-        sun_max = max_ring - 2 * n_min
-        if n_cap is not None:
-            sun_max = min(sun_max, n_cap)
-        for num_planets in range(constraints.min_planets,
-                                 constraints.max_planets + 1):
-            for sun_teeth in range(n_min, sun_max + 1):
-                planet_max = (max_ring - sun_teeth) // 2
-                if n_cap is not None:
-                    planet_max = min(planet_max, n_cap)
-                for planet_teeth in range(n_min, planet_max + 1):
-                    design = GearboxDesign(
-                        arch=arch,
-                        sun_teeth=sun_teeth,
-                        planet_teeth=planet_teeth,
-                        ring_teeth=sun_teeth + 2 * planet_teeth,
-                        module_mm=module_mm,
-                        num_planets=num_planets,
-                    )
-                    if (check_meshing(design)
-                            and check_interference(design, constraints)
-                            and check_bounds(design, motor, constraints)):
-                        yield design
+    yield from bin_candidates(motor, arch, constraints, module_set,
+                              -inf, inf)
 
 
 def evaluate(design: GearboxDesign, ctx: EvalContext) -> DesignEvaluation:
@@ -252,12 +307,21 @@ def _evaluations(designs: list[GearboxDesign], ctx: EvalContext,
     return chain.from_iterable(results)
 
 
-def _bin_index(bins: list[tuple[float, float]],
-               reduction: float) -> Optional[int]:
-    for index, (lo, hi) in enumerate(bins):
-        if lo <= reduction < hi:
-            return index
-    return None
+def failure_tallies(motor: MotorSpec, arch: Architecture,
+                    constraints: ConstraintParams, module_set: list[float],
+                    lo: float, hi: float) -> dict[str, int]:
+    """
+    Violations per constraint over a bin's raw candidate rectangle: the
+    ratio window intersected with the tooth-count floor, suns capped at
+    a diagnostic ceiling, without the feasibility filter. Rules that no
+    candidate violates are left out.
+    """
+    counts: dict[str, int] = {}
+    for *_, masks in _ratio_window(motor, arch, constraints, module_set,
+                                   lo, hi, sun_cap=_DIAG_SUN_TEETH_CAP):
+        for name, mask in masks.items():
+            counts[name] = counts.get(name, 0) + int(np.count_nonzero(mask))
+    return {name: count for name, count in counts.items() if count}
 
 
 def diagnose_empty_bin(motor: MotorSpec, arch: Architecture,
@@ -265,31 +329,10 @@ def diagnose_empty_bin(motor: MotorSpec, arch: Architecture,
                        module_set: list[float], lo: float,
                        hi: float) -> str:
     """
-    Name the constraint that blocks an empty ratio bin.
-
-    Scans the bin's raw candidate rectangle (ratio window intersected
-    with the tooth-count floor, suns capped at a diagnostic ceiling)
-    without the feasibility filter and tallies every violated
-    constraint; the most frequent one is the verdict.
+    Name the constraint that blocks an empty ratio bin: the most
+    frequent one in ``failure_tallies``.
     """
-    counts: dict[str, int] = {}
-    n_min = constraints.min_teeth
-    for module_mm in sorted(module_set):
-        for num_planets in range(constraints.min_planets,
-                                 constraints.max_planets + 1):
-            for sun_teeth in range(n_min, _DIAG_SUN_TEETH_CAP + 1):
-                # R = 2 + 2*N_p/N_s in [lo, hi)
-                planet_lo = max(n_min, ceil((lo - 2.0) * sun_teeth / 2.0))
-                planet_hi = ceil((hi - 2.0) * sun_teeth / 2.0)
-                for planet_teeth in range(planet_lo, planet_hi):
-                    design = GearboxDesign(
-                        arch=arch, sun_teeth=sun_teeth,
-                        planet_teeth=planet_teeth,
-                        ring_teeth=sun_teeth + 2 * planet_teeth,
-                        module_mm=module_mm, num_planets=num_planets)
-                    for name in constraint_failures(design, motor,
-                                                    constraints):
-                        counts[name] = counts.get(name, 0) + 1
+    counts = failure_tallies(motor, arch, constraints, module_set, lo, hi)
     if not counts:
         return "no_candidates_in_ratio_window"
     return max(sorted(counts), key=lambda name: counts[name])
@@ -306,12 +349,9 @@ def optimize_bins(arch: Architecture, ctx: EvalContext,
     """
     bins = validate_bins(bins)
     workers = resolve_worker_count(workers)
-    binned: list[list[GearboxDesign]] = [[] for _ in bins]
-    for design in enumerate_feasible(ctx.motor, arch, ctx.constraints,
-                                     module_set):
-        index = _bin_index(bins, design.reduction_ratio)
-        if index is not None:
-            binned[index].append(design)
+    binned = [bin_candidates(ctx.motor, arch, ctx.constraints, module_set,
+                             lo, hi)
+              for lo, hi in bins]
     ordered = [design for bucket in binned for design in bucket]
     per_design = _evaluations(ordered, ctx, workers)
 

@@ -3,10 +3,17 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from gearboxopt import (ConstraintParams, CostWeights, EfficiencyParams,
                         EvalContext, LoadCase, MassModelParams, MaterialSpec,
                         MotorSpec, StrengthParams, load_bearing_model)
+
+# fixed example sequence and no example database, so every run of the
+# suite draws the same cases
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("deterministic")
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 

@@ -165,6 +165,12 @@ class TestConstraintFailures:
             "geometric", "meshing", "planet_interference", "module_range",
             "undercutting", "ring_diameter", "planet_count"]
 
+    def test_one_planet_is_a_planet_count_failure(self, u12):
+        # a lone planet has no neighbour to interfere with
+        single = design(Architecture.ISSPG, 20, 40, 100, 0.5, 1)
+        assert constraint_failures(single, u12,
+                                   ConstraintParams()) == ["planet_count"]
+
     def test_single_failure_named(self, u12):
         # 132 teeth split over 3 planets, ample clearance: only the
         # 56 mm ring exceeds the 55 mm stator-bore envelope
@@ -189,5 +195,9 @@ class TestParamValidation:
             ConstraintParams(module_min_mm=1.5, module_max_mm=1.2)
         with pytest.raises(ValueError):
             ConstraintParams(min_planets=5, max_planets=2)
+        with pytest.raises(ValueError):
+            ConstraintParams(min_planets=1)
+        with pytest.raises(ValueError):
+            ConstraintParams(min_teeth=0)
         with pytest.raises(ValueError):
             ConstraintParams(planet_clearance_mm=0.0)

@@ -2,16 +2,22 @@
 comparison, cross-checked against naive nested-loop scans."""
 
 from dataclasses import replace
+from math import ceil
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gearboxopt import (Architecture, ConstraintParams, CostWeights,
                         DesignEvaluation, EvalContext, GearboxDesign,
-                        compare_architectures, constraint_failures,
+                        MotorSpec, compare_architectures, constraint_failures,
                         default_bins, diagnose_empty_bin, evaluate,
                         max_gearbox_diameter, optimize_bins, ranking_key,
                         resolve_worker_count, validate_bins)
-from gearboxopt.search import THREADS_ENV_VAR, enumerate_feasible
+from gearboxopt.geometry import constraint_masks
+from gearboxopt.search import (_DIAG_SUN_TEETH_CAP, THREADS_ENV_VAR,
+                               bin_candidates, enumerate_feasible,
+                               failure_tallies)
 
 from conftest import U12
 
@@ -22,9 +28,9 @@ REFERENCE_COST = -0.5970515307822426  # k_m=1, k_e=2, U12 load
 ALL_MODULES = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2]
 
 
-def naive_rectangle(arch, constraints, modules):
+def naive_rectangle(arch, constraints, modules, motor=U12):
     """Dumb 5-nested-loop feasibility scan used as the search oracle."""
-    d_max = max_gearbox_diameter(U12, arch, constraints)
+    d_max = max_gearbox_diameter(motor, arch, constraints)
     found = []
     for module_mm in modules:
         for num_planets in range(constraints.min_planets,
@@ -36,7 +42,7 @@ def naive_rectangle(arch, constraints, modules):
                         arch=arch, sun_teeth=sun, planet_teeth=planet,
                         ring_teeth=sun + 2 * planet, module_mm=module_mm,
                         num_planets=num_planets)
-                    if not constraint_failures(design, U12, constraints):
+                    if not constraint_failures(design, motor, constraints):
                         found.append(design)
     return found
 
@@ -136,6 +142,11 @@ class TestEvaluate:
         assert not result.feasible
         assert result.failure_reasons == ("ring_diameter",)
         assert result.cost is None and result.mass is None
+
+    def test_one_planet_design_reported(self, default_ctx):
+        result = evaluate(replace(REFERENCE, num_planets=1), default_ctx)
+        assert not result.feasible
+        assert result.failure_reasons == ("planet_count",)
 
     def test_degenerate_tooth_form_reported(self, default_ctx):
         # a 13-tooth ring passes the relaxed constraints but has no
@@ -264,3 +275,126 @@ class TestComparison:
             compare_architectures({
                 Architecture.ISSPG: bin_results[Architecture.ISSPG],
                 Architecture.ESSPG: shifted})
+
+
+# --- columnar window against the scalar rules ------------------------------
+
+MODULE_CHOICES = [0.5, 0.6, 0.75, 0.8, 1.0, 1.1, 1.25, 1.5]
+
+
+@st.composite
+def motors(draw):
+    outer = draw(st.floats(45.0, 75.0))
+    return MotorSpec(outer_diameter_mm=outer,
+                     stator_inner_diameter_mm=draw(st.floats(30.0,
+                                                             outer - 5.0)),
+                     height_mm=40.0, mass_kg=0.5, max_torque_nm=2.0,
+                     max_speed_rad_s=300.0)
+
+
+@st.composite
+def constraint_sets(draw):
+    min_teeth = draw(st.integers(12, 20))
+    min_planets = draw(st.integers(2, 4))
+    return ConstraintParams(
+        module_min_mm=draw(st.sampled_from([0.5, 0.6, 0.8])),
+        module_max_mm=draw(st.sampled_from([0.8, 1.0, 1.1, 1.2, 1.5])),
+        min_teeth=min_teeth,
+        max_teeth=draw(st.none() | st.integers(min_teeth, 80)),
+        min_planets=min_planets,
+        max_planets=draw(st.integers(min_planets, min_planets + 2)),
+        planet_clearance_mm=draw(st.floats(0.5, 6.0)),
+        ring_clearance_mm=draw(st.floats(0.0, 15.0)))
+
+
+@st.composite
+def fractional_bins(draw):
+    """Two to three adjacent bins with edges k/q: many such edges are
+    not exact in binary and round onto a design's float ratio."""
+    q = draw(st.sampled_from([3, 6, 7, 10]))
+    ks = draw(st.lists(st.integers(3 * q, 9 * q), min_size=3, max_size=4,
+                       unique=True))
+    edges = sorted(k / q for k in ks)
+    return list(zip(edges, edges[1:]))
+
+
+module_sets = st.lists(st.sampled_from(MODULE_CHOICES), min_size=1,
+                       max_size=2, unique=True).map(sorted)
+
+
+def scalar_tallies(motor, arch, constraints, modules, lo, hi):
+    """The diagnosis window scanned one design at a time."""
+    counts = {}
+    for module_mm in sorted(modules):
+        for num_planets in range(constraints.min_planets,
+                                 constraints.max_planets + 1):
+            for sun in range(constraints.min_teeth,
+                             _DIAG_SUN_TEETH_CAP + 1):
+                planet_lo = max(constraints.min_teeth,
+                                ceil((lo - 2.0) * sun / 2.0))
+                for planet in range(planet_lo,
+                                    ceil((hi - 2.0) * sun / 2.0)):
+                    design = GearboxDesign(
+                        arch=arch, sun_teeth=sun, planet_teeth=planet,
+                        ring_teeth=sun + 2 * planet, module_mm=module_mm,
+                        num_planets=num_planets)
+                    for name in constraint_failures(design, motor,
+                                                    constraints):
+                        counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
+class TestRatioWindow:
+    @settings(max_examples=60)
+    @given(motor=motors(), constraints=constraint_sets(),
+           arch=st.sampled_from(list(Architecture)),
+           rows=st.lists(st.tuples(st.sampled_from(MODULE_CHOICES),
+                                   st.integers(1, 9), st.integers(1, 120),
+                                   st.integers(1, 120),
+                                   st.none() | st.integers(1, 300)),
+                         min_size=1, max_size=40))
+    def test_masks_equal_scalar_rules(self, motor, constraints, arch, rows):
+        # ring None: the concentric ring N_s + 2*N_p
+        designs = [GearboxDesign(arch=arch, sun_teeth=sun,
+                                 planet_teeth=planet,
+                                 ring_teeth=(sun + 2 * planet
+                                             if ring is None else ring),
+                                 module_mm=module_mm, num_planets=planets)
+                   for module_mm, planets, sun, planet, ring in rows]
+        masks = constraint_masks(
+            arch, np.array([d.module_mm for d in designs]),
+            np.array([d.num_planets for d in designs]),
+            np.array([d.sun_teeth for d in designs]),
+            np.array([d.planet_teeth for d in designs]),
+            np.array([d.ring_teeth for d in designs]), motor, constraints)
+        for i, design in enumerate(designs):
+            assert [name for name, mask in masks.items() if mask[i]] == \
+                constraint_failures(design, motor, constraints)
+
+    @settings(max_examples=25)
+    @given(motor=motors(), constraints=constraint_sets(),
+           arch=st.sampled_from(list(Architecture)), modules=module_sets,
+           bins=fractional_bins())
+    def test_bin_candidates_equal_naive_scan(self, motor, constraints, arch,
+                                             modules, bins):
+        naive = naive_rectangle(arch, constraints, modules, motor)
+        for lo, hi in bins:
+            assert bin_candidates(motor, arch, constraints, modules, lo,
+                                  hi) == [d for d in naive
+                                          if lo <= d.reduction_ratio < hi]
+
+    @settings(max_examples=30)
+    @given(motor=motors(), constraints=constraint_sets(),
+           arch=st.sampled_from(list(Architecture)), modules=module_sets,
+           bins=fractional_bins())
+    def test_diagnosis_tallies_equal_scalar_scan(self, motor, constraints,
+                                                 arch, modules, bins):
+        for lo, hi in bins:
+            counts = scalar_tallies(motor, arch, constraints, modules, lo,
+                                    hi)
+            assert failure_tallies(motor, arch, constraints, modules, lo,
+                                   hi) == counts
+            verdict = (max(sorted(counts), key=lambda name: counts[name])
+                       if counts else "no_candidates_in_ratio_window")
+            assert diagnose_empty_bin(motor, arch, constraints, modules,
+                                      lo, hi) == verdict
