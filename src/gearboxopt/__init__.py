@@ -30,8 +30,7 @@ from .mass import (BearingModel, BearingRow, MassBreakdown, MassModelParams,
 from .search import (BinComparison, BinResult, CostWeights,
                      DesignEvaluation, EvalContext, compare_architectures,
                      default_bins, diagnose_empty_bin, enumerate_feasible,
-                     evaluate, optimize_bins, ranking_key,
-                     resolve_worker_count, validate_bins)
+                     evaluate, optimize_bins, ranking_key, validate_bins)
 from .strength import (LewisFormula, LoadCase, StrengthParams,
                        VelocityFormula, face_width, lewis_form_factor,
                        pitch_line_velocity_m_s, sun_pitch_radius_m,
@@ -59,7 +58,7 @@ __all__ = [
     "max_gearbox_diameter", "optimize_bins", "output_bearing_bore_mm",
     "overall_efficiency", "pin_circle_diameter_mm", "pitch_diameter",
     "pitch_line_velocity_m_s", "planet_pin_mass", "planetary_efficiency",
-    "ranking_key", "resolve_worker_count", "ring_gear_mass",
+    "ranking_key", "ring_gear_mass",
     "secondary_carrier_mass", "spur_gear_mass", "sun_pitch_radius_m",
     "tangential_force", "tip_diameter", "tip_pressure_angle",
     "validate_bins", "velocity_factor",

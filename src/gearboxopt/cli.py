@@ -11,8 +11,7 @@ Subcommands:
 - fit-bearings print the bearing regression and its residuals
 
 All runs are seedless and deterministic: identical configs produce
-byte-identical reports for any worker count (cap workers with the
-GBOPT_THREADS environment variable).
+byte-identical reports.
 """
 
 import argparse
@@ -278,7 +277,7 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def build_context(cfg: RunConfig, bearing: BearingModel) -> EvalContext:
-    """Bundle the immutable evaluation inputs for the search workers."""
+    """Bundle the immutable evaluation inputs of the search."""
     return EvalContext(motor=cfg.motor, load=cfg.load,
                        constraints=cfg.constraints,
                        efficiency=cfg.efficiency, strength=cfg.strength,
@@ -326,16 +325,8 @@ def resolved_config_dict(cfg: RunConfig) -> dict:
 
 
 def _evaluation_dict(evaluation: DesignEvaluation) -> dict:
-    design = evaluation.design
     out = {
-        "design": {
-            "arch": design.arch.value,
-            "sun_teeth": design.sun_teeth,
-            "planet_teeth": design.planet_teeth,
-            "ring_teeth": design.ring_teeth,
-            "module_mm": design.module_mm,
-            "num_planets": design.num_planets,
-        },
+        "design": _dataclass_dict(evaluation.design),
         "feasible": evaluation.feasible,
         "reduction_ratio": evaluation.reduction_ratio,
     }
@@ -406,14 +397,7 @@ def export_dimension_sheet(evaluation: DesignEvaluation, cfg: RunConfig,
 
     mass_params = cfg.mass_params
     return {
-        "design": {
-            "arch": design.arch.value,
-            "sun_teeth": design.sun_teeth,
-            "planet_teeth": design.planet_teeth,
-            "ring_teeth": design.ring_teeth,
-            "module_mm": design.module_mm,
-            "num_planets": design.num_planets,
-        },
+        "design": _dataclass_dict(design),
         "reduction_ratio": design.reduction_ratio,
         "gear_ratio": design.gear_ratio,
         "gears": {
@@ -555,7 +539,8 @@ def run_sweep(cfg: RunConfig, architectures: Optional[list[Architecture]]
     Execute the full optimization and write all report files.
 
     Returns the sweep document (the content of sweep.json). Empty bins
-    are reported, not errors.
+    are reported, not errors. ``workers`` is passed to ``optimize_bins``,
+    which validates it and otherwise ignores it: the sweep is serial.
     """
     architectures = architectures or cfg.architectures
     out_dir = Path(out_dir) if out_dir is not None else cfg.output_dir

@@ -199,20 +199,6 @@ def max_gearbox_diameter(motor: MotorSpec, arch: Architecture,
     return bound
 
 
-def check_bounds(design: GearboxDesign, motor: MotorSpec,
-                 params: ConstraintParams) -> bool:
-    """Module range, undercutting, ring-diameter, and planet-count bounds."""
-    d_max = max_gearbox_diameter(motor, design.arch, params)
-    return (params.module_min_mm <= design.module_mm <= params.module_max_mm
-            and design.sun_teeth >= params.min_teeth
-            and design.planet_teeth >= params.min_teeth
-            and (params.max_teeth is None
-                 or max(design.sun_teeth, design.planet_teeth)
-                 <= params.max_teeth)
-            and design.module_mm * design.ring_teeth <= d_max
-            and params.min_planets <= design.num_planets <= params.max_planets)
-
-
 def constraint_failures(design: GearboxDesign, motor: MotorSpec,
                         params: ConstraintParams) -> list[str]:
     """
@@ -242,6 +228,19 @@ def constraint_failures(design: GearboxDesign, motor: MotorSpec,
     if not params.min_planets <= design.num_planets <= params.max_planets:
         failures.append("planet_count")
     return failures
+
+
+_BOUND_RULES = frozenset({"module_range", "undercutting", "tooth_count_cap",
+                          "ring_diameter", "planet_count"})
+
+
+def check_bounds(design: GearboxDesign, motor: MotorSpec,
+                 params: ConstraintParams) -> bool:
+    """
+    Module range, undercutting, tooth-count cap, ring-diameter, and
+    planet-count bounds: none of those ``constraint_failures`` rules fail.
+    """
+    return _BOUND_RULES.isdisjoint(constraint_failures(design, motor, params))
 
 
 def constraint_masks(arch: Architecture, module_mm, num_planets, sun_teeth,

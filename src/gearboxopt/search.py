@@ -18,15 +18,9 @@ architecture is reported. Ties break deterministically: lower mass,
 then higher efficiency, then lexicographic (m, n_p, N_s, N_p). An
 empty bin sums the failure masks of its window instead and reports
 the most frequent blocker.
-
-Evaluation is embarrassingly parallel; the reduction is an associative
-min-by-key fold, so results are identical for any worker count.
 """
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
 from math import floor, inf
 from typing import Iterator, Optional
 
@@ -42,8 +36,6 @@ from .mass import (BearingModel, MassBreakdown, MassModelParams,
                    MaterialSpec, actuator_mass, load_bearing_model)
 from .strength import LoadCase, StrengthParams, face_width
 
-THREADS_ENV_VAR = "GBOPT_THREADS"
-_CHUNK_SIZE = 512
 # sun-teeth ceiling for empty-bin diagnostics; feasibility always
 # appears first at small suns (smallest ring for a given ratio), so
 # scanning this far is enough to name the dominant blocker
@@ -63,7 +55,7 @@ class CostWeights:
 
 @dataclass(frozen=True)
 class EvalContext:
-    """Everything a worker needs to score one design; fully immutable."""
+    """Everything ``evaluate`` needs to score one design; fully immutable."""
     motor: MotorSpec
     load: LoadCase
     constraints: ConstraintParams
@@ -119,18 +111,6 @@ class BinComparison:
     efficiency_margin: Optional[float]  # winner eta minus loser eta
     isspg_feasible: bool
     esspg_feasible: bool
-
-
-def resolve_worker_count(explicit: Optional[int] = None) -> int:
-    """Worker count: explicit arg, else GBOPT_THREADS, else all cores."""
-    if explicit is not None:
-        count = explicit
-    else:
-        env = os.environ.get(THREADS_ENV_VAR)
-        count = int(env) if env else (os.cpu_count() or 1)
-    if count < 1:
-        raise ValueError(f"worker count must be >= 1, got {count}")
-    return count
 
 
 def validate_bins(bins: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -245,30 +225,23 @@ def evaluate(design: GearboxDesign, ctx: EvalContext) -> DesignEvaluation:
     cost. Model errors become infeasibility reasons, never crashes.
     """
     reduction = design.reduction_ratio
-    failures = constraint_failures(design, ctx.motor, ctx.constraints)
+    failures = tuple(constraint_failures(design, ctx.motor, ctx.constraints))
+    if not failures:
+        try:
+            efficiency = planetary_efficiency(design, ctx.efficiency)
+            width_mm = face_width(ctx.load, design, ctx.strength)
+            mass = actuator_mass(design, ctx.motor, width_mm, ctx.bearing,
+                                 ctx.materials, ctx.mass_params)
+        # both named errors subclass ValueError, so they come first
+        except GeometryInfeasibleError as exc:
+            failures = (f"tooth_form: {exc}",)
+        except ModelRangeError as exc:
+            failures = (f"efficiency_range: {exc}",)
+        except ValueError as exc:
+            failures = (f"model_error: {exc}",)
     if failures:
         return DesignEvaluation(design=design, feasible=False,
-                                failure_reasons=tuple(failures),
-                                reduction_ratio=reduction, efficiency=None,
-                                face_width_mm=None, mass=None, cost=None)
-    try:
-        efficiency = planetary_efficiency(design, ctx.efficiency)
-        width_mm = face_width(ctx.load, design, ctx.strength)
-        mass = actuator_mass(design, ctx.motor, width_mm, ctx.bearing,
-                             ctx.materials, ctx.mass_params)
-    except GeometryInfeasibleError as exc:
-        return DesignEvaluation(design=design, feasible=False,
-                                failure_reasons=(f"tooth_form: {exc}",),
-                                reduction_ratio=reduction, efficiency=None,
-                                face_width_mm=None, mass=None, cost=None)
-    except ModelRangeError as exc:
-        return DesignEvaluation(design=design, feasible=False,
-                                failure_reasons=(f"efficiency_range: {exc}",),
-                                reduction_ratio=reduction, efficiency=None,
-                                face_width_mm=None, mass=None, cost=None)
-    except ValueError as exc:
-        return DesignEvaluation(design=design, feasible=False,
-                                failure_reasons=(f"model_error: {exc}",),
+                                failure_reasons=failures,
                                 reduction_ratio=reduction, efficiency=None,
                                 face_width_mm=None, mass=None, cost=None)
     cost = (ctx.cost.k_m * mass.total
@@ -288,23 +261,6 @@ def ranking_key(evaluation: DesignEvaluation) -> tuple:
     return (evaluation.cost, evaluation.mass.total,
             -evaluation.efficiency.eta_overall, d.module_mm, d.num_planets,
             d.sun_teeth, d.planet_teeth)
-
-
-def _evaluate_chunk(ctx: EvalContext,
-                    designs: list[GearboxDesign]) -> list[DesignEvaluation]:
-    return [evaluate(design, ctx) for design in designs]
-
-
-def _evaluations(designs: list[GearboxDesign], ctx: EvalContext,
-                 workers: int) -> Iterator[DesignEvaluation]:
-    if workers <= 1 or len(designs) <= _CHUNK_SIZE:
-        return iter(_evaluate_chunk(ctx, designs))
-    chunks = [designs[i:i + _CHUNK_SIZE]
-              for i in range(0, len(designs), _CHUNK_SIZE)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # map preserves submission order, keeping the fold deterministic
-        results = list(pool.map(_evaluate_chunk, [ctx] * len(chunks), chunks))
-    return chain.from_iterable(results)
 
 
 def failure_tallies(motor: MotorSpec, arch: Architecture,
@@ -346,38 +302,35 @@ def optimize_bins(arch: Architecture, ctx: EvalContext,
     Evaluate all candidates whose reduction ratio falls in some bin and
     keep the min-cost feasible design per bin. Empty bins carry the
     dominant blocking constraint instead.
+
+    ``workers`` is validated (None or an int >= 1) and otherwise
+    ignored: evaluation is serial, and is kept as an argument only for
+    existing callers.
     """
     bins = validate_bins(bins)
-    workers = resolve_worker_count(workers)
-    binned = [bin_candidates(ctx.motor, arch, ctx.constraints, module_set,
-                             lo, hi)
-              for lo, hi in bins]
-    ordered = [design for bucket in binned for design in bucket]
-    per_design = _evaluations(ordered, ctx, workers)
-
-    best: list[Optional[DesignEvaluation]] = [None] * len(bins)
-    feasible_count = [0] * len(bins)
-    for bucket_index, bucket in enumerate(binned):
-        for _ in bucket:
-            evaluation = next(per_design)
+    if workers is not None and workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
+    results = []
+    for lo, hi in bins:
+        candidates = bin_candidates(ctx.motor, arch, ctx.constraints,
+                                    module_set, lo, hi)
+        best = None
+        feasible_count = 0
+        for design in candidates:
+            evaluation = evaluate(design, ctx)
             if not evaluation.feasible:
                 continue
-            feasible_count[bucket_index] += 1
-            incumbent = best[bucket_index]
-            if (incumbent is None
-                    or ranking_key(evaluation) < ranking_key(incumbent)):
-                best[bucket_index] = evaluation
-
-    results = []
-    for index, (lo, hi) in enumerate(bins):
+            feasible_count += 1
+            if best is None or ranking_key(evaluation) < ranking_key(best):
+                best = evaluation
         empty_reason = None
-        if best[index] is None:
+        if best is None:
             empty_reason = diagnose_empty_bin(ctx.motor, arch,
                                               ctx.constraints, module_set,
                                               lo, hi)
-        results.append(BinResult(lo=lo, hi=hi, arch=arch, best=best[index],
-                                 candidates_examined=len(binned[index]),
-                                 feasible_count=feasible_count[index],
+        results.append(BinResult(lo=lo, hi=hi, arch=arch, best=best,
+                                 candidates_examined=len(candidates),
+                                 feasible_count=feasible_count,
                                  empty_reason=empty_reason))
     return results
 

@@ -9,15 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gearboxopt import (Architecture, ConstraintParams, CostWeights,
-                        DesignEvaluation, EvalContext, GearboxDesign,
-                        MotorSpec, compare_architectures, constraint_failures,
-                        default_bins, diagnose_empty_bin, evaluate,
-                        max_gearbox_diameter, optimize_bins, ranking_key,
-                        resolve_worker_count, validate_bins)
+                        DesignEvaluation, EfficiencyParams, EvalContext,
+                        GearboxDesign, MotorSpec, compare_architectures,
+                        constraint_failures, default_bins, diagnose_empty_bin,
+                        evaluate, max_gearbox_diameter, optimize_bins,
+                        ranking_key, validate_bins)
+from gearboxopt.cli import load_config, run_sweep
 from gearboxopt.geometry import constraint_masks
-from gearboxopt.search import (_DIAG_SUN_TEETH_CAP, THREADS_ENV_VAR,
-                               bin_candidates, enumerate_feasible,
-                               failure_tallies)
+from gearboxopt.search import (_DIAG_SUN_TEETH_CAP, bin_candidates,
+                               enumerate_feasible, failure_tallies)
 
 from conftest import U12
 
@@ -60,15 +60,14 @@ class TestHelpers:
         with pytest.raises(ValueError):
             CostWeights(k_m=-1.0)
 
-    def test_resolve_worker_count(self, monkeypatch):
-        assert resolve_worker_count(3) == 3
-        monkeypatch.setenv(THREADS_ENV_VAR, "5")
-        assert resolve_worker_count() == 5
-        assert resolve_worker_count(2) == 2  # explicit beats the env
-        monkeypatch.delenv(THREADS_ENV_VAR)
-        assert resolve_worker_count() >= 1
+    def test_worker_count_validated(self, default_ctx, u12_config_path,
+                                    tmp_path):
         with pytest.raises(ValueError):
-            resolve_worker_count(0)
+            optimize_bins(Architecture.ISSPG, default_ctx, ALL_MODULES,
+                          default_bins(), workers=0)
+        with pytest.raises(ValueError):
+            run_sweep(load_config(u12_config_path), out_dir=tmp_path,
+                      workers=0)
 
     def test_validate_bins(self):
         bins = [(5.0, 6.0), (6.0, 7.0)]
@@ -159,6 +158,35 @@ class TestEvaluate:
         result = evaluate(tiny, relaxed)
         assert not result.feasible
         assert result.failure_reasons[0].startswith("tooth_form:")
+
+    @staticmethod
+    def _assert_unscored(result, prefix):
+        assert not result.feasible
+        assert len(result.failure_reasons) == 1
+        assert result.failure_reasons[0].startswith(prefix)
+        assert result.efficiency is None and result.face_width_mm is None
+        assert result.mass is None and result.cost is None
+
+    def test_efficiency_range_reported(self, default_ctx):
+        # a 4-tooth planet in a 34-tooth ring at mu=0.95 drives the
+        # planet-ring mesh efficiency below zero
+        ctx = replace(default_ctx, efficiency=EfficiencyParams(mu=0.95),
+                      constraints=ConstraintParams(min_teeth=4))
+        small_planet = GearboxDesign(arch=Architecture.ISSPG, sun_teeth=26,
+                                     planet_teeth=4, ring_teeth=34,
+                                     module_mm=0.5, num_planets=2)
+        self._assert_unscored(evaluate(small_planet, ctx),
+                              "efficiency_range:")
+
+    def test_bearing_table_range_reported(self, default_ctx):
+        # passes every rule, but its output bearing bore m(N_s+N_p) is
+        # 60.5 mm, above the 60 mm top of the packaged bearing table
+        wide = GearboxDesign(arch=Architecture.ESSPG, sun_teeth=100,
+                             planet_teeth=21, ring_teeth=142, module_mm=0.5,
+                             num_planets=2)
+        assert constraint_failures(wide, default_ctx.motor,
+                                   default_ctx.constraints) == []
+        self._assert_unscored(evaluate(wide, default_ctx), "model_error:")
 
     def test_ranking_key_tie_breaking(self, default_ctx):
         base = evaluate(REFERENCE, default_ctx)
