@@ -38,7 +38,7 @@ from .mass import (BearingModel, MassModelParams, MaterialSpec,
 from .search import (BinComparison, BinResult, CostWeights,
                      DesignEvaluation, EvalContext, compare_architectures,
                      default_bins, enumerate_feasible, evaluate,
-                     optimize_bins, validate_bins)
+                     optimize_bins, validate_bins, validate_workers)
 from .strength import (LewisFormula, LoadCase, StrengthParams,
                        VelocityFormula)
 
@@ -539,9 +539,11 @@ def run_sweep(cfg: RunConfig, architectures: Optional[list[Architecture]]
     Execute the full optimization and write all report files.
 
     Returns the sweep document (the content of sweep.json). Empty bins
-    are reported, not errors. ``workers`` is passed to ``optimize_bins``,
-    which validates it and otherwise ignores it: the sweep is serial.
+    are reported, not errors. ``workers`` is validated (None or an int
+    >= 1) before anything is written and otherwise ignored: the sweep
+    is serial.
     """
+    validate_workers(workers)
     architectures = architectures or cfg.architectures
     out_dir = Path(out_dir) if out_dir is not None else cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -141,6 +141,13 @@ def basic_driving_efficiency(teeth_1: int, teeth_2: int, module_mm: float,
     """
     eps1, eps2 = contact_ratios(teeth_1, teeth_2, module_mm, mesh,
                                 params.pressure_angle_rad)
+    return _mesh_efficiency(teeth_1, teeth_2, mesh, params, eps1, eps2)
+
+
+def _mesh_efficiency(teeth_1: int, teeth_2: int, mesh: MeshKind,
+                     params: EfficiencyParams, eps1: float,
+                     eps2: float) -> float:
+    """``basic_driving_efficiency`` from the mesh's contact ratios."""
     if eps1 + eps2 < 1.0:
         logger.warning(
             "total contact ratio %.3f < 1 for %s mesh N1=%d N2=%d: "
@@ -184,12 +191,10 @@ def planetary_efficiency(design: GearboxDesign,
     eps_b1, eps_b2 = contact_ratios(design.planet_teeth, design.ring_teeth,
                                     design.module_mm, MeshKind.PLANET_RING,
                                     alpha)
-    eta_a = basic_driving_efficiency(design.sun_teeth, design.planet_teeth,
-                                     design.module_mm, MeshKind.SUN_PLANET,
-                                     params)
-    eta_b = basic_driving_efficiency(design.planet_teeth, design.ring_teeth,
-                                     design.module_mm, MeshKind.PLANET_RING,
-                                     params)
+    eta_a = _mesh_efficiency(design.sun_teeth, design.planet_teeth,
+                             MeshKind.SUN_PLANET, params, eps_a1, eps_a2)
+    eta_b = _mesh_efficiency(design.planet_teeth, design.ring_teeth,
+                             MeshKind.PLANET_RING, params, eps_b1, eps_b2)
     return EfficiencyBreakdown(
         eps_a1=eps_a1,
         eps_a2=eps_a2,

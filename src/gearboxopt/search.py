@@ -8,10 +8,17 @@ in a half-open bin [lo, hi) form one short integer range. A window is
 walked one module at a time as numpy columns in lexicographic
 (n_p, N_s, N_p) order, with one failure mask per feasibility rule.
 
-The search keeps the rows that fail no rule, evaluates them for
-efficiency, face width, and full actuator mass, and scores them with
+The search keeps the rows that fail no rule and scores them with
 
     cost = K_m * actuator_mass - K_e * efficiency
+
+in two steps. ``score_columns`` evaluates a whole bin as numpy
+columns: the efficiency chain, Lewis width and full actuator mass in
+closed form, with one feasibility mask that equals
+``evaluate(...).feasible`` row by row. Every feasible row within a
+small tolerance of the cheapest columnar cost is then scored again by
+scalar ``evaluate``, which settles the winner, so every reported
+number comes from the scalar model.
 
 The cheapest feasible design per bin (default [5,6) ... [14,15)) and
 architecture is reported. Ties break deterministically: lower mass,
@@ -21,25 +28,35 @@ the most frequent blocker.
 """
 
 from dataclasses import dataclass
-from math import floor, inf
-from typing import Iterator, Optional
+from math import cos, floor, inf, pi, tan
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .efficiency import (EfficiencyBreakdown, EfficiencyParams,
                          GeometryInfeasibleError, ModelRangeError,
+                         loss_parameter, overall_efficiency,
                          planetary_efficiency)
 from .geometry import (Architecture, ConstraintParams, GearboxDesign,
                        MotorSpec, constraint_failures, constraint_masks,
                        max_gearbox_diameter)
-from .mass import (BearingModel, MassBreakdown, MassModelParams,
-                   MaterialSpec, actuator_mass, load_bearing_model)
-from .strength import LoadCase, StrengthParams, face_width
+from .mass import (_MM3_TO_M3, BearingModel, MassBreakdown,
+                   MassModelParams, MaterialSpec, actuator_mass,
+                   base_plate_mass, bearing_mass, bearing_od,
+                   gearbox_stack_height_mm, load_bearing_model,
+                   planet_pin_mass)
+from .strength import (LoadCase, StrengthParams, face_width,
+                       lewis_form_factor)
 
 # sun-teeth ceiling for empty-bin diagnostics; feasibility always
 # appears first at small suns (smallest ring for a given ratio), so
 # scanning this far is enough to name the dominant blocker
 _DIAG_SUN_TEETH_CAP = 60
+
+# relative tolerance, scaled by max(1, |value|), within which columnar
+# costs and mesh efficiencies are left to scalar ``evaluate``: numpy's
+# arccos, tan and power may differ from libm in the last bit
+_SETTLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -113,6 +130,14 @@ class BinComparison:
     esspg_feasible: bool
 
 
+class ColumnScores(NamedTuple):
+    """``evaluate`` over the rows of a bin, one column per quantity."""
+    feasible: np.ndarray     # equals evaluate(...).feasible row by row
+    cost: np.ndarray         # meaningful on feasible rows only
+    mass_total: np.ndarray   # kg
+    eta_overall: np.ndarray
+
+
 def validate_bins(bins: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """Require ascending, non-overlapping, non-empty half-open bins."""
     if not bins:
@@ -124,6 +149,13 @@ def validate_bins(bins: list[tuple[float, float]]) -> list[tuple[float, float]]:
         if lo_next < hi_prev:
             raise ValueError("bins must be ascending and non-overlapping")
     return list(bins)
+
+
+def validate_workers(workers: Optional[int]) -> None:
+    """Require None or a worker count >= 1; evaluation is serial either
+    way."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
 
 
 def default_bins() -> list[tuple[float, float]]:
@@ -185,6 +217,37 @@ def _ratio_window(motor: MotorSpec, arch: Architecture,
             motor, constraints)
 
 
+def _bin_columns(motor: MotorSpec, arch: Architecture,
+                 constraints: ConstraintParams, module_set: list[float],
+                 lo: float, hi: float) -> tuple[np.ndarray, ...]:
+    """
+    (module_mm, n_p, N_s, N_p) columns of every feasible design with
+    lo <= R < hi, in lexicographic (m, n_p, N_s, N_p) order; R is the
+    float (N_s+N_r)/N_s.
+    """
+    empty = np.empty(0, dtype=np.int64)
+    parts = [(np.empty(0), empty, empty, empty)]
+    for module_mm, num_planets, sun, planet, masks in _ratio_window(
+            motor, arch, constraints, module_set, lo, hi):
+        ratio = (2 * sun + 2 * planet) / sun
+        keep = (~np.any(list(masks.values()), axis=0)
+                & (lo <= ratio) & (ratio < hi))
+        parts.append((np.full(np.count_nonzero(keep), module_mm,
+                              dtype=np.float64),
+                      num_planets[keep], sun[keep], planet[keep]))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _designs(arch: Architecture, columns: tuple[np.ndarray, ...],
+             rows=slice(None)) -> list[GearboxDesign]:
+    """The designs of ``_bin_columns`` rows (all rows by default)."""
+    modules, planets, suns, planet_teeth = (column[rows].tolist()
+                                            for column in columns)
+    return [GearboxDesign(arch=arch, sun_teeth=s, planet_teeth=p,
+                          ring_teeth=s + 2 * p, module_mm=m, num_planets=n)
+            for m, n, s, p in zip(modules, planets, suns, planet_teeth)]
+
+
 def bin_candidates(motor: MotorSpec, arch: Architecture,
                    constraints: ConstraintParams, module_set: list[float],
                    lo: float, hi: float) -> list[GearboxDesign]:
@@ -192,19 +255,8 @@ def bin_candidates(motor: MotorSpec, arch: Architecture,
     Every feasible design with lo <= R < hi, in lexicographic
     (m, n_p, N_s, N_p) order; R is the float (N_s+N_r)/N_s.
     """
-    designs = []
-    for module_mm, num_planets, sun, planet, masks in _ratio_window(
-            motor, arch, constraints, module_set, lo, hi):
-        ratio = (2 * sun + 2 * planet) / sun
-        keep = (~np.any(list(masks.values()), axis=0)
-                & (lo <= ratio) & (ratio < hi))
-        designs.extend(
-            GearboxDesign(arch=arch, sun_teeth=s, planet_teeth=p,
-                          ring_teeth=s + 2 * p, module_mm=module_mm,
-                          num_planets=n)
-            for n, s, p in zip(num_planets[keep].tolist(),
-                               sun[keep].tolist(), planet[keep].tolist()))
-    return designs
+    return _designs(arch, _bin_columns(motor, arch, constraints,
+                                       module_set, lo, hi))
 
 
 def enumerate_feasible(motor: MotorSpec, arch: Architecture,
@@ -263,6 +315,130 @@ def ranking_key(evaluation: DesignEvaluation) -> tuple:
             d.sun_teeth, d.planet_teeth)
 
 
+def score_columns(arch: Architecture, ctx: EvalContext, module_mm,
+                  num_planets, sun_teeth, planet_teeth) -> ColumnScores:
+    """
+    Columnar ``evaluate`` over designs that pass every constraint, such
+    as the rows of a bin's window: the same efficiency chain, Lewis
+    width and actuator mass, in closed form over numpy columns.
+
+    A row is feasible when ``evaluate`` would raise none of its model
+    errors: every tooth form (sun, planet, ring) keeps its base circle
+    inside a positive tip circle, both mesh efficiencies are > 0, the
+    Lewis form factor and velocity factor are > 0, gear bores stay
+    inside their pitch circles, the carrier disk clears the sun-shaft
+    bearing, and every bearing bore lies in the bearing table. Rows
+    whose mesh efficiency lies within ``_SETTLE_TOL`` of 0 are settled
+    by scalar ``evaluate``. The other columns follow the scalar
+    expressions operation by operation, so they agree with ``evaluate``
+    to the last bits of numpy's transcendental functions.
+    """
+    m = np.asarray(module_mm, dtype=np.float64)
+    n = np.asarray(num_planets, dtype=np.int64)
+    s = np.asarray(sun_teeth, dtype=np.int64)
+    p = np.asarray(planet_teeth, dtype=np.int64)
+    r = s + 2 * p
+    eff, load, strength = ctx.efficiency, ctx.load, ctx.strength
+    materials, params, bearing = ctx.materials, ctx.mass_params, ctx.bearing
+
+    def in_table(bore_mm):
+        return ((bearing.bore_min_mm <= bore_mm)
+                & (bore_mm <= bearing.bore_max_mm))
+
+    def annulus_kg(density, length_mm, outer_mm, inner_mm):
+        volume_mm3 = length_mm * pi / 4.0 * (outer_mm ** 2 - inner_mm ** 2)
+        return density * volume_mm3 * _MM3_TO_M3
+
+    # degenerate rows (ring tip circle <= 0, non-positive Lewis factor)
+    # produce nan or inf here and are masked out below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # tip_pressure_angle and contact_ratios, zero profile shift
+        cos_alpha = cos(eff.pressure_angle_rad)
+        tan_alpha = tan(eff.pressure_angle_rad)
+        tooth_ok = np.ones(len(s), dtype=bool)
+        tan_tip = []
+        for teeth, sgn in ((s, 1.0), (p, 1.0), (r, -1.0)):
+            d_b = m * teeth * cos_alpha
+            d_a = m * teeth + sgn * 2.0 * m
+            tooth_ok &= d_b < d_a
+            tan_tip.append(np.tan(np.arccos(d_b / d_a)))
+        tan_s, tan_p, tan_r = tan_tip
+        eps_a1 = (p / (2.0 * pi)) * (tan_p - tan_alpha)
+        eps_a2 = (s / (2.0 * pi)) * (tan_s - tan_alpha)
+        eps_b1 = -(r / (2.0 * pi)) * (tan_r - tan_alpha)
+        eps_b2 = (p / (2.0 * pi)) * (tan_p - tan_alpha)
+        eta_a = 1.0 - eff.mu * pi * (1.0 / s + 1.0 / p) * loss_parameter(
+            eps_a1, eps_a2)
+        eta_b = 1.0 - eff.mu * pi * (1.0 / p - 1.0 / r) * loss_parameter(
+            eps_b1, eps_b2)
+        eta_overall = overall_efficiency(s, r, eta_a, eta_b)
+
+        # face_width, Barth velocity factor
+        r_sun_m = m * s / 2.0 / 1000.0
+        f_t = load.sun_torque_nm / (n * r_sun_m)
+        y = lewis_form_factor(np.minimum(s, p), strength.lewis_formula)
+        k_v = 3.0 / (3.0 + load.sun_speed_rad_s * r_sun_m)
+        pitch_m = pi * m / 1000.0
+        width = np.maximum(
+            strength.fos * f_t / (strength.allowable_bending_stress_pa * y
+                                  * k_v * pitch_m) * 1000.0,
+            strength.min_face_width_mm)
+
+        # actuator_mass
+        if params.fastener_offset:
+            sun_bore = planet_bore = 0.0
+        else:
+            sun_bore = params.input_bearing_bore_mm
+            planet_bore = params.planet_bearing_bore_mm
+        steel = materials.steel_density_kg_m3
+        aluminum = materials.aluminum_density_kg_m3
+        sun = annulus_kg(steel, width, m * s, sun_bore)
+        planets_total = n * annulus_kg(steel, width, m * p, planet_bore)
+        ring = annulus_kg(steel, width,
+                          m * r + 2.0 * (params.ring_radial_thickness_coeff
+                                         * m),
+                          m * r - 2.0 * m)
+        pin_circle = m * (s + p)
+        disk_od = pin_circle + (m * p + 2.0 * m) / 2.0
+        shaft_od = bearing_od(params.input_bearing_bore_mm, bearing,
+                              extrapolate=True)
+        disk = annulus_kg(aluminum, params.carrier_disk_thickness_mm,
+                          disk_od, shaft_od)
+        carrier = disk + n * planet_pin_mass(width, materials, params)
+        bearings = (n * bearing_mass(params.planet_bearing_bore_mm, bearing,
+                                     extrapolate=True)
+                    + bearing_mass(params.input_bearing_bore_mm, bearing,
+                                   extrapolate=True)
+                    + bearing_mass(pin_circle, bearing, extrapolate=True))
+        casing_od = ctx.motor.outer_diameter_mm
+        casing_id = casing_od - 2.0 * params.casing_wall_mm
+        casing_length = ctx.motor.height_mm
+        if arch is Architecture.ESSPG:
+            casing_length = casing_length + gearbox_stack_height_mm(width,
+                                                                    params)
+        casing = annulus_kg(aluminum, casing_length, casing_od, casing_id)
+        total = (sun + planets_total + ring + carrier + disk + bearings
+                 + casing + base_plate_mass(ctx.motor, materials, params)
+                 + ctx.motor.mass_kg)
+        cost = ctx.cost.k_m * total - ctx.cost.k_e * eta_overall
+
+        eta_mesh = np.minimum(eta_a, eta_b)
+        model_ok = (tooth_ok & (y > 0) & (k_v > 0)
+                    & (sun_bore < m * s) & (planet_bore < m * p)
+                    & (shaft_od < disk_od) & in_table(pin_circle)
+                    & in_table(params.planet_bearing_bore_mm)
+                    & in_table(params.input_bearing_bore_mm)
+                    & (casing_id > 0))
+        feasible = model_ok & (eta_mesh > _SETTLE_TOL)
+        unsure = model_ok & (np.abs(eta_mesh) <= _SETTLE_TOL)
+    if unsure.any():
+        columns = (np.broadcast_to(m, s.shape), n, s, p)
+        feasible[unsure] = [evaluate(design, ctx).feasible
+                            for design in _designs(arch, columns, unsure)]
+    return ColumnScores(feasible=feasible, cost=cost, mass_total=total,
+                        eta_overall=eta_overall)
+
+
 def failure_tallies(motor: MotorSpec, arch: Architecture,
                     constraints: ConstraintParams, module_set: list[float],
                     lo: float, hi: float) -> dict[str, int]:
@@ -303,33 +479,39 @@ def optimize_bins(arch: Architecture, ctx: EvalContext,
     keep the min-cost feasible design per bin. Empty bins carry the
     dominant blocking constraint instead.
 
+    Each bin is scored by ``score_columns``; only the feasible rows
+    within ``_SETTLE_TOL`` of the cheapest columnar cost are built as
+    designs and scored by ``evaluate``, and the least ``ranking_key``
+    among them wins.
+
     ``workers`` is validated (None or an int >= 1) and otherwise
     ignored: evaluation is serial, and is kept as an argument only for
     existing callers.
     """
     bins = validate_bins(bins)
-    if workers is not None and workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
+    validate_workers(workers)
     results = []
     for lo, hi in bins:
-        candidates = bin_candidates(ctx.motor, arch, ctx.constraints,
-                                    module_set, lo, hi)
+        columns = _bin_columns(ctx.motor, arch, ctx.constraints, module_set,
+                               lo, hi)
+        scores = score_columns(arch, ctx, *columns)
+        feasible_count = int(np.count_nonzero(scores.feasible))
         best = None
-        feasible_count = 0
-        for design in candidates:
-            evaluation = evaluate(design, ctx)
-            if not evaluation.feasible:
-                continue
-            feasible_count += 1
-            if best is None or ranking_key(evaluation) < ranking_key(best):
-                best = evaluation
         empty_reason = None
-        if best is None:
+        if feasible_count:
+            cost_min = float(scores.cost[scores.feasible].min())
+            shortlist = scores.feasible & (
+                scores.cost <= cost_min
+                + _SETTLE_TOL * max(1.0, abs(cost_min)))
+            best = min((evaluate(design, ctx)
+                        for design in _designs(arch, columns, shortlist)),
+                       key=ranking_key)
+        else:
             empty_reason = diagnose_empty_bin(ctx.motor, arch,
                                               ctx.constraints, module_set,
                                               lo, hi)
         results.append(BinResult(lo=lo, hi=hi, arch=arch, best=best,
-                                 candidates_examined=len(candidates),
+                                 candidates_examined=len(columns[0]),
                                  feasible_count=feasible_count,
                                  empty_reason=empty_reason))
     return results

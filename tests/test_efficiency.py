@@ -6,11 +6,13 @@ approach/recess contact ratios, loss parameter, per-mesh and stage
 efficiency) and are frozen here to 16 significant digits.
 """
 
+import logging
 from dataclasses import replace
 from math import degrees, radians
 
 import pytest
 
+import gearboxopt.efficiency
 from gearboxopt import (Architecture, EfficiencyParams, GearboxDesign,
                         GearRole, GeometryInfeasibleError, MeshKind,
                         ModelRangeError, basic_driving_efficiency,
@@ -124,6 +126,15 @@ class TestMeshEfficiency:
                                         params) == pytest.approx(ETA_B,
                                                                  rel=REL)
 
+    def test_discontinuous_mesh_warns_once(self, caplog):
+        # a 2/2-tooth external mesh at 25 deg has total contact ratio
+        # 0.955, the only way below 1 in the unshifted tooth form
+        params = EfficiencyParams(pressure_angle_rad=radians(25.0))
+        with caplog.at_level(logging.WARNING, logger="gearboxopt"):
+            basic_driving_efficiency(2, 2, 1.0, MeshKind.SUN_PLANET, params)
+        assert len(caplog.records) == 1
+        assert "total contact ratio 0.955" in caplog.records[0].getMessage()
+
     def test_frictionless_is_exactly_one(self):
         params = EfficiencyParams(mu=0.0)
         assert basic_driving_efficiency(20, 40, 0.5, MeshKind.SUN_PLANET,
@@ -201,6 +212,26 @@ class TestPlanetaryEfficiency:
         assert br.eta_a == pytest.approx(ETA_A, rel=REL)
         assert br.eta_b == pytest.approx(ETA_B, rel=REL)
         assert br.eta_overall == pytest.approx(ETA_OVERALL, rel=REL)
+
+    def test_contact_ratios_computed_once_per_mesh(self, monkeypatch):
+        meshes = []
+
+        def counting(teeth_1, teeth_2, module_mm, mesh, alpha):
+            meshes.append(mesh)
+            return contact_ratios(teeth_1, teeth_2, module_mm, mesh, alpha)
+
+        monkeypatch.setattr(gearboxopt.efficiency, "contact_ratios",
+                            counting)
+        params = EfficiencyParams()
+        br = planetary_efficiency(REFERENCE, params)
+        assert meshes == [MeshKind.SUN_PLANET, MeshKind.PLANET_RING]
+        monkeypatch.undo()
+        assert br.eta_a == basic_driving_efficiency(20, 40, 0.5,
+                                                    MeshKind.SUN_PLANET,
+                                                    params)
+        assert br.eta_b == basic_driving_efficiency(40, 100, 0.5,
+                                                    MeshKind.PLANET_RING,
+                                                    params)
 
     def test_second_design_frozen(self):
         d = GearboxDesign(arch=Architecture.ESSPG, sun_teeth=25,

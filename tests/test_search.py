@@ -2,22 +2,26 @@
 comparison, cross-checked against naive nested-loop scans."""
 
 from dataclasses import replace
-from math import ceil
+from math import ceil, pi, radians
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gearboxopt import (Architecture, ConstraintParams, CostWeights,
-                        DesignEvaluation, EfficiencyParams, EvalContext,
-                        GearboxDesign, MotorSpec, compare_architectures,
+from gearboxopt import (Architecture, BinResult, ConstraintParams,
+                        CostWeights, DesignEvaluation, EfficiencyParams,
+                        EvalContext, GearboxDesign, LoadCase,
+                        MassModelParams, MaterialSpec, MeshKind, MotorSpec,
+                        StrengthParams, compare_architectures,
+                        contact_ratios, loss_parameter,
                         constraint_failures, default_bins, diagnose_empty_bin,
                         evaluate, max_gearbox_diameter, optimize_bins,
                         ranking_key, validate_bins)
 from gearboxopt.cli import load_config, run_sweep
 from gearboxopt.geometry import constraint_masks
-from gearboxopt.search import (_DIAG_SUN_TEETH_CAP, bin_candidates,
-                               enumerate_feasible, failure_tallies)
+from gearboxopt.search import (_DIAG_SUN_TEETH_CAP, _bin_columns,
+                               bin_candidates, enumerate_feasible,
+                               failure_tallies, score_columns)
 
 from conftest import U12
 
@@ -26,6 +30,10 @@ REFERENCE = GearboxDesign(arch=Architecture.ISSPG, sun_teeth=20,
                           num_planets=3)
 REFERENCE_COST = -0.5970515307822426  # k_m=1, k_e=2, U12 load
 ALL_MODULES = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2]
+# the benchmark's scale motor: most of its binned esspg designs put the
+# output bearing bore above the bearing table
+SCALE_MOTOR = replace(U12, outer_diameter_mm=160.0,
+                      stator_inner_diameter_mm=110.0, name="U12-scale")
 
 
 def naive_rectangle(arch, constraints, modules, motor=U12):
@@ -45,6 +53,26 @@ def naive_rectangle(arch, constraints, modules, motor=U12):
                     if not constraint_failures(design, motor, constraints):
                         found.append(design)
     return found
+
+
+def scalar_bins(arch, ctx, modules, bins):
+    """optimize_bins as a plain loop of scalar evaluate calls over
+    every bin candidate."""
+    results = []
+    for lo, hi in bins:
+        candidates = bin_candidates(ctx.motor, arch, ctx.constraints,
+                                    modules, lo, hi)
+        feasible = [evaluation for evaluation
+                    in (evaluate(design, ctx) for design in candidates)
+                    if evaluation.feasible]
+        best = min(feasible, key=ranking_key, default=None)
+        results.append(BinResult(
+            lo=lo, hi=hi, arch=arch, best=best,
+            candidates_examined=len(candidates),
+            feasible_count=len(feasible),
+            empty_reason=None if best is not None else diagnose_empty_bin(
+                ctx.motor, arch, ctx.constraints, modules, lo, hi)))
+    return results
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +96,14 @@ class TestHelpers:
         with pytest.raises(ValueError):
             run_sweep(load_config(u12_config_path), out_dir=tmp_path,
                       workers=0)
+
+    def test_invalid_worker_count_writes_nothing(self, u12_config_path,
+                                                 tmp_path):
+        out_dir = tmp_path / "sweep"
+        with pytest.raises(ValueError, match="worker count"):
+            run_sweep(load_config(u12_config_path), out_dir=out_dir,
+                      workers=0)
+        assert not out_dir.exists()
 
     def test_validate_bins(self):
         bins = [(5.0, 6.0), (6.0, 7.0)]
@@ -253,6 +289,28 @@ class TestOptimizeBins:
                                  ALL_MODULES, default_bins(), workers=2)
         assert parallel == bin_results[Architecture.ESSPG]
 
+    def test_equals_scalar_loop_when_evaluation_drops_designs(
+            self, default_ctx):
+        ctx = replace(default_ctx, motor=SCALE_MOTOR)
+        results = optimize_bins(Architecture.ESSPG, ctx, ALL_MODULES,
+                                default_bins())
+        assert results == scalar_bins(Architecture.ESSPG, ctx, ALL_MODULES,
+                                      default_bins())
+        assert any(0 < r.feasible_count < r.candidates_examined
+                   for r in results)
+        assert any(r.candidates_examined and not r.feasible_count
+                   for r in results)
+
+    def test_equals_scalar_loop_when_every_cost_ties(self, default_ctx):
+        # zero weights make every cost 0, so the shortlist holds every
+        # feasible design and ranking_key decides on mass, then eta
+        ctx = replace(default_ctx, cost=CostWeights(k_m=0.0, k_e=0.0))
+        for arch in Architecture:
+            results = optimize_bins(arch, ctx, ALL_MODULES, default_bins())
+            assert results == scalar_bins(arch, ctx, ALL_MODULES,
+                                          default_bins())
+            assert any(r.feasible_count > 1 for r in results)
+
 
 class TestDiagnosis:
     def test_ring_diameter_blocks_high_ratios(self, default_ctx):
@@ -426,3 +484,122 @@ class TestRatioWindow:
                        if counts else "no_candidates_in_ratio_window")
             assert diagnose_empty_bin(motor, arch, constraints, modules,
                                       lo, hi) == verdict
+
+
+# --- columnar scoring against scalar evaluate ------------------------------
+
+@st.composite
+def eval_contexts(draw, bearing):
+    """Motors, loads and model parameters that reach every way
+    ``evaluate`` can drop a design: rings under 34 teeth (tooth form),
+    steep pressure angles with high friction (mesh efficiency <= 0),
+    planets under 6 teeth (Lewis factor), gear bores in small gears,
+    carrier disks inside a large sun-shaft bearing, and output bearing
+    bores on both sides of the table."""
+    outer = draw(st.floats(40.0, 170.0))
+    motor = MotorSpec(outer_diameter_mm=outer,
+                      stator_inner_diameter_mm=draw(st.floats(30.0,
+                                                              outer - 5.0)),
+                      height_mm=draw(st.floats(20.0, 80.0)),
+                      mass_kg=draw(st.floats(0.2, 2.0)),
+                      max_torque_nm=5.0, max_speed_rad_s=400.0)
+    min_teeth = draw(st.integers(3, 20))
+    min_planets = draw(st.integers(2, 4))
+    constraints = ConstraintParams(
+        min_teeth=min_teeth,
+        max_teeth=draw(st.none() | st.integers(min_teeth, 60)),
+        min_planets=min_planets,
+        max_planets=draw(st.integers(min_planets, min_planets + 2)),
+        planet_clearance_mm=draw(st.floats(0.5, 6.0)),
+        ring_clearance_mm=draw(st.floats(0.0, 15.0)))
+    alpha_deg = draw(st.floats(14.5, 30.0) | st.floats(60.0, 85.0))
+    return EvalContext(
+        motor=motor,
+        load=LoadCase(sun_torque_nm=draw(st.floats(0.0, 30.0)),
+                      sun_speed_rad_s=draw(st.floats(0.0, 1000.0))),
+        constraints=constraints,
+        efficiency=EfficiencyParams(mu=draw(st.floats(0.0, 0.9)),
+                                    pressure_angle_rad=radians(alpha_deg)),
+        strength=StrengthParams(fos=draw(st.floats(1.0, 3.0)),
+                                min_face_width_mm=draw(st.floats(0.5,
+                                                                 5.0))),
+        materials=MaterialSpec(),
+        mass_params=MassModelParams(
+            planet_bearing_bore_mm=draw(st.sampled_from([10.0, 12.0, 8.0])),
+            input_bearing_bore_mm=draw(st.sampled_from([15.0, 10.0, 25.0,
+                                                        40.0, 65.0])),
+            casing_wall_mm=draw(st.sampled_from([3.0, 3.0, 90.0])),
+            fastener_offset=draw(st.booleans())),
+        bearing=bearing,
+        cost=CostWeights(k_m=draw(st.floats(0.0, 5.0)),
+                         k_e=draw(st.floats(0.0, 5.0))))
+
+
+class TestScoreColumns:
+    @settings(max_examples=150)
+    @given(data=st.data(), arch=st.sampled_from(list(Architecture)),
+           module_mm=st.sampled_from([0.5, 0.8, 1.0, 1.2]),
+           lo=st.integers(6, 24).map(lambda k: k / 2.0),
+           width=st.sampled_from([0.5, 1.0]))
+    def test_columns_equal_scalar_evaluate(self, bearing_model, data, arch,
+                                           module_mm, lo, width):
+        ctx = data.draw(eval_contexts(bearing_model))
+        columns = _bin_columns(ctx.motor, arch, ctx.constraints,
+                               [module_mm], lo, lo + width)
+        scores = score_columns(arch, ctx, *columns)
+        designs = bin_candidates(ctx.motor, arch, ctx.constraints,
+                                 [module_mm], lo, lo + width)
+        assert len(scores.feasible) == len(designs)
+        for i, design in enumerate(designs):
+            evaluation = evaluate(design, ctx)
+            assert scores.feasible[i] == evaluation.feasible, \
+                evaluation.failure_reasons
+            if evaluation.feasible:
+                assert scores.cost[i] == pytest.approx(
+                    evaluation.cost, rel=1e-12, abs=1e-12)
+                assert scores.mass_total[i] == pytest.approx(
+                    evaluation.mass.total, rel=1e-12)
+                assert scores.eta_overall[i] == pytest.approx(
+                    evaluation.efficiency.eta_overall, rel=1e-12)
+
+    def test_negative_lewis_factor_alone_drops_a_design(self, default_ctx):
+        # a 5-tooth sun passes every other check; its negative Lewis
+        # factor only clamps the columnar face width to the floor
+        ctx = replace(default_ctx, constraints=ConstraintParams(min_teeth=5))
+        design = GearboxDesign(arch=Architecture.ESSPG, sun_teeth=5,
+                               planet_teeth=25, ring_teeth=55, module_mm=1.2,
+                               num_planets=2)
+        evaluation = evaluate(design, ctx)
+        assert evaluation.failure_reasons[0].startswith(
+            "model_error: non-positive Lewis form factor")
+        scores = score_columns(Architecture.ESSPG, ctx, [1.2], [2], [5],
+                               [25])
+        assert not scores.feasible[0]
+
+    def test_mesh_efficiency_near_zero_settled_by_evaluate(self,
+                                                           default_ctx):
+        # at an 80 deg pressure angle a 12/12 sun-planet mesh reaches
+        # eta = 0 at mu ~ 0.46; step mu across that point one ulp at a
+        # time so the columnar efficiency sits within rounding of 0
+        design = GearboxDesign(arch=Architecture.ISSPG, sun_teeth=12,
+                               planet_teeth=12, ring_teeth=36,
+                               module_mm=1.2, num_planets=3)
+        alpha = radians(80.0)
+        eps1, eps2 = contact_ratios(12, 12, 1.2, MeshKind.SUN_PLANET, alpha)
+        mu = 1.0 / (pi * (1.0 / 12 + 1.0 / 12) * loss_parameter(eps1, eps2))
+        mus = [mu]
+        for _ in range(6):
+            mus = [np.nextafter(mus[0], 0.0)] + mus + [np.nextafter(mus[-1],
+                                                                 1.0)]
+        verdicts = set()
+        for mu_k in mus:
+            ctx = replace(default_ctx,
+                          constraints=ConstraintParams(min_teeth=12),
+                          efficiency=EfficiencyParams(
+                              mu=float(mu_k), pressure_angle_rad=alpha))
+            scores = score_columns(Architecture.ISSPG, ctx, [1.2], [3],
+                                   [12], [12])
+            evaluation = evaluate(design, ctx)
+            assert scores.feasible[0] == evaluation.feasible
+            verdicts.add(evaluation.feasible)
+        assert verdicts == {True, False}
