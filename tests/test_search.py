@@ -93,14 +93,9 @@ class TestHelpers:
         with pytest.raises(ValueError):
             optimize_bins(Architecture.ISSPG, default_ctx, ALL_MODULES,
                           default_bins(), workers=0)
-        with pytest.raises(ValueError):
-            run_sweep(load_config(u12_config_path), out_dir=tmp_path,
-                      workers=0)
-
-    def test_invalid_worker_count_writes_nothing(self, u12_config_path,
-                                                 tmp_path):
+        # rejected before the output directory is created
         out_dir = tmp_path / "sweep"
-        with pytest.raises(ValueError, match="worker count"):
+        with pytest.raises(ValueError):
             run_sweep(load_config(u12_config_path), out_dir=out_dir,
                       workers=0)
         assert not out_dir.exists()
@@ -493,9 +488,9 @@ def eval_contexts(draw, bearing):
     """Motors, loads and model parameters that reach every way
     ``evaluate`` can drop a design: rings under 34 teeth (tooth form),
     steep pressure angles with high friction (mesh efficiency <= 0),
-    planets under 6 teeth (Lewis factor), gear bores in small gears,
-    carrier disks inside a large sun-shaft bearing, and output bearing
-    bores on both sides of the table."""
+    gears under 6 teeth (Lewis factor), gear bores in small gears,
+    carrier disks inside a large sun-shaft bearing, bearing bores on
+    both sides of the table, and casing walls past the motor radius."""
     outer = draw(st.floats(40.0, 170.0))
     motor = MotorSpec(outer_diameter_mm=outer,
                       stator_inner_diameter_mm=draw(st.floats(30.0,
