@@ -440,54 +440,49 @@ def _write_json(path: Path, document: dict) -> None:
     path.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n")
 
 
+_DESIGN_COLUMNS = ["sun_teeth", "planet_teeth", "ring_teeth", "module_mm",
+                   "num_planets"]
+
+
+def _design_cells(design: GearboxDesign) -> list:
+    """The ``_DESIGN_COLUMNS`` cells of a CSV row."""
+    return [getattr(design, name) for name in _DESIGN_COLUMNS]
+
+
 def _write_results_csv(path: Path, results: list[BinResult]) -> None:
-    columns = ["bin_lo", "bin_hi", "status", "sun_teeth", "planet_teeth",
-               "ring_teeth", "module_mm", "num_planets", "reduction_ratio",
-               "eta_overall", "face_width_mm", "total_mass_kg", "cost",
+    scores = ["reduction_ratio", "eta_overall", "face_width_mm",
+              "total_mass_kg", "cost"]
+    columns = ["bin_lo", "bin_hi", "status", *_DESIGN_COLUMNS, *scores,
                "candidates_examined", "feasible_count", "empty_reason"]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
         for result in results:
-            if result.best is None:
-                writer.writerow([result.lo, result.hi, "empty", "", "", "",
-                                 "", "", "", "", "", "", "",
-                                 result.candidates_examined,
-                                 result.feasible_count, result.empty_reason])
-                continue
             best = result.best
-            design = best.design
-            writer.writerow([
-                result.lo, result.hi, "ok", design.sun_teeth,
-                design.planet_teeth, design.ring_teeth, design.module_mm,
-                design.num_planets, best.reduction_ratio,
-                best.efficiency.eta_overall, best.face_width_mm,
-                best.mass.total, best.cost, result.candidates_examined,
-                result.feasible_count, "",
-            ])
+            cells = (["empty"] + [""] * (len(_DESIGN_COLUMNS) + len(scores))
+                     if best is None else
+                     ["ok", *_design_cells(best.design), best.reduction_ratio,
+                      best.efficiency.eta_overall, best.face_width_mm,
+                      best.mass.total, best.cost])
+            writer.writerow([result.lo, result.hi, *cells,
+                             result.candidates_examined,
+                             result.feasible_count, result.empty_reason or ""])
 
 
 def _write_candidates_csv(path: Path, evaluations:
                           list[DesignEvaluation]) -> None:
-    columns = ["sun_teeth", "planet_teeth", "ring_teeth", "module_mm",
-               "num_planets", "reduction_ratio", "feasible", "eta_overall",
-               "face_width_mm", "total_mass_kg", "cost", "failure_reasons"]
+    columns = [*_DESIGN_COLUMNS, "reduction_ratio", "feasible",
+               "eta_overall", "face_width_mm", "total_mass_kg", "cost",
+               "failure_reasons"]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
         for ev in evaluations:
-            d = ev.design
-            if ev.feasible:
-                writer.writerow([d.sun_teeth, d.planet_teeth, d.ring_teeth,
-                                 d.module_mm, d.num_planets,
-                                 ev.reduction_ratio, True,
-                                 ev.efficiency.eta_overall, ev.face_width_mm,
-                                 ev.mass.total, ev.cost, ""])
-            else:
-                writer.writerow([d.sun_teeth, d.planet_teeth, d.ring_teeth,
-                                 d.module_mm, d.num_planets,
-                                 ev.reduction_ratio, False, "", "", "", "",
-                                 "; ".join(ev.failure_reasons)])
+            scores = ([ev.efficiency.eta_overall, ev.face_width_mm,
+                       ev.mass.total, ev.cost, ""] if ev.feasible else
+                      ["", "", "", "", "; ".join(ev.failure_reasons)])
+            writer.writerow([*_design_cells(ev.design), ev.reduction_ratio,
+                             ev.feasible, *scores])
 
 
 def _format_cell(result: BinResult) -> str:

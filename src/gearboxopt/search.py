@@ -4,9 +4,11 @@ Per-ratio-bin candidate generation and cost minimization.
 Candidates are generated per ratio window, not enumerated over the
 whole (m, n_p, N_s, N_p) box and then binned. Since the reduction is
 R = (N_s+N_r)/N_s = 2 + 2*N_p/N_s, the planets of each sun that fall
-in a half-open bin [lo, hi) form one short integer range. A window is
-walked one module at a time as numpy columns in lexicographic
-(n_p, N_s, N_p) order, with one failure mask per feasibility rule.
+in a half-open bin [lo, hi) form one short integer range. One window
+per (architecture, module) spans all bins: its (N_s, N_p) rows are
+numpy columns, the planet counts a broadcast axis, with one failure
+mask per feasibility rule. Each row is assigned to its bin once, and
+a stable partition keeps every bin in lexicographic order.
 
 The search keeps the rows that fail no rule and scores them with
 
@@ -23,8 +25,8 @@ number comes from the scalar model.
 The cheapest feasible design per bin (default [5,6) ... [14,15)) and
 architecture is reported. Ties break deterministically: lower mass,
 then higher efficiency, then lexicographic (m, n_p, N_s, N_p). An
-empty bin sums the failure masks of its window instead and reports
-the most frequent blocker.
+empty bin sums the failure masks of its diagnosis window instead and
+reports the most frequent blocker.
 """
 
 from dataclasses import dataclass
@@ -165,77 +167,81 @@ def default_bins() -> list[tuple[float, float]]:
 
 def _ratio_window(motor: MotorSpec, arch: Architecture,
                   constraints: ConstraintParams, module_set: list[float],
-                  lo: float, hi: float, sun_cap: Optional[int] = None
-                  ) -> Iterator[tuple[float, np.ndarray, np.ndarray,
-                                      np.ndarray, dict[str, np.ndarray]]]:
+                  bins: list[tuple[float, float]],
+                  sun_cap: Optional[int] = None) -> Iterator[tuple]:
     """
-    Walk the ratio window lo <= R < hi one module at a time, yielding
-    (module_mm, n_p, N_s, N_p, masks): integer columns in lexicographic
-    (n_p, N_s, N_p) order and the ``constraint_masks`` of those rows.
+    Walk the window of ascending, disjoint bins one module at a time,
+    yielding (module_mm, n_p, N_s, N_p, bin, masks): planet counts as a
+    (k, 1) column, (N_s, N_p) rows in lexicographic order, each row's
+    bin (-1 for none) and (k, rows) ``constraint_masks``.
 
-    R = 2 + 2*N_p/N_s, so each sun's planets lie in
+    R = 2 + 2*N_p/N_s, so each sun's planets in a bin [lo, hi) lie in
     [ceil((lo-2)*N_s/2), ceil((hi-2)*N_s/2)), floored at min_teeth.
-    Without ``sun_cap`` this is the search window: suns and planets stop
-    at the ring envelope and the tooth cap, and the planet range is
-    widened by one tooth at each end, because rounding of the window
-    edges can drop a design whose float ratio lies in [lo, hi); callers
-    filter on that ratio. With ``sun_cap`` it is the diagnosis window:
-    suns from min_teeth to sun_cap and planets exactly the ratio window.
+    Without ``sun_cap`` this is the search window: one planet range per
+    sun over [bins[0].lo, bins[-1].hi), inside the ring envelope and
+    the tooth cap, widened by one tooth at each end because rounding
+    of the edges can drop a design whose float ratio lies in a bin;
+    rows go to the bin of their float ratio. With ``sun_cap`` it is the
+    diagnosis window: suns up to sun_cap, each with exactly every bin's
+    planet range (disjoint for disjoint bins).
     """
     n_min = constraints.min_teeth
-    n_cap = constraints.max_teeth
+    n_cap = inf if constraints.max_teeth is None else constraints.max_teeth
     d_max = max_gearbox_diameter(motor, arch, constraints)
     planet_counts = np.arange(constraints.min_planets,
-                              constraints.max_planets + 1)
+                              constraints.max_planets + 1)[:, None]
+    los, his = np.array(bins, dtype=np.float64).reshape(-1, 2).T
     for module_mm in sorted(module_set):
         if sun_cap is None:
             max_ring = floor(d_max / module_mm + 1e-9)
-            sun_max = max_ring - 2 * n_min
-            if n_cap is not None:
-                sun_max = min(sun_max, n_cap)
-            suns = np.arange(n_min, sun_max + 1)
-            planet_max = (max_ring - suns) // 2
-            if n_cap is not None:
-                planet_max = np.minimum(planet_max, n_cap)
-            slack = 1
+            suns = np.arange(n_min, min(max_ring - 2 * n_min, n_cap) + 1)
+            planet_max = np.minimum((max_ring - suns) // 2, n_cap)
+            edges_lo, edges_hi, slack = los[:1], his[-1:], 1
         else:
             suns = np.arange(n_min, sun_cap + 1)
             planet_max = np.inf
-            slack = 0
-        first = np.maximum(np.ceil((lo - 2.0) * suns / 2.0) - slack, n_min)
-        stop = np.minimum(np.ceil((hi - 2.0) * suns / 2.0) + slack,
-                          planet_max + 1)
+            edges_lo, edges_hi, slack = los, his, 0
+        # one planet range per (sun, edge pair), suns outermost
+        first = np.maximum(np.ceil((edges_lo[:, None] - 2.0) * suns / 2.0)
+                           - slack, n_min).T.ravel()
+        stop = np.minimum(np.ceil((edges_hi[:, None] - 2.0) * suns / 2.0)
+                          + slack, planet_max + 1).T.ravel()
         sizes = np.maximum(stop - first, 0).astype(np.int64)
         offsets = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes,
                                                      sizes)
-        sun = np.tile(np.repeat(suns, sizes), len(planet_counts))
-        planet = np.tile(np.repeat(first.astype(np.int64), sizes) + offsets,
-                         len(planet_counts))
-        num_planets = np.repeat(planet_counts, sizes.sum())
-        yield module_mm, num_planets, sun, planet, constraint_masks(
-            arch, module_mm, num_planets, sun, planet, sun + 2 * planet,
+        sun = np.repeat(np.repeat(suns, len(edges_lo)), sizes)
+        planet = np.repeat(first.astype(np.int64), sizes) + offsets
+        if sun_cap is None:
+            ratio = (2 * sun + 2 * planet) / sun
+            index = np.searchsorted(los, ratio, side="right") - 1
+            row_bin = np.where((index >= 0) & (ratio < his[index]), index, -1)
+        else:
+            row_bin = np.repeat(np.tile(np.arange(len(los)), len(suns)),
+                                sizes)
+        yield module_mm, planet_counts, sun, planet, row_bin, constraint_masks(
+            arch, module_mm, planet_counts, sun, planet, sun + 2 * planet,
             motor, constraints)
 
 
 def _bin_columns(motor: MotorSpec, arch: Architecture,
                  constraints: ConstraintParams, module_set: list[float],
-                 lo: float, hi: float) -> tuple[np.ndarray, ...]:
-    """
-    (module_mm, n_p, N_s, N_p) columns of every feasible design with
-    lo <= R < hi, in lexicographic (m, n_p, N_s, N_p) order; R is the
-    float (N_s+N_r)/N_s.
-    """
+                 bins: list[tuple[float, float]]) -> list[tuple]:
+    """The (module_mm, n_p, N_s, N_p) columns of ``bin_candidates``,
+    for each bin."""
     empty = np.empty(0, dtype=np.int64)
-    parts = [(np.empty(0), empty, empty, empty)]
-    for module_mm, num_planets, sun, planet, masks in _ratio_window(
-            motor, arch, constraints, module_set, lo, hi):
-        ratio = (2 * sun + 2 * planet) / sun
-        keep = (~np.any(list(masks.values()), axis=0)
-                & (lo <= ratio) & (ratio < hi))
+    parts = [(np.empty(0), empty, empty, empty, empty)]
+    for module_mm, planets, sun, planet, row_bin, masks in _ratio_window(
+            motor, arch, constraints, module_set, bins):
+        keep = ~np.any(list(masks.values()), axis=0) & (row_bin >= 0)
         parts.append((np.full(np.count_nonzero(keep), module_mm,
                               dtype=np.float64),
-                      num_planets[keep], sun[keep], planet[keep]))
-    return tuple(np.concatenate(column) for column in zip(*parts))
+                      *(np.broadcast_to(column, keep.shape)[keep]
+                        for column in (planets, sun, planet, row_bin))))
+    *columns, row_bin = (np.concatenate(column) for column in zip(*parts))
+    # a stable partition keeps each bin's rows in lexicographic order
+    order = np.argsort(row_bin, kind="stable")
+    ends = np.cumsum(np.bincount(row_bin, minlength=len(bins)))[:-1]
+    return list(zip(*(np.split(column[order], ends) for column in columns)))
 
 
 def _designs(arch: Architecture, columns: tuple[np.ndarray, ...],
@@ -251,22 +257,17 @@ def _designs(arch: Architecture, columns: tuple[np.ndarray, ...],
 def bin_candidates(motor: MotorSpec, arch: Architecture,
                    constraints: ConstraintParams, module_set: list[float],
                    lo: float, hi: float) -> list[GearboxDesign]:
-    """
-    Every feasible design with lo <= R < hi, in lexicographic
-    (m, n_p, N_s, N_p) order; R is the float (N_s+N_r)/N_s.
-    """
+    """Every feasible design with lo <= R < hi, R the float
+    (N_s+N_r)/N_s, in lexicographic (m, n_p, N_s, N_p) order."""
     return _designs(arch, _bin_columns(motor, arch, constraints,
-                                       module_set, lo, hi))
+                                       module_set, [(lo, hi)])[0])
 
 
 def enumerate_feasible(motor: MotorSpec, arch: Architecture,
                        constraints: ConstraintParams,
                        module_set: list[float]) -> Iterator[GearboxDesign]:
-    """
-    Yield every feasible decision vector in lexicographic
-    (m, n_p, N_s, N_p) order: the candidates of an unbounded ratio
-    window.
-    """
+    """Every feasible design in lexicographic (m, n_p, N_s, N_p) order:
+    the candidates of an unbounded ratio window."""
     yield from bin_candidates(motor, arch, constraints, module_set,
                               -inf, inf)
 
@@ -439,35 +440,45 @@ def score_columns(arch: Architecture, ctx: EvalContext, module_mm,
                         eta_overall=eta_overall)
 
 
+def _bin_tallies(motor: MotorSpec, arch: Architecture,
+                 constraints: ConstraintParams, module_set: list[float],
+                 bins: list[tuple[float, float]]) -> list[dict[str, int]]:
+    """``failure_tallies`` of ascending, disjoint bins, from one
+    diagnosis window per module over all of them."""
+    counts: dict[str, np.ndarray] = {}
+    for *_, row_bin, masks in _ratio_window(
+            motor, arch, constraints, module_set, bins, _DIAG_SUN_TEETH_CAP):
+        for name, mask in masks.items():
+            # float weights: the counts stay far below 2**53, so exact
+            counts[name] = counts.get(name, 0) + np.bincount(
+                row_bin, weights=mask.sum(axis=0), minlength=len(bins))
+    return [{name: int(tally[i]) for name, tally in counts.items()
+             if tally[i]} for i in range(len(bins))]
+
+
+def _dominant_rule(counts: dict[str, int]) -> str:
+    """The most frequent rule of a tally; ties go to the first name."""
+    return min(counts, key=lambda name: (-counts[name], name),
+               default="no_candidates_in_ratio_window")
+
+
 def failure_tallies(motor: MotorSpec, arch: Architecture,
                     constraints: ConstraintParams, module_set: list[float],
                     lo: float, hi: float) -> dict[str, int]:
+    """Violations per rule over a bin's diagnosis window (suns capped at
+    a diagnostic ceiling, no feasibility filter); zero counts left out.
     """
-    Violations per constraint over a bin's raw candidate rectangle: the
-    ratio window intersected with the tooth-count floor, suns capped at
-    a diagnostic ceiling, without the feasibility filter. Rules that no
-    candidate violates are left out.
-    """
-    counts: dict[str, int] = {}
-    for *_, masks in _ratio_window(motor, arch, constraints, module_set,
-                                   lo, hi, sun_cap=_DIAG_SUN_TEETH_CAP):
-        for name, mask in masks.items():
-            counts[name] = counts.get(name, 0) + int(np.count_nonzero(mask))
-    return {name: count for name, count in counts.items() if count}
+    return _bin_tallies(motor, arch, constraints, module_set, [(lo, hi)])[0]
 
 
 def diagnose_empty_bin(motor: MotorSpec, arch: Architecture,
                        constraints: ConstraintParams,
                        module_set: list[float], lo: float,
                        hi: float) -> str:
-    """
-    Name the constraint that blocks an empty ratio bin: the most
-    frequent one in ``failure_tallies``.
-    """
-    counts = failure_tallies(motor, arch, constraints, module_set, lo, hi)
-    if not counts:
-        return "no_candidates_in_ratio_window"
-    return max(sorted(counts), key=lambda name: counts[name])
+    """The rule that blocks an empty ratio bin: the most frequent one in
+    ``failure_tallies``."""
+    return _dominant_rule(failure_tallies(motor, arch, constraints,
+                                          module_set, lo, hi))
 
 
 def optimize_bins(arch: Architecture, ctx: EvalContext,
@@ -476,13 +487,9 @@ def optimize_bins(arch: Architecture, ctx: EvalContext,
                   workers: Optional[int] = None) -> list[BinResult]:
     """
     Evaluate all candidates whose reduction ratio falls in some bin and
-    keep the min-cost feasible design per bin. Empty bins carry the
-    dominant blocking constraint instead.
-
-    Each bin is scored by ``score_columns``; only the feasible rows
-    within ``_SETTLE_TOL`` of the cheapest columnar cost are built as
-    designs and scored by ``evaluate``, and the least ``ranking_key``
-    among them wins.
+    keep the min-cost feasible design per bin, settled by ``evaluate``
+    on the columnar shortlist. Empty bins carry the dominant blocking
+    constraint instead, from one diagnosis window shared by all of them.
 
     ``workers`` is validated (None or an int >= 1) and otherwise
     ignored: evaluation is serial, and is kept as an argument only for
@@ -490,14 +497,12 @@ def optimize_bins(arch: Architecture, ctx: EvalContext,
     """
     bins = validate_bins(bins)
     validate_workers(workers)
-    results = []
-    for lo, hi in bins:
-        columns = _bin_columns(ctx.motor, arch, ctx.constraints, module_set,
-                               lo, hi)
+    cells = []
+    for columns in _bin_columns(ctx.motor, arch, ctx.constraints,
+                                module_set, bins):
         scores = score_columns(arch, ctx, *columns)
         feasible_count = int(np.count_nonzero(scores.feasible))
         best = None
-        empty_reason = None
         if feasible_count:
             cost_min = float(scores.cost[scores.feasible].min())
             shortlist = scores.feasible & (
@@ -506,15 +511,15 @@ def optimize_bins(arch: Architecture, ctx: EvalContext,
             best = min((evaluate(design, ctx)
                         for design in _designs(arch, columns, shortlist)),
                        key=ranking_key)
-        else:
-            empty_reason = diagnose_empty_bin(ctx.motor, arch,
-                                              ctx.constraints, module_set,
-                                              lo, hi)
-        results.append(BinResult(lo=lo, hi=hi, arch=arch, best=best,
-                                 candidates_examined=len(columns[0]),
-                                 feasible_count=feasible_count,
-                                 empty_reason=empty_reason))
-    return results
+        cells.append((best, len(columns[0]), feasible_count))
+    empty = [bin_ for bin_, (best, *_) in zip(bins, cells) if best is None]
+    reasons = map(_dominant_rule, _bin_tallies(
+        ctx.motor, arch, ctx.constraints, module_set, empty) if empty else [])
+    return [BinResult(lo=lo, hi=hi, arch=arch, best=best,
+                      candidates_examined=examined,
+                      feasible_count=feasible_count,
+                      empty_reason=None if best is not None else next(reasons))
+            for (lo, hi), (best, examined, feasible_count) in zip(bins, cells)]
 
 
 def compare_architectures(

@@ -1,7 +1,9 @@
 """Config loading, report emission, and the command-line entry points."""
 
+import hashlib
 import json
 from math import radians
+from pathlib import Path
 
 import pytest
 import yaml
@@ -20,6 +22,20 @@ MINIMAL = {
               "max_speed_rad_s": 418.9},
     "load": {"sun_torque_nm": 3.0, "sun_speed_rad_s": 418.9},
 }
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def report_digest(out_dir):
+    """sha256 over every report file name and its bytes, as the
+    benchmark's reference digests are made."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
+        content = path.read_bytes()
+        digest.update(path.relative_to(out_dir).as_posix().encode() + b"\0")
+        digest.update(len(content).to_bytes(8, "little") + content)
+    return digest.hexdigest()
 
 
 def write_config(tmp_path, mapping, name="run.yaml"):
@@ -192,6 +208,15 @@ class TestRunSweep:
         assert "results_isspg.csv" in names
         assert "results_esspg.csv" not in names
         assert "comparison.md" not in names
+
+    @pytest.mark.parametrize("name, config", [
+        ("u12", REPO / "configs" / "u12.yaml"),
+        ("scale", REPO / "bench" / "scale.yaml")])
+    def test_reports_equal_benchmark_reference(self, name, config, tmp_path):
+        run_sweep(load_config(config), out_dir=tmp_path)
+        reference = json.loads(
+            (REPO / "bench" / "data" / f"reference_{name}.json").read_text())
+        assert report_digest(tmp_path) == reference["report_digest"]
 
     def test_dimension_sheet_rejects_infeasible(self, u12_config_path):
         cfg = load_config(u12_config_path)

@@ -20,8 +20,9 @@ from gearboxopt import (Architecture, BinResult, ConstraintParams,
 from gearboxopt.cli import load_config, run_sweep
 from gearboxopt.geometry import constraint_masks
 from gearboxopt.search import (_DIAG_SUN_TEETH_CAP, _bin_columns,
-                               bin_candidates, enumerate_feasible,
-                               failure_tallies, score_columns)
+                               _bin_tallies, _designs, bin_candidates,
+                               enumerate_feasible, failure_tallies,
+                               score_columns)
 
 from conftest import U12
 
@@ -129,12 +130,18 @@ class TestEnumeration:
             assert design.arch is Architecture.ISSPG
 
     def test_lexicographic_order(self):
-        designs = list(enumerate_feasible(U12, Architecture.ISSPG,
-                                          ConstraintParams(), ALL_MODULES))
-        keys = [(d.module_mm, d.num_planets, d.sun_teeth, d.planet_teeth)
-                for d in designs]
-        assert keys == sorted(keys)
-        assert len(keys) == len(set(keys))
+        # the unbounded window, and each bin of the merged window that a
+        # sweep partitions by bin
+        windows = [list(enumerate_feasible(U12, Architecture.ISSPG,
+                                           ConstraintParams(), ALL_MODULES))]
+        for arch in Architecture:
+            windows += [_designs(arch, columns) for columns in _bin_columns(
+                U12, arch, ConstraintParams(), ALL_MODULES, default_bins())]
+        for designs in windows:
+            keys = [(d.module_mm, d.num_planets, d.sun_teeth,
+                     d.planet_teeth) for d in designs]
+            assert keys == sorted(keys)
+            assert len(keys) == len(set(keys))
 
     def test_membership(self):
         designs = set(enumerate_feasible(U12, Architecture.ISSPG,
@@ -284,6 +291,13 @@ class TestOptimizeBins:
                                  ALL_MODULES, default_bins(), workers=2)
         assert parallel == bin_results[Architecture.ESSPG]
 
+    def test_counts_are_python_ints(self, bin_results):
+        # a numpy integer here would break json.dumps of sweep.json
+        for results in bin_results.values():
+            for result in results:
+                assert type(result.candidates_examined) is int
+                assert type(result.feasible_count) is int
+
     def test_equals_scalar_loop_when_evaluation_drops_designs(
             self, default_ctx):
         ctx = replace(default_ctx, motor=SCALE_MOTOR)
@@ -399,6 +413,20 @@ def fractional_bins(draw):
     return list(zip(edges, edges[1:]))
 
 
+@st.composite
+def gapped_bins(draw):
+    """One to five bins with edges k/q, some of them adjacent and some
+    apart: a sweep's bins need not tile the ratio axis."""
+    q = draw(st.sampled_from([3, 6, 7, 10]))
+    ks = draw(st.lists(st.integers(3 * q, 9 * q), min_size=2, max_size=6,
+                       unique=True))
+    edges = sorted(k / q for k in ks)
+    bins = list(zip(edges, edges[1:]))
+    keep = draw(st.lists(st.booleans(), min_size=len(bins),
+                         max_size=len(bins)))
+    return [b for b, kept in zip(bins, keep) if kept] or bins[:1]
+
+
 module_sets = st.lists(st.sampled_from(MODULE_CHOICES), min_size=1,
                        max_size=2, unique=True).map(sorted)
 
@@ -423,6 +451,13 @@ def scalar_tallies(motor, arch, constraints, modules, lo, hi):
                                                     constraints):
                         counts[name] = counts.get(name, 0) + 1
     return counts
+
+
+def scalar_verdict(counts):
+    """``diagnose_empty_bin``'s answer from a scalar tally."""
+    if not counts:
+        return "no_candidates_in_ratio_window"
+    return max(sorted(counts), key=lambda name: counts[name])
 
 
 class TestRatioWindow:
@@ -475,10 +510,72 @@ class TestRatioWindow:
                                     hi)
             assert failure_tallies(motor, arch, constraints, modules, lo,
                                    hi) == counts
-            verdict = (max(sorted(counts), key=lambda name: counts[name])
-                       if counts else "no_candidates_in_ratio_window")
             assert diagnose_empty_bin(motor, arch, constraints, modules,
-                                      lo, hi) == verdict
+                                      lo, hi) == scalar_verdict(counts)
+
+    @settings(max_examples=60)
+    @given(motor=motors(), constraints=constraint_sets(),
+           arch=st.sampled_from(list(Architecture)),
+           module_mm=st.sampled_from(MODULE_CHOICES),
+           planet_counts=st.lists(st.integers(1, 9), min_size=1,
+                                  max_size=4),
+           rows=st.lists(st.tuples(st.integers(1, 120), st.integers(1, 120),
+                                   st.none() | st.integers(1, 300)),
+                         min_size=1, max_size=40))
+    def test_planet_count_axis_equals_flat_call(self, motor, constraints,
+                                                arch, module_mm,
+                                                planet_counts, rows):
+        # ring None: the concentric ring N_s + 2*N_p
+        sun = np.array([row[0] for row in rows])
+        planet = np.array([row[1] for row in rows])
+        ring = np.array([s + 2 * p if r is None else r
+                         for s, p, r in rows])
+        k = len(planet_counts)
+        grid = constraint_masks(arch, module_mm,
+                                np.array(planet_counts)[:, None], sun,
+                                planet, ring, motor, constraints)
+        flat = constraint_masks(arch, module_mm,
+                                np.repeat(planet_counts, len(rows)),
+                                np.tile(sun, k), np.tile(planet, k),
+                                np.tile(ring, k), motor, constraints)
+        assert list(grid) == list(flat)
+        for name, mask in flat.items():
+            assert grid[name].shape == (k, len(rows))
+            assert np.array_equal(grid[name].ravel(), mask), name
+
+    @settings(max_examples=25)
+    @given(motor=motors(), constraints=constraint_sets(),
+           arch=st.sampled_from(list(Architecture)), modules=module_sets,
+           bins=gapped_bins())
+    def test_optimize_bins_counts_and_verdicts_equal_scalar_scans(
+            self, bearing_model, motor, constraints, arch, modules, bins):
+        ctx = EvalContext(motor=motor,
+                          load=LoadCase(sun_torque_nm=2.0,
+                                        sun_speed_rad_s=300.0),
+                          constraints=constraints,
+                          efficiency=EfficiencyParams(),
+                          strength=StrengthParams(),
+                          materials=MaterialSpec(),
+                          mass_params=MassModelParams(),
+                          bearing=bearing_model, cost=CostWeights())
+        naive = naive_rectangle(arch, constraints, modules, motor)
+        results = optimize_bins(arch, ctx, modules, bins)
+        assert [(r.lo, r.hi) for r in results] == bins
+        # the merged passes themselves, over every bin at once: each
+        # bin's rows in lexicographic order and its tallies
+        merged = zip(results,
+                     _bin_columns(motor, arch, constraints, modules, bins),
+                     _bin_tallies(motor, arch, constraints, modules, bins))
+        for result, columns, counts in merged:
+            in_bin = [d for d in naive
+                      if result.lo <= d.reduction_ratio < result.hi]
+            assert _designs(arch, columns) == in_bin
+            assert result.candidates_examined == len(in_bin)
+            scalar = scalar_tallies(motor, arch, constraints, modules,
+                                    result.lo, result.hi)
+            assert counts == scalar
+            if result.best is None:
+                assert result.empty_reason == scalar_verdict(scalar)
 
 
 # --- columnar scoring against scalar evaluate ------------------------------
@@ -539,8 +636,8 @@ class TestScoreColumns:
     def test_columns_equal_scalar_evaluate(self, bearing_model, data, arch,
                                            module_mm, lo, width):
         ctx = data.draw(eval_contexts(bearing_model))
-        columns = _bin_columns(ctx.motor, arch, ctx.constraints,
-                               [module_mm], lo, lo + width)
+        columns, = _bin_columns(ctx.motor, arch, ctx.constraints,
+                                [module_mm], [(lo, lo + width)])
         scores = score_columns(arch, ctx, *columns)
         designs = bin_candidates(ctx.motor, arch, ctx.constraints,
                                  [module_mm], lo, lo + width)
