@@ -279,8 +279,7 @@ def constraint_masks(arch: Architecture, module_mm, num_planets, sun_teeth,
         "undercutting": (sun < params.min_teeth)
         | (planet < params.min_teeth),
         "tooth_count_cap": (np.maximum(sun, planet) > params.max_teeth
-                            if params.max_teeth is not None
-                            else np.zeros(shape, dtype=bool)),
+                            if params.max_teeth is not None else False),
         "ring_diameter": m * ring > max_gearbox_diameter(motor, arch,
                                                          params),
         "planet_count": ~((params.min_planets <= planets)

@@ -5,10 +5,10 @@ Candidates are generated per ratio window, not enumerated over the
 whole (m, n_p, N_s, N_p) box and then binned. Since the reduction is
 R = (N_s+N_r)/N_s = 2 + 2*N_p/N_s, the planets of each sun that fall
 in a half-open bin [lo, hi) form one short integer range. One window
-per (architecture, module) spans all bins: its (N_s, N_p) rows are
-numpy columns, the planet counts a broadcast axis, with one failure
-mask per feasibility rule. Each row is assigned to its bin once, and
-a stable partition keeps every bin in lexicographic order.
+per architecture spans all bins and modules: its (m, N_s, N_p) rows
+are numpy columns, the planet counts a broadcast axis, and one
+``constraint_masks`` call masks every rule. Each row goes to its bin
+once, and a stable partition keeps each bin in lexicographic order.
 
 The search keeps the rows that fail no rule and scores them with
 
@@ -25,12 +25,12 @@ number comes from the scalar model.
 The cheapest feasible design per bin (default [5,6) ... [14,15)) and
 architecture is reported. Ties break deterministically: lower mass,
 then higher efficiency, then lexicographic (m, n_p, N_s, N_p). An
-empty bin sums the failure masks of its diagnosis window instead and
-reports the most frequent blocker.
+empty bin reports the most frequent blocker of its diagnosis window,
+built once per architecture: only the masks depend on the module.
 """
 
 from dataclasses import dataclass
-from math import cos, floor, inf, pi, tan
+from math import cos, floor, inf, isfinite, pi, tan
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -141,10 +141,12 @@ class ColumnScores(NamedTuple):
 
 
 def validate_bins(bins: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Require ascending, non-overlapping, non-empty half-open bins."""
+    """Require ascending, non-overlapping, non-empty, finite bins."""
     if not bins:
         raise ValueError("at least one ratio bin is required")
     for lo, hi in bins:
+        if not (isfinite(lo) and isfinite(hi)):
+            raise ValueError(f"bin [{lo}, {hi}) has a non-finite edge")
         if not lo < hi:
             raise ValueError(f"bin [{lo}, {hi}) is empty")
     for (_, hi_prev), (lo_next, _) in zip(bins, bins[1:]):
@@ -165,83 +167,70 @@ def default_bins() -> list[tuple[float, float]]:
     return [(float(lo), float(lo + 1)) for lo in range(5, 15)]
 
 
-def _ratio_window(motor: MotorSpec, arch: Architecture,
-                  constraints: ConstraintParams, module_set: list[float],
-                  bins: list[tuple[float, float]],
-                  sun_cap: Optional[int] = None) -> Iterator[tuple]:
+def _window_rows(suns: np.ndarray, edges_lo: np.ndarray,
+                 edges_hi: np.ndarray, n_min: int, planet_max=inf,
+                 slack: int = 0) -> tuple[np.ndarray, ...]:
     """
-    Walk the window of ascending, disjoint bins one module at a time,
-    yielding (module_mm, n_p, N_s, N_p, bin, masks): planet counts as a
-    (k, 1) column, (N_s, N_p) rows in lexicographic order, each row's
-    bin (-1 for none) and (k, rows) ``constraint_masks``.
-
-    R = 2 + 2*N_p/N_s, so each sun's planets in a bin [lo, hi) lie in
-    [ceil((lo-2)*N_s/2), ceil((hi-2)*N_s/2)), floored at min_teeth.
-    Without ``sun_cap`` this is the search window: one planet range per
-    sun over [bins[0].lo, bins[-1].hi), inside the ring envelope and
-    the tooth cap, widened by one tooth at each end because rounding
-    of the edges can drop a design whose float ratio lies in a bin;
-    rows go to the bin of their float ratio. With ``sun_cap`` it is the
-    diagnosis window: suns up to sun_cap, each with exactly every bin's
-    planet range (disjoint for disjoint bins).
+    The lexicographic (N_s, N_p) rows of a ratio window, and the row
+    count of each (sun, edge pair), suns outermost. R = 2 + 2*N_p/N_s,
+    so a sun's planets in [lo, hi) lie in [ceil((lo-2)*N_s/2),
+    ceil((hi-2)*N_s/2)), floored at n_min, capped at planet_max and
+    widened by ``slack`` teeth at each end.
     """
-    n_min = constraints.min_teeth
-    n_cap = inf if constraints.max_teeth is None else constraints.max_teeth
-    d_max = max_gearbox_diameter(motor, arch, constraints)
-    planet_counts = np.arange(constraints.min_planets,
-                              constraints.max_planets + 1)[:, None]
-    los, his = np.array(bins, dtype=np.float64).reshape(-1, 2).T
-    for module_mm in sorted(module_set):
-        if sun_cap is None:
-            max_ring = floor(d_max / module_mm + 1e-9)
-            suns = np.arange(n_min, min(max_ring - 2 * n_min, n_cap) + 1)
-            planet_max = np.minimum((max_ring - suns) // 2, n_cap)
-            edges_lo, edges_hi, slack = los[:1], his[-1:], 1
-        else:
-            suns = np.arange(n_min, sun_cap + 1)
-            planet_max = np.inf
-            edges_lo, edges_hi, slack = los, his, 0
-        # one planet range per (sun, edge pair), suns outermost
-        first = np.maximum(np.ceil((edges_lo[:, None] - 2.0) * suns / 2.0)
-                           - slack, n_min).T.ravel()
-        stop = np.minimum(np.ceil((edges_hi[:, None] - 2.0) * suns / 2.0)
-                          + slack, planet_max + 1).T.ravel()
-        sizes = np.maximum(stop - first, 0).astype(np.int64)
-        offsets = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes,
-                                                     sizes)
-        sun = np.repeat(np.repeat(suns, len(edges_lo)), sizes)
-        planet = np.repeat(first.astype(np.int64), sizes) + offsets
-        if sun_cap is None:
-            ratio = (2 * sun + 2 * planet) / sun
-            index = np.searchsorted(los, ratio, side="right") - 1
-            row_bin = np.where((index >= 0) & (ratio < his[index]), index, -1)
-        else:
-            row_bin = np.repeat(np.tile(np.arange(len(los)), len(suns)),
-                                sizes)
-        yield module_mm, planet_counts, sun, planet, row_bin, constraint_masks(
-            arch, module_mm, planet_counts, sun, planet, sun + 2 * planet,
-            motor, constraints)
+    first = np.maximum(np.ceil((edges_lo[:, None] - 2.0) * suns / 2.0)
+                       - slack, n_min).T.ravel()
+    stop = np.minimum(np.ceil((edges_hi[:, None] - 2.0) * suns / 2.0)
+                      + slack, planet_max + 1).T.ravel()
+    sizes = np.maximum(stop - first, 0).astype(np.int64)
+    offsets = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes,
+                                                 sizes)
+    sun = np.repeat(np.repeat(suns, len(edges_lo)), sizes)
+    planet = np.repeat(first.astype(np.int64), sizes) + offsets
+    return sun, planet, sizes
 
 
 def _bin_columns(motor: MotorSpec, arch: Architecture,
                  constraints: ConstraintParams, module_set: list[float],
                  bins: list[tuple[float, float]]) -> list[tuple]:
-    """The (module_mm, n_p, N_s, N_p) columns of ``bin_candidates``,
-    for each bin."""
-    empty = np.empty(0, dtype=np.int64)
-    parts = [(np.empty(0), empty, empty, empty, empty)]
-    for module_mm, planets, sun, planet, row_bin, masks in _ratio_window(
-            motor, arch, constraints, module_set, bins):
-        keep = ~np.any(list(masks.values()), axis=0) & (row_bin >= 0)
-        parts.append((np.full(np.count_nonzero(keep), module_mm,
-                              dtype=np.float64),
-                      *(np.broadcast_to(column, keep.shape)[keep]
-                        for column in (planets, sun, planet, row_bin))))
-    *columns, row_bin = (np.concatenate(column) for column in zip(*parts))
-    # a stable partition keeps each bin's rows in lexicographic order
-    order = np.argsort(row_bin, kind="stable")
+    """
+    The (module_mm, n_p, N_s, N_p) columns of ``bin_candidates`` for
+    each of ascending, disjoint bins. Each module adds one planet range
+    per sun over [bins[0].lo, bins[-1].hi), inside its ring envelope and
+    the tooth cap, widened by one tooth at each end because rounding of
+    the edges can drop a design whose float ratio lies in a bin.
+    """
+    n_min = constraints.min_teeth
+    n_cap = inf if constraints.max_teeth is None else constraints.max_teeth
+    d_max = max_gearbox_diameter(motor, arch, constraints)
+    los, his = np.array(bins, dtype=np.float64).reshape(-1, 2).T
+    modules = np.array(sorted(module_set), dtype=np.float64)
+    rows = [(np.empty(0, dtype=np.int64),) * 2]
+    for module_mm in modules.tolist():
+        max_ring = floor(d_max / module_mm + 1e-9)
+        suns = np.arange(n_min, min(max_ring - 2 * n_min, n_cap) + 1)
+        rows.append(_window_rows(suns, los[:1], his[-1:], n_min,
+                                 np.minimum((max_ring - suns) // 2, n_cap),
+                                 slack=1)[:2])
+    sun, planet = (np.concatenate(column) for column in zip(*rows))
+    module_index = np.repeat(np.arange(len(modules)),
+                             [len(suns) for suns, _ in rows[1:]])
+    ratio = (2 * sun + 2 * planet) / sun
+    index = np.searchsorted(los, ratio, side="right") - 1
+    row_bin = np.where((index >= 0) & (ratio < his[index]), index, -1)
+    planet_counts = np.arange(constraints.min_planets,
+                              constraints.max_planets + 1)[:, None]
+    masks = constraint_masks(arch, modules[module_index], planet_counts, sun,
+                             planet, sun + 2 * planet, motor, constraints)
+    keep = ~np.any(list(masks.values()), axis=0) & (row_bin >= 0)
+    # the (n_p, row) flatten runs in (n_p, m, N_s, N_p) order, so a stable
+    # sort on (bin, module) puts each bin in (m, n_p, N_s, N_p) order
+    row_bin, module_index, planets, sun, planet = (
+        np.broadcast_to(column, keep.shape)[keep]
+        for column in (row_bin, module_index, planet_counts, sun, planet))
+    order = np.argsort(row_bin * len(modules) + module_index, kind="stable")
     ends = np.cumsum(np.bincount(row_bin, minlength=len(bins)))[:-1]
-    return list(zip(*(np.split(column[order], ends) for column in columns)))
+    return list(zip(*(np.split(column[order], ends) for column in
+                      (modules[module_index], planets, sun, planet))))
 
 
 def _designs(arch: Architecture, columns: tuple[np.ndarray, ...],
@@ -443,15 +432,25 @@ def score_columns(arch: Architecture, ctx: EvalContext, module_mm,
 def _bin_tallies(motor: MotorSpec, arch: Architecture,
                  constraints: ConstraintParams, module_set: list[float],
                  bins: list[tuple[float, float]]) -> list[dict[str, int]]:
-    """``failure_tallies`` of ascending, disjoint bins, from one
-    diagnosis window per module over all of them."""
-    counts: dict[str, np.ndarray] = {}
-    for *_, row_bin, masks in _ratio_window(
-            motor, arch, constraints, module_set, bins, _DIAG_SUN_TEETH_CAP):
+    """``failure_tallies`` of ascending, disjoint bins: suns up to the
+    diagnostic ceiling, each with exactly every bin's planet range. The
+    rows do not depend on the module; only the masks do."""
+    los, his = np.array(bins, dtype=np.float64).reshape(-1, 2).T
+    sun, planet, sizes = _window_rows(
+        np.arange(constraints.min_teeth, _DIAG_SUN_TEETH_CAP + 1), los, his,
+        constraints.min_teeth)
+    row_bin = np.repeat(np.arange(len(sizes)) % len(bins), sizes)
+    planet_counts = np.arange(constraints.min_planets,
+                              constraints.max_planets + 1)[:, None]
+    weights: dict[str, np.ndarray] = {}
+    for module_mm in sorted(module_set):
+        masks = constraint_masks(arch, module_mm, planet_counts, sun, planet,
+                                 sun + 2 * planet, motor, constraints)
         for name, mask in masks.items():
-            # float weights: the counts stay far below 2**53, so exact
-            counts[name] = counts.get(name, 0) + np.bincount(
-                row_bin, weights=mask.sum(axis=0), minlength=len(bins))
+            weights[name] = weights.get(name, 0) + mask.sum(axis=0)
+    # float weights: the counts stay far below 2**53, so exact
+    counts = {name: np.bincount(row_bin, weights=weight, minlength=len(bins))
+              for name, weight in weights.items()}
     return [{name: int(tally[i]) for name, tally in counts.items()
              if tally[i]} for i in range(len(bins))]
 
@@ -467,8 +466,9 @@ def failure_tallies(motor: MotorSpec, arch: Architecture,
                     lo: float, hi: float) -> dict[str, int]:
     """Violations per rule over a bin's diagnosis window (suns capped at
     a diagnostic ceiling, no feasibility filter); zero counts left out.
-    """
-    return _bin_tallies(motor, arch, constraints, module_set, [(lo, hi)])[0]
+    The bin must pass ``validate_bins``."""
+    return _bin_tallies(motor, arch, constraints, module_set,
+                        validate_bins([(lo, hi)]))[0]
 
 
 def diagnose_empty_bin(motor: MotorSpec, arch: Architecture,
@@ -500,9 +500,10 @@ def optimize_bins(arch: Architecture, ctx: EvalContext,
     cells = []
     for columns in _bin_columns(ctx.motor, arch, ctx.constraints,
                                 module_set, bins):
-        scores = score_columns(arch, ctx, *columns)
-        feasible_count = int(np.count_nonzero(scores.feasible))
-        best = None
+        best, feasible_count = None, 0
+        if len(columns[0]):
+            scores = score_columns(arch, ctx, *columns)
+            feasible_count = int(np.count_nonzero(scores.feasible))
         if feasible_count:
             cost_min = float(scores.cost[scores.feasible].min())
             shortlist = scores.feasible & (

@@ -118,6 +118,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, bad))
 
+    def test_infinite_bin_edge_rejected(self, tmp_path):
+        # YAML .inf parses as a float edge that no window can size
+        bad = dict(MINIMAL, search={"bins": [[14, float("inf")]]})
+        assert ".inf" in yaml.safe_dump(bad)
+        with pytest.raises(ConfigError, match="non-finite"):
+            load_config(write_config(tmp_path, bad))
+
     def test_architecture_subset(self, tmp_path):
         cfg = load_config(write_config(
             tmp_path, dict(MINIMAL, search={"architectures": ["isspg"]})))

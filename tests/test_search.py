@@ -2,7 +2,7 @@
 comparison, cross-checked against naive nested-loop scans."""
 
 from dataclasses import replace
-from math import ceil, pi, radians
+from math import ceil, inf, nan, pi, radians
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from gearboxopt import (Architecture, BinResult, ConstraintParams,
                         constraint_failures, default_bins, diagnose_empty_bin,
                         evaluate, max_gearbox_diameter, optimize_bins,
                         ranking_key, validate_bins)
+from gearboxopt import search
 from gearboxopt.cli import load_config, run_sweep
 from gearboxopt.geometry import constraint_masks
 from gearboxopt.search import (_DIAG_SUN_TEETH_CAP, _bin_columns,
@@ -111,6 +112,18 @@ class TestHelpers:
         with pytest.raises(ValueError):
             validate_bins([(5.0, 6.5), (6.0, 7.0)])
 
+    @pytest.mark.parametrize("bin_", [(14.0, inf), (-inf, 6.0),
+                                      (nan, 6.0)])
+    def test_non_finite_bin_edges_rejected(self, bin_):
+        # an infinite edge would size the diagnosis window's planet
+        # ranges as inf before the int64 cast
+        with pytest.raises(ValueError):
+            validate_bins([bin_])
+        for diagnose in (failure_tallies, diagnose_empty_bin):
+            with pytest.raises(ValueError):
+                diagnose(U12, Architecture.ISSPG, ConstraintParams(), [0.5],
+                         *bin_)
+
     def test_default_bins(self):
         bins = default_bins()
         assert bins[0] == (5.0, 6.0)
@@ -142,6 +155,15 @@ class TestEnumeration:
                      d.planet_teeth) for d in designs]
             assert keys == sorted(keys)
             assert len(keys) == len(set(keys))
+
+    def test_unbounded_window_equals_wide_finite_bin(self):
+        # enumerate_feasible's (-inf, inf) window skips validate_bins;
+        # every design's ratio 2 + 2*N_p/N_s lies in [2, 1000) here
+        for arch in Architecture:
+            assert list(enumerate_feasible(
+                U12, arch, ConstraintParams(), ALL_MODULES)) == \
+                bin_candidates(U12, arch, ConstraintParams(), ALL_MODULES,
+                               2.0, 1000.0)
 
     def test_membership(self):
         designs = set(enumerate_feasible(U12, Architecture.ISSPG,
@@ -333,6 +355,45 @@ class TestDiagnosis:
                                     default_ctx.constraints, ALL_MODULES,
                                     5.001, 5.002)
         assert reason == "no_candidates_in_ratio_window"
+
+    @pytest.mark.parametrize("arch, bins", [
+        (Architecture.ESSPG, [(11.0, 12.0), (12.0, 13.0), (13.0, 14.0),
+                              (14.0, 15.0)]),
+        (Architecture.ISSPG, [(7.0, 8.0)])])
+    def test_u12_empty_bin_tallies_over_all_modules(self, default_ctx, arch,
+                                                    bins):
+        # the sweep's own module set: the hypothesis strategies draw at
+        # most two modules, which can hide a module-order or
+        # weight-accumulation fault in the merged diagnosis
+        tallies = _bin_tallies(U12, arch, default_ctx.constraints,
+                               ALL_MODULES, bins)
+        for (lo, hi), counts in zip(bins, tallies, strict=True):
+            assert counts == scalar_tallies(U12, arch,
+                                            default_ctx.constraints,
+                                            ALL_MODULES, lo, hi)
+            assert counts["ring_diameter"] > 0
+
+    @pytest.mark.parametrize("arch, scored", [(Architecture.ISSPG, 2),
+                                              (Architecture.ESSPG, 6)])
+    def test_u12_call_counts(self, default_ctx, monkeypatch, arch, scored):
+        # one search window per architecture, one diagnosis mask call per
+        # module, and no scoring of bins without rows
+        calls = {"score_columns": 0, "constraint_masks": 0}
+
+        def counted(name):
+            original = getattr(search, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(search, name, wrapper)
+        counted("score_columns")
+        counted("constraint_masks")
+        results = optimize_bins(arch, default_ctx, ALL_MODULES,
+                                default_bins())
+        assert sum(r.candidates_examined > 0 for r in results) == scored
+        assert calls == {"score_columns": scored,
+                         "constraint_masks": 1 + len(ALL_MODULES)}
 
 
 class TestComparison:
