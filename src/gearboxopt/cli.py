@@ -38,7 +38,8 @@ from .mass import (BearingModel, MassModelParams, MaterialSpec,
 from .search import (BinComparison, BinResult, CostWeights,
                      DesignEvaluation, EvalContext, compare_architectures,
                      default_bins, enumerate_feasible, evaluate,
-                     optimize_bins, validate_bins, validate_workers)
+                     optimize_bins, validate_bins, validate_module_set,
+                     validate_workers)
 from .strength import (LewisFormula, LoadCase, StrengthParams,
                        VelocityFormula)
 
@@ -156,6 +157,14 @@ def _build_section(section: str, raw: Any,
         raise ConfigError(f"config section '{section}': {exc}") from exc
 
 
+def _validate_architectures(architectures: list[Architecture]) -> None:
+    """Require every layout at most once: a repeat would be swept and
+    reported twice."""
+    for i, arch in enumerate(architectures):
+        if arch in architectures[:i]:
+            raise ValueError(f"architecture {arch.value} given twice")
+
+
 def _build_search_section(raw: Any, constraints: ConstraintParams,
                           defaults_log: list[str]
                           ) -> tuple[list, list, list]:
@@ -175,7 +184,8 @@ def _build_search_section(raw: Any, constraints: ConstraintParams,
                        for e in entries)):
             raise ConfigError(
                 "config search.bins must be a list of [lo, hi] pairs")
-        bins = [(float(lo), float(hi)) for lo, hi in entries]
+        bins = [tuple(_coerce("search", "bins", edge, float)
+                      for edge in entry) for entry in entries]
     else:
         bins = default_bins()
         defaults_log.append("search.bins")
@@ -191,21 +201,25 @@ def _build_search_section(raw: Any, constraints: ConstraintParams,
                 "config search.architectures must be a non-empty list")
         architectures = [_coerce("search", "architectures", e, Architecture)
                          for e in entries]
-        if len(set(architectures)) != len(architectures):
-            raise ConfigError("config search.architectures has duplicates")
+        try:
+            _validate_architectures(architectures)
+        except ValueError as exc:
+            raise ConfigError(f"config search.architectures: {exc}") from exc
     else:
         architectures = [Architecture.ISSPG, Architecture.ESSPG]
         defaults_log.append("search.architectures")
 
     if "module_set" in raw:
         entries = raw["module_set"]
-        if not isinstance(entries, list) or not entries:
-            raise ConfigError("config search.module_set must be a non-empty "
-                              "list of modules (mm)")
-        module_set = sorted(_coerce("search", "module_set", e, float)
-                            for e in entries)
-        if len(set(module_set)) != len(module_set):
-            raise ConfigError("config search.module_set has duplicates")
+        if not isinstance(entries, list):
+            raise ConfigError("config search.module_set must be a list of "
+                              "modules (mm)")
+        modules = [_coerce("search", "module_set", e, float)
+                   for e in entries]
+        try:
+            module_set = validate_module_set(modules)
+        except ValueError as exc:
+            raise ConfigError(f"config search.module_set: {exc}") from exc
     else:
         module_set = list(STANDARD_MODULE_SET_MM)
         defaults_log.append("search.module_set")
@@ -535,11 +549,12 @@ def run_sweep(cfg: RunConfig, architectures: Optional[list[Architecture]]
 
     Returns the sweep document (the content of sweep.json). Empty bins
     are reported, not errors. ``workers`` is validated (None or an int
-    >= 1) before anything is written and otherwise ignored: the sweep
-    is serial.
+    >= 1) and the architectures checked for repeats before anything is
+    written; ``workers`` is otherwise ignored: the sweep is serial.
     """
     validate_workers(workers)
     architectures = architectures or cfg.architectures
+    _validate_architectures(architectures)
     out_dir = Path(out_dir) if out_dir is not None else cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -614,6 +629,10 @@ def _parse_architectures(text: str) -> list[Architecture]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     if not parsed:
         raise argparse.ArgumentTypeError("no architectures given")
+    try:
+        _validate_architectures(parsed)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return parsed
 
 

@@ -243,6 +243,67 @@ def check_bounds(design: GearboxDesign, motor: MotorSpec,
     return _BOUND_RULES.isdisjoint(constraint_failures(design, motor, params))
 
 
+_RULE_ORDER = ("geometric", "meshing", "planet_interference",
+               "module_range", "undercutting", "tooth_count_cap",
+               "ring_diameter", "planet_count")
+
+
+def module_free_masks(num_planets, sun_teeth, planet_teeth, ring_teeth,
+                      params: ConstraintParams) -> dict[str, np.ndarray]:
+    """
+    The ``constraint_masks`` rules that do not read the module:
+    geometric, meshing, undercutting, tooth_count_cap and planet_count,
+    each at the broadcast shape of the columns it reads (``False`` for
+    tooth_count_cap without ``max_teeth``).
+    """
+    planets = np.asarray(num_planets, dtype=np.int64)
+    sun = np.asarray(sun_teeth, dtype=np.int64)
+    planet = np.asarray(planet_teeth, dtype=np.int64)
+    ring = np.asarray(ring_teeth, dtype=np.int64)
+    return {
+        "geometric": ring != sun + 2 * planet,
+        "meshing": (sun + ring) % planets != 0,
+        "undercutting": (sun < params.min_teeth)
+        | (planet < params.min_teeth),
+        "tooth_count_cap": (np.maximum(sun, planet) > params.max_teeth
+                            if params.max_teeth is not None else False),
+        "planet_count": ~((params.min_planets <= planets)
+                          & (planets <= params.max_planets)),
+    }
+
+
+def module_masks(arch: Architecture, module_mm, num_planets, sun_teeth,
+                 planet_teeth, ring_teeth, motor: MotorSpec,
+                 params: ConstraintParams) -> dict[str, np.ndarray]:
+    """
+    The ``constraint_masks`` rules that read the module:
+    planet_interference, module_range and ring_diameter, each at the
+    broadcast shape of the columns it reads.
+    """
+    m = np.asarray(module_mm, dtype=np.float64)
+    planets = np.asarray(num_planets, dtype=np.int64)
+    sun = np.asarray(sun_teeth, dtype=np.int64)
+    planet = np.asarray(planet_teeth, dtype=np.int64)
+    ring = np.asarray(ring_teeth, dtype=np.int64)
+    # math.sin per distinct planet count: np.sin may differ from libm
+    # in the last bit, which would move designs across the clearance
+    counts, index = np.unique(planets, return_inverse=True)
+    sines = np.array([sin(pi / k) if k >= 2 else 0.0
+                      for k in counts.tolist()])[index.reshape(planets.shape)]
+    two_m = 2.0 * m
+    margin = (two_m * (sun + planet)) * sines
+    # in place: one float grid less, the same values
+    margin -= two_m * planet
+    return {
+        "planet_interference": (planets >= 2)
+        & ~(margin >= params.planet_clearance_mm),
+        "module_range": ~((params.module_min_mm <= m)
+                          & (m <= params.module_max_mm)),
+        "ring_diameter": m * ring > max_gearbox_diameter(motor, arch,
+                                                         params),
+    }
+
+
 def constraint_masks(arch: Architecture, module_mm, num_planets, sun_teeth,
                      planet_teeth, ring_teeth, motor: MotorSpec,
                      params: ConstraintParams) -> dict[str, np.ndarray]:
@@ -253,37 +314,15 @@ def constraint_masks(arch: Architecture, module_mm, num_planets, sun_teeth,
     The tooth counts and planet counts are integer columns of equal
     length; ``module_mm`` is a scalar or a column. Rules carry the same
     names in the same order and use the same float64 expressions, so
-    every mask equals the scalar rule row by row.
+    every mask equals the scalar rule row by row. The masks are
+    ``module_free_masks`` and ``module_masks`` merged and broadcast to
+    the shape of all the columns.
     """
-    m = np.asarray(module_mm, dtype=np.float64)
-    planets = np.asarray(num_planets, dtype=np.int64)
-    sun = np.asarray(sun_teeth, dtype=np.int64)
-    planet = np.asarray(planet_teeth, dtype=np.int64)
-    ring = np.asarray(ring_teeth, dtype=np.int64)
-    shape = np.broadcast_shapes(m.shape, planets.shape, sun.shape,
-                                planet.shape, ring.shape)
-    # math.sin per distinct planet count: np.sin may differ from libm
-    # in the last bit, which would move designs across the clearance
-    counts, index = np.unique(planets, return_inverse=True)
-    sines = np.array([sin(pi / k) if k >= 2 else 0.0
-                      for k in counts.tolist()])[index.reshape(planets.shape)]
-    two_m = 2.0 * m
-    margin = (two_m * (sun + planet)) * sines - two_m * planet
-    masks = {
-        "geometric": ring != sun + 2 * planet,
-        "meshing": (sun + ring) % planets != 0,
-        "planet_interference": (planets >= 2)
-        & ~(margin >= params.planet_clearance_mm),
-        "module_range": ~((params.module_min_mm <= m)
-                          & (m <= params.module_max_mm)),
-        "undercutting": (sun < params.min_teeth)
-        | (planet < params.min_teeth),
-        "tooth_count_cap": (np.maximum(sun, planet) > params.max_teeth
-                            if params.max_teeth is not None else False),
-        "ring_diameter": m * ring > max_gearbox_diameter(motor, arch,
-                                                         params),
-        "planet_count": ~((params.min_planets <= planets)
-                          & (planets <= params.max_planets)),
-    }
-    return {name: np.broadcast_to(mask, shape)
-            for name, mask in masks.items()}
+    shape = np.broadcast_shapes(*(np.shape(column) for column in (
+        module_mm, num_planets, sun_teeth, planet_teeth, ring_teeth)))
+    masks = {**module_free_masks(num_planets, sun_teeth, planet_teeth,
+                                 ring_teeth, params),
+             **module_masks(arch, module_mm, num_planets, sun_teeth,
+                            planet_teeth, ring_teeth, motor, params)}
+    return {name: np.broadcast_to(masks[name], shape)
+            for name in _RULE_ORDER}

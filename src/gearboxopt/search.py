@@ -26,7 +26,10 @@ The cheapest feasible design per bin (default [5,6) ... [14,15)) and
 architecture is reported. Ties break deterministically: lower mass,
 then higher efficiency, then lexicographic (m, n_p, N_s, N_p). An
 empty bin reports the most frequent blocker of its diagnosis window,
-built once per architecture: only the masks depend on the module.
+whose rows are built once per architecture. The five rules that do not
+read the module are masked once on those rows and their counts scaled
+by the number of modules; only planet_interference, module_range and
+ring_diameter are masked per module.
 """
 
 from dataclasses import dataclass
@@ -39,9 +42,10 @@ from .efficiency import (EfficiencyBreakdown, EfficiencyParams,
                          GeometryInfeasibleError, ModelRangeError,
                          loss_parameter, overall_efficiency,
                          planetary_efficiency)
-from .geometry import (Architecture, ConstraintParams, GearboxDesign,
-                       MotorSpec, constraint_failures, constraint_masks,
-                       max_gearbox_diameter)
+from .geometry import (_RULE_ORDER, Architecture, ConstraintParams,
+                       GearboxDesign, MotorSpec, constraint_failures,
+                       constraint_masks, max_gearbox_diameter, module_masks,
+                       module_free_masks)
 from .mass import (_MM3_TO_M3, BearingModel, MassBreakdown,
                    MassModelParams, MaterialSpec, actuator_mass,
                    base_plate_mass, bearing_mass, bearing_od,
@@ -155,6 +159,18 @@ def validate_bins(bins: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return list(bins)
 
 
+def validate_module_set(module_set: list[float]) -> list[float]:
+    """Require at least one module and no module twice; returns the
+    modules ascending."""
+    modules = sorted(module_set)
+    if not modules:
+        raise ValueError("at least one module is required")
+    for previous, module_mm in zip(modules, modules[1:]):
+        if module_mm == previous:
+            raise ValueError(f"module {module_mm:g} mm given twice")
+    return modules
+
+
 def validate_workers(workers: Optional[int]) -> None:
     """Require None or a worker count >= 1; evaluation is serial either
     way."""
@@ -194,7 +210,8 @@ def _bin_columns(motor: MotorSpec, arch: Architecture,
                  bins: list[tuple[float, float]]) -> list[tuple]:
     """
     The (module_mm, n_p, N_s, N_p) columns of ``bin_candidates`` for
-    each of ascending, disjoint bins. Each module adds one planet range
+    each of ascending, disjoint bins, over the ascending, distinct
+    modules of ``validate_module_set``. Each module adds one planet range
     per sun over [bins[0].lo, bins[-1].hi), inside its ring envelope and
     the tooth cap, widened by one tooth at each end because rounding of
     the edges can drop a design whose float ratio lies in a bin.
@@ -203,7 +220,7 @@ def _bin_columns(motor: MotorSpec, arch: Architecture,
     n_cap = inf if constraints.max_teeth is None else constraints.max_teeth
     d_max = max_gearbox_diameter(motor, arch, constraints)
     los, his = np.array(bins, dtype=np.float64).reshape(-1, 2).T
-    modules = np.array(sorted(module_set), dtype=np.float64)
+    modules = np.array(module_set, dtype=np.float64)
     rows = [(np.empty(0, dtype=np.int64),) * 2]
     for module_mm in modules.tolist():
         max_ring = floor(d_max / module_mm + 1e-9)
@@ -249,7 +266,8 @@ def bin_candidates(motor: MotorSpec, arch: Architecture,
     """Every feasible design with lo <= R < hi, R the float
     (N_s+N_r)/N_s, in lexicographic (m, n_p, N_s, N_p) order."""
     return _designs(arch, _bin_columns(motor, arch, constraints,
-                                       module_set, [(lo, hi)])[0])
+                                       validate_module_set(module_set),
+                                       [(lo, hi)])[0])
 
 
 def enumerate_feasible(motor: MotorSpec, arch: Architecture,
@@ -429,28 +447,51 @@ def score_columns(arch: Architecture, ctx: EvalContext, module_mm,
                         eta_overall=eta_overall)
 
 
+def _row_counts(mask, planet_count: int) -> np.ndarray:
+    """Per row, how many entries of the (planet count, row) grid a mask
+    flags, summed at the mask's own shape: a mask without the planet
+    axis is scaled by the number of planet counts, not broadcast."""
+    if np.ndim(mask) == 2:
+        return mask.sum(axis=0)
+    return mask * planet_count
+
+
 def _bin_tallies(motor: MotorSpec, arch: Architecture,
                  constraints: ConstraintParams, module_set: list[float],
                  bins: list[tuple[float, float]]) -> list[dict[str, int]]:
-    """``failure_tallies`` of ascending, disjoint bins: suns up to the
-    diagnostic ceiling, each with exactly every bin's planet range. The
-    rows do not depend on the module; only the masks do."""
+    """
+    ``failure_tallies`` of ascending, disjoint bins over the modules of
+    ``validate_module_set``: suns up to the diagnostic ceiling, each
+    with exactly every bin's planet range.
+
+    The rows do not depend on the module. The rules that do not read it
+    are masked once on the (planet count, row) grid and their row
+    counts scaled by the number of modules; only planet_interference,
+    module_range and ring_diameter are masked per module. Each mask is
+    summed at its own shape.
+    """
     los, his = np.array(bins, dtype=np.float64).reshape(-1, 2).T
     sun, planet, sizes = _window_rows(
         np.arange(constraints.min_teeth, _DIAG_SUN_TEETH_CAP + 1), los, his,
         constraints.min_teeth)
+    ring = sun + 2 * planet
     row_bin = np.repeat(np.arange(len(sizes)) % len(bins), sizes)
     planet_counts = np.arange(constraints.min_planets,
                               constraints.max_planets + 1)[:, None]
-    weights: dict[str, np.ndarray] = {}
-    for module_mm in sorted(module_set):
-        masks = constraint_masks(arch, module_mm, planet_counts, sun, planet,
-                                 sun + 2 * planet, motor, constraints)
-        for name, mask in masks.items():
-            weights[name] = weights.get(name, 0) + mask.sum(axis=0)
+    k = len(planet_counts)
+    weights = {name: _row_counts(mask, k) * len(module_set)
+               for name, mask in module_free_masks(
+                   planet_counts, sun, planet, ring, constraints).items()}
+    for module_mm in module_set:
+        for name, mask in module_masks(arch, module_mm, planet_counts, sun,
+                                       planet, ring, motor,
+                                       constraints).items():
+            weights[name] = weights.get(name, 0) + _row_counts(mask, k)
     # float weights: the counts stay far below 2**53, so exact
-    counts = {name: np.bincount(row_bin, weights=weight, minlength=len(bins))
-              for name, weight in weights.items()}
+    counts = {name: np.bincount(row_bin, minlength=len(bins),
+                                weights=np.broadcast_to(weights[name],
+                                                        row_bin.shape))
+              for name in _RULE_ORDER}
     return [{name: int(tally[i]) for name, tally in counts.items()
              if tally[i]} for i in range(len(bins))]
 
@@ -466,8 +507,10 @@ def failure_tallies(motor: MotorSpec, arch: Architecture,
                     lo: float, hi: float) -> dict[str, int]:
     """Violations per rule over a bin's diagnosis window (suns capped at
     a diagnostic ceiling, no feasibility filter); zero counts left out.
-    The bin must pass ``validate_bins``."""
-    return _bin_tallies(motor, arch, constraints, module_set,
+    The bin must pass ``validate_bins`` and the modules
+    ``validate_module_set``."""
+    return _bin_tallies(motor, arch, constraints,
+                        validate_module_set(module_set),
                         validate_bins([(lo, hi)]))[0]
 
 
@@ -496,6 +539,7 @@ def optimize_bins(arch: Architecture, ctx: EvalContext,
     existing callers.
     """
     bins = validate_bins(bins)
+    module_set = validate_module_set(module_set)
     validate_workers(workers)
     cells = []
     for columns in _bin_columns(ctx.motor, arch, ctx.constraints,

@@ -125,6 +125,25 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="non-finite"):
             load_config(write_config(tmp_path, bad))
 
+    @pytest.mark.parametrize("edge", [True, "five"])
+    def test_bin_edges_must_be_numbers(self, tmp_path, edge):
+        # a bool edge would read as 1.0; a string must name the field
+        bad = dict(MINIMAL, search={"bins": [[edge, 6]]})
+        with pytest.raises(ConfigError, match="config search.bins"):
+            load_config(write_config(tmp_path, bad))
+
+    def test_repeated_module_rejected(self, tmp_path):
+        bad = dict(MINIMAL, search={"module_set": [0.5, 0.6, 0.5]})
+        with pytest.raises(ConfigError,
+                           match="config search.module_set.*twice"):
+            load_config(write_config(tmp_path, bad))
+
+    def test_repeated_architecture_rejected(self, tmp_path):
+        bad = dict(MINIMAL, search={"architectures": ["isspg", "isspg"]})
+        with pytest.raises(ConfigError,
+                           match="config search.architectures.*twice"):
+            load_config(write_config(tmp_path, bad))
+
     def test_architecture_subset(self, tmp_path):
         cfg = load_config(write_config(
             tmp_path, dict(MINIMAL, search={"architectures": ["isspg"]})))
@@ -216,6 +235,16 @@ class TestRunSweep:
         assert "results_esspg.csv" not in names
         assert "comparison.md" not in names
 
+    def test_repeated_architecture_rejected(self, u12_config_path,
+                                            tmp_path):
+        # rejected before the output directory is created
+        out_dir = tmp_path / "sweep"
+        with pytest.raises(ValueError, match="isspg given twice"):
+            run_sweep(load_config(u12_config_path),
+                      architectures=[Architecture.ISSPG, Architecture.ISSPG],
+                      out_dir=out_dir)
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("name, config", [
         ("u12", REPO / "configs" / "u12.yaml"),
         ("scale", REPO / "bench" / "scale.yaml")])
@@ -245,6 +274,15 @@ class TestCommandLine:
         out = capsys.readouterr().out
         assert "sweep complete" in out
         assert "isspg: 2/10 bins feasible" in out
+
+    def test_repeated_architecture_rejected(self, u12_config_path,
+                                            tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--config", str(u12_config_path),
+                  "--architectures", "isspg,isspg", "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "isspg given twice" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_log_candidates(self, u12_config_path, tmp_path):
         code = main(["sweep", "--config", str(u12_config_path),

@@ -11,6 +11,8 @@ from gearboxopt import (Architecture, ConstraintParams, GearboxDesign,
                         check_interference, check_meshing,
                         constraint_failures, interference_margin_mm,
                         max_gearbox_diameter, pitch_diameter, tip_diameter)
+from gearboxopt.geometry import (constraint_masks, module_free_masks,
+                                 module_masks)
 
 ALPHA = radians(20.0)
 
@@ -177,6 +179,26 @@ class TestConstraintFailures:
         big = design(Architecture.ISSPG, 20, 46, 112, 0.5, 3)
         assert constraint_failures(big, u12,
                                    ConstraintParams()) == ["ring_diameter"]
+
+    def test_rule_groups_partition_the_rules(self, u12):
+        # a design that breaks every rule names them all, in rule order
+        params = ConstraintParams(max_teeth=30)
+        broken = design(Architecture.ISSPG, 5, 100, 1000, 2.0, 9)
+        names = constraint_failures(broken, u12, params)
+        assert len(names) == len(set(names)) == 8
+        columns = (broken.num_planets, broken.sun_teeth,
+                   broken.planet_teeth, broken.ring_teeth)
+        free = module_free_masks(*columns, params)
+        per_module = module_masks(broken.arch, broken.module_mm, *columns,
+                                  u12, params)
+        assert sorted([*free, *per_module]) == sorted(names)
+        assert list(free) == [name for name in names if name in free]
+        assert list(per_module) == [name for name in names
+                                    if name in per_module]
+        assert all({**free, **per_module}.values())
+        merged = constraint_masks(broken.arch, broken.module_mm, *columns,
+                                  u12, params)
+        assert list(merged) == names
 
 
 class TestParamValidation:

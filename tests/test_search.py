@@ -124,6 +124,23 @@ class TestHelpers:
                 diagnose(U12, Architecture.ISSPG, ConstraintParams(), [0.5],
                          *bin_)
 
+    @pytest.mark.parametrize("modules", [[], [0.5, 0.6, 0.5]])
+    @pytest.mark.parametrize("entry", ["optimize_bins", "bin_candidates",
+                                       "failure_tallies"])
+    def test_module_set_validated(self, default_ctx, entry, modules):
+        # a repeated module would be counted twice in every tally
+        calls = {
+            "optimize_bins": lambda: optimize_bins(
+                Architecture.ISSPG, default_ctx, modules, default_bins()),
+            "bin_candidates": lambda: bin_candidates(
+                U12, Architecture.ISSPG, ConstraintParams(), modules, 5.0,
+                6.0),
+            "failure_tallies": lambda: failure_tallies(
+                U12, Architecture.ISSPG, ConstraintParams(), modules, 7.0,
+                8.0)}
+        with pytest.raises(ValueError, match="module"):
+            calls[entry]()
+
     def test_default_bins(self):
         bins = default_bins()
         assert bins[0] == (5.0, 6.0)
@@ -373,12 +390,30 @@ class TestDiagnosis:
                                             ALL_MODULES, lo, hi)
             assert counts["ring_diameter"] > 0
 
+    @pytest.mark.parametrize("arch, lo", [(Architecture.ISSPG, 7.0),
+                                          (Architecture.ESSPG, 11.0)])
+    def test_rule_counts_scale_with_the_module_set(self, arch, lo):
+        # four modules, two outside [0.5, 1.2] mm, a tooth cap and a
+        # planet-count floor: the module-free counts are scaled by the
+        # module count and the module rules summed over every module
+        constraints = ConstraintParams(max_teeth=40, min_planets=3)
+        modules = [0.4, 0.5, 0.8, 1.4]
+        counts = failure_tallies(U12, arch, constraints, modules, lo,
+                                 lo + 1.0)
+        assert counts == scalar_tallies(U12, arch, constraints, modules,
+                                        lo, lo + 1.0)
+        assert set(counts) == {"meshing", "planet_interference",
+                               "module_range", "tooth_count_cap",
+                               "ring_diameter"}
+
     @pytest.mark.parametrize("arch, scored", [(Architecture.ISSPG, 2),
                                               (Architecture.ESSPG, 6)])
     def test_u12_call_counts(self, default_ctx, monkeypatch, arch, scored):
-        # one search window per architecture, one diagnosis mask call per
-        # module, and no scoring of bins without rows
-        calls = {"score_columns": 0, "constraint_masks": 0}
+        # one search window per architecture, one module-free diagnosis
+        # mask call, one module-rule call per module, and no scoring of
+        # bins without rows
+        calls = dict.fromkeys(("score_columns", "constraint_masks",
+                               "module_free_masks", "module_masks"), 0)
 
         def counted(name):
             original = getattr(search, name)
@@ -387,13 +422,14 @@ class TestDiagnosis:
                 calls[name] += 1
                 return original(*args, **kwargs)
             monkeypatch.setattr(search, name, wrapper)
-        counted("score_columns")
-        counted("constraint_masks")
+        for name in calls:
+            counted(name)
         results = optimize_bins(arch, default_ctx, ALL_MODULES,
                                 default_bins())
         assert sum(r.candidates_examined > 0 for r in results) == scored
-        assert calls == {"score_columns": scored,
-                         "constraint_masks": 1 + len(ALL_MODULES)}
+        assert calls == {"score_columns": scored, "constraint_masks": 1,
+                         "module_free_masks": 1,
+                         "module_masks": len(ALL_MODULES)}
 
 
 class TestComparison:
