@@ -20,13 +20,12 @@ from .geometry import (Architecture, ConstraintParams, GearboxDesign,
 from .mass import (BearingModel, BearingRow, MassBreakdown, MassModelParams,
                    MaterialSpec, actuator_mass, base_plate_mass,
                    bearing_fit_report, bearing_mass, bearing_od,
-                   bearing_width, bearings_total_mass, carrier_disk_od_mm,
-                   carrier_mass, casing_length_mm, casing_mass,
-                   default_bearing_table_path, fit_bearing_model,
-                   gearbox_stack_height_mm, load_bearing_model,
-                   load_bearing_table, output_bearing_bore_mm,
-                   pin_circle_diameter_mm, planet_pin_mass, ring_gear_mass,
-                   secondary_carrier_mass, spur_gear_mass)
+                   bearing_width, carrier_disk_od_mm, casing_length_mm,
+                   casing_mass, default_bearing_table_path,
+                   fit_bearing_model, gearbox_stack_height_mm,
+                   load_bearing_model, load_bearing_table,
+                   output_bearing_bore_mm, pin_circle_diameter_mm,
+                   planet_pin_mass, ring_gear_mass, spur_gear_mass)
 from .search import (BinComparison, BinResult, CostWeights,
                      DesignEvaluation, EvalContext, compare_architectures,
                      default_bins, diagnose_empty_bin, enumerate_feasible,
@@ -39,27 +38,25 @@ from .strength import (LewisFormula, LoadCase, StrengthParams,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Architecture", "BearingModel", "BearingRow", "BinComparison",
-    "BinResult", "ConstraintParams", "CostWeights", "DesignEvaluation",
-    "EfficiencyBreakdown", "EfficiencyParams", "EvalContext",
-    "GearboxDesign", "GearRole", "GeometryInfeasibleError", "LewisFormula",
-    "LoadCase", "MassBreakdown", "MassModelParams", "MaterialSpec",
-    "MeshKind", "ModelRangeError", "MotorSpec", "STANDARD_MODULE_SET_MM",
-    "StrengthParams", "VelocityFormula", "actuator_mass", "base_diameter",
-    "base_plate_mass", "basic_driving_efficiency", "bearing_fit_report",
-    "bearing_mass", "bearing_od", "bearing_width", "bearings_total_mass",
-    "carrier_disk_od_mm", "carrier_mass", "casing_length_mm", "casing_mass",
-    "check_bounds", "check_geometric", "check_interference", "check_meshing",
-    "compare_architectures", "constraint_failures", "contact_ratios",
-    "default_bearing_table_path", "default_bins", "diagnose_empty_bin",
-    "enumerate_feasible", "evaluate", "face_width", "fit_bearing_model",
-    "gearbox_stack_height_mm", "interference_margin_mm", "lewis_form_factor",
-    "load_bearing_model", "load_bearing_table", "loss_parameter",
-    "max_gearbox_diameter", "optimize_bins", "output_bearing_bore_mm",
-    "overall_efficiency", "pin_circle_diameter_mm", "pitch_diameter",
-    "pitch_line_velocity_m_s", "planet_pin_mass", "planetary_efficiency",
-    "ranking_key", "ring_gear_mass",
-    "secondary_carrier_mass", "spur_gear_mass", "sun_pitch_radius_m",
-    "tangential_force", "tip_diameter", "tip_pressure_angle",
-    "validate_bins", "velocity_factor",
+    "Architecture", "BearingModel", "BearingRow", "BinComparison", "BinResult",
+    "ConstraintParams", "CostWeights", "DesignEvaluation",
+    "EfficiencyBreakdown", "EfficiencyParams", "EvalContext", "GearboxDesign",
+    "GearRole", "GeometryInfeasibleError", "LewisFormula", "LoadCase",
+    "MassBreakdown", "MassModelParams", "MaterialSpec", "MeshKind",
+    "ModelRangeError", "MotorSpec", "STANDARD_MODULE_SET_MM", "StrengthParams",
+    "VelocityFormula", "actuator_mass", "base_diameter", "base_plate_mass",
+    "basic_driving_efficiency", "bearing_fit_report", "bearing_mass",
+    "bearing_od", "bearing_width", "carrier_disk_od_mm", "casing_length_mm",
+    "casing_mass", "check_bounds", "check_geometric", "check_interference",
+    "check_meshing", "compare_architectures", "constraint_failures",
+    "contact_ratios", "default_bearing_table_path", "default_bins",
+    "diagnose_empty_bin", "enumerate_feasible", "evaluate", "face_width",
+    "fit_bearing_model", "gearbox_stack_height_mm", "interference_margin_mm",
+    "lewis_form_factor", "load_bearing_model", "load_bearing_table",
+    "loss_parameter", "max_gearbox_diameter", "optimize_bins",
+    "output_bearing_bore_mm", "overall_efficiency", "pin_circle_diameter_mm",
+    "pitch_diameter", "pitch_line_velocity_m_s", "planet_pin_mass",
+    "planetary_efficiency", "ranking_key", "ring_gear_mass", "spur_gear_mass",
+    "sun_pitch_radius_m", "tangential_force", "tip_diameter",
+    "tip_pressure_angle", "validate_bins", "velocity_factor",
 ]

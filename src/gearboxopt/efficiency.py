@@ -141,13 +141,6 @@ def basic_driving_efficiency(teeth_1: int, teeth_2: int, module_mm: float,
     """
     eps1, eps2 = contact_ratios(teeth_1, teeth_2, module_mm, mesh,
                                 params.pressure_angle_rad)
-    return _mesh_efficiency(teeth_1, teeth_2, mesh, params, eps1, eps2)
-
-
-def _mesh_efficiency(teeth_1: int, teeth_2: int, mesh: MeshKind,
-                     params: EfficiencyParams, eps1: float,
-                     eps2: float) -> float:
-    """``basic_driving_efficiency`` from the mesh's contact ratios."""
     if eps1 + eps2 < 1.0:
         logger.warning(
             "total contact ratio %.3f < 1 for %s mesh N1=%d N2=%d: "
@@ -182,28 +175,36 @@ def planetary_efficiency(design: GearboxDesign,
     Full efficiency chain for one design.
 
     The architecture tag does not enter: both layouts share the same
-    gear train and therefore the same efficiency.
+    gear train and therefore the same efficiency. The chain follows
+    ``contact_ratios`` and ``basic_driving_efficiency`` operation by
+    operation, each tip angle computed once (eps_b2 is eps_a1). A
+    degenerate tooth form, or a mesh that warns or fails, is handed to
+    ``tip_pressure_angle`` or ``basic_driving_efficiency`` to log and
+    raise in the same order.
     """
     alpha = params.pressure_angle_rad
-    eps_a1, eps_a2 = contact_ratios(design.sun_teeth, design.planet_teeth,
-                                    design.module_mm, MeshKind.SUN_PLANET,
-                                    alpha)
-    eps_b1, eps_b2 = contact_ratios(design.planet_teeth, design.ring_teeth,
-                                    design.module_mm, MeshKind.PLANET_RING,
-                                    alpha)
-    eta_a = _mesh_efficiency(design.sun_teeth, design.planet_teeth,
-                             MeshKind.SUN_PLANET, params, eps_a1, eps_a2)
-    eta_b = _mesh_efficiency(design.planet_teeth, design.ring_teeth,
-                             MeshKind.PLANET_RING, params, eps_b1, eps_b2)
-    return EfficiencyBreakdown(
-        eps_a1=eps_a1,
-        eps_a2=eps_a2,
-        eps_b1=eps_b1,
-        eps_b2=eps_b2,
-        eps_a=loss_parameter(eps_a1, eps_a2),
-        eps_b=loss_parameter(eps_b1, eps_b2),
-        eta_a=eta_a,
-        eta_b=eta_b,
-        eta_overall=overall_efficiency(design.sun_teeth, design.ring_teeth,
-                                       eta_a, eta_b),
-    )
+    cos_alpha, tan_alpha = cos(alpha), tan(alpha)
+    m = design.module_mm
+    n_s, n_p, n_r = design.sun_teeth, design.planet_teeth, design.ring_teeth
+    # base diameters m*N*cos(alpha), tip diameters m*N +/- 2m
+    base_s, base_p, base_r = (m * n_s * cos_alpha, m * n_p * cos_alpha,
+                              m * n_r * cos_alpha)
+    tip_s, tip_p, tip_r = m * n_s + 2.0 * m, m * n_p + 2.0 * m, \
+        m * n_r - 2.0 * m
+    if base_s >= tip_s or base_p >= tip_p or tip_r <= 0 or base_r >= tip_r:
+        for teeth, role in zip((n_s, n_p, n_r), GearRole):
+            tip_pressure_angle(teeth, m, role, alpha)
+    eps_a1 = (n_p / (2.0 * pi)) * (tan(acos(base_p / tip_p)) - tan_alpha)
+    eps_a2 = (n_s / (2.0 * pi)) * (tan(acos(base_s / tip_s)) - tan_alpha)
+    eps_b1 = -(n_r / (2.0 * pi)) * (tan(acos(base_r / tip_r)) - tan_alpha)
+    eps_a = loss_parameter(eps_a1, eps_a2)
+    eps_b = loss_parameter(eps_b1, eps_a1)
+    eta_a = 1.0 - params.mu * pi * (1.0 / n_s + 1.0 / n_p) * eps_a
+    eta_b = 1.0 - params.mu * pi * (1.0 / n_p - 1.0 / n_r) * eps_b
+    if (eps_a1 + eps_a2 < 1.0 or eta_a <= 0 or eps_b1 + eps_a1 < 1.0
+            or eta_b <= 0):
+        basic_driving_efficiency(n_s, n_p, m, MeshKind.SUN_PLANET, params)
+        basic_driving_efficiency(n_p, n_r, m, MeshKind.PLANET_RING, params)
+    return EfficiencyBreakdown(eps_a1, eps_a2, eps_b1, eps_a1, eps_a, eps_b,
+                               eta_a, eta_b,
+                               overall_efficiency(n_s, n_r, eta_a, eta_b))

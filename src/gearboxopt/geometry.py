@@ -285,11 +285,11 @@ def module_masks(arch: Architecture, module_mm, num_planets, sun_teeth,
     sun = np.asarray(sun_teeth, dtype=np.int64)
     planet = np.asarray(planet_teeth, dtype=np.int64)
     ring = np.asarray(ring_teeth, dtype=np.int64)
-    # math.sin per distinct planet count: np.sin may differ from libm
-    # in the last bit, which would move designs across the clearance
-    counts, index = np.unique(planets, return_inverse=True)
-    sines = np.array([sin(pi / k) if k >= 2 else 0.0
-                      for k in counts.tolist()])[index.reshape(planets.shape)]
+    # math.sin from a table over the planet counts' range: np.sin may
+    # differ from libm in the last bit, moving designs across the clearance
+    low = int(planets.min()) if planets.size else 0
+    sines = np.array([sin(pi / k) if k >= 2 else 0.0 for k in range(
+        low, int(planets.max(initial=low)) + 1)])[planets - low]
     two_m = 2.0 * m
     margin = (two_m * (sun + planet)) * sines
     # in place: one float grid less, the same values

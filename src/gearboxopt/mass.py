@@ -22,8 +22,9 @@ Units: mm in, kg out; densities in kg/m^3.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import pi
+from operator import is_
 from pathlib import Path
 from importlib import resources
 
@@ -116,18 +117,7 @@ class MassBreakdown:
     total: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "sun": self.sun,
-            "planets_total": self.planets_total,
-            "ring": self.ring,
-            "carrier": self.carrier,
-            "secondary_carrier": self.secondary_carrier,
-            "bearings_total": self.bearings_total,
-            "casing": self.casing,
-            "base_plate": self.base_plate,
-            "motor": self.motor,
-            "total": self.total,
-        }
+        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
 
 
 def default_bearing_table_path() -> Path:
@@ -310,44 +300,12 @@ def output_bearing_bore_mm(design: GearboxDesign) -> float:
     return pin_circle_diameter_mm(design)
 
 
-def _carrier_disk_mass(design: GearboxDesign, bearing: BearingModel,
-                       materials: MaterialSpec,
-                       params: MassModelParams) -> float:
-    od = carrier_disk_od_mm(design)
-    # central hole clears the sun-shaft bearing's outer diameter
-    inner = bearing_od(params.input_bearing_bore_mm, bearing)
-    if inner >= od:
-        raise ValueError(
-            f"carrier disk OD {od:.1f} mm does not clear the "
-            f"{inner:.1f} mm sun-shaft bearing")
-    volume_mm3 = (params.carrier_disk_thickness_mm * pi / 4.0
-                  * (od ** 2 - inner ** 2))
-    return materials.aluminum_density_kg_m3 * volume_mm3 * _MM3_TO_M3
-
-
 def planet_pin_mass(face_width_mm: float, materials: MaterialSpec,
                     params: MassModelParams) -> float:
     """One steel planet pin: bearing-bore diameter, width plus engagement."""
     length = face_width_mm + params.pin_engagement_mm
     volume_mm3 = length * pi / 4.0 * params.planet_bearing_bore_mm ** 2
     return materials.steel_density_kg_m3 * volume_mm3 * _MM3_TO_M3
-
-
-def carrier_mass(design: GearboxDesign, face_width_mm: float,
-                 bearing: BearingModel, materials: MaterialSpec,
-                 params: MassModelParams) -> float:
-    """Main carrier: aluminum disk plus n_p steel planet pins (kg)."""
-    disk = _carrier_disk_mass(design, bearing, materials, params)
-    pins = design.num_planets * planet_pin_mass(face_width_mm, materials,
-                                                params)
-    return disk + pins
-
-
-def secondary_carrier_mass(design: GearboxDesign, bearing: BearingModel,
-                           materials: MaterialSpec,
-                           params: MassModelParams) -> float:
-    """Support-side carrier: the same disk rule, pins counted once only."""
-    return _carrier_disk_mass(design, bearing, materials, params)
 
 
 def gearbox_stack_height_mm(face_width_mm: float,
@@ -385,13 +343,35 @@ def base_plate_mass(motor: MotorSpec, materials: MaterialSpec,
     return materials.aluminum_density_kg_m3 * volume_mm3 * _MM3_TO_M3
 
 
-def bearings_total_mass(design: GearboxDesign, bearing: BearingModel,
-                        params: MassModelParams) -> float:
-    """n_p planet bearings, one input (sun) and one output (carrier)."""
-    planet = bearing_mass(params.planet_bearing_bore_mm, bearing)
-    sun_shaft = bearing_mass(params.input_bearing_bore_mm, bearing)
-    output = bearing_mass(output_bearing_bore_mm(design), bearing)
-    return design.num_planets * planet + sun_shaft + output
+_last_context: tuple = ((None,) * 4, None)
+
+
+def _context_terms(motor: MotorSpec, bearing: BearingModel,
+                   materials: MaterialSpec, params: MassModelParams) -> tuple:
+    """
+    The ``actuator_mass`` terms that read only its context inputs:
+    (error, OD, mass) of the sun-shaft bearing, (error, mass) of one
+    planet bearing, and the base plate mass. A bore outside the bearing
+    table keeps its range error for ``actuator_mass`` to raise. The
+    terms are reused while every input is the last call's object.
+    """
+    global _last_context
+    inputs = (motor, bearing, materials, params)
+    last_inputs, terms = _last_context
+    if all(map(is_, last_inputs, inputs)):
+        return terms
+    try:
+        shaft = (None, bearing_od(params.input_bearing_bore_mm, bearing),
+                 bearing_mass(params.input_bearing_bore_mm, bearing))
+    except ValueError as exc:
+        shaft = (str(exc), None, None)
+    try:
+        planet = (None, bearing_mass(params.planet_bearing_bore_mm, bearing))
+    except ValueError as exc:
+        planet = (str(exc), None)
+    terms = (shaft, planet, base_plate_mass(motor, materials, params))
+    _last_context = (inputs, terms)
+    return terms
 
 
 def actuator_mass(design: GearboxDesign, motor: MotorSpec,
@@ -402,30 +382,50 @@ def actuator_mass(design: GearboxDesign, motor: MotorSpec,
     Full actuator mass breakdown (kg).
 
     With fastener_offset on (default), gear bores stay solid; the extra
-    material stands in for excluded nuts, bolts, and circlips.
+    material stands in for excluded nuts, bolts, and circlips. Gears and
+    carrier disk follow ``spur_gear_mass``, ``ring_gear_mass`` and
+    ``carrier_disk_od_mm``, which raise for a gear they reject. The disk
+    is built once: the carrier adds n_p planet pins, the secondary
+    carrier is the bare disk. Bearings: n_p planet, input and output.
     """
-    if params.fastener_offset:
-        sun_bore = planet_bore = 0.0
-    else:
-        sun_bore = params.input_bearing_bore_mm
-        planet_bore = params.planet_bearing_bore_mm
-    sun = spur_gear_mass(design.sun_teeth, design.module_mm, face_width_mm,
-                         sun_bore, materials)
-    planets_total = design.num_planets * spur_gear_mass(
-        design.planet_teeth, design.module_mm, face_width_mm, planet_bore,
-        materials)
-    ring = ring_gear_mass(design.ring_teeth, design.module_mm, face_width_mm,
-                          params.ring_radial_thickness_coeff
-                          * design.module_mm, materials)
-    carrier = carrier_mass(design, face_width_mm, bearing, materials, params)
-    secondary = secondary_carrier_mass(design, bearing, materials, params)
-    bearings = bearings_total_mass(design, bearing, params)
-    casing = casing_mass(design, motor, face_width_mm, materials, params)
-    plate = base_plate_mass(motor, materials, params)
-    parts = (sun, planets_total, ring, carrier, secondary, bearings, casing,
+    (shaft_error, shaft_od, shaft_kg), (planet_error, planet_kg), plate = \
+        _context_terms(motor, bearing, materials, params)
+    sun_bore, planet_bore = ((0.0, 0.0) if params.fastener_offset else
+                             (params.input_bearing_bore_mm,
+                              params.planet_bearing_bore_mm))
+    m, n_p, width = design.module_mm, design.num_planets, face_width_mm
+    d_sun, d_planet, d_ring = (m * design.sun_teeth, m * design.planet_teeth,
+                               m * design.ring_teeth)
+    ring_wall = params.ring_radial_thickness_coeff * m
+    ring_tip = d_ring - 2.0 * m
+    if (sun_bore >= d_sun or planet_bore >= d_planet or ring_wall <= 0
+            or ring_tip <= 0):
+        spur_gear_mass(design.sun_teeth, m, width, sun_bore, materials)
+        spur_gear_mass(design.planet_teeth, m, width, planet_bore, materials)
+        ring_gear_mass(design.ring_teeth, m, width, ring_wall, materials)
+    steel, quarter_width = materials.steel_density_kg_m3, width * pi / 4.0
+    sun = steel * (quarter_width * (d_sun ** 2 - sun_bore ** 2)) * _MM3_TO_M3
+    planets_total = n_p * (steel * (quarter_width * (
+        d_planet ** 2 - planet_bore ** 2)) * _MM3_TO_M3)
+    ring = steel * (quarter_width * ((d_ring + 2.0 * ring_wall) ** 2
+                                     - ring_tip ** 2)) * _MM3_TO_M3
+    pin_circle = pin_circle_diameter_mm(design)
+    disk_od = pin_circle + (d_planet + 2.0 * m) / 2.0
+    # central hole clears the sun-shaft bearing's outer diameter
+    if shaft_error:
+        raise ValueError(shaft_error)
+    if shaft_od >= disk_od:
+        raise ValueError(
+            f"carrier disk OD {disk_od:.1f} mm does not clear the "
+            f"{shaft_od:.1f} mm sun-shaft bearing")
+    volume_mm3 = (params.carrier_disk_thickness_mm * pi / 4.0
+                  * (disk_od ** 2 - shaft_od ** 2))
+    disk = materials.aluminum_density_kg_m3 * volume_mm3 * _MM3_TO_M3
+    carrier = disk + n_p * planet_pin_mass(width, materials, params)
+    if planet_error:
+        raise ValueError(planet_error)
+    bearings = n_p * planet_kg + shaft_kg + bearing_mass(pin_circle, bearing)
+    casing = casing_mass(design, motor, width, materials, params)
+    parts = (sun, planets_total, ring, carrier, disk, bearings, casing,
              plate, motor.mass_kg)
-    return MassBreakdown(sun=sun, planets_total=planets_total, ring=ring,
-                         carrier=carrier, secondary_carrier=secondary,
-                         bearings_total=bearings, casing=casing,
-                         base_plate=plate, motor=motor.mass_kg,
-                         total=sum(parts))
+    return MassBreakdown(*parts, total=sum(parts))

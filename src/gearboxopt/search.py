@@ -282,7 +282,9 @@ def enumerate_feasible(motor: MotorSpec, arch: Architecture,
 def evaluate(design: GearboxDesign, ctx: EvalContext) -> DesignEvaluation:
     """
     Score one design: constraints, efficiency chain, Lewis width, mass,
-    cost. Model errors become infeasibility reasons, never crashes.
+    cost. Model errors become infeasibility reasons, never crashes. Each
+    term is computed once, and the mass terms that read only the context
+    once per context: reuse one ``ctx`` across calls.
     """
     reduction = design.reduction_ratio
     failures = tuple(constraint_failures(design, ctx.motor, ctx.constraints))

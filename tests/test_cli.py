@@ -293,6 +293,21 @@ class TestCommandLine:
         assert lines[0].startswith("sun_teeth,planet_teeth,ring_teeth,")
         assert len(lines) > 100
 
+    def test_log_candidates_bytes(self, u12_config_path, tmp_path):
+        # every failure reason and full-repr float of scalar evaluate
+        # over the u12 candidates, pinned by sha256
+        expected = {
+            "candidates_isspg.csv": "a0655ebc405b9a8d55d65107c6fca6bf"
+                                    "412800a4857d914a39c11061a03667f6",
+            "candidates_esspg.csv": "f54c16d349912de3ac8746c98566952a"
+                                    "ac9030b728b3464952449290a8b1f37f",
+        }
+        code = main(["sweep", "--config", str(u12_config_path), "--out",
+                     str(tmp_path), "--log-candidates"])
+        assert code == 0
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes())
+                .hexdigest() for name in expected} == expected
+
     def test_eval_command(self, u12_config_path, capsys):
         code = main(["eval", "--config", str(u12_config_path), "--design",
                      "20,40,100,0.5,3,isspg"])

@@ -7,8 +7,8 @@ efficiency) and are frozen here to 16 significant digits.
 """
 
 import logging
-from dataclasses import replace
-from math import degrees, radians
+from dataclasses import astuple, replace
+from math import acos, degrees, radians
 
 import pytest
 
@@ -213,25 +213,79 @@ class TestPlanetaryEfficiency:
         assert br.eta_b == pytest.approx(ETA_B, rel=REL)
         assert br.eta_overall == pytest.approx(ETA_OVERALL, rel=REL)
 
-    def test_contact_ratios_computed_once_per_mesh(self, monkeypatch):
-        meshes = []
+    def test_each_tip_angle_computed_once(self, monkeypatch):
+        # three gears, three arccos calls: the planet's tip angle serves
+        # both meshes
+        ratios = []
 
-        def counting(teeth_1, teeth_2, module_mm, mesh, alpha):
-            meshes.append(mesh)
-            return contact_ratios(teeth_1, teeth_2, module_mm, mesh, alpha)
+        def counting(x):
+            ratios.append(x)
+            return acos(x)
 
-        monkeypatch.setattr(gearboxopt.efficiency, "contact_ratios",
-                            counting)
+        monkeypatch.setattr(gearboxopt.efficiency, "acos", counting)
         params = EfficiencyParams()
         br = planetary_efficiency(REFERENCE, params)
-        assert meshes == [MeshKind.SUN_PLANET, MeshKind.PLANET_RING]
         monkeypatch.undo()
+        assert sorted(acos(x) for x in ratios) == sorted(
+            tip_pressure_angle(teeth, 0.5, role, ALPHA) for teeth, role in
+            ((20, GearRole.SUN), (40, GearRole.PLANET), (100, GearRole.RING)))
+        assert br.eps_b2 == br.eps_a1
         assert br.eta_a == basic_driving_efficiency(20, 40, 0.5,
                                                     MeshKind.SUN_PLANET,
                                                     params)
         assert br.eta_b == basic_driving_efficiency(40, 100, 0.5,
                                                     MeshKind.PLANET_RING,
                                                     params)
+
+    @pytest.mark.parametrize("mu, alpha_deg", [
+        (0.06, 20.0), (0.0, 20.0), (0.4, 25.0), (0.9, 14.5), (0.06, 40.0)])
+    def test_equals_mesh_helpers_exactly(self, mu, alpha_deg, caplog):
+        # the chain against contact_ratios and basic_driving_efficiency
+        # mesh by mesh: equal floats, or the same error, and the same
+        # warnings in the same order, degenerate tooth forms included
+        params = EfficiencyParams(mu=mu, pressure_angle_rad=radians(
+            alpha_deg))
+
+        def outcome(compute):
+            caplog.clear()
+            try:
+                result = compute()
+            except ValueError as exc:
+                result = (type(exc), str(exc))
+            return result, [r.getMessage() for r in caplog.records]
+
+        def by_mesh(design):
+            alpha = params.pressure_angle_rad
+            m = design.module_mm
+            meshes = [(design.sun_teeth, design.planet_teeth,
+                       MeshKind.SUN_PLANET),
+                      (design.planet_teeth, design.ring_teeth,
+                       MeshKind.PLANET_RING)]
+            ratios = [contact_ratios(n1, n2, m, mesh, alpha)
+                      for n1, n2, mesh in meshes]
+            etas = [basic_driving_efficiency(n1, n2, m, mesh, params)
+                    for n1, n2, mesh in meshes]
+            (eps_a1, eps_a2), (eps_b1, eps_b2) = ratios
+            return (eps_a1, eps_a2, eps_b1, eps_b2,
+                    loss_parameter(eps_a1, eps_a2),
+                    loss_parameter(eps_b1, eps_b2), *etas,
+                    overall_efficiency(design.sun_teeth, design.ring_teeth,
+                                       *etas))
+
+        with caplog.at_level(logging.WARNING, logger="gearboxopt"):
+            for sun in (1, 2, 3, 5, 12, 20, 31):
+                for planet in (1, 2, 4, 9, 17, 40):
+                    for ring in (2, 3, 13, 33, sun + 2 * planet, 160):
+                        design = GearboxDesign(
+                            arch=Architecture.ESSPG, sun_teeth=sun,
+                            planet_teeth=planet, ring_teeth=ring,
+                            module_mm=0.7, num_planets=3)
+                        fused, fused_log = outcome(
+                            lambda: planetary_efficiency(design, params))
+                        if not isinstance(fused, tuple):
+                            fused = astuple(fused)
+                        assert (fused, fused_log) == outcome(
+                            lambda: by_mesh(design)), design
 
     def test_second_design_frozen(self):
         d = GearboxDesign(arch=Architecture.ESSPG, sun_teeth=25,

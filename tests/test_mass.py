@@ -10,18 +10,18 @@ from math import pi
 
 import pytest
 
+import gearboxopt.mass
+
 from gearboxopt import (Architecture, ConstraintParams, GearboxDesign,
                         MassModelParams, MaterialSpec, StrengthParams,
                         actuator_mass, base_plate_mass, bearing_fit_report,
                         bearing_mass, bearing_od, bearing_width,
-                        bearings_total_mass, carrier_disk_od_mm,
-                        carrier_mass, casing_length_mm, casing_mass,
+                        carrier_disk_od_mm, casing_length_mm, casing_mass,
                         default_bearing_table_path, face_width,
                         fit_bearing_model, gearbox_stack_height_mm,
                         load_bearing_model, load_bearing_table,
                         output_bearing_bore_mm, pin_circle_diameter_mm,
-                        planet_pin_mass, ring_gear_mass,
-                        secondary_carrier_mass, spur_gear_mass)
+                        planet_pin_mass, ring_gear_mass, spur_gear_mass)
 from gearboxopt.search import enumerate_feasible
 
 REL = 1e-12
@@ -66,6 +66,36 @@ def write_table(path, rows, header="bore_mm,od_mm,width_mm,mass_kg"):
     lines = [header] + [",".join(str(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def mass_by_component(design, motor, width, bearing, materials, params):
+    """``actuator_mass`` composed from the public component rules, each
+    check at its place in the component order."""
+    m, n = design.module_mm, design.num_planets
+    sun_bore, planet_bore = ((0.0, 0.0) if params.fastener_offset else
+                             (params.input_bearing_bore_mm,
+                              params.planet_bearing_bore_mm))
+    sun = spur_gear_mass(design.sun_teeth, m, width, sun_bore, materials)
+    planets = n * spur_gear_mass(design.planet_teeth, m, width, planet_bore,
+                                 materials)
+    ring = ring_gear_mass(design.ring_teeth, m, width,
+                          params.ring_radial_thickness_coeff * m, materials)
+    od = carrier_disk_od_mm(design)
+    inner = bearing_od(params.input_bearing_bore_mm, bearing)
+    if inner >= od:
+        raise ValueError(f"carrier disk OD {od:.1f} mm does not clear the "
+                         f"{inner:.1f} mm sun-shaft bearing")
+    disk = (materials.aluminum_density_kg_m3
+            * (params.carrier_disk_thickness_mm * pi / 4.0
+               * (od ** 2 - inner ** 2)) * 1e-9)
+    carrier = disk + n * planet_pin_mass(width, materials, params)
+    bearings = (n * bearing_mass(params.planet_bearing_bore_mm, bearing)
+                + bearing_mass(params.input_bearing_bore_mm, bearing)
+                + bearing_mass(output_bearing_bore_mm(design), bearing))
+    casing = casing_mass(design, motor, width, materials, params)
+    parts = (sun, planets, ring, carrier, disk, bearings, casing,
+             base_plate_mass(motor, materials, params), motor.mass_kg)
+    return (*parts, sum(parts))
 
 
 class TestBearingTable:
@@ -201,24 +231,23 @@ class TestCarrierAndCasing:
         assert planet_pin_mass(10.0, MaterialSpec(), MassModelParams()) == \
             pytest.approx(expected, rel=1e-15)
 
-    def test_secondary_carrier_is_disk_only(self, bearing_model):
+    def test_secondary_carrier_is_disk_only(self, u12, bearing_model):
         materials = MaterialSpec()
         params = MassModelParams()
-        disk = secondary_carrier_mass(REFERENCE, bearing_model, materials,
-                                      params)
-        full = carrier_mass(REFERENCE, 10.0, bearing_model, materials,
-                            params)
+        breakdown = actuator_mass(REFERENCE, u12, 10.0, bearing_model,
+                                  materials, params)
         pins = 3 * planet_pin_mass(10.0, materials, params)
-        assert full == pytest.approx(disk + pins, rel=1e-12)
+        assert breakdown.carrier == pytest.approx(
+            breakdown.secondary_carrier + pins, rel=1e-12)
 
-    def test_carrier_must_clear_input_bearing(self, bearing_model):
+    def test_carrier_must_clear_input_bearing(self, u12, bearing_model):
         tight = GearboxDesign(arch=Architecture.ISSPG, sun_teeth=20,
                               planet_teeth=20, ring_teeth=60, module_mm=0.5,
                               num_planets=3)
         big_bore = MassModelParams(input_bearing_bore_mm=25.0)
         with pytest.raises(ValueError, match="clear"):
-            carrier_mass(tight, 10.0, bearing_model, MaterialSpec(),
-                         big_bore)
+            actuator_mass(tight, u12, 10.0, bearing_model, MaterialSpec(),
+                          big_bore)
 
     def test_stack_and_casing_lengths(self, u12):
         params = MassModelParams()
@@ -267,8 +296,73 @@ class TestActuatorMass:
         expected = (3 * bearing_mass(10.0, bearing_model)
                     + bearing_mass(15.0, bearing_model)
                     + bearing_mass(30.0, bearing_model))
-        assert bearings_total_mass(REFERENCE, bearing_model, params) == \
-            pytest.approx(expected, rel=1e-15)
+        breakdown = actuator_mass(REFERENCE, u12, FACE_REFERENCE_MM,
+                                  bearing_model, MaterialSpec(), params)
+        assert breakdown.bearings_total == pytest.approx(expected,
+                                                         rel=1e-15)
+
+    def test_equals_component_rules_exactly(self, u12, bearing_model):
+        # every component to the last bit, or the same first error, with
+        # the contexts alternating so the per-context terms are rebuilt
+        materials = MaterialSpec()
+        contexts = [MassModelParams(), MassModelParams(fastener_offset=False),
+                    MassModelParams(input_bearing_bore_mm=25.0),
+                    MassModelParams(input_bearing_bore_mm=70.0),
+                    MassModelParams(planet_bearing_bore_mm=5.0),
+                    MassModelParams(planet_bearing_bore_mm=5.0,
+                                    casing_wall_mm=60.0,
+                                    fastener_offset=False),
+                    MassModelParams(casing_wall_mm=52.8)]
+
+        def outcome(compute):
+            try:
+                return compute()
+            except ValueError as exc:
+                return str(exc)
+
+        checked = 0
+        for sun, planet, ring in ((20, 40, 100), (3, 2, 7), (2, 1, 2),
+                                  (8, 20, 48), (30, 22, 74), (60, 40, 140)):
+            for module_mm in (0.3, 0.5, 1.0, 1.5):
+                for arch in Architecture:
+                    design = GearboxDesign(arch=arch, sun_teeth=sun,
+                                           planet_teeth=planet,
+                                           ring_teeth=ring,
+                                           module_mm=module_mm,
+                                           num_planets=3)
+                    for params in contexts * 2:
+                        args = (design, u12, 12.5, bearing_model, materials,
+                                params)
+                        fused = outcome(lambda: actuator_mass(*args))
+                        if not isinstance(fused, str):
+                            fused = tuple(fused.as_dict().values())
+                        assert fused == outcome(
+                            lambda: mass_by_component(*args)), args
+                        checked += isinstance(fused, tuple)
+        assert checked > 50
+
+    def test_context_terms_computed_once_per_context(self, u12,
+                                                     bearing_model,
+                                                     monkeypatch):
+        bores = []
+
+        def counting_od(bore_mm, model, extrapolate=False):
+            bores.append(bore_mm)
+            return bearing_od(bore_mm, model, extrapolate)
+
+        monkeypatch.setattr(gearboxopt.mass, "bearing_od", counting_od)
+        materials, params = MaterialSpec(), MassModelParams()
+        first = actuator_mass(REFERENCE, u12, 10.0, bearing_model,
+                              materials, params)
+        for module_mm in (0.6, 0.7, 0.5):
+            actuator_mass(replace(REFERENCE, module_mm=module_mm), u12, 10.0,
+                          bearing_model, materials, params)
+        assert bores == [15.0]
+        # an equal but new params object is another context
+        again = actuator_mass(REFERENCE, u12, 10.0, bearing_model,
+                              materials, MassModelParams())
+        assert bores == [15.0, 15.0]
+        assert again == first
 
     def test_base_plate(self, u12):
         expected = 2700.0 * 3.0 * pi / 4.0 * 105.6 ** 2 * 1e-9

@@ -1,8 +1,10 @@
 """Enumeration, scoring, per-bin optimization, and the architecture
 comparison, cross-checked against naive nested-loop scans."""
 
+import csv
 from dataclasses import replace
 from math import ceil, inf, nan, pi, radians
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +20,9 @@ from gearboxopt import (Architecture, BinResult, ConstraintParams,
                         evaluate, max_gearbox_diameter, optimize_bins,
                         ranking_key, validate_bins)
 from gearboxopt import search
-from gearboxopt.cli import load_config, run_sweep
+from gearboxopt.cli import build_context, load_config, run_sweep
 from gearboxopt.geometry import constraint_masks
+from gearboxopt.mass import load_bearing_model
 from gearboxopt.search import (_DIAG_SUN_TEETH_CAP, _bin_columns,
                                _bin_tallies, _designs, bin_candidates,
                                enumerate_feasible, failure_tallies,
@@ -264,6 +267,33 @@ class TestEvaluate:
         assert constraint_failures(wide, default_ctx.motor,
                                    default_ctx.constraints) == []
         self._assert_unscored(evaluate(wide, default_ctx), "model_error:")
+
+    def test_point_eval_pool_exact(self, u12_config_path):
+        # every design of the benchmark's point-eval pool, scored with
+        # the u12 config: the feasible flag and the stored full-repr
+        # cost, total mass and efficiency must come back to the last bit
+        cfg = load_config(u12_config_path)
+        ctx = build_context(cfg, load_bearing_model(cfg.bearing_table_path))
+        pool = Path(__file__).resolve().parents[1] / "bench" / "data" / \
+            "point_eval_pool.csv"
+        with open(pool, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 10_000
+        for row in rows:
+            design = GearboxDesign(
+                arch=Architecture(row["arch"]),
+                sun_teeth=int(row["sun_teeth"]),
+                planet_teeth=int(row["planet_teeth"]),
+                ring_teeth=int(row["ring_teeth"]),
+                module_mm=float(row["module_mm"]),
+                num_planets=int(row["num_planets"]))
+            result = evaluate(design, ctx)
+            assert result.feasible == (row["feasible"] == "1"), row
+            if result.feasible:
+                assert (result.cost, result.mass.total,
+                        result.efficiency.eta_overall) == (
+                    float(row["cost"]), float(row["mass_kg"]),
+                    float(row["eta"])), row
 
     def test_ranking_key_tie_breaking(self, default_ctx):
         base = evaluate(REFERENCE, default_ctx)
