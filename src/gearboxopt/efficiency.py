@@ -63,6 +63,14 @@ class EfficiencyBreakdown:
     eta_b: float        # planet-ring basic driving efficiency
     eta_overall: float  # stage efficiency, fixed ring / carrier output
 
+    def __init__(self, eps_a1, eps_a2, eps_b1, eps_b2, eps_a, eps_b, eta_a,
+                 eta_b, eta_overall):
+        # kept by @dataclass: one dict fill, not a setattr call per field
+        self.__dict__.update(
+            eps_a1=eps_a1, eps_a2=eps_a2, eps_b1=eps_b1, eps_b2=eps_b2,
+            eps_a=eps_a, eps_b=eps_b, eta_a=eta_a, eta_b=eta_b,
+            eta_overall=eta_overall)
+
 
 def tip_pressure_angle(tooth_count: int, module_mm: float, role: GearRole,
                        pressure_angle_rad: float) -> float:

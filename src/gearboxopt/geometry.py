@@ -17,9 +17,9 @@ Units: lengths in mm, angles in rad, masses in kg unless suffixed
 otherwise.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from math import cos, pi, sin
+from math import cos, isfinite, pi, sin
 from typing import Optional
 
 import numpy as np
@@ -33,6 +33,19 @@ class Architecture(Enum):
     """Planetary gearbox placement relative to the motor."""
     ISSPG = "isspg"  # inside the stator bore
     ESSPG = "esspg"  # external, stacked on the motor
+
+
+# hot-path aliases: an enum member read costs ~160 ns on Python 3.11
+_ESSPG = Architecture.ESSPG
+_ISSPG = Architecture.ISSPG
+
+
+def require_finite(record) -> None:
+    """Reject a record whose float field is nan or infinite."""
+    for spec in fields(record):
+        value = getattr(record, spec.name)
+        if spec.type is float and not isfinite(value):
+            raise ValueError(f"{spec.name} must be finite, got {value}")
 
 
 class GearRole(Enum):
@@ -84,6 +97,7 @@ class ConstraintParams:
     ring_clearance_mm: float = 10.0   # delta_clr, ring-to-housing margin
 
     def __post_init__(self):
+        require_finite(self)
         if self.min_teeth < 1:
             raise ValueError("min_teeth must be >= 1")
         if self.module_min_mm > self.module_max_mm:
@@ -112,10 +126,13 @@ class MotorSpec:
     name: str = "unnamed-motor"      # datasheet label
 
     def __post_init__(self):
+        require_finite(self)
         if not 0 < self.stator_inner_diameter_mm < self.outer_diameter_mm:
             raise ValueError(
                 "stator_inner_diameter_mm must be positive and smaller "
                 "than outer_diameter_mm")
+        if not isfinite(self.outer_diameter_mm * self.outer_diameter_mm):
+            raise ValueError("outer_diameter_mm is too large to square")
         for field_name in ("height_mm", "mass_kg", "max_torque_nm",
                            "max_speed_rad_s"):
             if getattr(self, field_name) <= 0:
@@ -188,7 +205,7 @@ def max_gearbox_diameter(motor: MotorSpec, arch: Architecture,
     ESSPG rings may grow to the motor OD minus clearance; ISSPG rings
     must fit inside the stator bore minus the same clearance.
     """
-    if arch is Architecture.ESSPG:
+    if arch is _ESSPG:
         bound = motor.outer_diameter_mm - params.ring_clearance_mm
     else:
         bound = motor.stator_inner_diameter_mm - params.ring_clearance_mm

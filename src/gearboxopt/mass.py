@@ -30,8 +30,8 @@ from importlib import resources
 
 import numpy as np
 
-from .geometry import (Architecture, GearboxDesign, GearRole, MotorSpec,
-                       pitch_diameter, tip_diameter)
+from .geometry import (_ISSPG, GearboxDesign, GearRole, MotorSpec,
+                       pitch_diameter, require_finite, tip_diameter)
 
 _MM3_TO_M3 = 1e-9
 _BEARING_CSV_HEADER = ["bore_mm", "od_mm", "width_mm", "mass_kg"]
@@ -44,6 +44,7 @@ class MaterialSpec:
     aluminum_density_kg_m3: float = 2700.0  # carrier disks, casing, plate
 
     def __post_init__(self):
+        require_finite(self)
         if self.steel_density_kg_m3 <= 0 or self.aluminum_density_kg_m3 <= 0:
             raise ValueError("densities must be positive")
 
@@ -62,6 +63,7 @@ class MassModelParams:
     fastener_offset: bool = True              # keep gear bores solid
 
     def __post_init__(self):
+        require_finite(self)
         for field_name in ("ring_radial_thickness_coeff",
                            "carrier_disk_thickness_mm", "casing_wall_mm",
                            "base_plate_thickness_mm",
@@ -115,6 +117,14 @@ class MassBreakdown:
     base_plate: float
     motor: float
     total: float
+
+    def __init__(self, sun, planets_total, ring, carrier, secondary_carrier,
+                 bearings_total, casing, base_plate, motor, total):
+        # kept by @dataclass: one dict fill, not a setattr call per field
+        self.__dict__.update(
+            sun=sun, planets_total=planets_total, ring=ring, carrier=carrier,
+            secondary_carrier=secondary_carrier, bearings_total=bearings_total,
+            casing=casing, base_plate=base_plate, motor=motor, total=total)
 
     def as_dict(self) -> dict[str, float]:
         return {spec.name: getattr(self, spec.name) for spec in fields(self)}
@@ -317,7 +327,7 @@ def gearbox_stack_height_mm(face_width_mm: float,
 def casing_length_mm(design: GearboxDesign, motor: MotorSpec,
                      face_width_mm: float, params: MassModelParams) -> float:
     """ISSPG hides the train inside the stator; ESSPG adds the stack."""
-    if design.arch is Architecture.ISSPG:
+    if design.arch is _ISSPG:
         return motor.height_mm
     return motor.height_mm + gearbox_stack_height_mm(face_width_mm, params)
 
@@ -428,4 +438,4 @@ def actuator_mass(design: GearboxDesign, motor: MotorSpec,
     casing = casing_mass(design, motor, width, materials, params)
     parts = (sun, planets_total, ring, carrier, disk, bearings, casing,
              plate, motor.mass_kg)
-    return MassBreakdown(*parts, total=sum(parts))
+    return MassBreakdown(*parts, sum(parts))

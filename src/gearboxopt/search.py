@@ -45,7 +45,7 @@ from .efficiency import (EfficiencyBreakdown, EfficiencyParams,
 from .geometry import (_RULE_ORDER, Architecture, ConstraintParams,
                        GearboxDesign, MotorSpec, constraint_failures,
                        constraint_masks, max_gearbox_diameter, module_masks,
-                       module_free_masks)
+                       module_free_masks, require_finite)
 from .mass import (_MM3_TO_M3, BearingModel, MassBreakdown,
                    MassModelParams, MaterialSpec, actuator_mass,
                    base_plate_mass, bearing_mass, bearing_od,
@@ -72,6 +72,7 @@ class CostWeights:
     k_e: float = 2.0  # reward on overall efficiency
 
     def __post_init__(self):
+        require_finite(self)
         if self.k_m < 0 or self.k_e < 0:
             raise ValueError("cost weights must be >= 0")
 
@@ -110,6 +111,14 @@ class DesignEvaluation:
     face_width_mm: Optional[float]
     mass: Optional[MassBreakdown]
     cost: Optional[float]
+
+    def __init__(self, design, feasible, failure_reasons, reduction_ratio,
+                 efficiency, face_width_mm, mass, cost):
+        # kept by @dataclass: one dict fill, not a setattr call per field
+        self.__dict__.update(
+            design=design, feasible=feasible, failure_reasons=failure_reasons,
+            reduction_ratio=reduction_ratio, efficiency=efficiency,
+            face_width_mm=face_width_mm, mass=mass, cost=cost)
 
 
 @dataclass(frozen=True)
@@ -160,8 +169,11 @@ def validate_bins(bins: list[tuple[float, float]]) -> list[tuple[float, float]]:
 
 
 def validate_module_set(module_set: list[float]) -> list[float]:
-    """Require at least one module and no module twice; returns the
-    modules ascending."""
+    """Require at least one module, each finite and > 0, and no module
+    twice; returns the modules ascending."""
+    for module_mm in module_set:
+        if not (isfinite(module_mm) and module_mm > 0):
+            raise ValueError(f"module {module_mm:g} mm must be finite, > 0")
     modules = sorted(module_set)
     if not modules:
         raise ValueError("at least one module is required")
@@ -214,13 +226,15 @@ def _bin_columns(motor: MotorSpec, arch: Architecture,
     modules of ``validate_module_set``. Each module adds one planet range
     per sun over [bins[0].lo, bins[-1].hi), inside its ring envelope and
     the tooth cap, widened by one tooth at each end because rounding of
-    the edges can drop a design whose float ratio lies in a bin.
+    the edges can drop a design whose float ratio lies in a bin. Modules
+    outside [module_min_mm, module_max_mm] add no rows (module_range).
     """
     n_min = constraints.min_teeth
     n_cap = inf if constraints.max_teeth is None else constraints.max_teeth
     d_max = max_gearbox_diameter(motor, arch, constraints)
     los, his = np.array(bins, dtype=np.float64).reshape(-1, 2).T
-    modules = np.array(module_set, dtype=np.float64)
+    modules = np.array([m for m in module_set if constraints.module_min_mm
+                        <= m <= constraints.module_max_mm], dtype=np.float64)
     rows = [(np.empty(0, dtype=np.int64),) * 2]
     for module_mm in modules.tolist():
         max_ring = floor(d_max / module_mm + 1e-9)
@@ -302,16 +316,12 @@ def evaluate(design: GearboxDesign, ctx: EvalContext) -> DesignEvaluation:
         except ValueError as exc:
             failures = (f"model_error: {exc}",)
     if failures:
-        return DesignEvaluation(design=design, feasible=False,
-                                failure_reasons=failures,
-                                reduction_ratio=reduction, efficiency=None,
-                                face_width_mm=None, mass=None, cost=None)
+        return DesignEvaluation(design, False, failures, reduction, None,
+                                None, None, None)
     cost = (ctx.cost.k_m * mass.total
             - ctx.cost.k_e * efficiency.eta_overall)
-    return DesignEvaluation(design=design, feasible=True,
-                            failure_reasons=(), reduction_ratio=reduction,
-                            efficiency=efficiency, face_width_mm=width_mm,
-                            mass=mass, cost=cost)
+    return DesignEvaluation(design, True, (), reduction, efficiency,
+                            width_mm, mass, cost)
 
 
 def ranking_key(evaluation: DesignEvaluation) -> tuple:

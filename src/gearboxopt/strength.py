@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import pi
 
-from .geometry import GearboxDesign
+from .geometry import GearboxDesign, require_finite
 
 
 class LewisFormula(Enum):
@@ -30,6 +30,11 @@ class VelocityFormula(Enum):
     BARTH = "barth"  # K_v = 3 / (3 + V), V in m/s
 
 
+# hot-path aliases, as geometry._ESSPG
+_FULL_DEPTH_20DEG = LewisFormula.FULL_DEPTH_20DEG
+_BARTH = VelocityFormula.BARTH
+
+
 @dataclass(frozen=True)
 class StrengthParams:
     """Material allowable, safety factor, and formula selections."""
@@ -40,6 +45,7 @@ class StrengthParams:
     velocity_formula: VelocityFormula = VelocityFormula.BARTH
 
     def __post_init__(self):
+        require_finite(self)
         if self.allowable_bending_stress_pa <= 0:
             raise ValueError("allowable_bending_stress_pa must be positive")
         if self.fos < 1:
@@ -55,6 +61,7 @@ class LoadCase:
     sun_speed_rad_s: float # speed at which the torque is delivered
 
     def __post_init__(self):
+        require_finite(self)
         if self.sun_torque_nm < 0 or self.sun_speed_rad_s < 0:
             raise ValueError("load case values must be >= 0")
 
@@ -76,15 +83,14 @@ def tangential_force(load: LoadCase, design: GearboxDesign) -> float:
 
 
 def lewis_form_factor(tooth_count: int,
-                      formula: LewisFormula = LewisFormula.FULL_DEPTH_20DEG
-                      ) -> float:
+                      formula: LewisFormula = _FULL_DEPTH_20DEG) -> float:
     """
     Lewis form factor y (circular-pitch form).
 
     The default fit is the 20 deg full-depth involute table fit
     y = 0.154 - 0.912/N; strictly increasing in N, bounded by 0.154.
     """
-    if formula is LewisFormula.FULL_DEPTH_20DEG:
+    if formula is _FULL_DEPTH_20DEG:
         return 0.154 - 0.912 / tooth_count
     raise ValueError(f"unknown Lewis formula {formula}")
 
@@ -95,10 +101,9 @@ def pitch_line_velocity_m_s(load: LoadCase, design: GearboxDesign) -> float:
 
 
 def velocity_factor(load: LoadCase, design: GearboxDesign,
-                    formula: VelocityFormula = VelocityFormula.BARTH
-                    ) -> float:
+                    formula: VelocityFormula = _BARTH) -> float:
     """Dynamic derating factor K_v in (0, 1]; 1 at standstill."""
-    if formula is VelocityFormula.BARTH:
+    if formula is _BARTH:
         return 3.0 / (3.0 + pitch_line_velocity_m_s(load, design))
     raise ValueError(f"unknown velocity formula {formula}")
 

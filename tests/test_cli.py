@@ -108,6 +108,25 @@ class TestLoadConfig:
         assert cfg.efficiency.pressure_angle_rad == pytest.approx(
             radians(25.0), rel=1e-15)
 
+    @pytest.mark.parametrize("section, key", [("motor", "height_mm"),
+                                              ("load", "sun_torque_nm"),
+                                              ("mass", "casing_wall_mm")])
+    def test_non_finite_value_rejected(self, tmp_path, section, key):
+        # YAML .nan parses as a float that every ordered range check
+        # lets through
+        bad = dict(MINIMAL, **{section: dict(MINIMAL.get(section, {}),
+                                             **{key: float("nan")})})
+        assert ".nan" in yaml.safe_dump(bad)
+        with pytest.raises(ConfigError,
+                           match=f"config section '{section}'.*{key}.*finite"):
+            load_config(write_config(tmp_path, bad))
+
+    def test_non_finite_module_rejected(self, tmp_path):
+        bad = dict(MINIMAL, search={"module_set": [0.5, float("nan")]})
+        with pytest.raises(ConfigError,
+                           match="config search.module_set.*finite"):
+            load_config(write_config(tmp_path, bad))
+
     def test_module_set_must_fit_constraint_range(self, tmp_path):
         bad = dict(MINIMAL, search={"module_set": [0.5, 1.3]})
         with pytest.raises(ConfigError, match="module"):

@@ -1,16 +1,20 @@
 """Involute diameter relations, design-vector ratios, and feasibility
 predicates, checked against hand-computed values."""
 
-from math import cos, pi, radians, sin
+from dataclasses import fields, replace
+from math import cos, inf, isfinite, nan, pi, radians, sin
 
 import pytest
 
-from gearboxopt import (Architecture, ConstraintParams, GearboxDesign,
-                        GearRole, MotorSpec, STANDARD_MODULE_SET_MM,
+from gearboxopt import (Architecture, ConstraintParams, CostWeights,
+                        EfficiencyParams, EvalContext, GearboxDesign,
+                        GearRole, LoadCase, MassModelParams, MaterialSpec,
+                        MotorSpec, STANDARD_MODULE_SET_MM, StrengthParams,
                         base_diameter, check_bounds, check_geometric,
                         check_interference, check_meshing,
-                        constraint_failures, interference_margin_mm,
-                        max_gearbox_diameter, pitch_diameter, tip_diameter)
+                        constraint_failures, evaluate,
+                        interference_margin_mm, max_gearbox_diameter,
+                        pitch_diameter, tip_diameter)
 from gearboxopt.geometry import (constraint_masks, module_free_masks,
                                  module_masks)
 
@@ -23,6 +27,17 @@ def design(arch, ns, npl, nr, m, k):
 
 
 REFERENCE = design(Architecture.ISSPG, 20, 40, 100, 0.5, 3)
+
+# one valid instance of every input record of ``EvalContext``
+VALID_INPUTS = (
+    MotorSpec(outer_diameter_mm=105.6, stator_inner_diameter_mm=65.0,
+              height_mm=46.5, mass_kg=0.765, max_torque_nm=3.0,
+              max_speed_rad_s=418.9),
+    LoadCase(sun_torque_nm=3.0, sun_speed_rad_s=418.9), CostWeights(),
+    StrengthParams(), MaterialSpec(), MassModelParams(), ConstraintParams(),
+    EfficiencyParams())
+FLOAT_FIELDS = [(record, spec.name) for record in VALID_INPUTS
+                for spec in fields(record) if spec.type is float]
 
 
 class TestDiameters:
@@ -119,6 +134,32 @@ class TestPredicates:
         single = design(Architecture.ISSPG, 20, 40, 100, 0.5, 1)
         with pytest.raises(ValueError):
             check_interference(single, ConstraintParams())
+
+
+class TestFiniteInputs:
+    def test_every_float_field_is_covered(self):
+        # 6 motor, 2 load, 2 cost, 3 strength, 2 material, 7 mass,
+        # 4 constraint and 2 efficiency fields
+        assert len(FLOAT_FIELDS) == 28
+
+    @pytest.mark.parametrize("value", [nan, inf, -inf])
+    @pytest.mark.parametrize("record, name", FLOAT_FIELDS, ids=[
+        f"{type(record).__name__}.{name}" for record, name in FLOAT_FIELDS])
+    def test_non_finite_value_rejected(self, record, name, value):
+        # nan passes every ordered range check; before, a nan motor
+        # height or sun torque scored as feasible with a nan cost
+        with pytest.raises(ValueError, match=name):
+            replace(record, **{name: value})
+
+    def test_motor_outer_diameter_must_square(self, default_ctx):
+        motor = default_ctx.motor
+        # the casing and base plate square the OD; 1e155**2 overflows
+        with pytest.raises(ValueError, match="outer_diameter_mm"):
+            replace(motor, outer_diameter_mm=1e155)
+        ctx = EvalContext.with_defaults(
+            replace(motor, outer_diameter_mm=1e150), default_ctx.load)
+        evaluation = evaluate(REFERENCE, ctx)
+        assert evaluation.feasible and isfinite(evaluation.cost)
 
 
 class TestEnvelope:

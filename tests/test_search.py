@@ -127,11 +127,14 @@ class TestHelpers:
                 diagnose(U12, Architecture.ISSPG, ConstraintParams(), [0.5],
                          *bin_)
 
-    @pytest.mark.parametrize("modules", [[], [0.5, 0.6, 0.5]])
+    @pytest.mark.parametrize("modules", [
+        [], [0.5, 0.6, 0.5], [0.5, nan], [0.0, 0.5], [0.5, inf],
+        [-0.5, 0.5], [0.5, -inf]])
     @pytest.mark.parametrize("entry", ["optimize_bins", "bin_candidates",
                                        "failure_tallies"])
     def test_module_set_validated(self, default_ctx, entry, modules):
-        # a repeated module would be counted twice in every tally
+        # a repeated module would be counted twice in every tally; a
+        # module that is not finite and > 0 cannot size a window
         calls = {
             "optimize_bins": lambda: optimize_bins(
                 Architecture.ISSPG, default_ctx, modules, default_bins()),
@@ -143,6 +146,25 @@ class TestHelpers:
                 8.0)}
         with pytest.raises(ValueError, match="module"):
             calls[entry]()
+
+    @pytest.mark.parametrize("tiny", [1e-6, 1e-300])
+    def test_module_below_range_adds_no_window_rows(self, default_ctx,
+                                                     tiny):
+        # no row of a module outside [module_min_mm, module_max_mm] can
+        # pass module_range, and its window would hold d_max/m suns
+        constraints = ConstraintParams()
+        for lo, hi in ((5.0, 6.0), (-inf, inf)):
+            assert (bin_candidates(U12, Architecture.ISSPG, constraints,
+                                   [tiny, 0.5], lo, hi)
+                    == bin_candidates(U12, Architecture.ISSPG, constraints,
+                                      [0.5], lo, hi))
+        assert bin_candidates(U12, Architecture.ESSPG, constraints,
+                              [tiny, 2.0], 5.0, 6.0) == []
+        # the diagnosis still counts the module's rows
+        results = optimize_bins(Architecture.ISSPG, default_ctx, [tiny],
+                                [(5.0, 6.0)])
+        assert results[0].best is None
+        assert results[0].empty_reason == "module_range"
 
     def test_default_bins(self):
         bins = default_bins()
