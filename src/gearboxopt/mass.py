@@ -24,7 +24,6 @@ Units: mm in, kg out; densities in kg/m^3.
 import csv
 from dataclasses import dataclass, fields
 from math import pi
-from operator import is_
 from pathlib import Path
 from importlib import resources
 
@@ -366,9 +365,10 @@ def _context_terms(motor: MotorSpec, bearing: BearingModel,
     terms are reused while every input is the last call's object.
     """
     global _last_context
-    inputs = (motor, bearing, materials, params)
-    last_inputs, terms = _last_context
-    if all(map(is_, last_inputs, inputs)):
+    (last_motor, last_bearing, last_materials, last_params), terms = \
+        _last_context
+    if (last_motor is motor and last_bearing is bearing
+            and last_materials is materials and last_params is params):
         return terms
     try:
         shaft = (None, bearing_od(params.input_bearing_bore_mm, bearing),
@@ -380,7 +380,7 @@ def _context_terms(motor: MotorSpec, bearing: BearingModel,
     except ValueError as exc:
         planet = (str(exc), None)
     terms = (shaft, planet, base_plate_mass(motor, materials, params))
-    _last_context = (inputs, terms)
+    _last_context = ((motor, bearing, materials, params), terms)
     return terms
 
 
