@@ -11,8 +11,7 @@ the stator bore of a large-gap outrunner motor.
 from math import radians
 
 from gearboxopt import (Architecture, ConstraintParams, GearboxDesign,
-                        GearRole, MotorSpec, base_diameter, check_bounds,
-                        check_geometric, check_interference, check_meshing,
+                        GearRole, MotorSpec, base_diameter,
                         constraint_failures, interference_margin_mm,
                         max_gearbox_diameter, pitch_diameter, tip_diameter)
 
@@ -57,25 +56,32 @@ def main() -> None:
         print(f"  {role.value:<7} {pitch:7.3f} / {base:7.3f} / {tip:7.3f}")
     print()
 
-    # feasibility rules, one by one
-    print("feasibility rules")
-    print(f"  concentricity  ring = sun + 2*planet: "
-          f"{check_geometric(d)}")
-    print(f"  even spacing   (sun + ring) divisible by planet count: "
-          f"{check_meshing(d)}")
+    # feasibility rules, one by one, under the names constraint_failures
+    # reports for the rules a design fails
+    failures = constraint_failures(d, MOTOR, RULES)
     margin = interference_margin_mm(d)
-    print(f"  planet gap     {margin:.2f} mm between adjacent planet "
-          f"tips (needs >= {RULES.planet_clearance_mm:.0f}): "
-          f"{check_interference(d, RULES)}")
     envelope = max_gearbox_diameter(MOTOR, d.arch, RULES)
-    print(f"  ring envelope  pitch ring "
-          f"{d.module_mm * d.ring_teeth:.1f} mm inside the "
-          f"{envelope:.1f} mm bound: {check_bounds(d, MOTOR, RULES)}")
+    print("feasibility rules (rule: holds)")
+    for rule, meaning in (
+            ("geometric", "ring = sun + 2*planet"),
+            ("meshing", "(sun + ring) divisible by planet count"),
+            ("planet_interference",
+             f"{margin:.2f} mm between adjacent planet tips (needs >= "
+             f"{RULES.planet_clearance_mm:.0f})"),
+            ("module_range", f"module in [{RULES.module_min_mm}, "
+             f"{RULES.module_max_mm}] mm"),
+            ("undercutting", f"sun and planet >= {RULES.min_teeth} teeth"),
+            ("tooth_count_cap",
+             f"sun and planet within the tooth cap ({RULES.max_teeth})"),
+            ("ring_diameter", f"pitch ring {d.module_mm * d.ring_teeth:.1f}"
+             f" mm inside the {envelope:.1f} mm bound"),
+            ("planet_count", f"{RULES.min_planets} to {RULES.max_planets} "
+             "planets")):
+        print(f"  {rule:<20} {meaning}: {rule not in failures}")
     print()
 
     # the same checks as a single named-failure report
-    print("constraint report for the design:",
-          constraint_failures(d, MOTOR, RULES) or "feasible")
+    print("constraint report for the design:", failures or "feasible")
 
     # push the ring one size class up and watch the envelope rule trip
     big = GearboxDesign(arch=Architecture.ISSPG, sun_teeth=20,

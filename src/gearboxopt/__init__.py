@@ -13,10 +13,9 @@ from .efficiency import (EfficiencyBreakdown, EfficiencyParams,
                          planetary_efficiency, tip_pressure_angle)
 from .geometry import (Architecture, ConstraintParams, GearboxDesign,
                        GearRole, MotorSpec, STANDARD_MODULE_SET_MM,
-                       base_diameter, check_bounds, check_geometric,
-                       check_interference, check_meshing,
-                       constraint_failures, interference_margin_mm,
-                       max_gearbox_diameter, pitch_diameter, tip_diameter)
+                       base_diameter, constraint_failures,
+                       interference_margin_mm, max_gearbox_diameter,
+                       pitch_diameter, tip_diameter)
 from .mass import (BearingModel, BearingRow, MassBreakdown, MassModelParams,
                    MaterialSpec, actuator_mass, base_plate_mass,
                    bearing_fit_report, bearing_mass, bearing_od,
@@ -47,8 +46,7 @@ __all__ = [
     "VelocityFormula", "actuator_mass", "base_diameter", "base_plate_mass",
     "basic_driving_efficiency", "bearing_fit_report", "bearing_mass",
     "bearing_od", "bearing_width", "carrier_disk_od_mm", "casing_length_mm",
-    "casing_mass", "check_bounds", "check_geometric", "check_interference",
-    "check_meshing", "compare_architectures", "constraint_failures",
+    "casing_mass", "compare_architectures", "constraint_failures",
     "contact_ratios", "default_bearing_table_path", "default_bins",
     "diagnose_empty_bin", "enumerate_feasible", "evaluate", "face_width",
     "fit_bearing_model", "gearbox_stack_height_mm", "interference_margin_mm",

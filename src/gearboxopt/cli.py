@@ -451,7 +451,9 @@ def export_dimension_sheet(evaluation: DesignEvaluation, cfg: RunConfig,
 
 
 def _write_json(path: Path, document: dict) -> None:
-    path.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n")
+    # a non-finite number fails here instead of being written as Infinity
+    path.write_text(json.dumps(document, sort_keys=True, indent=2,
+                               allow_nan=False) + "\n")
 
 
 _DESIGN_COLUMNS = ["sun_teeth", "planet_teeth", "ring_teeth", "module_mm",

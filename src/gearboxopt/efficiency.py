@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from math import acos, cos, pi, radians, tan
 
-from .geometry import GearboxDesign, GearRole, base_diameter, tip_diameter
+from .geometry import (GearboxDesign, GearRole, base_diameter, pick,
+                       tip_diameter)
 
 logger = logging.getLogger(__name__)
 
@@ -177,42 +178,50 @@ def overall_efficiency(sun_teeth: int, ring_teeth: int, eta_sp: float,
             / (sun_teeth + ring_teeth))
 
 
+def mesh_chain(module_mm, sun_teeth, planet_teeth, ring_teeth,
+               params: EfficiencyParams) -> tuple:
+    """Whether every tooth form is sound (base circle inside a positive
+    tip circle) and the ``EfficiencyBreakdown`` fields (none for one
+    unsound design), for one design or numpy columns: ``contact_ratios``
+    and ``basic_driving_efficiency`` with each tip angle computed once."""
+    m, s, p, r = module_mm, sun_teeth, planet_teeth, ring_teeth
+    cos_alpha = cos(params.pressure_angle_rad)
+    base_s, tip_s = m * s * cos_alpha, m * s + 2.0 * m
+    base_p, tip_p = m * p * cos_alpha, m * p + 2.0 * m
+    base_r, tip_r = m * r * cos_alpha, m * r - 2.0 * m
+    sound = (base_s < tip_s) & (base_p < tip_p) & (base_r < tip_r)
+    if sound is False:
+        return sound, None
+    arccos, tangent = pick(tip_s, acos, tan)
+    tan_alpha = tan(params.pressure_angle_rad)
+    eps_a1 = p / (2.0 * pi) * (tangent(arccos(base_p / tip_p)) - tan_alpha)
+    eps_a2 = s / (2.0 * pi) * (tangent(arccos(base_s / tip_s)) - tan_alpha)
+    eps_b1 = -(r / (2.0 * pi)) * (tangent(arccos(base_r / tip_r)) - tan_alpha)
+    eps_a = loss_parameter(eps_a1, eps_a2)
+    eps_b = loss_parameter(eps_b1, eps_a1)
+    eta_a = 1.0 - params.mu * pi * (1.0 / s + 1.0 / p) * eps_a
+    eta_b = 1.0 - params.mu * pi * (1.0 / p - 1.0 / r) * eps_b
+    return sound, (eps_a1, eps_a2, eps_b1, eps_a1, eps_a, eps_b, eta_a,
+                   eta_b, overall_efficiency(s, r, eta_a, eta_b))
+
+
 def planetary_efficiency(design: GearboxDesign,
                          params: EfficiencyParams) -> EfficiencyBreakdown:
     """
-    Full efficiency chain for one design.
-
-    The architecture tag does not enter: both layouts share the same
-    gear train and therefore the same efficiency. The chain follows
-    ``contact_ratios`` and ``basic_driving_efficiency`` operation by
-    operation, each tip angle computed once (eps_b2 is eps_a1). A
-    degenerate tooth form, or a mesh that warns or fails, is handed to
-    ``tip_pressure_angle`` or ``basic_driving_efficiency`` to log and
-    raise in the same order.
+    Full efficiency chain for one design: ``mesh_chain``. The layout
+    does not enter. A degenerate tooth form, or a mesh that warns or
+    fails, is handed to ``tip_pressure_angle`` or
+    ``basic_driving_efficiency`` to log and raise in the same order.
     """
-    alpha = params.pressure_angle_rad
-    cos_alpha, tan_alpha = cos(alpha), tan(alpha)
-    m = design.module_mm
-    n_s, n_p, n_r = design.sun_teeth, design.planet_teeth, design.ring_teeth
-    # base diameters m*N*cos(alpha), tip diameters m*N +/- 2m
-    base_s, base_p, base_r = (m * n_s * cos_alpha, m * n_p * cos_alpha,
-                              m * n_r * cos_alpha)
-    tip_s, tip_p, tip_r = m * n_s + 2.0 * m, m * n_p + 2.0 * m, \
-        m * n_r - 2.0 * m
-    if base_s >= tip_s or base_p >= tip_p or tip_r <= 0 or base_r >= tip_r:
+    m, n_s, n_p, n_r = (design.module_mm, design.sun_teeth,
+                        design.planet_teeth, design.ring_teeth)
+    sound, chain = mesh_chain(m, n_s, n_p, n_r, params)
+    if not sound:
         for teeth, role in zip((n_s, n_p, n_r), GearRole):
-            tip_pressure_angle(teeth, m, role, alpha)
-    eps_a1 = (n_p / (2.0 * pi)) * (tan(acos(base_p / tip_p)) - tan_alpha)
-    eps_a2 = (n_s / (2.0 * pi)) * (tan(acos(base_s / tip_s)) - tan_alpha)
-    eps_b1 = -(n_r / (2.0 * pi)) * (tan(acos(base_r / tip_r)) - tan_alpha)
-    eps_a = loss_parameter(eps_a1, eps_a2)
-    eps_b = loss_parameter(eps_b1, eps_a1)
-    eta_a = 1.0 - params.mu * pi * (1.0 / n_s + 1.0 / n_p) * eps_a
-    eta_b = 1.0 - params.mu * pi * (1.0 / n_p - 1.0 / n_r) * eps_b
+            tip_pressure_angle(teeth, m, role, params.pressure_angle_rad)
+    eps_a1, eps_a2, eps_b1, _, _, _, eta_a, eta_b, _ = chain
     if (eps_a1 + eps_a2 < 1.0 or eta_a <= 0 or eps_b1 + eps_a1 < 1.0
             or eta_b <= 0):
         basic_driving_efficiency(n_s, n_p, m, MeshKind.SUN_PLANET, params)
         basic_driving_efficiency(n_p, n_r, m, MeshKind.PLANET_RING, params)
-    return EfficiencyBreakdown(eps_a1, eps_a2, eps_b1, eps_a1, eps_a, eps_b,
-                               eta_a, eta_b,
-                               overall_efficiency(n_s, n_r, eta_a, eta_b))
+    return EfficiencyBreakdown(*chain)

@@ -19,7 +19,7 @@ otherwise.
 
 from dataclasses import dataclass, fields
 from enum import Enum
-from math import cos, isfinite, pi, sin
+from math import acos, cos, isfinite, pi, sin, tan
 from typing import Optional
 
 import numpy as np
@@ -48,6 +48,19 @@ def require_finite(record) -> None:
             raise ValueError(f"{spec.name} must be finite, got {value}")
 
 
+# numpy counterparts of the operations model formulas use on one design
+_COLUMN_OPS = {acos: np.arccos, tan: np.tan, min: np.minimum, max: np.maximum}
+
+
+def pick(value, *scalar_ops) -> tuple:
+    """``scalar_ops`` (math, builtins) for a Python float, else their numpy
+    counterparts: numpy's acos and tan differ from libm's in the last bit,
+    so one design stays on math."""
+    if value.__class__ is float:
+        return scalar_ops
+    return tuple(_COLUMN_OPS[op] for op in scalar_ops)
+
+
 class GearRole(Enum):
     """Position of a gear in the planetary stage (sets tip-circle sign)."""
     SUN = "sun"
@@ -70,7 +83,7 @@ class GearboxDesign:
             raise ValueError("tooth counts must be >= 1")
         if self.num_planets < 1:
             raise ValueError("num_planets must be >= 1")
-        if self.module_mm <= 0:
+        if not self.module_mm > 0:  # nan too
             raise ValueError("module_mm must be positive")
 
     @property
@@ -100,6 +113,8 @@ class ConstraintParams:
         require_finite(self)
         if self.min_teeth < 1:
             raise ValueError("min_teeth must be >= 1")
+        if self.module_min_mm <= 0:
+            raise ValueError("module_min_mm must be positive")
         if self.module_min_mm > self.module_max_mm:
             raise ValueError("module_min_mm must not exceed module_max_mm")
         if self.max_teeth is not None and self.max_teeth < self.min_teeth:
@@ -170,16 +185,6 @@ def tip_diameter(tooth_count: int, module_mm: float, role: GearRole) -> float:
     return d_a
 
 
-def check_geometric(design: GearboxDesign) -> bool:
-    """Concentric assembly condition N_r = N_s + 2*N_p."""
-    return design.ring_teeth == design.sun_teeth + 2 * design.planet_teeth
-
-
-def check_meshing(design: GearboxDesign) -> bool:
-    """Equal planet spacing condition: (N_s + N_r) divisible by n_p."""
-    return (design.sun_teeth + design.ring_teeth) % design.num_planets == 0
-
-
 def interference_margin_mm(design: GearboxDesign) -> float:
     """
     Clearance between adjacent planet gears:
@@ -188,13 +193,6 @@ def interference_margin_mm(design: GearboxDesign) -> float:
     m = design.module_mm
     spread = 2.0 * m * (design.sun_teeth + design.planet_teeth)
     return spread * sin(pi / design.num_planets) - 2.0 * m * design.planet_teeth
-
-
-def check_interference(design: GearboxDesign, params: ConstraintParams) -> bool:
-    """True when adjacent planets keep at least planet_clearance_mm apart."""
-    if design.num_planets < 2:
-        raise ValueError("interference check requires num_planets >= 2")
-    return interference_margin_mm(design) >= params.planet_clearance_mm
 
 
 def max_gearbox_diameter(motor: MotorSpec, arch: Architecture,
@@ -224,40 +222,32 @@ def constraint_failures(design: GearboxDesign, motor: MotorSpec,
     Bound checks are reported individually so empty search bins can name
     their dominant blocker.
     """
+    sun, planet, ring, planets, m = (design.sun_teeth, design.planet_teeth,
+                                     design.ring_teeth, design.num_planets,
+                                     design.module_mm)
     failures = []
-    if not check_geometric(design):
+    # concentric assembly: N_r = N_s + 2*N_p
+    if ring != sun + 2 * planet:
         failures.append("geometric")
-    if not check_meshing(design):
+    # equal planet spacing: (N_s + N_r) divisible by n_p
+    if (sun + ring) % planets != 0:
         failures.append("meshing")
-    # a single planet has no neighbour; planet_count names that design
-    if design.num_planets >= 2 and not check_interference(design, params):
+    # adjacent planets keep planet_clearance_mm apart; a single planet
+    # has no neighbour, and planet_count names that design
+    if planets >= 2 and not (interference_margin_mm(design)
+                             >= params.planet_clearance_mm):
         failures.append("planet_interference")
-    if not (params.module_min_mm <= design.module_mm <= params.module_max_mm):
+    if not params.module_min_mm <= m <= params.module_max_mm:
         failures.append("module_range")
-    if design.sun_teeth < params.min_teeth or design.planet_teeth < params.min_teeth:
+    if sun < params.min_teeth or planet < params.min_teeth:
         failures.append("undercutting")
-    if (params.max_teeth is not None
-            and max(design.sun_teeth, design.planet_teeth) > params.max_teeth):
+    if params.max_teeth is not None and max(sun, planet) > params.max_teeth:
         failures.append("tooth_count_cap")
-    d_max = max_gearbox_diameter(motor, design.arch, params)
-    if design.module_mm * design.ring_teeth > d_max:
+    if m * ring > max_gearbox_diameter(motor, design.arch, params):
         failures.append("ring_diameter")
-    if not params.min_planets <= design.num_planets <= params.max_planets:
+    if not params.min_planets <= planets <= params.max_planets:
         failures.append("planet_count")
     return failures
-
-
-_BOUND_RULES = frozenset({"module_range", "undercutting", "tooth_count_cap",
-                          "ring_diameter", "planet_count"})
-
-
-def check_bounds(design: GearboxDesign, motor: MotorSpec,
-                 params: ConstraintParams) -> bool:
-    """
-    Module range, undercutting, tooth-count cap, ring-diameter, and
-    planet-count bounds: none of those ``constraint_failures`` rules fail.
-    """
-    return _BOUND_RULES.isdisjoint(constraint_failures(design, motor, params))
 
 
 _RULE_ORDER = ("geometric", "meshing", "planet_interference",

@@ -29,8 +29,9 @@ from importlib import resources
 
 import numpy as np
 
-from .geometry import (_ISSPG, GearboxDesign, GearRole, MotorSpec,
-                       pitch_diameter, require_finite, tip_diameter)
+from .geometry import (_ISSPG, Architecture, GearboxDesign, GearRole,
+                       MotorSpec, pitch_diameter, require_finite,
+                       tip_diameter)
 
 _MM3_TO_M3 = 1e-9
 _BEARING_CSV_HEADER = ["bore_mm", "od_mm", "width_mm", "mass_kg"]
@@ -264,6 +265,12 @@ def bearing_fit_report(model: BearingModel) -> dict:
     return report
 
 
+def _annulus_kg(density_kg_m3, length_mm, outer_mm, inner_mm):
+    """A hollow cylinder's mass (kg), for one design or numpy columns."""
+    return (density_kg_m3 * (length_mm * pi / 4.0
+                             * (outer_mm ** 2 - inner_mm ** 2)) * _MM3_TO_M3)
+
+
 def spur_gear_mass(tooth_count: int, module_mm: float, face_width_mm: float,
                    bore_mm: float, materials: MaterialSpec) -> float:
     """Steel cylinder at pitch diameter with a central bore (kg)."""
@@ -273,8 +280,8 @@ def spur_gear_mass(tooth_count: int, module_mm: float, face_width_mm: float,
     if bore_mm >= d_pitch:
         raise ValueError(
             f"gear bore {bore_mm:.2f} mm >= pitch diameter {d_pitch:.2f} mm")
-    volume_mm3 = face_width_mm * pi / 4.0 * (d_pitch ** 2 - bore_mm ** 2)
-    return materials.steel_density_kg_m3 * volume_mm3 * _MM3_TO_M3
+    return _annulus_kg(materials.steel_density_kg_m3, face_width_mm, d_pitch,
+                       bore_mm)
 
 
 def ring_gear_mass(ring_teeth: int, module_mm: float, face_width_mm: float,
@@ -288,8 +295,8 @@ def ring_gear_mass(ring_teeth: int, module_mm: float, face_width_mm: float,
         raise ValueError("radial_thickness_mm must be positive")
     inner = tip_diameter(ring_teeth, module_mm, GearRole.RING)
     outer = pitch_diameter(ring_teeth, module_mm) + 2.0 * radial_thickness_mm
-    volume_mm3 = face_width_mm * pi / 4.0 * (outer ** 2 - inner ** 2)
-    return materials.steel_density_kg_m3 * volume_mm3 * _MM3_TO_M3
+    return _annulus_kg(materials.steel_density_kg_m3, face_width_mm, outer,
+                       inner)
 
 
 def pin_circle_diameter_mm(design: GearboxDesign) -> float:
@@ -312,9 +319,9 @@ def output_bearing_bore_mm(design: GearboxDesign) -> float:
 def planet_pin_mass(face_width_mm: float, materials: MaterialSpec,
                     params: MassModelParams) -> float:
     """One steel planet pin: bearing-bore diameter, width plus engagement."""
-    length = face_width_mm + params.pin_engagement_mm
-    volume_mm3 = length * pi / 4.0 * params.planet_bearing_bore_mm ** 2
-    return materials.steel_density_kg_m3 * volume_mm3 * _MM3_TO_M3
+    return _annulus_kg(materials.steel_density_kg_m3,
+                       face_width_mm + params.pin_engagement_mm,
+                       params.planet_bearing_bore_mm, 0.0)
 
 
 def gearbox_stack_height_mm(face_width_mm: float,
@@ -339,17 +346,17 @@ def casing_mass(design: GearboxDesign, motor: MotorSpec,
     inner = od - 2.0 * params.casing_wall_mm
     if inner <= 0:
         raise ValueError("casing wall exceeds the motor radius")
-    length = casing_length_mm(design, motor, face_width_mm, params)
-    volume_mm3 = length * pi / 4.0 * (od ** 2 - inner ** 2)
-    return materials.aluminum_density_kg_m3 * volume_mm3 * _MM3_TO_M3
+    return _annulus_kg(materials.aluminum_density_kg_m3,
+                       casing_length_mm(design, motor, face_width_mm, params),
+                       od, inner)
 
 
 def base_plate_mass(motor: MotorSpec, materials: MaterialSpec,
                     params: MassModelParams) -> float:
     """Aluminum disk closing the casing at the motor OD (kg)."""
-    volume_mm3 = (params.base_plate_thickness_mm * pi / 4.0
-                  * motor.outer_diameter_mm ** 2)
-    return materials.aluminum_density_kg_m3 * volume_mm3 * _MM3_TO_M3
+    return _annulus_kg(materials.aluminum_density_kg_m3,
+                       params.base_plate_thickness_mm,
+                       motor.outer_diameter_mm, 0.0)
 
 
 _last_context: tuple = ((None,) * 4, None)
@@ -358,11 +365,9 @@ _last_context: tuple = ((None,) * 4, None)
 def _context_terms(motor: MotorSpec, bearing: BearingModel,
                    materials: MaterialSpec, params: MassModelParams) -> tuple:
     """
-    The ``actuator_mass`` terms that read only its context inputs:
-    (error, OD, mass) of the sun-shaft bearing, (error, mass) of one
-    planet bearing, and the base plate mass. A bore outside the bearing
-    table keeps its range error for ``actuator_mass`` to raise. The
-    terms are reused while every input is the last call's object.
+    The ``component_masses`` terms that read only its context inputs,
+    bearing values on the fitted curves also outside the table; reused
+    while every input is the last call's object.
     """
     global _last_context
     (last_motor, last_bearing, last_materials, last_params), terms = \
@@ -370,18 +375,61 @@ def _context_terms(motor: MotorSpec, bearing: BearingModel,
     if (last_motor is motor and last_bearing is bearing
             and last_materials is materials and last_params is params):
         return terms
-    try:
-        shaft = (None, bearing_od(params.input_bearing_bore_mm, bearing),
-                 bearing_mass(params.input_bearing_bore_mm, bearing))
-    except ValueError as exc:
-        shaft = (str(exc), None, None)
-    try:
-        planet = (None, bearing_mass(params.planet_bearing_bore_mm, bearing))
-    except ValueError as exc:
-        planet = (str(exc), None)
-    terms = (shaft, planet, base_plate_mass(motor, materials, params))
+    shaft, planet = params.input_bearing_bore_mm, params.planet_bearing_bore_mm
+    low, high = bearing.bore_min_mm, bearing.bore_max_mm
+    terms = ((0.0, 0.0) if params.fastener_offset else (shaft, planet),
+             low, high, low <= shaft <= high, low <= planet <= high,
+             motor.outer_diameter_mm - 2.0 * params.casing_wall_mm,
+             bearing_od(shaft, bearing, True),
+             bearing_mass(shaft, bearing, True),
+             bearing_mass(planet, bearing, True),
+             base_plate_mass(motor, materials, params))
     _last_context = ((motor, bearing, materials, params), terms)
     return terms
+
+
+def component_masses(arch: Architecture, module_mm, num_planets, sun_teeth,
+                     planet_teeth, ring_teeth, face_width_mm,
+                     motor: MotorSpec, bearing: BearingModel,
+                     materials: MaterialSpec,
+                     params: MassModelParams) -> tuple:
+    """Whether the mass rules admit a design, their verdicts in component
+    order (gears, sun-shaft bearing, disk clearance, planet bearing,
+    output bearing, casing) and the ``MassBreakdown`` fields before the
+    total (none for one design not admitted), for one design or numpy
+    columns. The secondary carrier is the bare disk."""
+    ((sun_bore, planet_bore), low, high, shaft_ok, planet_ok, casing_inner,
+     shaft_od, shaft_kg, planet_kg, plate) = _context_terms(
+         motor, bearing, materials, params)
+    m, n, width = module_mm, num_planets, face_width_mm
+    d_sun, d_planet, d_ring = m * sun_teeth, m * planet_teeth, m * ring_teeth
+    ring_wall = params.ring_radial_thickness_coeff * m
+    ring_tip = d_ring - 2.0 * m
+    pin_circle = m * (sun_teeth + planet_teeth)
+    disk_od = pin_circle + (d_planet + 2.0 * m) / 2.0
+    verdicts = gears_ok, _, disk_ok, _, output_ok, casing_ok = (
+        (sun_bore < d_sun) & (planet_bore < d_planet) & (ring_wall > 0)
+        & (ring_tip > 0), shaft_ok, shaft_od < disk_od, planet_ok,
+        (low <= pin_circle) & (pin_circle <= high), casing_inner > 0)
+    sound = (gears_ok & shaft_ok & disk_ok & planet_ok & output_ok
+             & casing_ok)
+    if sound is False:
+        return sound, verdicts, None
+    steel, aluminum = (materials.steel_density_kg_m3,
+                       materials.aluminum_density_kg_m3)
+    disk = _annulus_kg(aluminum, params.carrier_disk_thickness_mm, disk_od,
+                       shaft_od)
+    casing_length = motor.height_mm
+    if arch is not _ISSPG:
+        casing_length = casing_length + gearbox_stack_height_mm(width, params)
+    return sound, verdicts, (
+        _annulus_kg(steel, width, d_sun, sun_bore),
+        n * _annulus_kg(steel, width, d_planet, planet_bore),
+        _annulus_kg(steel, width, d_ring + 2.0 * ring_wall, ring_tip),
+        disk + n * planet_pin_mass(width, materials, params), disk,
+        n * planet_kg + shaft_kg + bearing_mass(pin_circle, bearing, True),
+        _annulus_kg(aluminum, casing_length, motor.outer_diameter_mm,
+                    casing_inner), plate, motor.mass_kg)
 
 
 def actuator_mass(design: GearboxDesign, motor: MotorSpec,
@@ -389,53 +437,35 @@ def actuator_mass(design: GearboxDesign, motor: MotorSpec,
                   materials: MaterialSpec,
                   params: MassModelParams) -> MassBreakdown:
     """
-    Full actuator mass breakdown (kg).
+    Full actuator mass breakdown (kg): ``component_masses``. A failed
+    verdict raises its component helper's error, the first in order.
 
     With fastener_offset on (default), gear bores stay solid; the extra
-    material stands in for excluded nuts, bolts, and circlips. Gears and
-    carrier disk follow ``spur_gear_mass``, ``ring_gear_mass`` and
-    ``carrier_disk_od_mm``, which raise for a gear they reject. The disk
-    is built once: the carrier adds n_p planet pins, the secondary
-    carrier is the bare disk. Bearings: n_p planet, input and output.
+    material stands in for excluded nuts, bolts, and circlips.
     """
-    (shaft_error, shaft_od, shaft_kg), (planet_error, planet_kg), plate = \
-        _context_terms(motor, bearing, materials, params)
-    sun_bore, planet_bore = ((0.0, 0.0) if params.fastener_offset else
-                             (params.input_bearing_bore_mm,
-                              params.planet_bearing_bore_mm))
-    m, n_p, width = design.module_mm, design.num_planets, face_width_mm
-    d_sun, d_planet, d_ring = (m * design.sun_teeth, m * design.planet_teeth,
-                               m * design.ring_teeth)
-    ring_wall = params.ring_radial_thickness_coeff * m
-    ring_tip = d_ring - 2.0 * m
-    if (sun_bore >= d_sun or planet_bore >= d_planet or ring_wall <= 0
-            or ring_tip <= 0):
-        spur_gear_mass(design.sun_teeth, m, width, sun_bore, materials)
-        spur_gear_mass(design.planet_teeth, m, width, planet_bore, materials)
-        ring_gear_mass(design.ring_teeth, m, width, ring_wall, materials)
-    steel, quarter_width = materials.steel_density_kg_m3, width * pi / 4.0
-    sun = steel * (quarter_width * (d_sun ** 2 - sun_bore ** 2)) * _MM3_TO_M3
-    planets_total = n_p * (steel * (quarter_width * (
-        d_planet ** 2 - planet_bore ** 2)) * _MM3_TO_M3)
-    ring = steel * (quarter_width * ((d_ring + 2.0 * ring_wall) ** 2
-                                     - ring_tip ** 2)) * _MM3_TO_M3
-    pin_circle = pin_circle_diameter_mm(design)
-    disk_od = pin_circle + (d_planet + 2.0 * m) / 2.0
-    # central hole clears the sun-shaft bearing's outer diameter
-    if shaft_error:
-        raise ValueError(shaft_error)
-    if shaft_od >= disk_od:
-        raise ValueError(
-            f"carrier disk OD {disk_od:.1f} mm does not clear the "
-            f"{shaft_od:.1f} mm sun-shaft bearing")
-    volume_mm3 = (params.carrier_disk_thickness_mm * pi / 4.0
-                  * (disk_od ** 2 - shaft_od ** 2))
-    disk = materials.aluminum_density_kg_m3 * volume_mm3 * _MM3_TO_M3
-    carrier = disk + n_p * planet_pin_mass(width, materials, params)
-    if planet_error:
-        raise ValueError(planet_error)
-    bearings = n_p * planet_kg + shaft_kg + bearing_mass(pin_circle, bearing)
-    casing = casing_mass(design, motor, width, materials, params)
-    parts = (sun, planets_total, ring, carrier, disk, bearings, casing,
-             plate, motor.mass_kg)
+    sound, verdicts, parts = component_masses(
+        design.arch, design.module_mm, design.num_planets, design.sun_teeth,
+        design.planet_teeth, design.ring_teeth, face_width_mm, motor,
+        bearing, materials, params)
+    if not sound:
+        gears_ok, shaft_ok, disk_ok, planet_ok, output_ok, _ = verdicts
+        m, width = design.module_mm, face_width_mm
+        if not gears_ok:
+            bores = _context_terms(motor, bearing, materials, params)[0]
+            spur_gear_mass(design.sun_teeth, m, width, bores[0], materials)
+            spur_gear_mass(design.planet_teeth, m, width, bores[1], materials)
+            ring_gear_mass(design.ring_teeth, m, width,
+                           params.ring_radial_thickness_coeff * m, materials)
+        if not shaft_ok:
+            bearing_od(params.input_bearing_bore_mm, bearing)
+        if not disk_ok:
+            shaft_od = bearing_od(params.input_bearing_bore_mm, bearing)
+            raise ValueError(
+                f"carrier disk OD {carrier_disk_od_mm(design):.1f} mm does "
+                f"not clear the {shaft_od:.1f} mm sun-shaft bearing")
+        if not planet_ok:
+            bearing_mass(params.planet_bearing_bore_mm, bearing)
+        if not output_ok:
+            bearing_mass(output_bearing_bore_mm(design), bearing)
+        casing_mass(design, motor, width, materials, params)
     return MassBreakdown(*parts, sum(parts))

@@ -14,9 +14,10 @@ The search keeps the rows that fail no rule and scores them with
 
     cost = K_m * actuator_mass - K_e * efficiency
 
-in two steps. ``score_columns`` evaluates a whole bin as numpy
-columns: the efficiency chain, Lewis width and full actuator mass in
-closed form, with one feasibility mask that equals
+in two steps. ``score_columns`` runs the model functions of scalar
+``evaluate`` (``mesh_chain``, ``lewis_width``, ``component_masses``,
+each written once for floats and numpy columns) on a whole bin's
+columns, with one feasibility mask that equals
 ``evaluate(...).feasible`` row by row. Every feasible row within a
 small tolerance of the cheapest columnar cost is then scored again by
 scalar ``evaluate``, which settles the winner, so every reported
@@ -33,26 +34,22 @@ ring_diameter are masked per module.
 """
 
 from dataclasses import dataclass
-from math import cos, floor, inf, isfinite, pi, tan
+from math import floor, inf, isfinite
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .efficiency import (EfficiencyBreakdown, EfficiencyParams,
                          GeometryInfeasibleError, ModelRangeError,
-                         loss_parameter, overall_efficiency,
-                         planetary_efficiency)
+                         mesh_chain, planetary_efficiency)
 from .geometry import (_RULE_ORDER, Architecture, ConstraintParams,
                        GearboxDesign, MotorSpec, constraint_failures,
                        constraint_masks, max_gearbox_diameter, module_masks,
                        module_free_masks, require_finite)
-from .mass import (_MM3_TO_M3, BearingModel, MassBreakdown,
-                   MassModelParams, MaterialSpec, actuator_mass,
-                   base_plate_mass, bearing_mass, bearing_od,
-                   gearbox_stack_height_mm, load_bearing_model,
-                   planet_pin_mass)
-from .strength import (LoadCase, StrengthParams, face_width,
-                       lewis_form_factor)
+from .mass import (BearingModel, MassBreakdown, MassModelParams,
+                   MaterialSpec, actuator_mass, component_masses,
+                   load_bearing_model)
+from .strength import LoadCase, StrengthParams, face_width, lewis_width
 
 # sun-teeth ceiling for empty-bin diagnostics; feasibility always
 # appears first at small suns (smallest ring for a given ratio), so
@@ -296,9 +293,9 @@ def enumerate_feasible(motor: MotorSpec, arch: Architecture,
 def evaluate(design: GearboxDesign, ctx: EvalContext) -> DesignEvaluation:
     """
     Score one design: constraints, efficiency chain, Lewis width, mass,
-    cost. Model errors become infeasibility reasons, never crashes. Each
-    term is computed once, and the mass terms that read only the context
-    once per context: reuse one ``ctx`` across calls.
+    cost. Model errors and a non-finite mass or cost (mass_range) become
+    infeasibility reasons. Each term is computed once, and the mass terms
+    that read only the context once per context: reuse one ``ctx``.
     """
     reduction = design.reduction_ratio
     failures = tuple(constraint_failures(design, ctx.motor, ctx.constraints))
@@ -315,13 +312,16 @@ def evaluate(design: GearboxDesign, ctx: EvalContext) -> DesignEvaluation:
             failures = (f"efficiency_range: {exc}",)
         except ValueError as exc:
             failures = (f"model_error: {exc}",)
-    if failures:
-        return DesignEvaluation(design, False, failures, reduction, None,
-                                None, None, None)
-    cost = (ctx.cost.k_m * mass.total
-            - ctx.cost.k_e * efficiency.eta_overall)
-    return DesignEvaluation(design, True, (), reduction, efficiency,
-                            width_mm, mass, cost)
+        else:
+            cost = (ctx.cost.k_m * mass.total
+                    - ctx.cost.k_e * efficiency.eta_overall)
+            if isfinite(cost):
+                return DesignEvaluation(design, True, (), reduction,
+                                        efficiency, width_mm, mass, cost)
+            failures = (f"mass_range: actuator mass {mass.total:g} kg or "
+                        f"cost {cost:g} is not finite",)
+    return DesignEvaluation(design, False, failures, reduction, None, None,
+                            None, None)
 
 
 def ranking_key(evaluation: DesignEvaluation) -> tuple:
@@ -337,118 +337,30 @@ def ranking_key(evaluation: DesignEvaluation) -> tuple:
 
 def score_columns(arch: Architecture, ctx: EvalContext, module_mm,
                   num_planets, sun_teeth, planet_teeth) -> ColumnScores:
-    """
-    Columnar ``evaluate`` over designs that pass every constraint, such
-    as the rows of a bin's window: the same efficiency chain, Lewis
-    width and actuator mass, in closed form over numpy columns.
-
-    A row is feasible when ``evaluate`` would raise none of its model
-    errors: every tooth form (sun, planet, ring) keeps its base circle
-    inside a positive tip circle, both mesh efficiencies are > 0, the
-    Lewis form factor and velocity factor are > 0, gear bores stay
-    inside their pitch circles, the carrier disk clears the sun-shaft
-    bearing, and every bearing bore lies in the bearing table. Rows
-    whose mesh efficiency lies within ``_SETTLE_TOL`` of 0 are settled
-    by scalar ``evaluate``. The other columns follow the scalar
-    expressions operation by operation, so they agree with ``evaluate``
-    to the last bits of numpy's transcendental functions.
-    """
+    """Columnar ``evaluate`` over designs that pass every constraint, such
+    as the rows of a bin's window: ``mesh_chain``, ``lewis_width`` and
+    ``component_masses`` on numpy columns. A row is feasible when every
+    model admits it, both mesh efficiencies are > 0 and the cost is
+    finite; rows whose mesh efficiency lies within ``_SETTLE_TOL`` of 0
+    are settled by scalar ``evaluate``."""
     m = np.asarray(module_mm, dtype=np.float64)
-    n = np.asarray(num_planets, dtype=np.int64)
-    s = np.asarray(sun_teeth, dtype=np.int64)
-    p = np.asarray(planet_teeth, dtype=np.int64)
+    n, s, p = (np.asarray(column, dtype=np.int64)
+               for column in (num_planets, sun_teeth, planet_teeth))
     r = s + 2 * p
-    eff, load, strength = ctx.efficiency, ctx.load, ctx.strength
-    materials, params, bearing = ctx.materials, ctx.mass_params, ctx.bearing
-
-    def in_table(bore_mm):
-        return ((bearing.bore_min_mm <= bore_mm)
-                & (bore_mm <= bearing.bore_max_mm))
-
-    def annulus_kg(density, length_mm, outer_mm, inner_mm):
-        volume_mm3 = length_mm * pi / 4.0 * (outer_mm ** 2 - inner_mm ** 2)
-        return density * volume_mm3 * _MM3_TO_M3
-
     # degenerate rows (ring tip circle <= 0, non-positive Lewis factor)
     # produce nan or inf here and are masked out below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # tip_pressure_angle and contact_ratios, zero profile shift
-        cos_alpha = cos(eff.pressure_angle_rad)
-        tan_alpha = tan(eff.pressure_angle_rad)
-        tooth_ok = np.ones(len(s), dtype=bool)
-        tan_tip = []
-        for teeth, sgn in ((s, 1.0), (p, 1.0), (r, -1.0)):
-            d_b = m * teeth * cos_alpha
-            d_a = m * teeth + sgn * 2.0 * m
-            tooth_ok &= d_b < d_a
-            tan_tip.append(np.tan(np.arccos(d_b / d_a)))
-        tan_s, tan_p, tan_r = tan_tip
-        eps_a1 = (p / (2.0 * pi)) * (tan_p - tan_alpha)
-        eps_a2 = (s / (2.0 * pi)) * (tan_s - tan_alpha)
-        eps_b1 = -(r / (2.0 * pi)) * (tan_r - tan_alpha)
-        eps_b2 = (p / (2.0 * pi)) * (tan_p - tan_alpha)
-        eta_a = 1.0 - eff.mu * pi * (1.0 / s + 1.0 / p) * loss_parameter(
-            eps_a1, eps_a2)
-        eta_b = 1.0 - eff.mu * pi * (1.0 / p - 1.0 / r) * loss_parameter(
-            eps_b1, eps_b2)
-        eta_overall = overall_efficiency(s, r, eta_a, eta_b)
-
-        # face_width, Barth velocity factor
-        r_sun_m = m * s / 2.0 / 1000.0
-        f_t = load.sun_torque_nm / (n * r_sun_m)
-        y = lewis_form_factor(np.minimum(s, p), strength.lewis_formula)
-        k_v = 3.0 / (3.0 + load.sun_speed_rad_s * r_sun_m)
-        pitch_m = pi * m / 1000.0
-        width = np.maximum(
-            strength.fos * f_t / (strength.allowable_bending_stress_pa * y
-                                  * k_v * pitch_m) * 1000.0,
-            strength.min_face_width_mm)
-
-        # actuator_mass
-        if params.fastener_offset:
-            sun_bore = planet_bore = 0.0
-        else:
-            sun_bore = params.input_bearing_bore_mm
-            planet_bore = params.planet_bearing_bore_mm
-        steel = materials.steel_density_kg_m3
-        aluminum = materials.aluminum_density_kg_m3
-        sun = annulus_kg(steel, width, m * s, sun_bore)
-        planets_total = n * annulus_kg(steel, width, m * p, planet_bore)
-        ring = annulus_kg(steel, width,
-                          m * r + 2.0 * (params.ring_radial_thickness_coeff
-                                         * m),
-                          m * r - 2.0 * m)
-        pin_circle = m * (s + p)
-        disk_od = pin_circle + (m * p + 2.0 * m) / 2.0
-        shaft_od = bearing_od(params.input_bearing_bore_mm, bearing,
-                              extrapolate=True)
-        disk = annulus_kg(aluminum, params.carrier_disk_thickness_mm,
-                          disk_od, shaft_od)
-        carrier = disk + n * planet_pin_mass(width, materials, params)
-        bearings = (n * bearing_mass(params.planet_bearing_bore_mm, bearing,
-                                     extrapolate=True)
-                    + bearing_mass(params.input_bearing_bore_mm, bearing,
-                                   extrapolate=True)
-                    + bearing_mass(pin_circle, bearing, extrapolate=True))
-        casing_od = ctx.motor.outer_diameter_mm
-        casing_id = casing_od - 2.0 * params.casing_wall_mm
-        casing_length = ctx.motor.height_mm
-        if arch is Architecture.ESSPG:
-            casing_length = casing_length + gearbox_stack_height_mm(width,
-                                                                    params)
-        casing = annulus_kg(aluminum, casing_length, casing_od, casing_id)
-        total = (sun + planets_total + ring + carrier + disk + bearings
-                 + casing + base_plate_mass(ctx.motor, materials, params)
-                 + ctx.motor.mass_kg)
+        tooth_ok, (*_, eta_a, eta_b, eta_overall) = mesh_chain(
+            m, s, p, r, ctx.efficiency)
+        lewis_ok, _, _, width = lewis_width(m, s, p, n, ctx.load,
+                                            ctx.strength)
+        mass_ok, _, parts = component_masses(
+            arch, m, n, s, p, r, width, ctx.motor, ctx.bearing,
+            ctx.materials, ctx.mass_params)
+        total = sum(parts)
         cost = ctx.cost.k_m * total - ctx.cost.k_e * eta_overall
-
         eta_mesh = np.minimum(eta_a, eta_b)
-        model_ok = (tooth_ok & (y > 0) & (k_v > 0)
-                    & (sun_bore < m * s) & (planet_bore < m * p)
-                    & (shaft_od < disk_od) & in_table(pin_circle)
-                    & in_table(params.planet_bearing_bore_mm)
-                    & in_table(params.input_bearing_bore_mm)
-                    & (casing_id > 0))
+        model_ok = tooth_ok & lewis_ok & mass_ok & np.isfinite(cost)
         feasible = model_ok & (eta_mesh > _SETTLE_TOL)
         unsure = model_ok & (np.abs(eta_mesh) <= _SETTLE_TOL)
     if unsure.any():

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import pi
 
-from .geometry import GearboxDesign, require_finite
+from .geometry import GearboxDesign, pick, require_finite
 
 
 class LewisFormula(Enum):
@@ -100,33 +100,52 @@ def pitch_line_velocity_m_s(load: LoadCase, design: GearboxDesign) -> float:
     return load.sun_speed_rad_s * sun_pitch_radius_m(design)
 
 
+def dynamic_factor(pitch_speed_m_s, formula: VelocityFormula = _BARTH):
+    """Derating factor K_v in (0, 1] at a pitch-line speed (m/s)."""
+    if formula is _BARTH:
+        return 3.0 / (3.0 + pitch_speed_m_s)
+    raise ValueError(f"unknown velocity formula {formula}")
+
+
 def velocity_factor(load: LoadCase, design: GearboxDesign,
                     formula: VelocityFormula = _BARTH) -> float:
-    """Dynamic derating factor K_v in (0, 1]; 1 at standstill."""
-    if formula is _BARTH:
-        return 3.0 / (3.0 + pitch_line_velocity_m_s(load, design))
-    raise ValueError(f"unknown velocity formula {formula}")
+    """K_v of the sun mesh of one design."""
+    return dynamic_factor(pitch_line_velocity_m_s(load, design), formula)
+
+
+def lewis_width(module_mm, sun_teeth, planet_teeth, num_planets,
+                load: LoadCase, params: StrengthParams) -> tuple:
+    """
+    Whether the Lewis model admits a design (y > 0, K_v > 0), y, K_v and
+    the face width (mm), at least min_face_width_mm, for one design (no
+    width when not admitted) or numpy columns. y is taken at the weaker
+    (smaller) external gear; the internal ring is stronger.
+    """
+    r_sun_m = module_mm * sun_teeth / 2.0 / 1000.0
+    minimum, maximum = pick(r_sun_m, min, max)
+    f_t = load.sun_torque_nm / (num_planets * r_sun_m)
+    y = lewis_form_factor(minimum(sun_teeth, planet_teeth),
+                          params.lewis_formula)
+    k_v = dynamic_factor(load.sun_speed_rad_s * r_sun_m,
+                         params.velocity_formula)
+    sound = (y > 0) & (k_v > 0)
+    if sound is False:
+        return sound, y, k_v, None
+    pitch_m = pi * module_mm / 1000.0  # circular pitch, meters
+    width_m = (params.fos * f_t
+               / (params.allowable_bending_stress_pa * y * k_v * pitch_m))
+    return sound, y, k_v, maximum(width_m * 1000.0, params.min_face_width_mm)
 
 
 def face_width(load: LoadCase, design: GearboxDesign,
                params: StrengthParams) -> float:
-    """
-    Common face width of all stage gears, mm.
-
-    Lewis factor is taken at the weaker (smaller) external gear of the
-    sun-planet mesh; internal ring teeth are stronger at equal module
-    and are not separately checked. The result is clamped below by
-    min_face_width_mm so zero-torque cases stay manufacturable.
-    """
-    f_t = tangential_force(load, design)
-    y = lewis_form_factor(min(design.sun_teeth, design.planet_teeth),
-                          params.lewis_formula)
-    k_v = velocity_factor(load, design, params.velocity_formula)
+    """Common face width of all stage gears, mm, by ``lewis_width``;
+    raises where the Lewis model does not apply."""
+    _, y, k_v, width = lewis_width(design.module_mm, design.sun_teeth,
+                                   design.planet_teeth, design.num_planets,
+                                   load, params)
     if y <= 0:
         raise ValueError(f"non-positive Lewis form factor {y:.4f}")
     if k_v <= 0:
         raise ValueError(f"non-positive velocity factor {k_v:.4f}")
-    pitch_m = pi * design.module_mm / 1000.0  # circular pitch, meters
-    width_m = (params.fos * f_t
-               / (params.allowable_bending_stress_pa * y * k_v * pitch_m))
-    return max(width_m * 1000.0, params.min_face_width_mm)
+    return width

@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 from gearboxopt import Architecture, STANDARD_MODULE_SET_MM
-from gearboxopt.cli import (ConfigError, build_context,
+from gearboxopt.cli import (ConfigError, _write_json, build_context,
                             export_dimension_sheet, load_config, main,
                             run_sweep)
 from gearboxopt.mass import default_bearing_table_path, load_bearing_model
@@ -272,6 +272,14 @@ class TestRunSweep:
         reference = json.loads(
             (REPO / "bench" / "data" / f"reference_{name}.json").read_text())
         assert report_digest(tmp_path) == reference["report_digest"]
+
+    def test_reports_reject_non_finite_numbers(self, tmp_path):
+        # JSON has no Infinity or NaN; such a number is a bug to surface
+        for value in (float("inf"), float("nan")):
+            path = tmp_path / "report.json"
+            with pytest.raises(ValueError, match="JSON compliant"):
+                _write_json(path, {"cost": value})
+            assert not path.exists()
 
     def test_dimension_sheet_rejects_infeasible(self, u12_config_path):
         cfg = load_config(u12_config_path)

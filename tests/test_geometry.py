@@ -10,13 +10,12 @@ from gearboxopt import (Architecture, ConstraintParams, CostWeights,
                         EfficiencyParams, EvalContext, GearboxDesign,
                         GearRole, LoadCase, MassModelParams, MaterialSpec,
                         MotorSpec, STANDARD_MODULE_SET_MM, StrengthParams,
-                        base_diameter, check_bounds, check_geometric,
-                        check_interference, check_meshing,
-                        constraint_failures, evaluate,
+                        base_diameter, constraint_failures, evaluate,
                         interference_margin_mm, max_gearbox_diameter,
                         pitch_diameter, tip_diameter)
 from gearboxopt.geometry import (constraint_masks, module_free_masks,
                                  module_masks)
+from gearboxopt.search import score_columns
 
 ALPHA = radians(20.0)
 
@@ -92,8 +91,9 @@ class TestDesignVector:
     def test_validation(self):
         with pytest.raises(ValueError):
             design(Architecture.ISSPG, 0, 40, 100, 0.5, 3)
-        with pytest.raises(ValueError):
-            design(Architecture.ISSPG, 20, 40, 100, -0.5, 3)
+        for module_mm in (-0.5, nan):
+            with pytest.raises(ValueError, match="module_mm"):
+                design(Architecture.ISSPG, 20, 40, 100, module_mm, 3)
         with pytest.raises(ValueError):
             design(Architecture.ISSPG, 20, 40, 100, 0.5, 0)
 
@@ -103,16 +103,18 @@ class TestDesignVector:
 
 
 class TestPredicates:
-    def test_geometric(self):
-        assert check_geometric(REFERENCE)
-        assert not check_geometric(
-            design(Architecture.ISSPG, 20, 40, 99, 0.5, 3))
+    def test_geometric(self, u12):
+        params = ConstraintParams()
+        assert "geometric" not in constraint_failures(REFERENCE, u12, params)
+        assert "geometric" in constraint_failures(
+            design(Architecture.ISSPG, 20, 40, 99, 0.5, 3), u12, params)
 
-    def test_meshing(self):
+    def test_meshing(self, u12):
         # (20 + 100) divisible by 3 but not by 7
-        assert check_meshing(REFERENCE)
-        assert not check_meshing(
-            design(Architecture.ISSPG, 20, 40, 100, 0.5, 7))
+        params = ConstraintParams(max_planets=7)
+        assert "meshing" not in constraint_failures(REFERENCE, u12, params)
+        assert "meshing" in constraint_failures(
+            design(Architecture.ISSPG, 20, 40, 100, 0.5, 7), u12, params)
 
     def test_interference_margin_value(self):
         # 2*0.5*(20+40)*sin(pi/3) - 2*0.5*40 = 60*sin(60 deg) - 40
@@ -122,18 +124,24 @@ class TestPredicates:
         assert interference_margin_mm(REFERENCE) == pytest.approx(
             11.961524227066318, rel=1e-12)
 
-    def test_interference_threshold(self):
+    def test_interference_threshold(self, u12):
         params = ConstraintParams()
-        assert check_interference(REFERENCE, params)
+        assert "planet_interference" not in constraint_failures(
+            REFERENCE, u12, params)
         # crowding 7 planets between the same gears leaves a negative gap
         crowded = design(Architecture.ISSPG, 20, 40, 100, 0.5, 7)
         assert interference_margin_mm(crowded) < 0
-        assert not check_interference(crowded, params)
+        assert "planet_interference" in constraint_failures(crowded, u12,
+                                                            params)
 
-    def test_interference_needs_two_planets(self):
+    def test_interference_needs_two_planets(self, u12):
+        # a lone planet's margin is negative, but it has no neighbour:
+        # planet_count names it, planet_interference does not
         single = design(Architecture.ISSPG, 20, 40, 100, 0.5, 1)
-        with pytest.raises(ValueError):
-            check_interference(single, ConstraintParams())
+        assert interference_margin_mm(single) < 0
+        failures = constraint_failures(single, u12, ConstraintParams())
+        assert "planet_interference" not in failures
+        assert "planet_count" in failures
 
 
 class TestFiniteInputs:
@@ -156,10 +164,23 @@ class TestFiniteInputs:
         # the casing and base plate square the OD; 1e155**2 overflows
         with pytest.raises(ValueError, match="outer_diameter_mm"):
             replace(motor, outer_diameter_mm=1e155)
-        ctx = EvalContext.with_defaults(
-            replace(motor, outer_diameter_mm=1e150), default_ctx.load)
-        evaluation = evaluate(REFERENCE, ctx)
+
+        def scored(motor):
+            ctx = EvalContext.with_defaults(motor, default_ctx.load)
+            columns = score_columns(REFERENCE.arch, ctx, [0.5], [3], [20],
+                                    [40])
+            return evaluate(REFERENCE, ctx), bool(columns.feasible[0])
+
+        evaluation, columnar = scored(replace(motor,
+                                              outer_diameter_mm=1e150))
         assert evaluation.feasible and isfinite(evaluation.cost)
+        assert columnar
+        # finite inputs whose casing or base plate mass overflows to inf
+        for huge in (replace(motor, height_mm=1e306),
+                     replace(motor, outer_diameter_mm=1.3e154)):
+            evaluation, columnar = scored(huge)
+            assert not evaluation.feasible and not columnar
+            assert evaluation.failure_reasons[0].startswith("mass_range: ")
 
 
 class TestEnvelope:
@@ -178,21 +199,22 @@ class TestEnvelope:
         assert max_gearbox_diameter(u12, Architecture.ESSPG,
                                     params) == pytest.approx(35.6)
 
-    def test_check_bounds(self, u12):
+    def test_bound_rules(self, u12):
         params = ConstraintParams()
-        assert check_bounds(REFERENCE, u12, params)
+        assert constraint_failures(REFERENCE, u12, params) == []
         # ring pitch diameter 60 mm exceeds the 55 mm stator allowance
         big = design(Architecture.ISSPG, 20, 50, 120, 0.5, 3)
-        assert not check_bounds(big, u12, params)
+        assert constraint_failures(big, u12, params) == ["meshing",
+                                                         "ring_diameter"]
         # the same train fits the external envelope
-        assert check_bounds(
-            design(Architecture.ESSPG, 20, 50, 120, 0.5, 3), u12, params)
+        assert constraint_failures(
+            design(Architecture.ESSPG, 20, 50, 120, 0.5, 3), u12,
+            params) == ["meshing"]
 
     def test_max_teeth_cap(self, u12):
         capped = ConstraintParams(max_teeth=60)
         tall = design(Architecture.ESSPG, 20, 70, 160, 0.5, 3)
-        assert check_bounds(tall, u12, ConstraintParams())
-        assert not check_bounds(tall, u12, capped)
+        assert constraint_failures(tall, u12, ConstraintParams()) == []
         assert constraint_failures(tall, u12, capped) == ["tooth_count_cap"]
         with pytest.raises(ValueError):
             ConstraintParams(max_teeth=10)  # below the undercutting floor
@@ -256,6 +278,9 @@ class TestParamValidation:
     def test_constraint_params(self):
         with pytest.raises(ValueError):
             ConstraintParams(module_min_mm=1.5, module_max_mm=1.2)
+        for module_min_mm in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="module_min_mm"):
+                ConstraintParams(module_min_mm=module_min_mm)
         with pytest.raises(ValueError):
             ConstraintParams(min_planets=5, max_planets=2)
         with pytest.raises(ValueError):

@@ -795,6 +795,13 @@ class TestScoreColumns:
             evaluation = evaluate(design, ctx)
             assert scores.feasible[i] == evaluation.feasible, \
                 evaluation.failure_reasons
+            # the shared model code keeps np.float64 out of the records
+            numbers = [evaluation.reduction_ratio]
+            if evaluation.feasible:
+                numbers += [evaluation.face_width_mm, evaluation.cost,
+                            *vars(evaluation.efficiency).values(),
+                            *vars(evaluation.mass).values()]
+            assert {type(x) for x in numbers} == {float}
             if evaluation.feasible:
                 assert scores.cost[i] == pytest.approx(
                     evaluation.cost, rel=1e-12, abs=1e-12)
