@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from math import degrees, radians
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 import yaml
 
@@ -486,7 +486,7 @@ def _write_results_csv(path: Path, results: list[BinResult]) -> None:
 
 
 def _write_candidates_csv(path: Path, evaluations:
-                          list[DesignEvaluation]) -> None:
+                          Iterable[DesignEvaluation]) -> None:
     columns = [*_DESIGN_COLUMNS, "reduction_ratio", "feasible",
                "eta_overall", "face_width_mm", "total_mass_kg", "cost",
                "failure_reasons"]
@@ -596,10 +596,11 @@ def run_sweep(cfg: RunConfig, architectures: Optional[list[Architecture]]
                     f"{result.lo:g}-{result.hi:g}.json")
             _write_json(out_dir / name, sheet)
         if log_candidates:
-            evaluations = [evaluate(design, ctx) for design
+            # one evaluation at a time: the rows are written as scored
+            evaluations = (evaluate(design, ctx) for design
                            in enumerate_feasible(cfg.motor, arch,
                                                  cfg.constraints,
-                                                 cfg.module_set)]
+                                                 cfg.module_set))
             _write_candidates_csv(out_dir / f"candidates_{arch.value}.csv",
                                   evaluations)
     if comparison is not None:

@@ -207,21 +207,18 @@ def mesh_chain(module_mm, sun_teeth, planet_teeth, ring_teeth,
 
 def planetary_efficiency(design: GearboxDesign,
                          params: EfficiencyParams) -> EfficiencyBreakdown:
-    """
-    Full efficiency chain for one design: ``mesh_chain``. The layout
-    does not enter. A degenerate tooth form, or a mesh that warns or
-    fails, is handed to ``tip_pressure_angle`` or
-    ``basic_driving_efficiency`` to log and raise in the same order.
-    """
-    m, n_s, n_p, n_r = (design.module_mm, design.sun_teeth,
-                        design.planet_teeth, design.ring_teeth)
-    sound, chain = mesh_chain(m, n_s, n_p, n_r, params)
-    if not sound:
-        for teeth, role in zip((n_s, n_p, n_r), GearRole):
-            tip_pressure_angle(teeth, m, role, params.pressure_angle_rad)
-    eps_a1, eps_a2, eps_b1, _, _, _, eta_a, eta_b, _ = chain
-    if (eps_a1 + eps_a2 < 1.0 or eta_a <= 0 or eps_b1 + eps_a1 < 1.0
-            or eta_b <= 0):
-        basic_driving_efficiency(n_s, n_p, m, MeshKind.SUN_PLANET, params)
-        basic_driving_efficiency(n_p, n_r, m, MeshKind.PLANET_RING, params)
-    return EfficiencyBreakdown(*chain)
+    """Full efficiency chain for one design, mesh by mesh, so its errors
+    and warnings are those of ``contact_ratios`` and
+    ``basic_driving_efficiency``. The layout does not enter."""
+    m, n_s, n_r = design.module_mm, design.sun_teeth, design.ring_teeth
+    meshes = ((n_s, design.planet_teeth, MeshKind.SUN_PLANET),
+              (design.planet_teeth, n_r, MeshKind.PLANET_RING))
+    (eps_a1, eps_a2), (eps_b1, eps_b2) = [
+        contact_ratios(n_1, n_2, m, mesh, params.pressure_angle_rad)
+        for n_1, n_2, mesh in meshes]
+    eta_a, eta_b = [basic_driving_efficiency(n_1, n_2, m, mesh, params)
+                    for n_1, n_2, mesh in meshes]
+    return EfficiencyBreakdown(
+        eps_a1, eps_a2, eps_b1, eps_b2, loss_parameter(eps_a1, eps_a2),
+        loss_parameter(eps_b1, eps_b2), eta_a, eta_b,
+        overall_efficiency(n_s, n_r, eta_a, eta_b))

@@ -23,7 +23,7 @@ Units: mm in, kg out; densities in kg/m^3.
 
 import csv
 from dataclasses import dataclass, fields
-from math import pi
+from math import inf, nan, pi
 from pathlib import Path
 from importlib import resources
 
@@ -294,7 +294,11 @@ def ring_gear_mass(ring_teeth: int, module_mm: float, face_width_mm: float,
     if radial_thickness_mm <= 0:
         raise ValueError("radial_thickness_mm must be positive")
     inner = tip_diameter(ring_teeth, module_mm, GearRole.RING)
+    if inner <= 0:
+        raise ValueError(f"ring tip diameter {inner:.2f} mm <= 0")
     outer = pitch_diameter(ring_teeth, module_mm) + 2.0 * radial_thickness_mm
+    if not outer * outer < inf:
+        return inf  # the square overflows: no finite mass (mass_range)
     return _annulus_kg(materials.steel_density_kg_m3, face_width_mm, outer,
                        inner)
 
@@ -359,60 +363,51 @@ def base_plate_mass(motor: MotorSpec, materials: MaterialSpec,
                        motor.outer_diameter_mm, 0.0)
 
 
-_last_context: tuple = ((None,) * 4, None)
-
-
-def _context_terms(motor: MotorSpec, bearing: BearingModel,
-                   materials: MaterialSpec, params: MassModelParams) -> tuple:
-    """
-    The ``component_masses`` terms that read only its context inputs,
-    bearing values on the fitted curves also outside the table; reused
-    while every input is the last call's object.
-    """
-    global _last_context
-    (last_motor, last_bearing, last_materials, last_params), terms = \
-        _last_context
-    if (last_motor is motor and last_bearing is bearing
-            and last_materials is materials and last_params is params):
-        return terms
+def context_terms(motor: MotorSpec, bearing: BearingModel,
+                  materials: MaterialSpec, params: MassModelParams) -> tuple:
+    """The ``component_masses`` terms that read only its context inputs:
+    gear bores, the table's bore range, the shaft and planet bearing
+    verdicts, casing bore, bearing values (nan for a bore outside the
+    table, which its verdict fails) and base plate mass."""
     shaft, planet = params.input_bearing_bore_mm, params.planet_bearing_bore_mm
     low, high = bearing.bore_min_mm, bearing.bore_max_mm
-    terms = ((0.0, 0.0) if params.fastener_offset else (shaft, planet),
-             low, high, low <= shaft <= high, low <= planet <= high,
-             motor.outer_diameter_mm - 2.0 * params.casing_wall_mm,
-             bearing_od(shaft, bearing, True),
-             bearing_mass(shaft, bearing, True),
-             bearing_mass(planet, bearing, True),
-             base_plate_mass(motor, materials, params))
-    _last_context = ((motor, bearing, materials, params), terms)
-    return terms
+    shaft_ok, planet_ok = low <= shaft <= high, low <= planet <= high
+    return ((0.0, 0.0) if params.fastener_offset else (shaft, planet),
+            low, high, shaft_ok, planet_ok,
+            motor.outer_diameter_mm - 2.0 * params.casing_wall_mm,
+            bearing_od(shaft, bearing) if shaft_ok else nan,
+            bearing_mass(shaft, bearing) if shaft_ok else nan,
+            bearing_mass(planet, bearing) if planet_ok else nan,
+            base_plate_mass(motor, materials, params))
 
 
 def component_masses(arch: Architecture, module_mm, num_planets, sun_teeth,
                      planet_teeth, ring_teeth, face_width_mm,
                      motor: MotorSpec, bearing: BearingModel,
-                     materials: MaterialSpec,
-                     params: MassModelParams) -> tuple:
+                     materials: MaterialSpec, params: MassModelParams,
+                     terms: tuple) -> tuple:
     """Whether the mass rules admit a design, their verdicts in component
     order (gears, sun-shaft bearing, disk clearance, planet bearing,
-    output bearing, casing) and the ``MassBreakdown`` fields before the
-    total (none for one design not admitted), for one design or numpy
-    columns. The secondary carrier is the bare disk."""
+    output bearing, casing, a ring outer diameter whose square is finite)
+    and the ``MassBreakdown`` fields before the total (none for one
+    design not admitted), for one design or numpy columns, given the
+    ``context_terms`` of the other inputs. The secondary carrier is the
+    bare disk."""
     ((sun_bore, planet_bore), low, high, shaft_ok, planet_ok, casing_inner,
-     shaft_od, shaft_kg, planet_kg, plate) = _context_terms(
-         motor, bearing, materials, params)
+     shaft_od, shaft_kg, planet_kg, plate) = terms
     m, n, width = module_mm, num_planets, face_width_mm
     d_sun, d_planet, d_ring = m * sun_teeth, m * planet_teeth, m * ring_teeth
     ring_wall = params.ring_radial_thickness_coeff * m
-    ring_tip = d_ring - 2.0 * m
+    ring_tip, ring_outer = d_ring - 2.0 * m, d_ring + 2.0 * ring_wall
     pin_circle = m * (sun_teeth + planet_teeth)
     disk_od = pin_circle + (d_planet + 2.0 * m) / 2.0
-    verdicts = gears_ok, _, disk_ok, _, output_ok, casing_ok = (
+    verdicts = gears_ok, _, disk_ok, _, output_ok, casing_ok, squares = (
         (sun_bore < d_sun) & (planet_bore < d_planet) & (ring_wall > 0)
         & (ring_tip > 0), shaft_ok, shaft_od < disk_od, planet_ok,
-        (low <= pin_circle) & (pin_circle <= high), casing_inner > 0)
+        (low <= pin_circle) & (pin_circle <= high), casing_inner > 0,
+        ring_outer * ring_outer < inf)
     sound = (gears_ok & shaft_ok & disk_ok & planet_ok & output_ok
-             & casing_ok)
+             & casing_ok & squares)
     if sound is False:
         return sound, verdicts, None
     steel, aluminum = (materials.steel_density_kg_m3,
@@ -425,7 +420,7 @@ def component_masses(arch: Architecture, module_mm, num_planets, sun_teeth,
     return sound, verdicts, (
         _annulus_kg(steel, width, d_sun, sun_bore),
         n * _annulus_kg(steel, width, d_planet, planet_bore),
-        _annulus_kg(steel, width, d_ring + 2.0 * ring_wall, ring_tip),
+        _annulus_kg(steel, width, ring_outer, ring_tip),
         disk + n * planet_pin_mass(width, materials, params), disk,
         n * planet_kg + shaft_kg + bearing_mass(pin_circle, bearing, True),
         _annulus_kg(aluminum, casing_length, motor.outer_diameter_mm,
@@ -437,35 +432,30 @@ def actuator_mass(design: GearboxDesign, motor: MotorSpec,
                   materials: MaterialSpec,
                   params: MassModelParams) -> MassBreakdown:
     """
-    Full actuator mass breakdown (kg): ``component_masses``. A failed
-    verdict raises its component helper's error, the first in order.
-
-    With fastener_offset on (default), gear bores stay solid; the extra
+    Full actuator mass breakdown (kg), component by component: a design
+    the mass rules reject raises at its first failing component. With
+    fastener_offset on (default), gear bores stay solid; the extra
     material stands in for excluded nuts, bolts, and circlips.
     """
-    sound, verdicts, parts = component_masses(
-        design.arch, design.module_mm, design.num_planets, design.sun_teeth,
-        design.planet_teeth, design.ring_teeth, face_width_mm, motor,
-        bearing, materials, params)
-    if not sound:
-        gears_ok, shaft_ok, disk_ok, planet_ok, output_ok, _ = verdicts
-        m, width = design.module_mm, face_width_mm
-        if not gears_ok:
-            bores = _context_terms(motor, bearing, materials, params)[0]
-            spur_gear_mass(design.sun_teeth, m, width, bores[0], materials)
-            spur_gear_mass(design.planet_teeth, m, width, bores[1], materials)
-            ring_gear_mass(design.ring_teeth, m, width,
-                           params.ring_radial_thickness_coeff * m, materials)
-        if not shaft_ok:
-            bearing_od(params.input_bearing_bore_mm, bearing)
-        if not disk_ok:
-            shaft_od = bearing_od(params.input_bearing_bore_mm, bearing)
-            raise ValueError(
-                f"carrier disk OD {carrier_disk_od_mm(design):.1f} mm does "
-                f"not clear the {shaft_od:.1f} mm sun-shaft bearing")
-        if not planet_ok:
-            bearing_mass(params.planet_bearing_bore_mm, bearing)
-        if not output_ok:
-            bearing_mass(output_bearing_bore_mm(design), bearing)
-        casing_mass(design, motor, width, materials, params)
+    m, n, width = design.module_mm, design.num_planets, face_width_mm
+    shaft, planet = params.input_bearing_bore_mm, params.planet_bearing_bore_mm
+    sun_bore, planet_bore = (0.0, 0.0) if params.fastener_offset else (
+        shaft, planet)
+    sun = spur_gear_mass(design.sun_teeth, m, width, sun_bore, materials)
+    planets = n * spur_gear_mass(design.planet_teeth, m, width, planet_bore,
+                                 materials)
+    ring = ring_gear_mass(design.ring_teeth, m, width,
+                          params.ring_radial_thickness_coeff * m, materials)
+    disk_od, shaft_od = carrier_disk_od_mm(design), bearing_od(shaft, bearing)
+    if not shaft_od < disk_od:
+        raise ValueError(f"carrier disk OD {disk_od:.1f} mm does not clear "
+                         f"the {shaft_od:.1f} mm sun-shaft bearing")
+    disk = _annulus_kg(materials.aluminum_density_kg_m3,
+                       params.carrier_disk_thickness_mm, disk_od, shaft_od)
+    parts = (sun, planets, ring,
+             disk + n * planet_pin_mass(width, materials, params), disk,
+             n * bearing_mass(planet, bearing) + bearing_mass(shaft, bearing)
+             + bearing_mass(output_bearing_bore_mm(design), bearing),
+             casing_mass(design, motor, width, materials, params),
+             base_plate_mass(motor, materials, params), motor.mass_kg)
     return MassBreakdown(*parts, sum(parts))

@@ -21,7 +21,9 @@ columns, with one feasibility mask that equals
 ``evaluate(...).feasible`` row by row. Every feasible row within a
 small tolerance of the cheapest columnar cost is then scored again by
 scalar ``evaluate``, which settles the winner, so every reported
-number comes from the scalar model.
+number comes from the scalar model. ``evaluate`` reads the models'
+verdicts itself: a design that passes the constraints is dropped by
+the first model rule of ``_MODEL_RULES`` it fails, by name.
 
 The cheapest feasible design per bin (default [5,6) ... [14,15)) and
 architecture is reported. Ties break deterministically: lower mass,
@@ -34,22 +36,21 @@ ring_diameter are masked per module.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import floor, inf, isfinite
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .efficiency import (EfficiencyBreakdown, EfficiencyParams,
-                         GeometryInfeasibleError, ModelRangeError,
-                         mesh_chain, planetary_efficiency)
+from .efficiency import EfficiencyBreakdown, EfficiencyParams, mesh_chain
 from .geometry import (_RULE_ORDER, Architecture, ConstraintParams,
                        GearboxDesign, MotorSpec, constraint_failures,
                        constraint_masks, max_gearbox_diameter, module_masks,
                        module_free_masks, require_finite)
 from .mass import (BearingModel, MassBreakdown, MassModelParams,
-                   MaterialSpec, actuator_mass, component_masses,
+                   MaterialSpec, component_masses, context_terms,
                    load_bearing_model)
-from .strength import LoadCase, StrengthParams, face_width, lewis_width
+from .strength import LoadCase, StrengthParams, lewis_width
 
 # sun-teeth ceiling for empty-bin diagnostics; feasibility always
 # appears first at small suns (smallest ring for a given ratio), so
@@ -60,6 +61,14 @@ _DIAG_SUN_TEETH_CAP = 60
 # costs and mesh efficiencies are left to scalar ``evaluate``: numpy's
 # arccos, tan and power may differ from libm in the last bit
 _SETTLE_TOL = 1e-9
+
+# the model rules of ``evaluate``, in the order it checks them; the
+# verdicts of ``component_masses`` are the last seven, in order
+_MODEL_RULES = ("tooth_form", "efficiency_range", "lewis_range", "gear_bore",
+                "input_bearing_range", "carrier_clearance",
+                "planet_bearing_range", "output_bearing_range", "casing_wall",
+                "mass_range")
+_TOOTH_FORM, _EFFICIENCY_RANGE, _LEWIS_RANGE, *_MASS_RULES = _MODEL_RULES
 
 
 @dataclass(frozen=True)
@@ -95,6 +104,12 @@ class EvalContext:
                    efficiency=EfficiencyParams(), strength=StrengthParams(),
                    materials=MaterialSpec(), mass_params=MassModelParams(),
                    bearing=load_bearing_model(), cost=CostWeights())
+
+    @cached_property
+    def mass_terms(self) -> tuple:
+        """``context_terms`` of this context, computed at first use."""
+        return context_terms(self.motor, self.bearing, self.materials,
+                             self.mass_params)
 
 
 @dataclass(frozen=True)
@@ -290,38 +305,44 @@ def enumerate_feasible(motor: MotorSpec, arch: Architecture,
                               -inf, inf)
 
 
+def _dropped(design: GearboxDesign, reasons: tuple) -> DesignEvaluation:
+    return DesignEvaluation(design, False, reasons, design.reduction_ratio,
+                            None, None, None, None)
+
+
 def evaluate(design: GearboxDesign, ctx: EvalContext) -> DesignEvaluation:
     """
     Score one design: constraints, efficiency chain, Lewis width, mass,
-    cost. Model errors and a non-finite mass or cost (mass_range) become
-    infeasibility reasons. Each term is computed once, and the mass terms
-    that read only the context once per context: reuse one ``ctx``.
+    cost. A dropped design names its violated constraints, or else its
+    first failed model rule. Each term is computed once, and the mass
+    terms that read only the context once per context: reuse one ``ctx``.
     """
-    reduction = design.reduction_ratio
     failures = tuple(constraint_failures(design, ctx.motor, ctx.constraints))
-    if not failures:
-        try:
-            efficiency = planetary_efficiency(design, ctx.efficiency)
-            width_mm = face_width(ctx.load, design, ctx.strength)
-            mass = actuator_mass(design, ctx.motor, width_mm, ctx.bearing,
-                                 ctx.materials, ctx.mass_params)
-        # both named errors subclass ValueError, so they come first
-        except GeometryInfeasibleError as exc:
-            failures = (f"tooth_form: {exc}",)
-        except ModelRangeError as exc:
-            failures = (f"efficiency_range: {exc}",)
-        except ValueError as exc:
-            failures = (f"model_error: {exc}",)
-        else:
-            cost = (ctx.cost.k_m * mass.total
-                    - ctx.cost.k_e * efficiency.eta_overall)
-            if isfinite(cost):
-                return DesignEvaluation(design, True, (), reduction,
-                                        efficiency, width_mm, mass, cost)
-            failures = (f"mass_range: actuator mass {mass.total:g} kg or "
-                        f"cost {cost:g} is not finite",)
-    return DesignEvaluation(design, False, failures, reduction, None, None,
-                            None, None)
+    if failures:
+        return _dropped(design, failures)
+    m, n, s, p, r = (design.module_mm, design.num_planets, design.sun_teeth,
+                     design.planet_teeth, design.ring_teeth)
+    sound, chain = mesh_chain(m, s, p, r, ctx.efficiency)
+    if not sound:
+        return _dropped(design, (_TOOTH_FORM,))
+    *_, eta_a, eta_b, eta_overall = chain
+    if not (eta_a > 0 and eta_b > 0):
+        return _dropped(design, (_EFFICIENCY_RANGE,))
+    sound, _, _, width_mm = lewis_width(m, s, p, n, ctx.load, ctx.strength)
+    if not sound:
+        return _dropped(design, (_LEWIS_RANGE,))
+    sound, verdicts, parts = component_masses(
+        design.arch, m, n, s, p, r, width_mm, ctx.motor, ctx.bearing,
+        ctx.materials, ctx.mass_params, ctx.mass_terms)
+    if not sound:
+        return _dropped(design, (_MASS_RULES[verdicts.index(False)],))
+    total = sum(parts)
+    cost = ctx.cost.k_m * total - ctx.cost.k_e * eta_overall
+    if not isfinite(cost):
+        return _dropped(design, (_MASS_RULES[-1],))
+    return DesignEvaluation(design, True, (), design.reduction_ratio,
+                            EfficiencyBreakdown(*chain), width_mm,
+                            MassBreakdown(*parts, total), cost)
 
 
 def ranking_key(evaluation: DesignEvaluation) -> tuple:
@@ -356,7 +377,7 @@ def score_columns(arch: Architecture, ctx: EvalContext, module_mm,
                                             ctx.strength)
         mass_ok, _, parts = component_masses(
             arch, m, n, s, p, r, width, ctx.motor, ctx.bearing,
-            ctx.materials, ctx.mass_params)
+            ctx.materials, ctx.mass_params, ctx.mass_terms)
         total = sum(parts)
         cost = ctx.cost.k_m * total - ctx.cost.k_e * eta_overall
         eta_mesh = np.minimum(eta_a, eta_b)

@@ -116,7 +116,8 @@ def velocity_factor(load: LoadCase, design: GearboxDesign,
 def lewis_width(module_mm, sun_teeth, planet_teeth, num_planets,
                 load: LoadCase, params: StrengthParams) -> tuple:
     """
-    Whether the Lewis model admits a design (y > 0, K_v > 0), y, K_v and
+    Whether the Lewis model admits a design (sigma*y*K_v*P > 0, so y > 0
+    and K_v > 0, and the product has not underflowed to 0), y, K_v and
     the face width (mm), at least min_face_width_mm, for one design (no
     width when not admitted) or numpy columns. y is taken at the weaker
     (smaller) external gear; the internal ring is stronger.
@@ -128,12 +129,12 @@ def lewis_width(module_mm, sun_teeth, planet_teeth, num_planets,
                           params.lewis_formula)
     k_v = dynamic_factor(load.sun_speed_rad_s * r_sun_m,
                          params.velocity_formula)
-    sound = (y > 0) & (k_v > 0)
+    pitch_m = pi * module_mm / 1000.0  # circular pitch, meters
+    strength = params.allowable_bending_stress_pa * y * k_v * pitch_m
+    sound = strength > 0
     if sound is False:
         return sound, y, k_v, None
-    pitch_m = pi * module_mm / 1000.0  # circular pitch, meters
-    width_m = (params.fos * f_t
-               / (params.allowable_bending_stress_pa * y * k_v * pitch_m))
+    width_m = params.fos * f_t / strength
     return sound, y, k_v, maximum(width_m * 1000.0, params.min_face_width_mm)
 
 
@@ -141,11 +142,13 @@ def face_width(load: LoadCase, design: GearboxDesign,
                params: StrengthParams) -> float:
     """Common face width of all stage gears, mm, by ``lewis_width``;
     raises where the Lewis model does not apply."""
-    _, y, k_v, width = lewis_width(design.module_mm, design.sun_teeth,
-                                   design.planet_teeth, design.num_planets,
-                                   load, params)
+    sound, y, k_v, width = lewis_width(
+        design.module_mm, design.sun_teeth, design.planet_teeth,
+        design.num_planets, load, params)
     if y <= 0:
         raise ValueError(f"non-positive Lewis form factor {y:.4f}")
     if k_v <= 0:
         raise ValueError(f"non-positive velocity factor {k_v:.4f}")
+    if not sound:
+        raise ValueError("Lewis denominator sigma*y*K_v*P underflows to 0")
     return width

@@ -1,6 +1,8 @@
 """Config loading, report emission, and the command-line entry points."""
 
+import csv
 import hashlib
+import io
 import json
 from math import radians
 from pathlib import Path
@@ -323,17 +325,25 @@ class TestCommandLine:
     def test_log_candidates_bytes(self, u12_config_path, tmp_path):
         # every failure reason and full-repr float of scalar evaluate
         # over the u12 candidates, pinned by sha256
-        expected = {
-            "candidates_isspg.csv": "a0655ebc405b9a8d55d65107c6fca6bf"
-                                    "412800a4857d914a39c11061a03667f6",
-            "candidates_esspg.csv": "f54c16d349912de3ac8746c98566952a"
-                                    "ac9030b728b3464952449290a8b1f37f",
-        }
         code = main(["sweep", "--config", str(u12_config_path), "--out",
                      str(tmp_path), "--log-candidates"])
         assert code == 0
-        assert {name: hashlib.sha256((tmp_path / name).read_bytes())
-                .hexdigest() for name in expected} == expected
+        isspg = (tmp_path / "candidates_isspg.csv").read_bytes()
+        assert hashlib.sha256(isspg).hexdigest() == (
+            "a0655ebc405b9a8d55d65107c6fca6bf412800a4857d914a39c11061a03667f6")
+        # esspg: every other cell as before the model rules were named,
+        # and each dropped design's reason is the bare rule name
+        with open(tmp_path / "candidates_esspg.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        reasons = rows[0].index("failure_reasons")
+        others = io.StringIO()
+        csv.writer(others, lineterminator="\n").writerows(
+            row[:reasons] + row[reasons + 1:] for row in rows)
+        assert hashlib.sha256(others.getvalue().encode()).hexdigest() == (
+            "0346214ec4459f59486e1f9f170d66e35b153dfb7c776cb815f2585dacc963c4")
+        dropped = [row[reasons] for row in rows[1:] if row[reasons]]
+        assert len(dropped) == 8059
+        assert set(dropped) == {"output_bearing_range"}
 
     def test_eval_command(self, u12_config_path, capsys):
         code = main(["eval", "--config", str(u12_config_path), "--design",

@@ -13,11 +13,12 @@ from math import acos, degrees, radians
 import pytest
 
 import gearboxopt.efficiency
-from gearboxopt import (Architecture, EfficiencyParams, GearboxDesign,
-                        GearRole, GeometryInfeasibleError, MeshKind,
-                        ModelRangeError, basic_driving_efficiency,
+from gearboxopt import (Architecture, EfficiencyBreakdown, EfficiencyParams,
+                        GearboxDesign, GearRole, GeometryInfeasibleError,
+                        MeshKind, ModelRangeError, basic_driving_efficiency,
                         contact_ratios, loss_parameter, overall_efficiency,
                         planetary_efficiency, tip_pressure_angle)
+from gearboxopt.efficiency import mesh_chain
 
 ALPHA = radians(20.0)
 REL = 1e-12
@@ -214,8 +215,8 @@ class TestPlanetaryEfficiency:
         assert br.eta_overall == pytest.approx(ETA_OVERALL, rel=REL)
 
     def test_each_tip_angle_computed_once(self, monkeypatch):
-        # three gears, three arccos calls: the planet's tip angle serves
-        # both meshes
+        # three gears, three arccos calls in mesh_chain: the planet's tip
+        # angle serves both meshes
         ratios = []
 
         def counting(x):
@@ -224,11 +225,13 @@ class TestPlanetaryEfficiency:
 
         monkeypatch.setattr(gearboxopt.efficiency, "acos", counting)
         params = EfficiencyParams()
-        br = planetary_efficiency(REFERENCE, params)
+        sound, chain = mesh_chain(0.5, 20, 40, 100, params)
         monkeypatch.undo()
+        assert sound
         assert sorted(acos(x) for x in ratios) == sorted(
             tip_pressure_angle(teeth, 0.5, role, ALPHA) for teeth, role in
             ((20, GearRole.SUN), (40, GearRole.PLANET), (100, GearRole.RING)))
+        br = EfficiencyBreakdown(*chain)
         assert br.eps_b2 == br.eps_a1
         assert br.eta_a == basic_driving_efficiency(20, 40, 0.5,
                                                     MeshKind.SUN_PLANET,
@@ -239,53 +242,33 @@ class TestPlanetaryEfficiency:
 
     @pytest.mark.parametrize("mu, alpha_deg", [
         (0.06, 20.0), (0.0, 20.0), (0.4, 25.0), (0.9, 14.5), (0.06, 40.0)])
-    def test_equals_mesh_helpers_exactly(self, mu, alpha_deg, caplog):
-        # the chain against contact_ratios and basic_driving_efficiency
-        # mesh by mesh: equal floats, or the same error, and the same
-        # warnings in the same order, degenerate tooth forms included
+    def test_equals_mesh_helpers_exactly(self, mu, alpha_deg):
+        # mesh_chain, the scoring path, against the mesh-by-mesh helpers
+        # of planetary_efficiency: equal floats when every verdict passes,
+        # and a failed verdict exactly when the helpers raise, a failed
+        # mesh efficiency with ModelRangeError and a degenerate tooth form
+        # with a tip-circle error
         params = EfficiencyParams(mu=mu, pressure_angle_rad=radians(
             alpha_deg))
-
-        def outcome(compute):
-            caplog.clear()
-            try:
-                result = compute()
-            except ValueError as exc:
-                result = (type(exc), str(exc))
-            return result, [r.getMessage() for r in caplog.records]
-
-        def by_mesh(design):
-            alpha = params.pressure_angle_rad
-            m = design.module_mm
-            meshes = [(design.sun_teeth, design.planet_teeth,
-                       MeshKind.SUN_PLANET),
-                      (design.planet_teeth, design.ring_teeth,
-                       MeshKind.PLANET_RING)]
-            ratios = [contact_ratios(n1, n2, m, mesh, alpha)
-                      for n1, n2, mesh in meshes]
-            etas = [basic_driving_efficiency(n1, n2, m, mesh, params)
-                    for n1, n2, mesh in meshes]
-            (eps_a1, eps_a2), (eps_b1, eps_b2) = ratios
-            return (eps_a1, eps_a2, eps_b1, eps_b2,
-                    loss_parameter(eps_a1, eps_a2),
-                    loss_parameter(eps_b1, eps_b2), *etas,
-                    overall_efficiency(design.sun_teeth, design.ring_teeth,
-                                       *etas))
-
-        with caplog.at_level(logging.WARNING, logger="gearboxopt"):
-            for sun in (1, 2, 3, 5, 12, 20, 31):
-                for planet in (1, 2, 4, 9, 17, 40):
-                    for ring in (2, 3, 13, 33, sun + 2 * planet, 160):
-                        design = GearboxDesign(
-                            arch=Architecture.ESSPG, sun_teeth=sun,
-                            planet_teeth=planet, ring_teeth=ring,
-                            module_mm=0.7, num_planets=3)
-                        fused, fused_log = outcome(
-                            lambda: planetary_efficiency(design, params))
-                        if not isinstance(fused, tuple):
-                            fused = astuple(fused)
-                        assert (fused, fused_log) == outcome(
-                            lambda: by_mesh(design)), design
+        outcomes = []
+        for sun in (1, 2, 3, 5, 12, 20, 31):
+            for planet in (1, 2, 4, 9, 17, 40):
+                for ring in (2, 3, 13, 33, sun + 2 * planet, 160):
+                    design = GearboxDesign(
+                        arch=Architecture.ESSPG, sun_teeth=sun,
+                        planet_teeth=planet, ring_teeth=ring, module_mm=0.7,
+                        num_planets=3)
+                    sound, chain = mesh_chain(0.7, sun, planet, ring, params)
+                    if sound and chain[6] > 0 and chain[7] > 0:
+                        assert chain == astuple(
+                            planetary_efficiency(design, params)), design
+                        outcomes.append(None)
+                        continue
+                    with pytest.raises(ValueError) as raised:
+                        planetary_efficiency(design, params)
+                    assert (raised.type is ModelRangeError) == sound, design
+                    outcomes.append(raised.type)
+        assert None in outcomes and GeometryInfeasibleError in outcomes
 
     def test_second_design_frozen(self):
         d = GearboxDesign(arch=Architecture.ESSPG, sun_teeth=25,

@@ -6,7 +6,7 @@ packaged bearing table.
 """
 
 from dataclasses import replace
-from math import pi
+from math import inf, pi
 
 import pytest
 
@@ -22,7 +22,8 @@ from gearboxopt import (Architecture, ConstraintParams, GearboxDesign,
                         load_bearing_model, load_bearing_table,
                         output_bearing_bore_mm, pin_circle_diameter_mm,
                         planet_pin_mass, ring_gear_mass, spur_gear_mass)
-from gearboxopt.search import enumerate_feasible
+from gearboxopt.mass import component_masses
+from gearboxopt.search import _MODEL_RULES, enumerate_feasible, evaluate
 
 REL = 1e-12
 
@@ -66,36 +67,6 @@ def write_table(path, rows, header="bore_mm,od_mm,width_mm,mass_kg"):
     lines = [header] + [",".join(str(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
     return path
-
-
-def mass_by_component(design, motor, width, bearing, materials, params):
-    """``actuator_mass`` composed from the public component rules, each
-    check at its place in the component order."""
-    m, n = design.module_mm, design.num_planets
-    sun_bore, planet_bore = ((0.0, 0.0) if params.fastener_offset else
-                             (params.input_bearing_bore_mm,
-                              params.planet_bearing_bore_mm))
-    sun = spur_gear_mass(design.sun_teeth, m, width, sun_bore, materials)
-    planets = n * spur_gear_mass(design.planet_teeth, m, width, planet_bore,
-                                 materials)
-    ring = ring_gear_mass(design.ring_teeth, m, width,
-                          params.ring_radial_thickness_coeff * m, materials)
-    od = carrier_disk_od_mm(design)
-    inner = bearing_od(params.input_bearing_bore_mm, bearing)
-    if inner >= od:
-        raise ValueError(f"carrier disk OD {od:.1f} mm does not clear the "
-                         f"{inner:.1f} mm sun-shaft bearing")
-    disk = (materials.aluminum_density_kg_m3
-            * (params.carrier_disk_thickness_mm * pi / 4.0
-               * (od ** 2 - inner ** 2)) * 1e-9)
-    carrier = disk + n * planet_pin_mass(width, materials, params)
-    bearings = (n * bearing_mass(params.planet_bearing_bore_mm, bearing)
-                + bearing_mass(params.input_bearing_bore_mm, bearing)
-                + bearing_mass(output_bearing_bore_mm(design), bearing))
-    casing = casing_mass(design, motor, width, materials, params)
-    parts = (sun, planets, ring, carrier, disk, bearings, casing,
-             base_plate_mass(motor, materials, params), motor.mass_kg)
-    return (*parts, sum(parts))
 
 
 class TestBearingTable:
@@ -301,10 +272,12 @@ class TestActuatorMass:
         assert breakdown.bearings_total == pytest.approx(expected,
                                                          rel=1e-15)
 
-    def test_equals_component_rules_exactly(self, u12, bearing_model):
-        # every component to the last bit, or the same first error, with
-        # the contexts alternating so the per-context terms are rebuilt
-        materials = MaterialSpec()
+    def test_equals_component_rules_exactly(self, default_ctx):
+        # component_masses with an EvalContext's terms, the scoring path,
+        # against actuator_mass, component by component: every part to
+        # the last bit when every verdict passes, else the first failed
+        # verdict names the component whose helper raises first (or, for
+        # a ring too wide to square, an infinite total)
         contexts = [MassModelParams(), MassModelParams(fastener_offset=False),
                     MassModelParams(input_bearing_bore_mm=25.0),
                     MassModelParams(input_bearing_bore_mm=70.0),
@@ -312,15 +285,9 @@ class TestActuatorMass:
                     MassModelParams(planet_bearing_bore_mm=5.0,
                                     casing_wall_mm=60.0,
                                     fastener_offset=False),
-                    MassModelParams(casing_wall_mm=52.8)]
-
-        def outcome(compute):
-            try:
-                return compute()
-            except ValueError as exc:
-                return str(exc)
-
-        checked = 0
+                    MassModelParams(casing_wall_mm=52.8),
+                    MassModelParams(ring_radial_thickness_coeff=1e300)]
+        failed = set()
         for sun, planet, ring in ((20, 40, 100), (3, 2, 7), (2, 1, 2),
                                   (8, 20, 48), (30, 22, 74), (60, 40, 140)):
             for module_mm in (0.3, 0.5, 1.0, 1.5):
@@ -330,19 +297,40 @@ class TestActuatorMass:
                                            ring_teeth=ring,
                                            module_mm=module_mm,
                                            num_planets=3)
-                    for params in contexts * 2:
-                        args = (design, u12, 12.5, bearing_model, materials,
-                                params)
-                        fused = outcome(lambda: actuator_mass(*args))
-                        if not isinstance(fused, str):
-                            fused = tuple(fused.as_dict().values())
-                        assert fused == outcome(
-                            lambda: mass_by_component(*args)), args
-                        checked += isinstance(fused, tuple)
-        assert checked > 50
+                    for params in contexts:
+                        ctx = replace(default_ctx, mass_params=params)
+                        args = (design, ctx.motor, 12.5, ctx.bearing,
+                                ctx.materials, params)
+                        sound, verdicts, parts = component_masses(
+                            arch, module_mm, 3, sun, planet, ring, 12.5,
+                            ctx.motor, ctx.bearing, ctx.materials, params,
+                            ctx.mass_terms)
+                        if sound:
+                            assert (*parts, sum(parts)) == tuple(
+                                actuator_mass(*args).as_dict().values())
+                            failed.add(None)
+                            continue
+                        rule = _MODEL_RULES[3 + verdicts.index(False)]
+                        failed.add(rule)
+                        if rule == "mass_range":
+                            # no component raises; the ring mass is inf
+                            assert actuator_mass(*args).total == inf
+                            continue
+                        message = {
+                            "gear_bore": "gear bore|ring tip",
+                            "input_bearing_range": "bearing bore "
+                            f"{params.input_bearing_bore_mm:.2f} mm",
+                            "carrier_clearance": "does not clear",
+                            "planet_bearing_range": "bearing bore "
+                            f"{params.planet_bearing_bore_mm:.2f} mm",
+                            "output_bearing_range": "bearing bore "
+                            f"{output_bearing_bore_mm(design):.2f} mm",
+                            "casing_wall": "casing wall exceeds"}[rule]
+                        with pytest.raises(ValueError, match=message):
+                            actuator_mass(*args)
+        assert failed == {None, *_MODEL_RULES[3:]}
 
-    def test_context_terms_computed_once_per_context(self, u12,
-                                                     bearing_model,
+    def test_context_terms_computed_once_per_context(self, default_ctx,
                                                      monkeypatch):
         bores = []
 
@@ -351,18 +339,16 @@ class TestActuatorMass:
             return bearing_od(bore_mm, model, extrapolate)
 
         monkeypatch.setattr(gearboxopt.mass, "bearing_od", counting_od)
-        materials, params = MaterialSpec(), MassModelParams()
-        first = actuator_mass(REFERENCE, u12, 10.0, bearing_model,
-                              materials, params)
+        ctx = replace(default_ctx)
+        first = evaluate(REFERENCE, ctx)
         for module_mm in (0.6, 0.7, 0.5):
-            actuator_mass(replace(REFERENCE, module_mm=module_mm), u12, 10.0,
-                          bearing_model, materials, params)
+            evaluate(replace(REFERENCE, module_mm=module_mm), ctx)
         assert bores == [15.0]
-        # an equal but new params object is another context
-        again = actuator_mass(REFERENCE, u12, 10.0, bearing_model,
-                              materials, MassModelParams())
+        # an equal but new context computes them once more
+        again = replace(ctx)
+        assert evaluate(REFERENCE, again) == first
+        evaluate(REFERENCE, again)
         assert bores == [15.0, 15.0]
-        assert again == first
 
     def test_base_plate(self, u12):
         expected = 2700.0 * 3.0 * pi / 4.0 * 105.6 ** 2 * 1e-9

@@ -2,8 +2,8 @@
 comparison, cross-checked against naive nested-loop scans."""
 
 import csv
-from dataclasses import replace
-from math import ceil, inf, nan, pi, radians
+from dataclasses import fields, replace
+from math import ceil, inf, isfinite, nan, pi, radians
 from pathlib import Path
 
 import numpy as np
@@ -17,16 +17,16 @@ from gearboxopt import (Architecture, BinResult, ConstraintParams,
                         StrengthParams, compare_architectures,
                         contact_ratios, loss_parameter,
                         constraint_failures, default_bins, diagnose_empty_bin,
-                        evaluate, max_gearbox_diameter, optimize_bins,
-                        ranking_key, validate_bins)
+                        evaluate, face_width, max_gearbox_diameter,
+                        optimize_bins, ranking_key, validate_bins)
 from gearboxopt import search
 from gearboxopt.cli import build_context, load_config, run_sweep
-from gearboxopt.geometry import constraint_masks
+from gearboxopt.geometry import _RULE_ORDER, constraint_masks
 from gearboxopt.mass import load_bearing_model
-from gearboxopt.search import (_DIAG_SUN_TEETH_CAP, _bin_columns,
-                               _bin_tallies, _designs, bin_candidates,
-                               enumerate_feasible, failure_tallies,
-                               score_columns)
+from gearboxopt.search import (_DIAG_SUN_TEETH_CAP, _MODEL_RULES,
+                               _bin_columns, _bin_tallies, _designs,
+                               bin_candidates, enumerate_feasible,
+                               failure_tallies, score_columns)
 
 from conftest import U12
 
@@ -257,15 +257,12 @@ class TestEvaluate:
         tiny = GearboxDesign(arch=Architecture.ISSPG, sun_teeth=5,
                              planet_teeth=4, ring_teeth=13, module_mm=0.5,
                              num_planets=2)
-        result = evaluate(tiny, relaxed)
-        assert not result.feasible
-        assert result.failure_reasons[0].startswith("tooth_form:")
+        self._assert_unscored(evaluate(tiny, relaxed), "tooth_form")
 
     @staticmethod
-    def _assert_unscored(result, prefix):
+    def _assert_unscored(result, rule):
         assert not result.feasible
-        assert len(result.failure_reasons) == 1
-        assert result.failure_reasons[0].startswith(prefix)
+        assert result.failure_reasons == (rule,)
         assert result.efficiency is None and result.face_width_mm is None
         assert result.mass is None and result.cost is None
 
@@ -278,7 +275,7 @@ class TestEvaluate:
                                      planet_teeth=4, ring_teeth=34,
                                      module_mm=0.5, num_planets=2)
         self._assert_unscored(evaluate(small_planet, ctx),
-                              "efficiency_range:")
+                              "efficiency_range")
 
     def test_bearing_table_range_reported(self, default_ctx):
         # passes every rule, but its output bearing bore m(N_s+N_p) is
@@ -288,7 +285,40 @@ class TestEvaluate:
                              num_planets=2)
         assert constraint_failures(wide, default_ctx.motor,
                                    default_ctx.constraints) == []
-        self._assert_unscored(evaluate(wide, default_ctx), "model_error:")
+        self._assert_unscored(evaluate(wide, default_ctx),
+                              "output_bearing_range")
+
+    def test_lewis_denominator_underflow_reported(self, default_ctx):
+        # K_v stays > 0 at this speed, but sigma*y*K_v*P underflows to 0
+        ctx = replace(default_ctx,
+                      load=LoadCase(sun_torque_nm=3.0, sun_speed_rad_s=1e300),
+                      strength=StrengthParams(
+                          allowable_bending_stress_pa=1e-300))
+        self._assert_unscored(evaluate(REFERENCE, ctx), "lewis_range")
+        with pytest.raises(ValueError, match="underflows"):
+            face_width(ctx.load, REFERENCE, ctx.strength)
+        scores = score_columns(REFERENCE.arch, ctx, [0.5], [3], [20], [40])
+        assert not scores.feasible[0]
+
+    @pytest.mark.parametrize("changes, rule", [
+        # fastener offset off: the 15 mm shaft bore fills the 10 mm sun
+        (dict(fastener_offset=False), "gear_bore"),
+        (dict(input_bearing_bore_mm=70.0), "input_bearing_range"),
+        # a 40 mm shaft bearing (54 mm OD) inside the 40.5 mm carrier disk
+        (dict(input_bearing_bore_mm=40.0), "carrier_clearance"),
+        (dict(planet_bearing_bore_mm=5.0), "planet_bearing_range"),
+        (dict(casing_wall_mm=60.0), "casing_wall"),
+        # bores the fitted power laws cannot raise to their exponent, and
+        # a ring whose outer diameter cannot be squared
+        (dict(input_bearing_bore_mm=1e300), "input_bearing_range"),
+        (dict(planet_bearing_bore_mm=1e300), "planet_bearing_range"),
+        (dict(ring_radial_thickness_coeff=1e300), "mass_range"),
+    ])
+    def test_mass_rule_reported(self, default_ctx, changes, rule):
+        ctx = replace(default_ctx, mass_params=MassModelParams(**changes))
+        for arch in Architecture:
+            self._assert_unscored(evaluate(replace(REFERENCE, arch=arch), ctx),
+                                  rule)
 
     def test_point_eval_pool_exact(self, u12_config_path):
         # every design of the benchmark's point-eval pool, scored with
@@ -795,6 +825,11 @@ class TestScoreColumns:
             evaluation = evaluate(design, ctx)
             assert scores.feasible[i] == evaluation.feasible, \
                 evaluation.failure_reasons
+            # a candidate passes every constraint, so a dropped one names
+            # exactly one model rule
+            assert evaluation.feasible or (
+                len(evaluation.failure_reasons) == 1
+                and evaluation.failure_reasons[0] in _MODEL_RULES)
             # the shared model code keeps np.float64 out of the records
             numbers = [evaluation.reduction_ratio]
             if evaluation.feasible:
@@ -818,8 +853,7 @@ class TestScoreColumns:
                                planet_teeth=25, ring_teeth=55, module_mm=1.2,
                                num_planets=2)
         evaluation = evaluate(design, ctx)
-        assert evaluation.failure_reasons[0].startswith(
-            "model_error: non-positive Lewis form factor")
+        assert evaluation.failure_reasons == ("lewis_range",)
         scores = score_columns(Architecture.ESSPG, ctx, [1.2], [2], [5],
                                [25])
         assert not scores.feasible[0]
@@ -851,3 +885,54 @@ class TestScoreColumns:
             assert scores.feasible[0] == evaluation.feasible
             verdicts.add(evaluation.feasible)
         assert verdicts == {True, False}
+
+
+# --- every accepted input is scored or named --------------------------------
+
+@st.composite
+def extreme_records(draw, base):
+    """``base`` with each float field either left at its value or drawn
+    log-uniform over [1e-300, 1e300]; a draw the record's own checks
+    reject is discarded. Fields left at their values let a draw pass the
+    early rules and reach the later ones."""
+    names = [spec.name for spec in fields(base) if spec.type is float]
+
+    def build(values):
+        try:
+            return replace(base, **dict(zip(names, values)))
+        except ValueError:
+            return None
+
+    extreme = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+    return draw(st.tuples(*[st.just(getattr(base, name)) | extreme
+                            for name in names])
+                .map(build).filter(lambda record: record is not None))
+
+
+class TestExtremeInputs:
+    # 300 draws reach a Lewis denominator that underflows to 0 and a
+    # bearing bore and a ring diameter that overflow; 200 miss the first
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_scored_finite_or_named(self, default_ctx, data):
+        ctx = replace(default_ctx, **{
+            name: data.draw(extreme_records(getattr(default_ctx, name)))
+            for name in ("motor", "load", "strength", "materials",
+                         "mass_params", "cost")})
+        rules = set(_RULE_ORDER) | set(_MODEL_RULES)
+        for arch in Architecture:
+            try:
+                result = evaluate(replace(REFERENCE, arch=arch), ctx)
+            except ValueError as exc:
+                # the motor leaves no room for this layout at all, a named
+                # rejection of the whole run
+                assert "leaves no room" in str(exc)
+                continue
+            if result.feasible:
+                numbers = [result.face_width_mm, result.cost,
+                           *vars(result.efficiency).values(),
+                           *vars(result.mass).values()]
+                assert all(isfinite(x) for x in numbers), result
+            else:
+                assert result.failure_reasons, result
+                assert set(result.failure_reasons) <= rules, result
