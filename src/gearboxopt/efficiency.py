@@ -13,15 +13,12 @@ Conventions: the external sun-planet mesh uses sign +1, the internal
 planet-ring mesh uses sign -1. Profile shift coefficients are 0.
 """
 
-import logging
 from dataclasses import dataclass
 from enum import Enum
 from math import acos, cos, pi, radians, tan
 
 from .geometry import (GearboxDesign, GearRole, base_diameter, pick,
                        tip_diameter)
-
-logger = logging.getLogger(__name__)
 
 
 class ModelRangeError(ValueError):
@@ -151,7 +148,10 @@ def basic_driving_efficiency(teeth_1: int, teeth_2: int, module_mm: float,
     eps1, eps2 = contact_ratios(teeth_1, teeth_2, module_mm, mesh,
                                 params.pressure_angle_rad)
     if eps1 + eps2 < 1.0:
-        logger.warning(
+        # imported here: no hot path reaches this line, and importing
+        # logging would cost every process's start-up
+        import logging
+        logging.getLogger(__name__).warning(
             "total contact ratio %.3f < 1 for %s mesh N1=%d N2=%d: "
             "meshing is not continuous", eps1 + eps2, mesh.value,
             teeth_1, teeth_2)

@@ -390,9 +390,9 @@ def component_masses(arch: Architecture, module_mm, num_planets, sun_teeth,
     order (gears, sun-shaft bearing, disk clearance, planet bearing,
     output bearing, casing, a ring outer diameter whose square is finite)
     and the ``MassBreakdown`` fields before the total (none for one
-    design not admitted), for one design or numpy columns, given the
-    ``context_terms`` of the other inputs. The secondary carrier is the
-    bare disk."""
+    design not admitted, or for columns whose context fails a verdict),
+    for one design or numpy columns, given the ``context_terms`` of the
+    other inputs. The secondary carrier is the bare disk."""
     ((sun_bore, planet_bore), low, high, shaft_ok, planet_ok, casing_inner,
      shaft_od, shaft_kg, planet_kg, plate) = terms
     m, n, width = module_mm, num_planets, face_width_mm
@@ -408,7 +408,8 @@ def component_masses(arch: Architecture, module_mm, num_planets, sun_teeth,
         ring_outer * ring_outer < inf)
     sound = (gears_ok & shaft_ok & disk_ok & planet_ok & output_ok
              & casing_ok & squares)
-    if sound is False:
+    # a failed verdict of the context alone fails every row of columns too
+    if sound is False or not (shaft_ok and planet_ok and casing_ok):
         return sound, verdicts, None
     steel, aluminum = (materials.steel_density_kg_m3,
                        materials.aluminum_density_kg_m3)

@@ -5,10 +5,11 @@ Candidates are generated per ratio window, not enumerated over the
 whole (m, n_p, N_s, N_p) box and then binned. Since the reduction is
 R = (N_s+N_r)/N_s = 2 + 2*N_p/N_s, the planets of each sun that fall
 in a half-open bin [lo, hi) form one short integer range. One window
-per architecture spans all bins and modules: its (m, N_s, N_p) rows
-are numpy columns, the planet counts a broadcast axis, and one
-``constraint_masks`` call masks every rule. Each row goes to its bin
-once, and a stable partition keeps each bin in lexicographic order.
+per architecture spans all bins and modules: one ``_window_rows`` call
+builds its (m, N_s, N_p) rows as numpy columns, the planet counts are a
+broadcast axis, and one ``constraint_masks`` call masks every rule. Each
+row goes to its bin once, and a stable sort on (bin, module) keeps each
+bin in lexicographic order next to an ascending bin column.
 
 The search keeps the rows that fail no rule and scores them with
 
@@ -16,14 +17,16 @@ The search keeps the rows that fail no rule and scores them with
 
 in two steps. ``score_columns`` runs the model functions of scalar
 ``evaluate`` (``mesh_chain``, ``lewis_width``, ``component_masses``,
-each written once for floats and numpy columns) on a whole bin's
-columns, with one feasibility mask that equals
-``evaluate(...).feasible`` row by row. Every feasible row within a
-small tolerance of the cheapest columnar cost is then scored again by
-scalar ``evaluate``, which settles the winner, so every reported
-number comes from the scalar model. ``evaluate`` reads the models'
-verdicts itself: a design that passes the constraints is dropped by
-the first model rule of ``_MODEL_RULES`` it fails, by name.
+each written once for floats and numpy columns) once on the whole
+window's columns, with one feasibility mask that equals
+``evaluate(...).feasible`` row by row. The bin column then gives each
+bin's candidate and feasible counts and its cheapest columnar cost.
+Every feasible row within a small tolerance of its own bin's cheapest
+cost is scored again by scalar ``evaluate``, which settles the winner,
+so every reported number comes from the scalar model. ``evaluate``
+reads the models' verdicts itself: a design that passes the
+constraints is dropped by the first model rule of ``_MODEL_RULES`` it
+fails, by name.
 
 The cheapest feasible design per bin (default [5,6) ... [14,15)) and
 architecture is reported. Ties break deterministically: lower mass,
@@ -37,7 +40,9 @@ ring_diameter are masked per module.
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import floor, inf, isfinite
+from itertools import groupby
+from math import inf, isfinite, nan
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -207,6 +212,11 @@ def default_bins() -> list[tuple[float, float]]:
     return [(float(lo), float(lo + 1)) for lo in range(5, 15)]
 
 
+def _segment_offsets(sizes: np.ndarray) -> np.ndarray:
+    """0, 1, ..., size - 1 for each of ``sizes``, concatenated."""
+    return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+
 def _window_rows(suns: np.ndarray, edges_lo: np.ndarray,
                  edges_hi: np.ndarray, n_min: int, planet_max=inf,
                  slack: int = 0) -> tuple[np.ndarray, ...]:
@@ -214,32 +224,33 @@ def _window_rows(suns: np.ndarray, edges_lo: np.ndarray,
     The lexicographic (N_s, N_p) rows of a ratio window, and the row
     count of each (sun, edge pair), suns outermost. R = 2 + 2*N_p/N_s,
     so a sun's planets in [lo, hi) lie in [ceil((lo-2)*N_s/2),
-    ceil((hi-2)*N_s/2)), floored at n_min, capped at planet_max and
-    widened by ``slack`` teeth at each end.
+    ceil((hi-2)*N_s/2)), floored at n_min, capped at planet_max (one
+    cap, or one per sun) and widened by ``slack`` teeth at each end.
     """
     first = np.maximum(np.ceil((edges_lo[:, None] - 2.0) * suns / 2.0)
                        - slack, n_min).T.ravel()
     stop = np.minimum(np.ceil((edges_hi[:, None] - 2.0) * suns / 2.0)
                       + slack, planet_max + 1).T.ravel()
     sizes = np.maximum(stop - first, 0).astype(np.int64)
-    offsets = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes,
-                                                 sizes)
     sun = np.repeat(np.repeat(suns, len(edges_lo)), sizes)
-    planet = np.repeat(first.astype(np.int64), sizes) + offsets
+    planet = np.repeat(first.astype(np.int64), sizes) + _segment_offsets(sizes)
     return sun, planet, sizes
 
 
 def _bin_columns(motor: MotorSpec, arch: Architecture,
                  constraints: ConstraintParams, module_set: list[float],
-                 bins: list[tuple[float, float]]) -> list[tuple]:
+                 bins: list[tuple[float, float]]) -> tuple:
     """
-    The (module_mm, n_p, N_s, N_p) columns of ``bin_candidates`` for
-    each of ascending, disjoint bins, over the ascending, distinct
-    modules of ``validate_module_set``. Each module adds one planet range
-    per sun over [bins[0].lo, bins[-1].hi), inside its ring envelope and
-    the tooth cap, widened by one tooth at each end because rounding of
-    the edges can drop a design whose float ratio lies in a bin. Modules
-    outside [module_min_mm, module_max_mm] add no rows (module_range).
+    The rows of ``bin_candidates`` over ascending, disjoint bins and the
+    ascending, distinct modules of ``validate_module_set``: each row's
+    bin index, ascending, and the rows' (module_mm, n_p, N_s, N_p)
+    columns, each bin's rows in lexicographic order. Each module adds one
+    planet range per sun over [bins[0].lo, bins[-1].hi), inside its ring
+    envelope and the tooth cap, widened by one tooth at each end because
+    rounding of the edges can drop a design whose float ratio lies in a
+    bin; one ``_window_rows`` call builds the rows of every module.
+    Modules outside [module_min_mm, module_max_mm] add no rows
+    (module_range).
     """
     n_min = constraints.min_teeth
     n_cap = inf if constraints.max_teeth is None else constraints.max_teeth
@@ -247,16 +258,16 @@ def _bin_columns(motor: MotorSpec, arch: Architecture,
     los, his = np.array(bins, dtype=np.float64).reshape(-1, 2).T
     modules = np.array([m for m in module_set if constraints.module_min_mm
                         <= m <= constraints.module_max_mm], dtype=np.float64)
-    rows = [(np.empty(0, dtype=np.int64),) * 2]
-    for module_mm in modules.tolist():
-        max_ring = floor(d_max / module_mm + 1e-9)
-        suns = np.arange(n_min, min(max_ring - 2 * n_min, n_cap) + 1)
-        rows.append(_window_rows(suns, los[:1], his[-1:], n_min,
-                                 np.minimum((max_ring - suns) // 2, n_cap),
-                                 slack=1)[:2])
-    sun, planet = (np.concatenate(column) for column in zip(*rows))
-    module_index = np.repeat(np.arange(len(modules)),
-                             [len(suns) for suns, _ in rows[1:]])
+    # each module's suns run from n_min to its ring envelope or the cap
+    max_ring = np.floor(d_max / modules + 1e-9)
+    sun_counts = np.maximum(np.minimum(max_ring - 2 * n_min, n_cap)
+                            - n_min + 1, 0).astype(np.int64)
+    sun_module = np.repeat(np.arange(len(modules)), sun_counts)
+    suns = n_min + _segment_offsets(sun_counts)
+    sun, planet, sizes = _window_rows(
+        suns, los[:1], his[-1:], n_min,
+        np.minimum((max_ring[sun_module] - suns) // 2, n_cap), slack=1)
+    module_index = np.repeat(sun_module, sizes)
     ratio = (2 * sun + 2 * planet) / sun
     index = np.searchsorted(los, ratio, side="right") - 1
     row_bin = np.where((index >= 0) & (ratio < his[index]), index, -1)
@@ -271,9 +282,8 @@ def _bin_columns(motor: MotorSpec, arch: Architecture,
         np.broadcast_to(column, keep.shape)[keep]
         for column in (row_bin, module_index, planet_counts, sun, planet))
     order = np.argsort(row_bin * len(modules) + module_index, kind="stable")
-    ends = np.cumsum(np.bincount(row_bin, minlength=len(bins)))[:-1]
-    return list(zip(*(np.split(column[order], ends) for column in
-                      (modules[module_index], planets, sun, planet))))
+    return row_bin[order], tuple(column[order] for column in (
+        modules[module_index], planets, sun, planet))
 
 
 def _designs(arch: Architecture, columns: tuple[np.ndarray, ...],
@@ -291,9 +301,9 @@ def bin_candidates(motor: MotorSpec, arch: Architecture,
                    lo: float, hi: float) -> list[GearboxDesign]:
     """Every feasible design with lo <= R < hi, R the float
     (N_s+N_r)/N_s, in lexicographic (m, n_p, N_s, N_p) order."""
-    return _designs(arch, _bin_columns(motor, arch, constraints,
-                                       validate_module_set(module_set),
-                                       [(lo, hi)])[0])
+    _, columns = _bin_columns(motor, arch, constraints,
+                              validate_module_set(module_set), [(lo, hi)])
+    return _designs(arch, columns)
 
 
 def enumerate_feasible(motor: MotorSpec, arch: Architecture,
@@ -359,11 +369,13 @@ def ranking_key(evaluation: DesignEvaluation) -> tuple:
 def score_columns(arch: Architecture, ctx: EvalContext, module_mm,
                   num_planets, sun_teeth, planet_teeth) -> ColumnScores:
     """Columnar ``evaluate`` over designs that pass every constraint, such
-    as the rows of a bin's window: ``mesh_chain``, ``lewis_width`` and
-    ``component_masses`` on numpy columns. A row is feasible when every
-    model admits it, both mesh efficiencies are > 0 and the cost is
-    finite; rows whose mesh efficiency lies within ``_SETTLE_TOL`` of 0
-    are settled by scalar ``evaluate``."""
+    as every row of an architecture's search window: ``mesh_chain``,
+    ``lewis_width`` and ``component_masses`` on numpy columns. A row is
+    feasible when every model admits it, both mesh efficiencies are > 0
+    and the cost is finite; rows whose mesh efficiency lies within
+    ``_SETTLE_TOL`` of 0 are settled by scalar ``evaluate``. A context
+    that fails a mass rule on its own drops every row (nan cost and
+    mass)."""
     m = np.asarray(module_mm, dtype=np.float64)
     n, s, p = (np.asarray(column, dtype=np.int64)
                for column in (num_planets, sun_teeth, planet_teeth))
@@ -378,7 +390,8 @@ def score_columns(arch: Architecture, ctx: EvalContext, module_mm,
         mass_ok, _, parts = component_masses(
             arch, m, n, s, p, r, width, ctx.motor, ctx.bearing,
             ctx.materials, ctx.mass_params, ctx.mass_terms)
-        total = sum(parts)
+        # no parts: a mass rule of the context alone drops every row
+        total = sum(parts) if parts is not None else np.full(s.shape, nan)
         cost = ctx.cost.k_m * total - ctx.cost.k_e * eta_overall
         eta_mesh = np.minimum(eta_a, eta_b)
         model_ok = tooth_ok & lewis_ok & mass_ok & np.isfinite(cost)
@@ -475,9 +488,13 @@ def optimize_bins(arch: Architecture, ctx: EvalContext,
                   workers: Optional[int] = None) -> list[BinResult]:
     """
     Evaluate all candidates whose reduction ratio falls in some bin and
-    keep the min-cost feasible design per bin, settled by ``evaluate``
-    on the columnar shortlist. Empty bins carry the dominant blocking
-    constraint instead, from one diagnosis window shared by all of them.
+    keep the min-cost feasible design per bin. One ``score_columns``
+    call scores the whole search window; the bin column gives each
+    bin's counts, its cheapest columnar cost and its shortlist, the
+    feasible rows within ``_SETTLE_TOL`` of that cost, which ``evaluate``
+    settles in (m, n_p, N_s, N_p) order. Empty bins carry the dominant
+    blocking constraint instead, from one diagnosis window shared by all
+    of them.
 
     ``workers`` is validated (None or an int >= 1) and otherwise
     ignored: evaluation is serial, and is kept as an argument only for
@@ -486,30 +503,34 @@ def optimize_bins(arch: Architecture, ctx: EvalContext,
     bins = validate_bins(bins)
     module_set = validate_module_set(module_set)
     validate_workers(workers)
-    cells = []
-    for columns in _bin_columns(ctx.motor, arch, ctx.constraints,
-                                module_set, bins):
-        best, feasible_count = None, 0
-        if len(columns[0]):
-            scores = score_columns(arch, ctx, *columns)
-            feasible_count = int(np.count_nonzero(scores.feasible))
-        if feasible_count:
-            cost_min = float(scores.cost[scores.feasible].min())
-            shortlist = scores.feasible & (
-                scores.cost <= cost_min
-                + _SETTLE_TOL * max(1.0, abs(cost_min)))
-            best = min((evaluate(design, ctx)
-                        for design in _designs(arch, columns, shortlist)),
-                       key=ranking_key)
-        cells.append((best, len(columns[0]), feasible_count))
-    empty = [bin_ for bin_, (best, *_) in zip(bins, cells) if best is None]
+    row_bin, columns = _bin_columns(ctx.motor, arch, ctx.constraints,
+                                    module_set, bins)
+    examined = np.bincount(row_bin, minlength=len(bins))
+    feasible_count = np.zeros_like(examined)
+    best = [None] * len(bins)
+    if len(row_bin):
+        scores = score_columns(arch, ctx, *columns)
+        feasible_bin = row_bin[scores.feasible]
+        feasible_count = np.bincount(feasible_bin, minlength=len(bins))
+        cost_min = np.full(len(bins), inf)
+        np.minimum.at(cost_min, feasible_bin, scores.cost[scores.feasible])
+        bound = cost_min + _SETTLE_TOL * np.maximum(1.0, np.abs(cost_min))
+        shortlist = scores.feasible & (scores.cost <= bound[row_bin])
+        shortlisted = zip(row_bin[shortlist].tolist(),
+                          _designs(arch, columns, shortlist))
+        for i, group in groupby(shortlisted, key=itemgetter(0)):
+            best[i] = min((evaluate(design, ctx) for _, design in group),
+                          key=ranking_key)
+    empty = [bin_ for bin_, winner in zip(bins, best) if winner is None]
     reasons = map(_dominant_rule, _bin_tallies(
         ctx.motor, arch, ctx.constraints, module_set, empty) if empty else [])
-    return [BinResult(lo=lo, hi=hi, arch=arch, best=best,
-                      candidates_examined=examined,
-                      feasible_count=feasible_count,
-                      empty_reason=None if best is not None else next(reasons))
-            for (lo, hi), (best, examined, feasible_count) in zip(bins, cells)]
+    return [BinResult(lo=lo, hi=hi, arch=arch, best=winner,
+                      candidates_examined=n_examined,
+                      feasible_count=n_feasible,
+                      empty_reason=None if winner is not None
+                      else next(reasons))
+            for (lo, hi), winner, n_examined, n_feasible
+            in zip(bins, best, examined.tolist(), feasible_count.tolist())]
 
 
 def compare_architectures(

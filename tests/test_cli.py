@@ -4,6 +4,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from math import radians
 from pathlib import Path
 
@@ -296,6 +299,23 @@ class TestRunSweep:
 
 
 class TestCommandLine:
+    def test_start_up_imports_no_logging(self):
+        # numpy and yaml leave logging out; so must the package, because
+        # a sweep never logs and importing logging costs every process
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(__file__).resolve().parents[1] / "src"),
+            env.get("PYTHONPATH")]))
+        code = ("import sys, numpy, yaml\n"
+                "before = set(sys.modules)\n"
+                "import gearboxopt.cli\n"
+                "print(sorted(m for m in set(sys.modules) - before\n"
+                "             if m.split('.')[0] == 'logging'))\n")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
     def test_sweep_command(self, u12_config_path, tmp_path, capsys):
         code = main(["sweep", "--config", str(u12_config_path),
                      "--architectures", "isspg", "--out", str(tmp_path)])

@@ -5,6 +5,7 @@ import csv
 from dataclasses import fields, replace
 from math import ceil, inf, isfinite, nan, pi, radians
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from gearboxopt.cli import build_context, load_config, run_sweep
 from gearboxopt.geometry import _RULE_ORDER, constraint_masks
 from gearboxopt.mass import load_bearing_model
 from gearboxopt.search import (_DIAG_SUN_TEETH_CAP, _MODEL_RULES,
-                               _bin_columns, _bin_tallies, _designs,
-                               bin_candidates, enumerate_feasible,
+                               _SETTLE_TOL, _bin_columns, _bin_tallies,
+                               _designs, bin_candidates, enumerate_feasible,
                                failure_tallies, score_columns)
 
 from conftest import U12
@@ -58,6 +59,13 @@ def naive_rectangle(arch, constraints, modules, motor=U12):
                     if not constraint_failures(design, motor, constraints):
                         found.append(design)
     return found
+
+
+def split_bins(row_bin, columns, count):
+    """``_bin_columns``' rows cut into one column tuple per bin, on its
+    ascending bin column."""
+    ends = np.cumsum(np.bincount(row_bin, minlength=count))[:-1]
+    return list(zip(*(np.split(column, ends) for column in columns)))
 
 
 def scalar_bins(arch, ctx, modules, bins):
@@ -189,9 +197,13 @@ class TestEnumeration:
         # sweep partitions by bin
         windows = [list(enumerate_feasible(U12, Architecture.ISSPG,
                                            ConstraintParams(), ALL_MODULES))]
+        bins = default_bins()
         for arch in Architecture:
-            windows += [_designs(arch, columns) for columns in _bin_columns(
-                U12, arch, ConstraintParams(), ALL_MODULES, default_bins())]
+            row_bin, columns = _bin_columns(U12, arch, ConstraintParams(),
+                                            ALL_MODULES, bins)
+            assert np.all(np.diff(row_bin) >= 0)
+            windows += [_designs(arch, columns_of_bin) for columns_of_bin
+                        in split_bins(row_bin, columns, len(bins))]
         for designs in windows:
             keys = [(d.module_mm, d.num_planets, d.sun_teeth,
                      d.planet_teeth) for d in designs]
@@ -319,6 +331,9 @@ class TestEvaluate:
         for arch in Architecture:
             self._assert_unscored(evaluate(replace(REFERENCE, arch=arch), ctx),
                                   rule)
+            # the columns drop the design too, without raising
+            scores = score_columns(arch, ctx, [0.5], [3], [20], [40])
+            assert not scores.feasible[0]
 
     def test_point_eval_pool_exact(self, u12_config_path):
         # every design of the benchmark's point-eval pool, scored with
@@ -441,6 +456,28 @@ class TestOptimizeBins:
                                           default_bins())
             assert any(r.feasible_count > 1 for r in results)
 
+    @pytest.mark.parametrize("changes, rule", [
+        (dict(planet_bearing_bore_mm=1e300), "planet_bearing_range"),
+        (dict(casing_wall_mm=1e300), "casing_wall")])
+    def test_context_mass_rule_drops_every_row(self, default_ctx, changes,
+                                               rule):
+        # a planet pin or a casing annulus whose diameter cannot be
+        # squared: the sweep completes without a winner, and scalar
+        # evaluate names the rule for the bins' candidates
+        ctx = replace(default_ctx, mass_params=MassModelParams(**changes))
+        modules = [0.5, 0.8]
+        for arch in Architecture:
+            results = optimize_bins(arch, ctx, modules, default_bins())
+            assert all(r.best is None and r.feasible_count == 0
+                       for r in results)
+            assert any(r.candidates_examined for r in results)
+            for r in results:
+                reasons = {evaluate(design, ctx).failure_reasons
+                           for design in bin_candidates(
+                               ctx.motor, arch, ctx.constraints, modules,
+                               r.lo, r.hi)}
+                assert not r.candidates_examined or (rule,) in reasons
+
 
 class TestDiagnosis:
     def test_ring_diameter_blocks_high_ratios(self, default_ctx):
@@ -488,30 +525,40 @@ class TestDiagnosis:
                                "module_range", "tooth_count_cap",
                                "ring_diameter"}
 
-    @pytest.mark.parametrize("arch, scored", [(Architecture.ISSPG, 2),
+    @pytest.mark.parametrize("arch, filled", [(Architecture.ISSPG, 2),
                                               (Architecture.ESSPG, 6)])
-    def test_u12_call_counts(self, default_ctx, monkeypatch, arch, scored):
-        # one search window per architecture, one module-free diagnosis
-        # mask call, one module-rule call per module, and no scoring of
-        # bins without rows
+    def test_u12_call_counts(self, default_ctx, monkeypatch, arch, filled):
+        # one search window per architecture, built by one window-rows
+        # call and scored in one pass, one module-free diagnosis mask
+        # call, one module-rule call per module, and no scoring of bins
+        # without rows
         calls = dict.fromkeys(("score_columns", "constraint_masks",
-                               "module_free_masks", "module_masks"), 0)
+                               "_window_rows", "module_free_masks",
+                               "module_masks"), 0)
+        scored_rows = []
 
         def counted(name):
             original = getattr(search, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if name == "score_columns":
+                    scored_rows.append(len(args[4]))
                 return original(*args, **kwargs)
             monkeypatch.setattr(search, name, wrapper)
         for name in calls:
             counted(name)
         results = optimize_bins(arch, default_ctx, ALL_MODULES,
                                 default_bins())
-        assert sum(r.candidates_examined > 0 for r in results) == scored
-        assert calls == {"score_columns": scored, "constraint_masks": 1,
-                         "module_free_masks": 1,
+        assert sum(r.candidates_examined > 0 for r in results) == filled
+        # the search window and the diagnosis window
+        assert calls == {"score_columns": 1, "constraint_masks": 1,
+                         "_window_rows": 2, "module_free_masks": 1,
                          "module_masks": len(ALL_MODULES)}
+        assert scored_rows == [sum(r.candidates_examined for r in results)]
+        empty = [(r.lo, r.hi) for r in results if not r.candidates_examined]
+        optimize_bins(arch, default_ctx, ALL_MODULES, empty)
+        assert calls["score_columns"] == 1
 
 
 class TestComparison:
@@ -593,12 +640,13 @@ def fractional_bins(draw):
 
 
 @st.composite
-def gapped_bins(draw):
-    """One to five bins with edges k/q, some of them adjacent and some
-    apart: a sweep's bins need not tile the ratio axis."""
+def gapped_bins(draw, top=9, max_edges=6):
+    """One to max_edges - 1 bins with edges k/q in [3, top], some of them
+    adjacent and some apart: a sweep's bins need not tile the ratio
+    axis."""
     q = draw(st.sampled_from([3, 6, 7, 10]))
-    ks = draw(st.lists(st.integers(3 * q, 9 * q), min_size=2, max_size=6,
-                       unique=True))
+    ks = draw(st.lists(st.integers(3 * q, top * q), min_size=2,
+                       max_size=max_edges, unique=True))
     edges = sorted(k / q for k in ks)
     bins = list(zip(edges, edges[1:]))
     keep = draw(st.lists(st.booleans(), min_size=len(bins),
@@ -743,7 +791,8 @@ class TestRatioWindow:
         # the merged passes themselves, over every bin at once: each
         # bin's rows in lexicographic order and its tallies
         merged = zip(results,
-                     _bin_columns(motor, arch, constraints, modules, bins),
+                     split_bins(*_bin_columns(motor, arch, constraints,
+                                              modules, bins), len(bins)),
                      _bin_tallies(motor, arch, constraints, modules, bins))
         for result, columns, counts in merged:
             in_bin = [d for d in naive
@@ -815,8 +864,9 @@ class TestScoreColumns:
     def test_columns_equal_scalar_evaluate(self, bearing_model, data, arch,
                                            module_mm, lo, width):
         ctx = data.draw(eval_contexts(bearing_model))
-        columns, = _bin_columns(ctx.motor, arch, ctx.constraints,
-                                [module_mm], [(lo, lo + width)])
+        columns, = split_bins(*_bin_columns(ctx.motor, arch,
+                                            ctx.constraints, [module_mm],
+                                            [(lo, lo + width)]), 1)
         scores = score_columns(arch, ctx, *columns)
         designs = bin_candidates(ctx.motor, arch, ctx.constraints,
                                  [module_mm], lo, lo + width)
@@ -887,6 +937,58 @@ class TestScoreColumns:
         assert verdicts == {True, False}
 
 
+def per_bin_search(arch, ctx, modules, bins):
+    """(best, candidates_examined, feasible_count) of each bin, scoring
+    each bin's rows alone with ``score_columns`` and settling its
+    shortlist with ``evaluate``."""
+    cells = []
+    for lo, hi in bins:
+        _, columns = _bin_columns(ctx.motor, arch, ctx.constraints, modules,
+                                  [(lo, hi)])
+        best, feasible_count = None, 0
+        if len(columns[0]):
+            scores = score_columns(arch, ctx, *columns)
+            feasible_count = int(np.count_nonzero(scores.feasible))
+        if feasible_count:
+            cost_min = float(scores.cost[scores.feasible].min())
+            shortlist = scores.feasible & (
+                scores.cost <= cost_min
+                + _SETTLE_TOL * max(1.0, abs(cost_min)))
+            best = min((search.evaluate(design, ctx)
+                        for design in _designs(arch, columns, shortlist)),
+                       key=ranking_key)
+        cells.append((best, len(columns[0]), feasible_count))
+    return cells
+
+
+class TestOnePassSearch:
+    # the deterministic draws hold bins without rows, bins whose rows
+    # are all dropped, and several feasible bins with different
+    # cheapest costs in one sweep, where a shortlist bound taken from
+    # the wrong bin drops a winner or settles extra rows
+    @settings(max_examples=120)
+    @given(data=st.data(), arch=st.sampled_from(list(Architecture)),
+           modules=module_sets, bins=gapped_bins(top=15, max_edges=12),
+           sound=st.booleans())
+    def test_optimize_bins_equals_per_bin_scoring(self, bearing_model, data,
+                                                  arch, modules, bins,
+                                                  sound):
+        ctx = data.draw(eval_contexts(bearing_model))
+        if sound:
+            # default mesh and mass parameters leave more bins feasible
+            ctx = replace(ctx, efficiency=EfficiencyParams(),
+                          mass_params=MassModelParams())
+        with mock.patch.object(search, "evaluate",
+                               wraps=search.evaluate) as settled:
+            results = optimize_bins(arch, ctx, modules, bins)
+            one_pass_calls = settled.call_count
+            settled.reset_mock()
+            reference = per_bin_search(arch, ctx, modules, bins)
+            assert settled.call_count == one_pass_calls
+        assert [(r.best, r.candidates_examined, r.feasible_count)
+                for r in results] == reference
+
+
 # --- every accepted input is scored or named --------------------------------
 
 @st.composite
@@ -921,6 +1023,11 @@ class TestExtremeInputs:
                          "mass_params", "cost")})
         rules = set(_RULE_ORDER) | set(_MODEL_RULES)
         for arch in Architecture:
+            # the reference design's columns never raise
+            scores = score_columns(arch, ctx, [REFERENCE.module_mm],
+                                   [REFERENCE.num_planets],
+                                   [REFERENCE.sun_teeth],
+                                   [REFERENCE.planet_teeth])
             try:
                 result = evaluate(replace(REFERENCE, arch=arch), ctx)
             except ValueError as exc:
@@ -928,6 +1035,9 @@ class TestExtremeInputs:
                 # rejection of the whole run
                 assert "leaves no room" in str(exc)
                 continue
+            # the columns score designs that pass every constraint
+            if set(result.failure_reasons) <= set(_MODEL_RULES):
+                assert scores.feasible[0] == result.feasible, result
             if result.feasible:
                 numbers = [result.face_width_mm, result.cost,
                            *vars(result.efficiency).values(),
