@@ -59,7 +59,8 @@ def main() -> None:
     # feasibility rules, one by one, under the names constraint_failures
     # reports for the rules a design fails
     failures = constraint_failures(d, MOTOR, RULES)
-    margin = interference_margin_mm(d)
+    margin = interference_margin_mm(d.module_mm, d.sun_teeth,
+                                    d.planet_teeth, d.num_planets)
     envelope = max_gearbox_diameter(MOTOR, d.arch, RULES)
     print("feasibility rules (rule: holds)")
     for rule, meaning in (

@@ -16,19 +16,18 @@ from .geometry import (Architecture, ConstraintParams, GearboxDesign,
                        base_diameter, constraint_failures,
                        interference_margin_mm, max_gearbox_diameter,
                        pitch_diameter, tip_diameter)
-from .mass import (BearingModel, BearingRow, MassBreakdown, MassModelParams,
-                   MaterialSpec, actuator_mass, base_plate_mass,
-                   bearing_fit_report, bearing_mass, bearing_od,
-                   bearing_width, carrier_disk_od_mm, casing_length_mm,
-                   casing_mass, default_bearing_table_path,
+from .mass import (MassBreakdown, MassModelParams, MaterialSpec, actuator_mass,
+                   base_plate_mass, bearing_fit_report, bearing_mass,
+                   bearing_od, bearing_width, carrier_disk_od_mm,
+                   casing_length_mm, casing_mass, default_bearing_table_path,
                    fit_bearing_model, gearbox_stack_height_mm,
                    load_bearing_model, load_bearing_table,
                    output_bearing_bore_mm, pin_circle_diameter_mm,
                    planet_pin_mass, ring_gear_mass, spur_gear_mass)
-from .search import (BinComparison, BinResult, CostWeights,
-                     DesignEvaluation, EvalContext, compare_architectures,
-                     default_bins, diagnose_empty_bin, enumerate_feasible,
-                     evaluate, optimize_bins, ranking_key, validate_bins)
+from .search import (BinResult, CostWeights, DesignEvaluation, EvalContext,
+                     compare_architectures, default_bins, diagnose_empty_bin,
+                     enumerate_feasible, evaluate, optimize_bins, ranking_key,
+                     validate_bins)
 from .strength import (LewisFormula, LoadCase, StrengthParams,
                        VelocityFormula, face_width, lewis_form_factor,
                        pitch_line_velocity_m_s, sun_pitch_radius_m,
@@ -37,13 +36,13 @@ from .strength import (LewisFormula, LoadCase, StrengthParams,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Architecture", "BearingModel", "BearingRow", "BinComparison", "BinResult",
-    "ConstraintParams", "CostWeights", "DesignEvaluation",
-    "EfficiencyBreakdown", "EfficiencyParams", "EvalContext", "GearboxDesign",
-    "GearRole", "GeometryInfeasibleError", "LewisFormula", "LoadCase",
-    "MassBreakdown", "MassModelParams", "MaterialSpec", "MeshKind",
-    "ModelRangeError", "MotorSpec", "STANDARD_MODULE_SET_MM", "StrengthParams",
-    "VelocityFormula", "actuator_mass", "base_diameter", "base_plate_mass",
+    "Architecture", "BinResult", "ConstraintParams", "CostWeights",
+    "DesignEvaluation", "EfficiencyBreakdown", "EfficiencyParams",
+    "EvalContext", "GearboxDesign", "GearRole", "GeometryInfeasibleError",
+    "LewisFormula", "LoadCase", "MassBreakdown", "MassModelParams",
+    "MaterialSpec", "MeshKind", "ModelRangeError", "MotorSpec",
+    "STANDARD_MODULE_SET_MM", "StrengthParams", "VelocityFormula",
+    "actuator_mass", "base_diameter", "base_plate_mass",
     "basic_driving_efficiency", "bearing_fit_report", "bearing_mass",
     "bearing_od", "bearing_width", "carrier_disk_od_mm", "casing_length_mm",
     "casing_mass", "compare_architectures", "constraint_failures",

@@ -19,6 +19,7 @@ otherwise.
 
 from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import compress
 from math import acos, cos, isfinite, pi, sin, tan
 from typing import Optional
 
@@ -48,15 +49,28 @@ def require_finite(record) -> None:
             raise ValueError(f"{spec.name} must be finite, got {value}")
 
 
+def _sin_pi_over(planets):
+    return sin(pi / planets)
+
+
+def _sin_pi_over_column(planets):
+    """``sin(pi/n)`` from a table of ``math.sin`` (0 below two planets)."""
+    low = int(planets.min()) if planets.size else 0
+    table = np.array([sin(pi / k) if k >= 2 else 0.0
+                      for k in range(low, int(planets.max(initial=low)) + 1)])
+    return table[planets - low]
+
+
 # numpy counterparts of the operations model formulas use on one design
-_COLUMN_OPS = {acos: np.arccos, tan: np.tan, min: np.minimum, max: np.maximum}
+_COLUMN_OPS = {acos: np.arccos, tan: np.tan, min: np.minimum, max: np.maximum,
+               _sin_pi_over: _sin_pi_over_column}
 
 
 def pick(value, *scalar_ops) -> tuple:
-    """``scalar_ops`` (math, builtins) for a Python float, else their numpy
-    counterparts: numpy's acos and tan differ from libm's in the last bit,
-    so one design stays on math."""
-    if value.__class__ is float:
+    """``scalar_ops`` (math, builtins) for a Python number, else their
+    numpy counterparts: numpy's acos, tan and sin differ from libm's in the
+    last bit, so one design stays on math."""
+    if value.__class__ is float or value.__class__ is int:
         return scalar_ops
     return tuple(_COLUMN_OPS[op] for op in scalar_ops)
 
@@ -185,14 +199,15 @@ def tip_diameter(tooth_count: int, module_mm: float, role: GearRole) -> float:
     return d_a
 
 
-def interference_margin_mm(design: GearboxDesign) -> float:
-    """
-    Clearance between adjacent planet gears:
-    2m(N_s+N_p)sin(pi/n_p) - 2mN_p (mm).
-    """
-    m = design.module_mm
-    spread = 2.0 * m * (design.sun_teeth + design.planet_teeth)
-    return spread * sin(pi / design.num_planets) - 2.0 * m * design.planet_teeth
+def interference_margin_mm(module_mm, sun_teeth, planet_teeth, num_planets):
+    """Clearance between adjacent planet gears, 2m(N_s+N_p)sin(pi/n_p) -
+    2mN_p (mm), for one design's numbers or numpy columns."""
+    sin_pi_over, = pick(num_planets, _sin_pi_over)
+    two_m = 2.0 * module_mm
+    margin = two_m * (sun_teeth + planet_teeth) * sin_pi_over(num_planets)
+    # in place on columns: one float grid less, the same values
+    margin -= two_m * planet_teeth
+    return margin
 
 
 def max_gearbox_diameter(motor: MotorSpec, arch: Architecture,
@@ -214,122 +229,64 @@ def max_gearbox_diameter(motor: MotorSpec, arch: Architecture,
     return bound
 
 
+# each rule group's verdicts, in the order it returns them
+_MODULE_FREE_RULES = ("geometric", "meshing", "undercutting",
+                      "tooth_count_cap", "planet_count")
+_PER_MODULE_RULES = ("planet_interference", "module_range", "ring_diameter")
+
+
+def module_free_rules(num_planets, sun_teeth, planet_teeth, ring_teeth,
+                      params: ConstraintParams) -> tuple:
+    """The verdicts (True: violated) of ``_MODULE_FREE_RULES`` for one
+    design's integers or numpy columns, each at the shape of its inputs."""
+    sun, planet, planets = sun_teeth, planet_teeth, num_planets
+    cap = params.max_teeth
+    return (
+        # concentric assembly: N_r = N_s + 2*N_p
+        ring_teeth != sun + 2 * planet,
+        # equal planet spacing: (N_s + N_r) divisible by n_p
+        (sun + ring_teeth) % planets != 0,
+        (sun < params.min_teeth) | (planet < params.min_teeth),
+        cap is not None and (sun > cap) | (planet > cap),
+        (planets < params.min_planets) | (planets > params.max_planets))
+
+
+def module_rules(arch: Architecture, module_mm, num_planets, sun_teeth,
+                 planet_teeth, ring_teeth, motor: MotorSpec,
+                 params: ConstraintParams) -> tuple:
+    """The verdicts (True: violated) of ``_PER_MODULE_RULES`` for one
+    design's numbers or numpy columns, each at the shape of its inputs."""
+    m = module_mm
+    margin = interference_margin_mm(m, sun_teeth, planet_teeth, num_planets)
+    # a lone planet has no neighbour (planet_count names it); ``^ True``
+    # negates a bool or a mask (``~True`` is -2) and fails a nan margin
+    return (
+        (num_planets >= 2) & ((margin >= params.planet_clearance_mm) ^ True),
+        (m < params.module_min_mm) | (m > params.module_max_mm),
+        m * ring_teeth > max_gearbox_diameter(motor, arch, params))
+
+
+def in_rule_order(module_free: tuple, per_module: tuple) -> tuple:
+    """The verdicts of ``module_free_rules`` and ``module_rules`` merged in
+    ``_RULE_ORDER``, the order in which failures are named."""
+    geometric, meshing, undercutting, tooth_cap, planet_count = module_free
+    interference, module_range, ring_diameter = per_module
+    return (geometric, meshing, interference, module_range, undercutting,
+            tooth_cap, ring_diameter, planet_count)
+
+
+_RULE_ORDER = in_rule_order(_MODULE_FREE_RULES, _PER_MODULE_RULES)
+
+
 def constraint_failures(design: GearboxDesign, motor: MotorSpec,
                         params: ConstraintParams) -> list[str]:
-    """
-    Names of all violated feasibility constraints (empty when feasible).
-
-    Bound checks are reported individually so empty search bins can name
-    their dominant blocker.
-    """
-    sun, planet, ring, planets, m = (design.sun_teeth, design.planet_teeth,
-                                     design.ring_teeth, design.num_planets,
-                                     design.module_mm)
-    failures = []
-    # concentric assembly: N_r = N_s + 2*N_p
-    if ring != sun + 2 * planet:
-        failures.append("geometric")
-    # equal planet spacing: (N_s + N_r) divisible by n_p
-    if (sun + ring) % planets != 0:
-        failures.append("meshing")
-    # adjacent planets keep planet_clearance_mm apart; a single planet
-    # has no neighbour, and planet_count names that design
-    if planets >= 2 and not (interference_margin_mm(design)
-                             >= params.planet_clearance_mm):
-        failures.append("planet_interference")
-    if not params.module_min_mm <= m <= params.module_max_mm:
-        failures.append("module_range")
-    if sun < params.min_teeth or planet < params.min_teeth:
-        failures.append("undercutting")
-    if params.max_teeth is not None and max(sun, planet) > params.max_teeth:
-        failures.append("tooth_count_cap")
-    if m * ring > max_gearbox_diameter(motor, design.arch, params):
-        failures.append("ring_diameter")
-    if not params.min_planets <= planets <= params.max_planets:
-        failures.append("planet_count")
-    return failures
-
-
-_RULE_ORDER = ("geometric", "meshing", "planet_interference",
-               "module_range", "undercutting", "tooth_count_cap",
-               "ring_diameter", "planet_count")
-
-
-def module_free_masks(num_planets, sun_teeth, planet_teeth, ring_teeth,
-                      params: ConstraintParams) -> dict[str, np.ndarray]:
-    """
-    The ``constraint_masks`` rules that do not read the module:
-    geometric, meshing, undercutting, tooth_count_cap and planet_count,
-    each at the broadcast shape of the columns it reads (``False`` for
-    tooth_count_cap without ``max_teeth``).
-    """
-    planets = np.asarray(num_planets, dtype=np.int64)
-    sun = np.asarray(sun_teeth, dtype=np.int64)
-    planet = np.asarray(planet_teeth, dtype=np.int64)
-    ring = np.asarray(ring_teeth, dtype=np.int64)
-    return {
-        "geometric": ring != sun + 2 * planet,
-        "meshing": (sun + ring) % planets != 0,
-        "undercutting": (sun < params.min_teeth)
-        | (planet < params.min_teeth),
-        "tooth_count_cap": (np.maximum(sun, planet) > params.max_teeth
-                            if params.max_teeth is not None else False),
-        "planet_count": ~((params.min_planets <= planets)
-                          & (planets <= params.max_planets)),
-    }
-
-
-def module_masks(arch: Architecture, module_mm, num_planets, sun_teeth,
-                 planet_teeth, ring_teeth, motor: MotorSpec,
-                 params: ConstraintParams) -> dict[str, np.ndarray]:
-    """
-    The ``constraint_masks`` rules that read the module:
-    planet_interference, module_range and ring_diameter, each at the
-    broadcast shape of the columns it reads.
-    """
-    m = np.asarray(module_mm, dtype=np.float64)
-    planets = np.asarray(num_planets, dtype=np.int64)
-    sun = np.asarray(sun_teeth, dtype=np.int64)
-    planet = np.asarray(planet_teeth, dtype=np.int64)
-    ring = np.asarray(ring_teeth, dtype=np.int64)
-    # math.sin from a table over the planet counts' range: np.sin may
-    # differ from libm in the last bit, moving designs across the clearance
-    low = int(planets.min()) if planets.size else 0
-    sines = np.array([sin(pi / k) if k >= 2 else 0.0 for k in range(
-        low, int(planets.max(initial=low)) + 1)])[planets - low]
-    two_m = 2.0 * m
-    margin = (two_m * (sun + planet)) * sines
-    # in place: one float grid less, the same values
-    margin -= two_m * planet
-    return {
-        "planet_interference": (planets >= 2)
-        & ~(margin >= params.planet_clearance_mm),
-        "module_range": ~((params.module_min_mm <= m)
-                          & (m <= params.module_max_mm)),
-        "ring_diameter": m * ring > max_gearbox_diameter(motor, arch,
-                                                         params),
-    }
-
-
-def constraint_masks(arch: Architecture, module_mm, num_planets, sun_teeth,
-                     planet_teeth, ring_teeth, motor: MotorSpec,
-                     params: ConstraintParams) -> dict[str, np.ndarray]:
-    """
-    Columnar ``constraint_failures``: one boolean mask per rule, True
-    on the rows that violate it.
-
-    The tooth counts and planet counts are integer columns of equal
-    length; ``module_mm`` is a scalar or a column. Rules carry the same
-    names in the same order and use the same float64 expressions, so
-    every mask equals the scalar rule row by row. The masks are
-    ``module_free_masks`` and ``module_masks`` merged and broadcast to
-    the shape of all the columns.
-    """
-    shape = np.broadcast_shapes(*(np.shape(column) for column in (
-        module_mm, num_planets, sun_teeth, planet_teeth, ring_teeth)))
-    masks = {**module_free_masks(num_planets, sun_teeth, planet_teeth,
-                                 ring_teeth, params),
-             **module_masks(arch, module_mm, num_planets, sun_teeth,
-                            planet_teeth, ring_teeth, motor, params)}
-    return {name: np.broadcast_to(masks[name], shape)
-            for name in _RULE_ORDER}
+    """Names of all violated feasibility constraints (empty when
+    feasible), in ``_RULE_ORDER``, so empty search bins can name their
+    dominant blocker."""
+    n, s, p, r = (design.num_planets, design.sun_teeth, design.planet_teeth,
+                  design.ring_teeth)
+    verdicts = in_rule_order(
+        module_free_rules(n, s, p, r, params),
+        module_rules(design.arch, design.module_mm, n, s, p, r, motor,
+                     params))
+    return list(compress(_RULE_ORDER, verdicts))

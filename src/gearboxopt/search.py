@@ -7,9 +7,11 @@ R = (N_s+N_r)/N_s = 2 + 2*N_p/N_s, the planets of each sun that fall
 in a half-open bin [lo, hi) form one short integer range. One window
 per architecture spans all bins and modules: one ``_window_rows`` call
 builds its (m, N_s, N_p) rows as numpy columns, the planet counts are a
-broadcast axis, and one ``constraint_masks`` call masks every rule. Each
-row goes to its bin once, and a stable sort on (bin, module) keeps each
-bin in lexicographic order next to an ascending bin column.
+broadcast axis, and one call of each rule group of ``geometry``
+(``module_free_rules``, ``module_rules``) gives every rule's verdict.
+No window may exceed ``_WINDOW_BOUND`` suns or (planet count, row)
+cells. Each row goes to its bin once, and a stable sort on (bin, module)
+keeps each bin in lexicographic order next to an ascending bin column.
 
 The search keeps the rows that fail no rule and scores them with
 
@@ -32,17 +34,15 @@ The cheapest feasible design per bin (default [5,6) ... [14,15)) and
 architecture is reported. Ties break deterministically: lower mass,
 then higher efficiency, then lexicographic (m, n_p, N_s, N_p). An
 empty bin reports the most frequent blocker of its diagnosis window,
-whose rows are built once per architecture. The five rules that do not
-read the module are masked once on those rows and their counts scaled
-by the number of modules; only planet_interference, module_range and
-ring_diameter are masked per module.
+whose rows are built once per architecture and checked by one
+``module_free_rules`` call and one ``module_rules`` call per module.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import groupby
 from math import inf, isfinite, nan
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -50,8 +50,8 @@ import numpy as np
 from .efficiency import EfficiencyBreakdown, EfficiencyParams, mesh_chain
 from .geometry import (_RULE_ORDER, Architecture, ConstraintParams,
                        GearboxDesign, MotorSpec, constraint_failures,
-                       constraint_masks, max_gearbox_diameter, module_masks,
-                       module_free_masks, require_finite)
+                       in_rule_order, max_gearbox_diameter, module_free_rules,
+                       module_rules, require_finite)
 from .mass import (BearingModel, MassBreakdown, MassModelParams,
                    MaterialSpec, component_masses, context_terms,
                    load_bearing_model)
@@ -61,6 +61,11 @@ from .strength import LoadCase, StrengthParams, lewis_width
 # appears first at small suns (smallest ring for a given ratio), so
 # scanning this far is enough to name the dominant blocker
 _DIAG_SUN_TEETH_CAP = 60
+
+# most suns or (planet count, row) cells a candidate window may hold,
+# checked before any of its arrays is built: 16x scale's unbounded
+# window (41,776 rows x 6 planet counts)
+_WINDOW_BOUND = 4_000_000
 
 # relative tolerance, scaled by max(1, |value|), within which columnar
 # costs and mesh efficiencies are left to scalar ``evaluate``: numpy's
@@ -217,24 +222,41 @@ def _segment_offsets(sizes: np.ndarray) -> np.ndarray:
     return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
 
-def _window_rows(suns: np.ndarray, edges_lo: np.ndarray,
-                 edges_hi: np.ndarray, n_min: int, planet_max=inf,
-                 slack: int = 0) -> tuple[np.ndarray, ...]:
+def _bounded(arch: Architecture, count, what: str) -> None:
+    """Reject a candidate window of more than ``_WINDOW_BOUND`` suns or
+    cells before it is built."""
+    if count > _WINDOW_BOUND:
+        raise ValueError(
+            f"the {arch.value} candidate window needs {count:.3g} {what}, "
+            f"more than the bound of {_WINDOW_BOUND:,}")
+
+
+def _window_rows(arch: Architecture, constraints: ConstraintParams,
+                 suns: np.ndarray, edges_lo: np.ndarray, edges_hi: np.ndarray,
+                 planet_max=inf, slack: int = 0) -> tuple[np.ndarray, ...]:
     """
-    The lexicographic (N_s, N_p) rows of a ratio window, and the row
-    count of each (sun, edge pair), suns outermost. R = 2 + 2*N_p/N_s,
-    so a sun's planets in [lo, hi) lie in [ceil((lo-2)*N_s/2),
-    ceil((hi-2)*N_s/2)), floored at n_min, capped at planet_max (one
-    cap, or one per sun) and widened by ``slack`` teeth at each end.
+    The lexicographic (N_s, N_p, N_r) rows of a ratio window, its planet
+    counts as a (k, 1) column, and the row count of each (sun, edge
+    pair), suns outermost. R = 2 + 2*N_p/N_s, so a sun's planets in
+    [lo, hi) lie in [ceil((lo-2)*N_s/2), ceil((hi-2)*N_s/2)), floored at
+    min_teeth, capped at planet_max (one cap, or one per sun) and
+    widened by ``slack`` teeth at each end. The (planet count, row)
+    cells, counted as if there were one row at least, must stay within
+    ``_WINDOW_BOUND``.
     """
+    low, high = constraints.min_planets, constraints.max_planets
     first = np.maximum(np.ceil((edges_lo[:, None] - 2.0) * suns / 2.0)
-                       - slack, n_min).T.ravel()
+                       - slack, constraints.min_teeth).T.ravel()
     stop = np.minimum(np.ceil((edges_hi[:, None] - 2.0) * suns / 2.0)
                       + slack, planet_max + 1).T.ravel()
-    sizes = np.maximum(stop - first, 0).astype(np.int64)
+    sizes = np.maximum(stop - first, 0)
+    _bounded(arch, max(sizes.sum(), 1) * (high - low + 1),
+             "(planet count, row) cells")
+    sizes = sizes.astype(np.int64)
     sun = np.repeat(np.repeat(suns, len(edges_lo)), sizes)
     planet = np.repeat(first.astype(np.int64), sizes) + _segment_offsets(sizes)
-    return sun, planet, sizes
+    return (sun, planet, sun + 2 * planet, np.arange(low, high + 1)[:, None],
+            sizes)
 
 
 def _bin_columns(motor: MotorSpec, arch: Architecture,
@@ -258,24 +280,28 @@ def _bin_columns(motor: MotorSpec, arch: Architecture,
     los, his = np.array(bins, dtype=np.float64).reshape(-1, 2).T
     modules = np.array([m for m in module_set if constraints.module_min_mm
                         <= m <= constraints.module_max_mm], dtype=np.float64)
-    # each module's suns run from n_min to its ring envelope or the cap
-    max_ring = np.floor(d_max / modules + 1e-9)
+    # each module's suns run from n_min to its ring envelope or the cap;
+    # an envelope that overflows to inf is refused by the sun bound
+    with np.errstate(over="ignore"):
+        max_ring = np.floor(d_max / modules + 1e-9)
     sun_counts = np.maximum(np.minimum(max_ring - 2 * n_min, n_cap)
-                            - n_min + 1, 0).astype(np.int64)
+                            - n_min + 1, 0)
+    _bounded(arch, sun_counts.sum(), "suns")
+    sun_counts = sun_counts.astype(np.int64)
     sun_module = np.repeat(np.arange(len(modules)), sun_counts)
     suns = n_min + _segment_offsets(sun_counts)
-    sun, planet, sizes = _window_rows(
-        suns, los[:1], his[-1:], n_min,
+    sun, planet, ring, planet_counts, sizes = _window_rows(
+        arch, constraints, suns, los[:1], his[-1:],
         np.minimum((max_ring[sun_module] - suns) // 2, n_cap), slack=1)
     module_index = np.repeat(sun_module, sizes)
     ratio = (2 * sun + 2 * planet) / sun
     index = np.searchsorted(los, ratio, side="right") - 1
     row_bin = np.where((index >= 0) & (ratio < his[index]), index, -1)
-    planet_counts = np.arange(constraints.min_planets,
-                              constraints.max_planets + 1)[:, None]
-    masks = constraint_masks(arch, modules[module_index], planet_counts, sun,
-                             planet, sun + 2 * planet, motor, constraints)
-    keep = ~np.any(list(masks.values()), axis=0) & (row_bin >= 0)
+    failed = reduce(or_, in_rule_order(
+        module_free_rules(planet_counts, sun, planet, ring, constraints),
+        module_rules(arch, modules[module_index], planet_counts, sun, planet,
+                     ring, motor, constraints)))
+    keep = ~failed & (row_bin >= 0)
     # the (n_p, row) flatten runs in (n_p, m, N_s, N_p) order, so a stable
     # sort on (bin, module) puts each bin in (m, n_p, N_s, N_p) order
     row_bin, module_index, planets, sun, planet = (
@@ -422,35 +448,31 @@ def _bin_tallies(motor: MotorSpec, arch: Architecture,
     ``validate_module_set``: suns up to the diagnostic ceiling, each
     with exactly every bin's planet range.
 
-    The rows do not depend on the module. The rules that do not read it
-    are masked once on the (planet count, row) grid and their row
-    counts scaled by the number of modules; only planet_interference,
-    module_range and ring_diameter are masked per module. Each mask is
-    summed at its own shape.
+    The rows do not depend on the module. ``module_free_rules`` runs
+    once on the (planet count, row) grid and its row counts are scaled
+    by the number of modules; ``module_rules`` runs once per module.
+    Each verdict is summed at its own shape.
     """
     los, his = np.array(bins, dtype=np.float64).reshape(-1, 2).T
-    sun, planet, sizes = _window_rows(
-        np.arange(constraints.min_teeth, _DIAG_SUN_TEETH_CAP + 1), los, his,
-        constraints.min_teeth)
-    ring = sun + 2 * planet
+    sun, planet, ring, planet_counts, sizes = _window_rows(
+        arch, constraints,
+        np.arange(constraints.min_teeth, _DIAG_SUN_TEETH_CAP + 1), los, his)
     row_bin = np.repeat(np.arange(len(sizes)) % len(bins), sizes)
-    planet_counts = np.arange(constraints.min_planets,
-                              constraints.max_planets + 1)[:, None]
     k = len(planet_counts)
-    weights = {name: _row_counts(mask, k) * len(module_set)
-               for name, mask in module_free_masks(
-                   planet_counts, sun, planet, ring, constraints).items()}
+    module_free = [_row_counts(verdict, k) * len(module_set)
+                   for verdict in module_free_rules(planet_counts, sun,
+                                                    planet, ring, constraints)]
+    per_module = [0, 0, 0]
     for module_mm in module_set:
-        for name, mask in module_masks(arch, module_mm, planet_counts, sun,
-                                       planet, ring, motor,
-                                       constraints).items():
-            weights[name] = weights.get(name, 0) + _row_counts(mask, k)
+        verdicts = module_rules(arch, module_mm, planet_counts, sun, planet,
+                                ring, motor, constraints)
+        per_module = [total + _row_counts(verdict, k)
+                      for total, verdict in zip(per_module, verdicts)]
     # float weights: the counts stay far below 2**53, so exact
-    counts = {name: np.bincount(row_bin, minlength=len(bins),
-                                weights=np.broadcast_to(weights[name],
-                                                        row_bin.shape))
-              for name in _RULE_ORDER}
-    return [{name: int(tally[i]) for name, tally in counts.items()
+    counts = [np.bincount(row_bin, minlength=len(bins),
+                          weights=np.broadcast_to(weight, row_bin.shape))
+              for weight in in_rule_order(module_free, per_module)]
+    return [{name: int(tally[i]) for name, tally in zip(_RULE_ORDER, counts)
              if tally[i]} for i in range(len(bins))]
 
 

@@ -405,3 +405,20 @@ class TestCommandLine:
         assert code == 1
         err = capsys.readouterr().err
         assert "error:" in err and "load" in err
+
+    @pytest.mark.parametrize("overrides, what", [
+        ({"constraints": {"module_min_mm": 1e-6},
+          "search": {"module_set": [1e-6]}}, "suns"),
+        ({"motor": {**MINIMAL["motor"], "outer_diameter_mm": 1e9}}, "suns"),
+        ({"search": {"bins": [[20, 1e12]]}}, "cells"),
+        ({"constraints": {"max_planets": 10**9}}, "cells"),
+    ], ids=["tiny-module", "huge-motor", "huge-bin", "huge-planet-range"])
+    def test_oversized_window_is_a_clean_error(self, tmp_path, capsys,
+                                               overrides, what):
+        path = write_config(tmp_path, {**MINIMAL, "output_dir": str(
+            tmp_path / "out"), **overrides})
+        code = main(["sweep", "--config", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the ")
+        assert f"{what}, more than the bound of" in err

@@ -2,8 +2,9 @@
 predicates, checked against hand-computed values."""
 
 from dataclasses import fields, replace
-from math import cos, inf, isfinite, nan, pi, radians, sin
+from math import cos, inf, isfinite, isnan, nan, pi, radians, sin
 
+import numpy as np
 import pytest
 
 from gearboxopt import (Architecture, ConstraintParams, CostWeights,
@@ -13,8 +14,9 @@ from gearboxopt import (Architecture, ConstraintParams, CostWeights,
                         base_diameter, constraint_failures, evaluate,
                         interference_margin_mm, max_gearbox_diameter,
                         pitch_diameter, tip_diameter)
-from gearboxopt.geometry import (constraint_masks, module_free_masks,
-                                 module_masks)
+from gearboxopt.geometry import (_MODULE_FREE_RULES, _PER_MODULE_RULES,
+                                 _RULE_ORDER, in_rule_order,
+                                 module_free_rules, module_rules)
 from gearboxopt.search import score_columns
 
 ALPHA = radians(20.0)
@@ -26,6 +28,11 @@ def design(arch, ns, npl, nr, m, k):
 
 
 REFERENCE = design(Architecture.ISSPG, 20, 40, 100, 0.5, 3)
+
+
+def margin(d):
+    return interference_margin_mm(d.module_mm, d.sun_teeth, d.planet_teeth,
+                                  d.num_planets)
 
 # one valid instance of every input record of ``EvalContext``
 VALID_INPUTS = (
@@ -119,10 +126,16 @@ class TestPredicates:
     def test_interference_margin_value(self):
         # 2*0.5*(20+40)*sin(pi/3) - 2*0.5*40 = 60*sin(60 deg) - 40
         expected = 60.0 * sin(pi / 3.0) - 40.0
-        assert interference_margin_mm(REFERENCE) == pytest.approx(
+        assert margin(REFERENCE) == pytest.approx(
             expected, rel=1e-15)
-        assert interference_margin_mm(REFERENCE) == pytest.approx(
+        assert margin(REFERENCE) == pytest.approx(
             11.961524227066318, rel=1e-12)
+        # numpy columns give the same float
+        columns = interference_margin_mm(np.array([0.5, 0.5]),
+                                         np.array([20, 20]),
+                                         np.array([40, 40]), np.array([3, 7]))
+        assert columns.tolist() == [margin(REFERENCE), margin(
+            design(Architecture.ISSPG, 20, 40, 100, 0.5, 7))]
 
     def test_interference_threshold(self, u12):
         params = ConstraintParams()
@@ -130,7 +143,7 @@ class TestPredicates:
             REFERENCE, u12, params)
         # crowding 7 planets between the same gears leaves a negative gap
         crowded = design(Architecture.ISSPG, 20, 40, 100, 0.5, 7)
-        assert interference_margin_mm(crowded) < 0
+        assert margin(crowded) < 0
         assert "planet_interference" in constraint_failures(crowded, u12,
                                                             params)
 
@@ -138,10 +151,19 @@ class TestPredicates:
         # a lone planet's margin is negative, but it has no neighbour:
         # planet_count names it, planet_interference does not
         single = design(Architecture.ISSPG, 20, 40, 100, 0.5, 1)
-        assert interference_margin_mm(single) < 0
+        assert margin(single) < 0
         failures = constraint_failures(single, u12, ConstraintParams())
         assert "planet_interference" not in failures
         assert "planet_count" in failures
+
+    @pytest.mark.parametrize("module_mm", [1e307, 1e308])
+    def test_nan_margin_fails_the_clearance(self, u12, module_mm):
+        # 2m(N_s+N_p) and 2mN_p both overflow, so the margin is
+        # inf - inf = nan, which must not pass the clearance
+        huge = replace(REFERENCE, module_mm=module_mm)
+        assert isnan(margin(huge))
+        assert constraint_failures(huge, u12, ConstraintParams()) == [
+            "planet_interference", "module_range", "ring_diameter"]
 
 
 class TestFiniteInputs:
@@ -244,24 +266,35 @@ class TestConstraintFailures:
                                    ConstraintParams()) == ["ring_diameter"]
 
     def test_rule_groups_partition_the_rules(self, u12):
-        # a design that breaks every rule names them all, in rule order
+        # the two groups' names partition the rules, each group in rule
+        # order, and the merge puts them in rule order
+        assert sorted(_MODULE_FREE_RULES + _PER_MODULE_RULES) == sorted(
+            _RULE_ORDER)
+        assert len(set(_RULE_ORDER)) == 8
+        for group in (_MODULE_FREE_RULES, _PER_MODULE_RULES):
+            assert list(group) == [name for name in _RULE_ORDER
+                                   if name in group]
+        assert _RULE_ORDER == (
+            "geometric", "meshing", "planet_interference", "module_range",
+            "undercutting", "tooth_count_cap", "ring_diameter",
+            "planet_count")
+        # a design that breaks every rule names them all, in rule order,
+        # and one-row columns give the same verdicts
         params = ConstraintParams(max_teeth=30)
         broken = design(Architecture.ISSPG, 5, 100, 1000, 2.0, 9)
-        names = constraint_failures(broken, u12, params)
-        assert len(names) == len(set(names)) == 8
-        columns = (broken.num_planets, broken.sun_teeth,
-                   broken.planet_teeth, broken.ring_teeth)
-        free = module_free_masks(*columns, params)
-        per_module = module_masks(broken.arch, broken.module_mm, *columns,
-                                  u12, params)
-        assert sorted([*free, *per_module]) == sorted(names)
-        assert list(free) == [name for name in names if name in free]
-        assert list(per_module) == [name for name in names
-                                    if name in per_module]
-        assert all({**free, **per_module}.values())
-        merged = constraint_masks(broken.arch, broken.module_mm, *columns,
-                                  u12, params)
-        assert list(merged) == names
+        assert constraint_failures(broken, u12, params) == list(_RULE_ORDER)
+        row = (broken.num_planets, broken.sun_teeth, broken.planet_teeth,
+               broken.ring_teeth)
+        columns = [np.array([value]) for value in row]
+        verdicts = in_rule_order(
+            module_free_rules(*columns, params),
+            module_rules(broken.arch, np.array([broken.module_mm]),
+                         *columns, u12, params))
+        assert [verdict.tolist() for verdict in verdicts] == [[True]] * 8
+        assert in_rule_order(
+            module_free_rules(*row, params),
+            module_rules(broken.arch, broken.module_mm, *row, u12,
+                         params)) == (True,) * 8
 
 
 class TestParamValidation:

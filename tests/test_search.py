@@ -22,7 +22,8 @@ from gearboxopt import (Architecture, BinResult, ConstraintParams,
                         optimize_bins, ranking_key, validate_bins)
 from gearboxopt import search
 from gearboxopt.cli import build_context, load_config, run_sweep
-from gearboxopt.geometry import _RULE_ORDER, constraint_masks
+from gearboxopt.geometry import (_RULE_ORDER, in_rule_order, module_free_rules,
+                                 module_rules)
 from gearboxopt.mass import load_bearing_model
 from gearboxopt.search import (_DIAG_SUN_TEETH_CAP, _MODEL_RULES,
                                _SETTLE_TOL, _bin_columns, _bin_tallies,
@@ -59,6 +60,21 @@ def naive_rectangle(arch, constraints, modules, motor=U12):
                     if not constraint_failures(design, motor, constraints):
                         found.append(design)
     return found
+
+
+def rule_masks(arch, module_mm, num_planets, sun_teeth, planet_teeth,
+               ring_teeth, motor, constraints):
+    """The merged verdicts of both rule groups by rule name, each
+    broadcast to the shape of all the columns."""
+    shape = np.broadcast_shapes(*(np.shape(column) for column in (
+        module_mm, num_planets, sun_teeth, planet_teeth, ring_teeth)))
+    verdicts = in_rule_order(
+        module_free_rules(num_planets, sun_teeth, planet_teeth, ring_teeth,
+                          constraints),
+        module_rules(arch, module_mm, num_planets, sun_teeth, planet_teeth,
+                     ring_teeth, motor, constraints))
+    return {name: np.broadcast_to(verdict, shape)
+            for name, verdict in zip(_RULE_ORDER, verdicts)}
 
 
 def split_bins(row_bin, columns, count):
@@ -529,12 +545,11 @@ class TestDiagnosis:
                                               (Architecture.ESSPG, 6)])
     def test_u12_call_counts(self, default_ctx, monkeypatch, arch, filled):
         # one search window per architecture, built by one window-rows
-        # call and scored in one pass, one module-free diagnosis mask
-        # call, one module-rule call per module, and no scoring of bins
-        # without rows
-        calls = dict.fromkeys(("score_columns", "constraint_masks",
-                               "_window_rows", "module_free_masks",
-                               "module_masks"), 0)
+        # call, checked by one call of each rule group and scored in one
+        # pass; one module-free diagnosis call, one module-rule call per
+        # module, and no scoring of bins without rows
+        calls = dict.fromkeys(("score_columns", "_window_rows",
+                               "module_free_rules", "module_rules"), 0)
         scored_rows = []
 
         def counted(name):
@@ -552,9 +567,9 @@ class TestDiagnosis:
                                 default_bins())
         assert sum(r.candidates_examined > 0 for r in results) == filled
         # the search window and the diagnosis window
-        assert calls == {"score_columns": 1, "constraint_masks": 1,
-                         "_window_rows": 2, "module_free_masks": 1,
-                         "module_masks": len(ALL_MODULES)}
+        assert calls == {"score_columns": 1, "_window_rows": 2,
+                         "module_free_rules": 2,
+                         "module_rules": 1 + len(ALL_MODULES)}
         assert scored_rows == [sum(r.candidates_examined for r in results)]
         empty = [(r.lo, r.hi) for r in results if not r.candidates_examined]
         optimize_bins(arch, default_ctx, ALL_MODULES, empty)
@@ -704,7 +719,7 @@ class TestRatioWindow:
                                              if ring is None else ring),
                                  module_mm=module_mm, num_planets=planets)
                    for module_mm, planets, sun, planet, ring in rows]
-        masks = constraint_masks(
+        masks = rule_masks(
             arch, np.array([d.module_mm for d in designs]),
             np.array([d.num_planets for d in designs]),
             np.array([d.sun_teeth for d in designs]),
@@ -758,13 +773,12 @@ class TestRatioWindow:
         ring = np.array([s + 2 * p if r is None else r
                          for s, p, r in rows])
         k = len(planet_counts)
-        grid = constraint_masks(arch, module_mm,
-                                np.array(planet_counts)[:, None], sun,
-                                planet, ring, motor, constraints)
-        flat = constraint_masks(arch, module_mm,
-                                np.repeat(planet_counts, len(rows)),
-                                np.tile(sun, k), np.tile(planet, k),
-                                np.tile(ring, k), motor, constraints)
+        grid = rule_masks(arch, module_mm, np.array(planet_counts)[:, None],
+                          sun, planet, ring, motor, constraints)
+        flat = rule_masks(arch, module_mm,
+                          np.repeat(planet_counts, len(rows)),
+                          np.tile(sun, k), np.tile(planet, k),
+                          np.tile(ring, k), motor, constraints)
         assert list(grid) == list(flat)
         for name, mask in flat.items():
             assert grid[name].shape == (k, len(rows))
@@ -1046,3 +1060,63 @@ class TestExtremeInputs:
             else:
                 assert result.failure_reasons, result
                 assert set(result.failure_reasons) <= rules, result
+
+
+class TestWindowBound:
+    """Each oversized input is refused by name before a window array is
+    built, instead of allocating without limit."""
+
+    def refused(self, arch, ctx, modules, bins, what):
+        bound = f"{search._WINDOW_BOUND:,}"
+        with pytest.raises(ValueError, match=rf"the {arch.value} candidate "
+                           rf"window needs .* {what}, more than the bound "
+                           rf"of {bound}"):
+            optimize_bins(arch, ctx, modules, bins)
+
+    def test_tiny_module(self, default_ctx):
+        # d_max/m = 5.5e7 suns on the u12 stator bore
+        ctx = replace(default_ctx,
+                      constraints=ConstraintParams(module_min_mm=1e-6))
+        self.refused(Architecture.ISSPG, ctx, [1e-6], default_bins(), "suns")
+
+    def test_huge_motor(self, default_ctx):
+        # about 2e9 suns per module inside a 1e9 mm motor
+        motor = replace(U12, outer_diameter_mm=1e9)
+        self.refused(Architecture.ESSPG, replace(default_ctx, motor=motor),
+                     ALL_MODULES, default_bins(), "suns")
+        # d_max/m overflows to inf suns: refused without a warning
+        ctx = replace(default_ctx,
+                      motor=replace(U12, outer_diameter_mm=1e150),
+                      constraints=ConstraintParams(module_min_mm=1e-300))
+        self.refused(Architecture.ESSPG, ctx, [1e-300], default_bins(),
+                     "suns")
+
+    def test_huge_bin(self, default_ctx):
+        # the search window is empty, and the diagnosis window would hold
+        # about 3e13 planets per sun
+        self.refused(Architecture.ISSPG, default_ctx, ALL_MODULES,
+                     [(20.0, 1e12)], r"\(planet count, row\) cells")
+
+    def test_huge_planet_count_range(self, default_ctx):
+        ctx = replace(default_ctx,
+                      constraints=ConstraintParams(max_planets=10**9))
+        self.refused(Architecture.ISSPG, ctx, ALL_MODULES, default_bins(),
+                     r"\(planet count, row\) cells")
+
+    def test_bound_admits_the_largest_window_with_margin(self,
+                                                         monkeypatch):
+        # the largest window built today: the scale motor's unbounded
+        # esspg window, which the candidates log enumerates
+        counts = {}
+
+        def recorded(arch, count, what):
+            counts[what] = count
+            return bounded(arch, count, what)
+        bounded = search._bounded
+        monkeypatch.setattr(search, "_bounded", recorded)
+        designs = list(enumerate_feasible(SCALE_MOTOR, Architecture.ESSPG,
+                                          ConstraintParams(), ALL_MODULES))
+        assert len(designs) == 91_704
+        assert counts == {"suns": 1_056,
+                          "(planet count, row) cells": 41_776 * 6}
+        assert search._WINDOW_BOUND >= 10 * max(counts.values())
