@@ -25,9 +25,8 @@ from .mass import (MassBreakdown, MassModelParams, MaterialSpec, actuator_mass,
                    output_bearing_bore_mm, pin_circle_diameter_mm,
                    planet_pin_mass, ring_gear_mass, spur_gear_mass)
 from .search import (BinResult, CostWeights, DesignEvaluation, EvalContext,
-                     compare_architectures, default_bins, diagnose_empty_bin,
-                     enumerate_feasible, evaluate, optimize_bins, ranking_key,
-                     validate_bins)
+                     compare_architectures, default_bins, enumerate_feasible,
+                     evaluate, optimize_bins, ranking_key, validate_bins)
 from .strength import (LewisFormula, LoadCase, StrengthParams,
                        VelocityFormula, face_width, lewis_form_factor,
                        pitch_line_velocity_m_s, sun_pitch_radius_m,
@@ -47,8 +46,8 @@ __all__ = [
     "bearing_od", "bearing_width", "carrier_disk_od_mm", "casing_length_mm",
     "casing_mass", "compare_architectures", "constraint_failures",
     "contact_ratios", "default_bearing_table_path", "default_bins",
-    "diagnose_empty_bin", "enumerate_feasible", "evaluate", "face_width",
-    "fit_bearing_model", "gearbox_stack_height_mm", "interference_margin_mm",
+    "enumerate_feasible", "evaluate", "face_width", "fit_bearing_model",
+    "gearbox_stack_height_mm", "interference_margin_mm",
     "lewis_form_factor", "load_bearing_model", "load_bearing_table",
     "loss_parameter", "max_gearbox_diameter", "optimize_bins",
     "output_bearing_bore_mm", "overall_efficiency", "pin_circle_diameter_mm",

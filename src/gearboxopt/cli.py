@@ -40,8 +40,7 @@ from .search import (BinComparison, BinResult, CostWeights,
                      default_bins, enumerate_feasible, evaluate,
                      optimize_bins, validate_bins, validate_module_set,
                      validate_workers)
-from .strength import (LewisFormula, LoadCase, StrengthParams,
-                       VelocityFormula)
+from .strength import LoadCase, StrengthParams
 
 _TOP_LEVEL_KEYS = {"motor", "load", "constraints", "efficiency", "strength",
                    "materials", "mass", "cost", "search", "bearing_table",
@@ -347,7 +346,7 @@ def _evaluation_dict(evaluation: DesignEvaluation) -> dict:
     if evaluation.feasible:
         out["efficiency"] = _dataclass_dict(evaluation.efficiency)
         out["face_width_mm"] = evaluation.face_width_mm
-        out["mass_kg"] = evaluation.mass.as_dict()
+        out["mass_kg"] = _dataclass_dict(evaluation.mass)
         out["cost"] = evaluation.cost
     else:
         out["failure_reasons"] = list(evaluation.failure_reasons)
@@ -445,7 +444,7 @@ def export_dimension_sheet(evaluation: DesignEvaluation, cfg: RunConfig,
             "base_plate_thickness_mm": mass_params.base_plate_thickness_mm,
         },
         "efficiency": _dataclass_dict(evaluation.efficiency),
-        "mass_kg": evaluation.mass.as_dict(),
+        "mass_kg": _dataclass_dict(evaluation.mass),
         "cost": evaluation.cost,
     }
 

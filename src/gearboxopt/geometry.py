@@ -229,53 +229,37 @@ def max_gearbox_diameter(motor: MotorSpec, arch: Architecture,
     return bound
 
 
-# each rule group's verdicts, in the order it returns them
-_MODULE_FREE_RULES = ("geometric", "meshing", "undercutting",
-                      "tooth_count_cap", "planet_count")
-_PER_MODULE_RULES = ("planet_interference", "module_range", "ring_diameter")
+# the feasibility rules, in the order ``constraint_rules`` returns their
+# verdicts and failures are named
+_RULE_ORDER = ("geometric", "meshing", "planet_interference", "module_range",
+               "undercutting", "tooth_count_cap", "ring_diameter",
+               "planet_count")
 
 
-def module_free_rules(num_planets, sun_teeth, planet_teeth, ring_teeth,
-                      params: ConstraintParams) -> tuple:
-    """The verdicts (True: violated) of ``_MODULE_FREE_RULES`` for one
-    design's integers or numpy columns, each at the shape of its inputs."""
-    sun, planet, planets = sun_teeth, planet_teeth, num_planets
+def constraint_rules(arch: Architecture, module_mm, num_planets, sun_teeth,
+                     planet_teeth, ring_teeth, motor: MotorSpec,
+                     params: ConstraintParams) -> tuple:
+    """The verdicts (True: violated) of the rules of ``_RULE_ORDER``, in
+    that order, for one design's numbers or numpy columns. Each verdict
+    has the shape of the inputs it reads: a rule that does not read the
+    module is computed once for a whole module axis."""
+    m, planets, sun, planet = module_mm, num_planets, sun_teeth, planet_teeth
     cap = params.max_teeth
     return (
         # concentric assembly: N_r = N_s + 2*N_p
         ring_teeth != sun + 2 * planet,
         # equal planet spacing: (N_s + N_r) divisible by n_p
         (sun + ring_teeth) % planets != 0,
+        # a lone planet has no neighbour (planet_count names it); ``^ True``
+        # negates a bool or a mask (``~True`` is -2) and fails a nan margin;
+        # no local keeps the margin grid alive while the later rules run
+        (planets >= 2) & ((interference_margin_mm(m, sun, planet, planets)
+                           >= params.planet_clearance_mm) ^ True),
+        (m < params.module_min_mm) | (m > params.module_max_mm),
         (sun < params.min_teeth) | (planet < params.min_teeth),
         cap is not None and (sun > cap) | (planet > cap),
+        m * ring_teeth > max_gearbox_diameter(motor, arch, params),
         (planets < params.min_planets) | (planets > params.max_planets))
-
-
-def module_rules(arch: Architecture, module_mm, num_planets, sun_teeth,
-                 planet_teeth, ring_teeth, motor: MotorSpec,
-                 params: ConstraintParams) -> tuple:
-    """The verdicts (True: violated) of ``_PER_MODULE_RULES`` for one
-    design's numbers or numpy columns, each at the shape of its inputs."""
-    m = module_mm
-    margin = interference_margin_mm(m, sun_teeth, planet_teeth, num_planets)
-    # a lone planet has no neighbour (planet_count names it); ``^ True``
-    # negates a bool or a mask (``~True`` is -2) and fails a nan margin
-    return (
-        (num_planets >= 2) & ((margin >= params.planet_clearance_mm) ^ True),
-        (m < params.module_min_mm) | (m > params.module_max_mm),
-        m * ring_teeth > max_gearbox_diameter(motor, arch, params))
-
-
-def in_rule_order(module_free: tuple, per_module: tuple) -> tuple:
-    """The verdicts of ``module_free_rules`` and ``module_rules`` merged in
-    ``_RULE_ORDER``, the order in which failures are named."""
-    geometric, meshing, undercutting, tooth_cap, planet_count = module_free
-    interference, module_range, ring_diameter = per_module
-    return (geometric, meshing, interference, module_range, undercutting,
-            tooth_cap, ring_diameter, planet_count)
-
-
-_RULE_ORDER = in_rule_order(_MODULE_FREE_RULES, _PER_MODULE_RULES)
 
 
 def constraint_failures(design: GearboxDesign, motor: MotorSpec,
@@ -283,10 +267,6 @@ def constraint_failures(design: GearboxDesign, motor: MotorSpec,
     """Names of all violated feasibility constraints (empty when
     feasible), in ``_RULE_ORDER``, so empty search bins can name their
     dominant blocker."""
-    n, s, p, r = (design.num_planets, design.sun_teeth, design.planet_teeth,
-                  design.ring_teeth)
-    verdicts = in_rule_order(
-        module_free_rules(n, s, p, r, params),
-        module_rules(design.arch, design.module_mm, n, s, p, r, motor,
-                     params))
-    return list(compress(_RULE_ORDER, verdicts))
+    return list(compress(_RULE_ORDER, constraint_rules(
+        design.arch, design.module_mm, design.num_planets, design.sun_teeth,
+        design.planet_teeth, design.ring_teeth, motor, params)))

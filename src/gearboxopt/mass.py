@@ -22,7 +22,7 @@ Units: mm in, kg out; densities in kg/m^3.
 """
 
 import csv
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from math import inf, nan, pi
 from pathlib import Path
 from importlib import resources
@@ -125,9 +125,6 @@ class MassBreakdown:
             sun=sun, planets_total=planets_total, ring=ring, carrier=carrier,
             secondary_carrier=secondary_carrier, bearings_total=bearings_total,
             casing=casing, base_plate=base_plate, motor=motor, total=total)
-
-    def as_dict(self) -> dict[str, float]:
-        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
 
 
 def default_bearing_table_path() -> Path:

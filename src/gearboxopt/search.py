@@ -7,11 +7,12 @@ R = (N_s+N_r)/N_s = 2 + 2*N_p/N_s, the planets of each sun that fall
 in a half-open bin [lo, hi) form one short integer range. One window
 per architecture spans all bins and modules: one ``_window_rows`` call
 builds its (m, N_s, N_p) rows as numpy columns, the planet counts are a
-broadcast axis, and one call of each rule group of ``geometry``
-(``module_free_rules``, ``module_rules``) gives every rule's verdict.
-No window may exceed ``_WINDOW_BOUND`` suns or (planet count, row)
-cells. Each row goes to its bin once, and a stable sort on (bin, module)
-keeps each bin in lexicographic order next to an ascending bin column.
+broadcast axis, and one ``geometry.constraint_rules`` call gives every
+rule's verdict. No window may exceed ``_WINDOW_BOUND`` suns or (planet
+count, row) cells, nor the diagnosis grid (module, planet count, row)
+cells. Each row goes to its bin once, and a stable sort on (bin,
+module) keeps each bin in lexicographic order next to an ascending bin
+column.
 
 The search keeps the rows that fail no rule and scores them with
 
@@ -35,13 +36,13 @@ architecture is reported. Ties break deterministically: lower mass,
 then higher efficiency, then lexicographic (m, n_p, N_s, N_p). An
 empty bin reports the most frequent blocker of its diagnosis window,
 whose rows are built once per architecture and checked by one
-``module_free_rules`` call and one ``module_rules`` call per module.
+``constraint_rules`` call with the modules as a leading axis.
 """
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import groupby
-from math import inf, isfinite, nan
+from math import inf, isfinite, nan, prod
 from operator import itemgetter, or_
 from typing import Iterator, NamedTuple, Optional
 
@@ -50,8 +51,7 @@ import numpy as np
 from .efficiency import EfficiencyBreakdown, EfficiencyParams, mesh_chain
 from .geometry import (_RULE_ORDER, Architecture, ConstraintParams,
                        GearboxDesign, MotorSpec, constraint_failures,
-                       in_rule_order, max_gearbox_diameter, module_free_rules,
-                       module_rules, require_finite)
+                       constraint_rules, max_gearbox_diameter, require_finite)
 from .mass import (BearingModel, MassBreakdown, MassModelParams,
                    MaterialSpec, component_masses, context_terms,
                    load_bearing_model)
@@ -62,9 +62,9 @@ from .strength import LoadCase, StrengthParams, lewis_width
 # scanning this far is enough to name the dominant blocker
 _DIAG_SUN_TEETH_CAP = 60
 
-# most suns or (planet count, row) cells a candidate window may hold,
-# checked before any of its arrays is built: 16x scale's unbounded
-# window (41,776 rows x 6 planet counts)
+# most suns, (planet count, row) or (module, planet count, row) cells a
+# window may hold, checked before any of its arrays is built: 16x
+# scale's unbounded window (41,776 rows x 6 planet counts)
 _WINDOW_BOUND = 4_000_000
 
 # relative tolerance, scaled by max(1, |value|), within which columnar
@@ -297,10 +297,9 @@ def _bin_columns(motor: MotorSpec, arch: Architecture,
     ratio = (2 * sun + 2 * planet) / sun
     index = np.searchsorted(los, ratio, side="right") - 1
     row_bin = np.where((index >= 0) & (ratio < his[index]), index, -1)
-    failed = reduce(or_, in_rule_order(
-        module_free_rules(planet_counts, sun, planet, ring, constraints),
-        module_rules(arch, modules[module_index], planet_counts, sun, planet,
-                     ring, motor, constraints)))
+    failed = reduce(or_, constraint_rules(
+        arch, modules[module_index], planet_counts, sun, planet, ring, motor,
+        constraints))
     keep = ~failed & (row_bin >= 0)
     # the (n_p, row) flatten runs in (n_p, m, N_s, N_p) order, so a stable
     # sort on (bin, module) puts each bin in (m, n_p, N_s, N_p) order
@@ -431,47 +430,45 @@ def score_columns(arch: Architecture, ctx: EvalContext, module_mm,
                         eta_overall=eta_overall)
 
 
-def _row_counts(mask, planet_count: int) -> np.ndarray:
-    """Per row, how many entries of the (planet count, row) grid a mask
-    flags, summed at the mask's own shape: a mask without the planet
-    axis is scaled by the number of planet counts, not broadcast."""
-    if np.ndim(mask) == 2:
-        return mask.sum(axis=0)
-    return mask * planet_count
+def _row_counts(verdict, shape: tuple) -> np.ndarray:
+    """Per row (the last axis), how many entries of a grid of ``shape`` a
+    verdict flags, summed at the verdict's own shape: each grid axis the
+    verdict lacks scales the sum by its length, not by a broadcast."""
+    verdict = np.asarray(verdict)
+    own = (1,) * (len(shape) - verdict.ndim) + verdict.shape
+    lacked = prod(size for size, have in zip(shape[:-1], own) if have == 1)
+    return verdict.reshape(own).sum(axis=tuple(range(len(shape) - 1))) * lacked
 
 
 def _bin_tallies(motor: MotorSpec, arch: Architecture,
                  constraints: ConstraintParams, module_set: list[float],
                  bins: list[tuple[float, float]]) -> list[dict[str, int]]:
     """
-    ``failure_tallies`` of ascending, disjoint bins over the modules of
-    ``validate_module_set``: suns up to the diagnostic ceiling, each
-    with exactly every bin's planet range.
+    Violations per rule, zero counts left out, in the diagnosis window of
+    each of ascending, disjoint bins over distinct modules: suns up to
+    the diagnostic ceiling, each with exactly every bin's planet range,
+    and no feasibility filter.
 
-    The rows do not depend on the module. ``module_free_rules`` runs
-    once on the (planet count, row) grid and its row counts are scaled
-    by the number of modules; ``module_rules`` runs once per module.
-    Each verdict is summed at its own shape.
+    The rows do not depend on the module. One ``constraint_rules`` call
+    takes the modules as a leading (M, 1, 1) axis, so a rule that does
+    not read the module is computed once, and ``_row_counts`` sums each
+    verdict at its own shape.
     """
     los, his = np.array(bins, dtype=np.float64).reshape(-1, 2).T
     sun, planet, ring, planet_counts, sizes = _window_rows(
         arch, constraints,
         np.arange(constraints.min_teeth, _DIAG_SUN_TEETH_CAP + 1), los, his)
     row_bin = np.repeat(np.arange(len(sizes)) % len(bins), sizes)
-    k = len(planet_counts)
-    module_free = [_row_counts(verdict, k) * len(module_set)
-                   for verdict in module_free_rules(planet_counts, sun,
-                                                    planet, ring, constraints)]
-    per_module = [0, 0, 0]
-    for module_mm in module_set:
-        verdicts = module_rules(arch, module_mm, planet_counts, sun, planet,
-                                ring, motor, constraints)
-        per_module = [total + _row_counts(verdict, k)
-                      for total, verdict in zip(per_module, verdicts)]
+    shape = (len(module_set), len(planet_counts), len(sun))
+    _bounded(arch, prod(shape), "(module, planet count, row) cells")
+    modules = np.array(module_set, dtype=np.float64)[:, None, None]
     # float weights: the counts stay far below 2**53, so exact
     counts = [np.bincount(row_bin, minlength=len(bins),
-                          weights=np.broadcast_to(weight, row_bin.shape))
-              for weight in in_rule_order(module_free, per_module)]
+                          weights=np.broadcast_to(_row_counts(verdict, shape),
+                                                  row_bin.shape))
+              for verdict in constraint_rules(arch, modules, planet_counts,
+                                              sun, planet, ring, motor,
+                                              constraints)]
     return [{name: int(tally[i]) for name, tally in zip(_RULE_ORDER, counts)
              if tally[i]} for i in range(len(bins))]
 
@@ -480,28 +477,6 @@ def _dominant_rule(counts: dict[str, int]) -> str:
     """The most frequent rule of a tally; ties go to the first name."""
     return min(counts, key=lambda name: (-counts[name], name),
                default="no_candidates_in_ratio_window")
-
-
-def failure_tallies(motor: MotorSpec, arch: Architecture,
-                    constraints: ConstraintParams, module_set: list[float],
-                    lo: float, hi: float) -> dict[str, int]:
-    """Violations per rule over a bin's diagnosis window (suns capped at
-    a diagnostic ceiling, no feasibility filter); zero counts left out.
-    The bin must pass ``validate_bins`` and the modules
-    ``validate_module_set``."""
-    return _bin_tallies(motor, arch, constraints,
-                        validate_module_set(module_set),
-                        validate_bins([(lo, hi)]))[0]
-
-
-def diagnose_empty_bin(motor: MotorSpec, arch: Architecture,
-                       constraints: ConstraintParams,
-                       module_set: list[float], lo: float,
-                       hi: float) -> str:
-    """The rule that blocks an empty ratio bin: the most frequent one in
-    ``failure_tallies``."""
-    return _dominant_rule(failure_tallies(motor, arch, constraints,
-                                          module_set, lo, hi))
 
 
 def optimize_bins(arch: Architecture, ctx: EvalContext,
@@ -515,8 +490,8 @@ def optimize_bins(arch: Architecture, ctx: EvalContext,
     bin's counts, its cheapest columnar cost and its shortlist, the
     feasible rows within ``_SETTLE_TOL`` of that cost, which ``evaluate``
     settles in (m, n_p, N_s, N_p) order. Empty bins carry the dominant
-    blocking constraint instead, from one diagnosis window shared by all
-    of them.
+    blocking constraint instead: the most frequent rule of
+    ``_bin_tallies``, whose one diagnosis window all of them share.
 
     ``workers`` is validated (None or an int >= 1) and otherwise
     ignored: evaluation is serial, and is kept as an argument only for

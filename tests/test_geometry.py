@@ -14,9 +14,7 @@ from gearboxopt import (Architecture, ConstraintParams, CostWeights,
                         base_diameter, constraint_failures, evaluate,
                         interference_margin_mm, max_gearbox_diameter,
                         pitch_diameter, tip_diameter)
-from gearboxopt.geometry import (_MODULE_FREE_RULES, _PER_MODULE_RULES,
-                                 _RULE_ORDER, in_rule_order,
-                                 module_free_rules, module_rules)
+from gearboxopt.geometry import _RULE_ORDER, constraint_rules
 from gearboxopt.search import score_columns
 
 ALPHA = radians(20.0)
@@ -265,19 +263,12 @@ class TestConstraintFailures:
         assert constraint_failures(big, u12,
                                    ConstraintParams()) == ["ring_diameter"]
 
-    def test_rule_groups_partition_the_rules(self, u12):
-        # the two groups' names partition the rules, each group in rule
-        # order, and the merge puts them in rule order
-        assert sorted(_MODULE_FREE_RULES + _PER_MODULE_RULES) == sorted(
-            _RULE_ORDER)
-        assert len(set(_RULE_ORDER)) == 8
-        for group in (_MODULE_FREE_RULES, _PER_MODULE_RULES):
-            assert list(group) == [name for name in _RULE_ORDER
-                                   if name in group]
+    def test_rules_return_verdicts_in_rule_order(self, u12):
         assert _RULE_ORDER == (
             "geometric", "meshing", "planet_interference", "module_range",
             "undercutting", "tooth_count_cap", "ring_diameter",
             "planet_count")
+        assert len(set(_RULE_ORDER)) == 8
         # a design that breaks every rule names them all, in rule order,
         # and one-row columns give the same verdicts
         params = ConstraintParams(max_teeth=30)
@@ -285,16 +276,23 @@ class TestConstraintFailures:
         assert constraint_failures(broken, u12, params) == list(_RULE_ORDER)
         row = (broken.num_planets, broken.sun_teeth, broken.planet_teeth,
                broken.ring_teeth)
+        assert constraint_rules(broken.arch, broken.module_mm, *row, u12,
+                                params) == (True,) * 8
         columns = [np.array([value]) for value in row]
-        verdicts = in_rule_order(
-            module_free_rules(*columns, params),
-            module_rules(broken.arch, np.array([broken.module_mm]),
-                         *columns, u12, params))
+        verdicts = constraint_rules(broken.arch, np.array([broken.module_mm]),
+                                    *columns, u12, params)
         assert [verdict.tolist() for verdict in verdicts] == [[True]] * 8
-        assert in_rule_order(
-            module_free_rules(*row, params),
-            module_rules(broken.arch, broken.module_mm, *row, u12,
-                         params)) == (True,) * 8
+        # a (module, planet count, row) broadcast: every verdict keeps the
+        # shape of the inputs it reads, and every entry is violated
+        modules = np.array([1.3, 2.0])[:, None, None]
+        planets = np.array([8, 9])[:, None]
+        verdicts = constraint_rules(broken.arch, modules, planets,
+                                    *columns[1:], u12, params)
+        assert [np.shape(verdict) for verdict in verdicts] == [
+            (1,), (2, 1), (2, 2, 1), (2, 1, 1), (1,), (1,), (2, 1, 1),
+            (2, 1)]
+        assert all(np.broadcast_to(verdict, (2, 2, 1)).all()
+                   for verdict in verdicts)
 
 
 class TestParamValidation:

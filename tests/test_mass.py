@@ -5,7 +5,7 @@ cylinder/annulus volumes and an explicit least-squares fit on the
 packaged bearing table.
 """
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 from math import inf, pi
 
 import pytest
@@ -249,7 +249,7 @@ class TestActuatorMass:
         breakdown = actuator_mass(REFERENCE, u12, FACE_REFERENCE_MM,
                                   bearing_model, MaterialSpec(),
                                   MassModelParams())
-        actual = breakdown.as_dict()
+        actual = asdict(breakdown)
         assert actual.keys() == BREAKDOWN_KG.keys()
         for key, expected in BREAKDOWN_KG.items():
             assert actual[key] == pytest.approx(expected, rel=REL), key
@@ -258,7 +258,7 @@ class TestActuatorMass:
         breakdown = actuator_mass(REFERENCE, u12, FACE_REFERENCE_MM,
                                   bearing_model, MaterialSpec(),
                                   MassModelParams())
-        parts = breakdown.as_dict()
+        parts = asdict(breakdown)
         total = parts.pop("total")
         assert total == pytest.approx(sum(parts.values()), rel=1e-15)
 
@@ -307,7 +307,7 @@ class TestActuatorMass:
                             ctx.mass_terms)
                         if sound:
                             assert (*parts, sum(parts)) == tuple(
-                                actuator_mass(*args).as_dict().values())
+                                asdict(actuator_mass(*args)).values())
                             failed.add(None)
                             continue
                         rule = _MODEL_RULES[3 + verdicts.index(False)]

@@ -12,23 +12,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gearboxopt import (Architecture, BinResult, ConstraintParams,
-                        CostWeights, DesignEvaluation, EfficiencyParams,
-                        EvalContext, GearboxDesign, LoadCase,
-                        MassModelParams, MaterialSpec, MeshKind, MotorSpec,
-                        StrengthParams, compare_architectures,
-                        contact_ratios, loss_parameter,
-                        constraint_failures, default_bins, diagnose_empty_bin,
+                        CostWeights, EfficiencyParams, EvalContext,
+                        GearboxDesign, LoadCase, MassModelParams,
+                        MaterialSpec, MeshKind, MotorSpec, StrengthParams,
+                        compare_architectures, contact_ratios,
+                        loss_parameter, constraint_failures, default_bins,
                         evaluate, face_width, max_gearbox_diameter,
                         optimize_bins, ranking_key, validate_bins)
 from gearboxopt import search
 from gearboxopt.cli import build_context, load_config, run_sweep
-from gearboxopt.geometry import (_RULE_ORDER, in_rule_order, module_free_rules,
-                                 module_rules)
+from gearboxopt.geometry import _RULE_ORDER, constraint_rules
 from gearboxopt.mass import load_bearing_model
 from gearboxopt.search import (_DIAG_SUN_TEETH_CAP, _MODEL_RULES,
                                _SETTLE_TOL, _bin_columns, _bin_tallies,
-                               _designs, bin_candidates, enumerate_feasible,
-                               failure_tallies, score_columns)
+                               _designs, _dominant_rule, bin_candidates,
+                               enumerate_feasible, score_columns)
 
 from conftest import U12
 
@@ -64,17 +62,21 @@ def naive_rectangle(arch, constraints, modules, motor=U12):
 
 def rule_masks(arch, module_mm, num_planets, sun_teeth, planet_teeth,
                ring_teeth, motor, constraints):
-    """The merged verdicts of both rule groups by rule name, each
-    broadcast to the shape of all the columns."""
+    """The verdicts of ``constraint_rules`` by rule name, each broadcast
+    to the shape of all the columns."""
     shape = np.broadcast_shapes(*(np.shape(column) for column in (
         module_mm, num_planets, sun_teeth, planet_teeth, ring_teeth)))
-    verdicts = in_rule_order(
-        module_free_rules(num_planets, sun_teeth, planet_teeth, ring_teeth,
-                          constraints),
-        module_rules(arch, module_mm, num_planets, sun_teeth, planet_teeth,
-                     ring_teeth, motor, constraints))
+    verdicts = constraint_rules(arch, module_mm, num_planets, sun_teeth,
+                                planet_teeth, ring_teeth, motor, constraints)
     return {name: np.broadcast_to(verdict, shape)
             for name, verdict in zip(_RULE_ORDER, verdicts)}
+
+
+def diagnosis(motor, arch, constraints, modules, lo, hi):
+    """The tally of one bin's diagnosis window and its dominant rule."""
+    counts, = _bin_tallies(motor, arch, constraints, sorted(modules),
+                           [(lo, hi)])
+    return counts, _dominant_rule(counts)
 
 
 def split_bins(row_bin, columns, count):
@@ -99,8 +101,8 @@ def scalar_bins(arch, ctx, modules, bins):
             lo=lo, hi=hi, arch=arch, best=best,
             candidates_examined=len(candidates),
             feasible_count=len(feasible),
-            empty_reason=None if best is not None else diagnose_empty_bin(
-                ctx.motor, arch, ctx.constraints, modules, lo, hi)))
+            empty_reason=None if best is not None else diagnosis(
+                ctx.motor, arch, ctx.constraints, modules, lo, hi)[1]))
     return results
 
 
@@ -141,21 +143,23 @@ class TestHelpers:
 
     @pytest.mark.parametrize("bin_", [(14.0, inf), (-inf, 6.0),
                                       (nan, 6.0)])
-    def test_non_finite_bin_edges_rejected(self, bin_):
+    def test_non_finite_bin_edges_rejected(self, default_ctx, bin_):
         # an infinite edge would size the diagnosis window's planet
-        # ranges as inf before the int64 cast
+        # ranges as inf before the int64 cast; the sweep refuses it
+        # before either window is built
         with pytest.raises(ValueError):
             validate_bins([bin_])
-        for diagnose in (failure_tallies, diagnose_empty_bin):
-            with pytest.raises(ValueError):
-                diagnose(U12, Architecture.ISSPG, ConstraintParams(), [0.5],
-                         *bin_)
+        with mock.patch.object(search, "_window_rows") as window_rows:
+            with pytest.raises(ValueError, match="non-finite"):
+                optimize_bins(Architecture.ISSPG, default_ctx, [0.5],
+                              [bin_])
+        window_rows.assert_not_called()
 
     @pytest.mark.parametrize("modules", [
         [], [0.5, 0.6, 0.5], [0.5, nan], [0.0, 0.5], [0.5, inf],
         [-0.5, 0.5], [0.5, -inf]])
     @pytest.mark.parametrize("entry", ["optimize_bins", "bin_candidates",
-                                       "failure_tallies"])
+                                       "enumerate_feasible"])
     def test_module_set_validated(self, default_ctx, entry, modules):
         # a repeated module would be counted twice in every tally; a
         # module that is not finite and > 0 cannot size a window
@@ -165,9 +169,8 @@ class TestHelpers:
             "bin_candidates": lambda: bin_candidates(
                 U12, Architecture.ISSPG, ConstraintParams(), modules, 5.0,
                 6.0),
-            "failure_tallies": lambda: failure_tallies(
-                U12, Architecture.ISSPG, ConstraintParams(), modules, 7.0,
-                8.0)}
+            "enumerate_feasible": lambda: list(enumerate_feasible(
+                U12, Architecture.ISSPG, ConstraintParams(), modules))}
         with pytest.raises(ValueError, match="module"):
             calls[entry]()
 
@@ -497,15 +500,15 @@ class TestOptimizeBins:
 
 class TestDiagnosis:
     def test_ring_diameter_blocks_high_ratios(self, default_ctx):
-        reason = diagnose_empty_bin(U12, Architecture.ISSPG,
-                                    default_ctx.constraints, ALL_MODULES,
-                                    7.0, 8.0)
+        _, reason = diagnosis(U12, Architecture.ISSPG,
+                              default_ctx.constraints, ALL_MODULES, 7.0, 8.0)
         assert reason == "ring_diameter"
 
     def test_window_without_integer_candidates(self, default_ctx):
-        reason = diagnose_empty_bin(U12, Architecture.ISSPG,
-                                    default_ctx.constraints, ALL_MODULES,
-                                    5.001, 5.002)
+        counts, reason = diagnosis(U12, Architecture.ISSPG,
+                                   default_ctx.constraints, ALL_MODULES,
+                                   5.001, 5.002)
+        assert counts == {}
         assert reason == "no_candidates_in_ratio_window"
 
     @pytest.mark.parametrize("arch, bins", [
@@ -533,8 +536,7 @@ class TestDiagnosis:
         # module count and the module rules summed over every module
         constraints = ConstraintParams(max_teeth=40, min_planets=3)
         modules = [0.4, 0.5, 0.8, 1.4]
-        counts = failure_tallies(U12, arch, constraints, modules, lo,
-                                 lo + 1.0)
+        counts, _ = diagnosis(U12, arch, constraints, modules, lo, lo + 1.0)
         assert counts == scalar_tallies(U12, arch, constraints, modules,
                                         lo, lo + 1.0)
         assert set(counts) == {"meshing", "planet_interference",
@@ -545,11 +547,11 @@ class TestDiagnosis:
                                               (Architecture.ESSPG, 6)])
     def test_u12_call_counts(self, default_ctx, monkeypatch, arch, filled):
         # one search window per architecture, built by one window-rows
-        # call, checked by one call of each rule group and scored in one
-        # pass; one module-free diagnosis call, one module-rule call per
-        # module, and no scoring of bins without rows
+        # call, checked by one rules call and scored in one pass; one
+        # rules call for the diagnosis over every module, and no scoring
+        # of bins without rows
         calls = dict.fromkeys(("score_columns", "_window_rows",
-                               "module_free_rules", "module_rules"), 0)
+                               "constraint_rules"), 0)
         scored_rows = []
 
         def counted(name):
@@ -568,8 +570,7 @@ class TestDiagnosis:
         assert sum(r.candidates_examined > 0 for r in results) == filled
         # the search window and the diagnosis window
         assert calls == {"score_columns": 1, "_window_rows": 2,
-                         "module_free_rules": 2,
-                         "module_rules": 1 + len(ALL_MODULES)}
+                         "constraint_rules": 2}
         assert scored_rows == [sum(r.candidates_examined for r in results)]
         empty = [(r.lo, r.hi) for r in results if not r.candidates_examined]
         optimize_bins(arch, default_ctx, ALL_MODULES, empty)
@@ -696,7 +697,7 @@ def scalar_tallies(motor, arch, constraints, modules, lo, hi):
 
 
 def scalar_verdict(counts):
-    """``diagnose_empty_bin``'s answer from a scalar tally."""
+    """``_dominant_rule``'s answer from a scalar tally."""
     if not counts:
         return "no_candidates_in_ratio_window"
     return max(sorted(counts), key=lambda name: counts[name])
@@ -750,10 +751,8 @@ class TestRatioWindow:
         for lo, hi in bins:
             counts = scalar_tallies(motor, arch, constraints, modules, lo,
                                     hi)
-            assert failure_tallies(motor, arch, constraints, modules, lo,
-                                   hi) == counts
-            assert diagnose_empty_bin(motor, arch, constraints, modules,
-                                      lo, hi) == scalar_verdict(counts)
+            assert diagnosis(motor, arch, constraints, modules, lo,
+                             hi) == (counts, scalar_verdict(counts))
 
     @settings(max_examples=60)
     @given(motor=motors(), constraints=constraint_sets(),
@@ -1096,6 +1095,16 @@ class TestWindowBound:
         # about 3e13 planets per sun
         self.refused(Architecture.ISSPG, default_ctx, ALL_MODULES,
                      [(20.0, 1e12)], r"\(planet count, row\) cells")
+
+    def test_module_axis_of_the_diagnosis(self, default_ctx):
+        # the search window is empty, and the diagnosis window holds
+        # 229,600 rows x 6 planet counts, inside the bound; its grid over
+        # the eight modules does not
+        self.refused(Architecture.ISSPG, default_ctx, ALL_MODULES,
+                     [(20.0, 300.0)], r"\(module, planet count, row\) cells")
+        results = optimize_bins(Architecture.ISSPG, default_ctx, [0.5],
+                                [(20.0, 300.0)])
+        assert results[0].empty_reason == "ring_diameter"
 
     def test_huge_planet_count_range(self, default_ctx):
         ctx = replace(default_ctx,
