@@ -9,10 +9,10 @@ per architecture spans all bins and modules: one ``_window_rows`` call
 builds its (m, N_s, N_p) rows as numpy columns, the planet counts are a
 broadcast axis, and one ``geometry.constraint_rules`` call gives every
 rule's verdict. No window may exceed ``_WINDOW_BOUND`` suns or (planet
-count, row) cells, nor the diagnosis grid (module, planet count, row)
-cells. Each row goes to its bin once, and a stable sort on (bin,
-module) keeps each bin in lexicographic order next to an ascending bin
-column.
+count, row) cells, nor any empty bin's diagnosis grid (module, planet
+count, row) cells. Each row goes to its bin once, and a stable sort on
+(bin, module) keeps each bin in lexicographic order next to an
+ascending bin column.
 
 The search keeps the rows that fail no rule and scores them with
 
@@ -34,15 +34,16 @@ fails, by name.
 The cheapest feasible design per bin (default [5,6) ... [14,15)) and
 architecture is reported. Ties break deterministically: lower mass,
 then higher efficiency, then lexicographic (m, n_p, N_s, N_p). An
-empty bin reports the most frequent blocker of its diagnosis window,
-whose rows are built once per architecture and checked by one
+empty bin reports the most frequent blocker of its diagnosis window.
+The rows of every empty bin of an architecture are built once, each
+bin's rows one slice, and each slice is checked by its own
 ``constraint_rules`` call with the modules as a leading axis.
 """
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import groupby
-from math import inf, isfinite, nan, prod
+from math import inf, isfinite, nan
 from operator import itemgetter, or_
 from typing import Iterator, NamedTuple, Optional
 
@@ -62,9 +63,10 @@ from .strength import LoadCase, StrengthParams, lewis_width
 # scanning this far is enough to name the dominant blocker
 _DIAG_SUN_TEETH_CAP = 60
 
-# most suns, (planet count, row) or (module, planet count, row) cells a
-# window may hold, checked before any of its arrays is built: 16x
-# scale's unbounded window (41,776 rows x 6 planet counts)
+# most suns or (planet count, row) cells a window, or (module, planet
+# count, row) cells one bin's diagnosis grid, may hold, checked before
+# any of its arrays is built: 16x scale's unbounded window (41,776 rows
+# x 6 planet counts)
 _WINDOW_BOUND = 4_000_000
 
 # relative tolerance, scaled by max(1, |value|), within which columnar
@@ -235,25 +237,26 @@ def _window_rows(arch: Architecture, constraints: ConstraintParams,
                  suns: np.ndarray, edges_lo: np.ndarray, edges_hi: np.ndarray,
                  planet_max=inf, slack: int = 0) -> tuple[np.ndarray, ...]:
     """
-    The lexicographic (N_s, N_p, N_r) rows of a ratio window, its planet
-    counts as a (k, 1) column, and the row count of each (sun, edge
-    pair), suns outermost. R = 2 + 2*N_p/N_s, so a sun's planets in
-    [lo, hi) lie in [ceil((lo-2)*N_s/2), ceil((hi-2)*N_s/2)), floored at
-    min_teeth, capped at planet_max (one cap, or one per sun) and
-    widened by ``slack`` teeth at each end. The (planet count, row)
-    cells, counted as if there were one row at least, must stay within
+    The (N_s, N_p, N_r) rows of a ratio window, its planet counts as a
+    (k, 1) column, and the row count of each (edge pair, sun), edge
+    pairs outermost: each edge pair's rows are one lexicographic slice.
+    R = 2 + 2*N_p/N_s, so a sun's planets in [lo, hi) lie in
+    [ceil((lo-2)*N_s/2), ceil((hi-2)*N_s/2)), floored at min_teeth,
+    capped at planet_max (one cap, or one per sun) and widened by
+    ``slack`` teeth at each end. The (planet count, row) cells, counted
+    as if there were one row at least, must stay within
     ``_WINDOW_BOUND``.
     """
     low, high = constraints.min_planets, constraints.max_planets
     first = np.maximum(np.ceil((edges_lo[:, None] - 2.0) * suns / 2.0)
-                       - slack, constraints.min_teeth).T.ravel()
+                       - slack, constraints.min_teeth).ravel()
     stop = np.minimum(np.ceil((edges_hi[:, None] - 2.0) * suns / 2.0)
-                      + slack, planet_max + 1).T.ravel()
+                      + slack, planet_max + 1).ravel()
     sizes = np.maximum(stop - first, 0)
     _bounded(arch, max(sizes.sum(), 1) * (high - low + 1),
              "(planet count, row) cells")
     sizes = sizes.astype(np.int64)
-    sun = np.repeat(np.repeat(suns, len(edges_lo)), sizes)
+    sun = np.repeat(np.tile(suns, len(edges_lo)), sizes)
     planet = np.repeat(first.astype(np.int64), sizes) + _segment_offsets(sizes)
     return (sun, planet, sun + 2 * planet, np.arange(low, high + 1)[:, None],
             sizes)
@@ -430,16 +433,6 @@ def score_columns(arch: Architecture, ctx: EvalContext, module_mm,
                         eta_overall=eta_overall)
 
 
-def _row_counts(verdict, shape: tuple) -> np.ndarray:
-    """Per row (the last axis), how many entries of a grid of ``shape`` a
-    verdict flags, summed at the verdict's own shape: each grid axis the
-    verdict lacks scales the sum by its length, not by a broadcast."""
-    verdict = np.asarray(verdict)
-    own = (1,) * (len(shape) - verdict.ndim) + verdict.shape
-    lacked = prod(size for size, have in zip(shape[:-1], own) if have == 1)
-    return verdict.reshape(own).sum(axis=tuple(range(len(shape) - 1))) * lacked
-
-
 def _bin_tallies(motor: MotorSpec, arch: Architecture,
                  constraints: ConstraintParams, module_set: list[float],
                  bins: list[tuple[float, float]]) -> list[dict[str, int]]:
@@ -449,28 +442,32 @@ def _bin_tallies(motor: MotorSpec, arch: Architecture,
     the diagnostic ceiling, each with exactly every bin's planet range,
     and no feasibility filter.
 
-    The rows do not depend on the module. One ``constraint_rules`` call
-    takes the modules as a leading (M, 1, 1) axis, so a rule that does
-    not read the module is computed once, and ``_row_counts`` sums each
-    verdict at its own shape.
+    The rows do not depend on the module. One ``_window_rows`` call
+    builds every bin's rows as one slice; one ``constraint_rules`` call
+    per bin with rows takes the modules as a leading (M, 1, 1) axis, so
+    a rule that does not read the module is computed once per bin, and
+    each verdict's count is scaled by the grid axes it lacks. No bin's
+    (module, planet count, row) grid may exceed ``_WINDOW_BOUND``.
     """
     los, his = np.array(bins, dtype=np.float64).reshape(-1, 2).T
     sun, planet, ring, planet_counts, sizes = _window_rows(
         arch, constraints,
         np.arange(constraints.min_teeth, _DIAG_SUN_TEETH_CAP + 1), los, his)
-    row_bin = np.repeat(np.arange(len(sizes)) % len(bins), sizes)
-    shape = (len(module_set), len(planet_counts), len(sun))
-    _bounded(arch, prod(shape), "(module, planet count, row) cells")
+    rows = sizes.reshape(len(bins), -1).sum(axis=1)
+    grids = (len(module_set) * len(planet_counts) * rows).tolist()
+    _bounded(arch, max(grids), "(module, planet count, row) cells")
     modules = np.array(module_set, dtype=np.float64)[:, None, None]
-    # float weights: the counts stay far below 2**53, so exact
-    counts = [np.bincount(row_bin, minlength=len(bins),
-                          weights=np.broadcast_to(_row_counts(verdict, shape),
-                                                  row_bin.shape))
-              for verdict in constraint_rules(arch, modules, planet_counts,
-                                              sun, planet, ring, motor,
-                                              constraints)]
-    return [{name: int(tally[i]) for name, tally in zip(_RULE_ORDER, counts)
-             if tally[i]} for i in range(len(bins))]
+    slices = zip(*(np.split(column, np.cumsum(rows)[:-1])
+                   for column in (sun, planet, ring)))
+    tallies = []
+    for cells, window in zip(grids, slices):
+        verdicts = constraint_rules(arch, modules, planet_counts, *window,
+                                    motor, constraints) if cells else ()
+        tallies.append({name: count for name, verdict
+                        in zip(_RULE_ORDER, verdicts)
+                        if (count := np.count_nonzero(verdict)
+                            * (cells // np.size(verdict)))})
+    return tallies
 
 
 def _dominant_rule(counts: dict[str, int]) -> str:
@@ -491,7 +488,8 @@ def optimize_bins(arch: Architecture, ctx: EvalContext,
     feasible rows within ``_SETTLE_TOL`` of that cost, which ``evaluate``
     settles in (m, n_p, N_s, N_p) order. Empty bins carry the dominant
     blocking constraint instead: the most frequent rule of
-    ``_bin_tallies``, whose one diagnosis window all of them share.
+    ``_bin_tallies``, which builds one diagnosis window for all of them
+    and checks each bin's slice of it on its own.
 
     ``workers`` is validated (None or an int >= 1) and otherwise
     ignored: evaluation is serial, and is kept as an argument only for

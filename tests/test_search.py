@@ -2,8 +2,10 @@
 comparison, cross-checked against naive nested-loop scans."""
 
 import csv
+import tracemalloc
+from bisect import bisect_right
 from dataclasses import fields, replace
-from math import ceil, inf, isfinite, nan, pi, radians
+from math import ceil, inf, isfinite, nan, pi, prod, radians
 from pathlib import Path
 from unittest import mock
 
@@ -543,13 +545,16 @@ class TestDiagnosis:
                                "module_range", "tooth_count_cap",
                                "ring_diameter"}
 
-    @pytest.mark.parametrize("arch, filled", [(Architecture.ISSPG, 2),
-                                              (Architecture.ESSPG, 6)])
-    def test_u12_call_counts(self, default_ctx, monkeypatch, arch, filled):
+    @pytest.mark.parametrize("arch, filled, rule_calls",
+                             [(Architecture.ISSPG, 2, 9),
+                              (Architecture.ESSPG, 6, 5)])
+    def test_u12_call_counts(self, default_ctx, monkeypatch, arch, filled,
+                             rule_calls):
         # one search window per architecture, built by one window-rows
         # call, checked by one rules call and scored in one pass; one
-        # rules call for the diagnosis over every module, and no scoring
-        # of bins without rows
+        # diagnosis window for every empty bin, built by one window-rows
+        # call and checked by one rules call per empty bin over every
+        # module, and no scoring of bins without rows
         calls = dict.fromkeys(("score_columns", "_window_rows",
                                "constraint_rules"), 0)
         scored_rows = []
@@ -570,11 +575,61 @@ class TestDiagnosis:
         assert sum(r.candidates_examined > 0 for r in results) == filled
         # the search window and the diagnosis window
         assert calls == {"score_columns": 1, "_window_rows": 2,
-                         "constraint_rules": 2}
+                         "constraint_rules": rule_calls}
         assert scored_rows == [sum(r.candidates_examined for r in results)]
         empty = [(r.lo, r.hi) for r in results if not r.candidates_examined]
         optimize_bins(arch, default_ctx, ALL_MODULES, empty)
         assert calls["score_columns"] == 1
+
+    def test_u12_diagnosis_allocates_one_bin_at_a_time(self, default_ctx):
+        # numpy reports its buffers to tracemalloc; the whole diagnosis
+        # window's (module, planet count, row) grid peaks above 3 MB
+        optimize_bins(Architecture.ISSPG, default_ctx, ALL_MODULES,
+                      default_bins())
+        tracemalloc.start()
+        try:
+            optimize_bins(Architecture.ISSPG, default_ctx, ALL_MODULES,
+                          default_bins())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+
+    def test_each_diagnosis_call_checks_one_bin(self, default_ctx,
+                                                monkeypatch):
+        # a diagnosis call is the one with a module axis; its rows lie
+        # in one bin, and its grid is no larger than that bin's
+        # (module, planet count, row) grid
+        constraints = default_ctx.constraints
+        bins = default_bins()
+        grids = {}
+        rules = search.constraint_rules
+
+        def recorded(arch, module_mm, num_planets, sun, planet, *rest):
+            if np.ndim(module_mm) == 3:
+                ratio = (2 * sun + 2 * planet) / sun
+                index = {bisect_right([lo for lo, _ in bins], r) - 1
+                         for r in ratio.tolist()}
+                assert len(index) == 1
+                grids[index.pop()] = prod(np.broadcast_shapes(
+                    np.shape(module_mm), np.shape(num_planets),
+                    np.shape(sun), np.shape(planet)))
+            return rules(arch, module_mm, num_planets, sun, planet, *rest)
+        monkeypatch.setattr(search, "constraint_rules", recorded)
+        results = optimize_bins(Architecture.ISSPG, default_ctx,
+                                ALL_MODULES, bins)
+        empty = [i for i, r in enumerate(results) if r.best is None]
+        assert sorted(grids) == empty
+        planet_counts = (constraints.max_planets
+                         - constraints.min_planets + 1)
+        for i, cells in grids.items():
+            lo, hi = bins[i]
+            rows = sum(max(0, ceil((hi - 2.0) * sun / 2.0)
+                           - max(constraints.min_teeth,
+                                 ceil((lo - 2.0) * sun / 2.0)))
+                       for sun in range(constraints.min_teeth,
+                                        _DIAG_SUN_TEETH_CAP + 1))
+            assert cells <= len(ALL_MODULES) * planet_counts * rows
 
 
 class TestComparison:
@@ -1105,6 +1160,28 @@ class TestWindowBound:
         results = optimize_bins(Architecture.ISSPG, default_ctx, [0.5],
                                 [(20.0, 300.0)])
         assert results[0].empty_reason == "ring_diameter"
+
+    def test_diagnosis_bound_holds_per_bin(self, default_ctx, monkeypatch):
+        # seven bins of about 1.57e6 (module, planet count, row) cells
+        # each, 1.1e7 together: each bin's grid is inside the bound, and
+        # each verdict is that of a sweep of its bin alone
+        bins = [(float(lo), float(lo + 40)) for lo in range(20, 300, 40)]
+        counts = []
+
+        def recorded(arch, count, what):
+            counts.append((what, count))
+            return bounded(arch, count, what)
+        bounded = search._bounded
+        monkeypatch.setattr(search, "_bounded", recorded)
+        results = optimize_bins(Architecture.ISSPG, default_ctx,
+                                ALL_MODULES, bins)
+        grid, = (count for what, count in counts
+                 if what == "(module, planet count, row) cells")
+        assert 1.5e6 < grid <= search._WINDOW_BOUND
+        assert [r.empty_reason for r in results] == ["ring_diameter"] * 7
+        for bin_, result in zip(bins, results, strict=True):
+            assert optimize_bins(Architecture.ISSPG, default_ctx,
+                                 ALL_MODULES, [bin_]) == [result]
 
     def test_huge_planet_count_range(self, default_ctx):
         ctx = replace(default_ctx,
