@@ -11,16 +11,18 @@ Subcommands:
 - fit-bearings print the bearing regression and its residuals
 
 All runs are seedless and deterministic: identical configs produce
-byte-identical reports.
+byte-identical reports. Every JSON text, the reports' and ``eval``'s,
+comes from ``_json_text``, whose bytes equal ``json.dumps(...,
+sort_keys=True, indent=2, allow_nan=False)``.
 """
 
 import argparse
 import csv
-import json
 import sys
 from dataclasses import dataclass, fields
 from enum import Enum
-from math import degrees, radians
+from json.encoder import encode_basestring_ascii
+from math import degrees, isfinite, radians
 from pathlib import Path
 from typing import Any, Iterable, Optional
 
@@ -93,10 +95,15 @@ def _coerce(section: str, key: str, value: Any, target: type) -> Any:
     if target is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{label}: expected a number, got {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the largest float
+            raise ConfigError(
+                f"{label}: integer too large for a float") from None
     if target is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{label}: expected an integer, got {value!r}")
+        _coerce(section, key, value, float)  # ints meet floats in the search
         return value
     if target is bool:
         if not isinstance(value, bool):
@@ -449,10 +456,49 @@ def export_dimension_sheet(evaluation: DesignEvaluation, cfg: RunConfig,
     }
 
 
+def _json_text(value: Any, indent: str = "\n") -> str:
+    """
+    The text of ``json.dumps(value, sort_keys=True, indent=2,
+    allow_nan=False)`` for str, finite float, None, bool, int, str-keyed
+    dict, list and tuple values. Before Python 3.13 json indents only in
+    its pure-Python encoder; this writer keeps its bytes and escapes
+    strings in C. A non-finite float raises ``ValueError`` (JSON has no
+    Infinity or NaN), any other value, a non-str key included,
+    ``TypeError``.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        if not isfinite(value):
+            raise ValueError("Out of range float values are not JSON "
+                             f"compliant: {value!r}")
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        # the C escaper raises TypeError on a key that is not a str
+        items = [encode_basestring_ascii(key) + ": "
+                 + _json_text(value[key], inner) for key in sorted(value)]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = [_json_text(item, inner) for item in value], "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not "
+                        "JSON serializable")
+    if not items:
+        return brackets
+    return (brackets[0] + inner + ("," + inner).join(items) + indent
+            + brackets[1])
+
+
 def _write_json(path: Path, document: dict) -> None:
-    # a non-finite number fails here instead of being written as Infinity
-    path.write_text(json.dumps(document, sort_keys=True, indent=2,
-                               allow_nan=False) + "\n")
+    # the text is built first, so a value it rejects leaves no file
+    path.write_text(_json_text(document) + "\n")
 
 
 _DESIGN_COLUMNS = ["sun_teeth", "planet_teeth", "ring_teeth", "module_mm",
@@ -662,7 +708,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                            num_planets=num_planets)
     bearing = load_bearing_model(cfg.bearing_table_path)
     evaluation = evaluate(design, build_context(cfg, bearing))
-    print(json.dumps(_evaluation_dict(evaluation), sort_keys=True, indent=2))
+    print(_json_text(_evaluation_dict(evaluation)))
     return 0
 
 

@@ -275,7 +275,9 @@ def _bin_columns(motor: MotorSpec, arch: Architecture,
     rounding of the edges can drop a design whose float ratio lies in a
     bin; one ``_window_rows`` call builds the rows of every module.
     Modules outside [module_min_mm, module_max_mm] add no rows
-    (module_range).
+    (module_range). The (planet count, row) cells that fail no rule and
+    lie in a bin are found by one ``np.nonzero``, and each column is
+    indexed by row or planet-count index once, in sorted order.
     """
     n_min = constraints.min_teeth
     n_cap = inf if constraints.max_teeth is None else constraints.max_teeth
@@ -303,15 +305,17 @@ def _bin_columns(motor: MotorSpec, arch: Architecture,
     failed = reduce(or_, constraint_rules(
         arch, modules[module_index], planet_counts, sun, planet, ring, motor,
         constraints))
-    keep = ~failed & (row_bin >= 0)
-    # the (n_p, row) flatten runs in (n_p, m, N_s, N_p) order, so a stable
-    # sort on (bin, module) puts each bin in (m, n_p, N_s, N_p) order
-    row_bin, module_index, planets, sun, planet = (
-        np.broadcast_to(column, keep.shape)[keep]
-        for column in (row_bin, module_index, planet_counts, sun, planet))
-    order = np.argsort(row_bin * len(modules) + module_index, kind="stable")
-    return row_bin[order], tuple(column[order] for column in (
-        modules[module_index], planets, sun, planet))
+    # the kept (n_p, row) cells come in (n_p, m, N_s, N_p) order, so a
+    # stable sort on (bin, module) puts each bin in (m, n_p, N_s, N_p)
+    # order; the smallest key type lets argsort use a radix sort
+    planet_index, row = np.nonzero(~failed & (row_bin >= 0))
+    key = row_bin[row] * len(modules) + module_index[row]
+    order = np.argsort(key.astype(np.min_scalar_type(len(los) * len(modules))),
+                       kind="stable")
+    planet_index, row = planet_index[order], row[order]
+    return row_bin[row], (modules[module_index[row]],
+                          planet_counts[planet_index, 0], sun[row],
+                          planet[row])
 
 
 def _designs(arch: Architecture, columns: tuple[np.ndarray, ...],

@@ -7,14 +7,17 @@ import json
 import os
 import subprocess
 import sys
-from math import radians
+from math import inf, nan, radians
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from gearboxopt import Architecture, STANDARD_MODULE_SET_MM
-from gearboxopt.cli import (ConfigError, _write_json, build_context,
+from gearboxopt.cli import (ConfigError, _json_text, _write_json,
+                            build_context,
                             export_dimension_sheet, load_config, main,
                             run_sweep)
 from gearboxopt.mass import default_bearing_table_path, load_bearing_model
@@ -106,6 +109,19 @@ class TestLoadConfig:
         bad = dict(MINIMAL, constraints={"min_teeth": 20.5})
         with pytest.raises(ConfigError, match="min_teeth"):
             load_config(write_config(tmp_path, bad))
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"motor": {**MINIMAL["motor"], "height_mm": 10**400}},
+         "motor.height_mm"),
+        ({"search": {"bins": [[5, 10**400]]}}, "search.bins"),
+        ({"constraints": {"min_teeth": -10**400}}, "constraints.min_teeth"),
+    ], ids=["float-field", "bin-edge", "integer-field"])
+    def test_integer_beyond_float_range_rejected(self, tmp_path, overrides,
+                                                 field):
+        # float() of such an integer raises OverflowError, not ValueError
+        with pytest.raises(ConfigError,
+                           match=f"config {field}: .*too large for a float"):
+            load_config(write_config(tmp_path, {**MINIMAL, **overrides}))
 
     def test_pressure_angle_in_degrees(self, tmp_path):
         cfg = load_config(write_config(
@@ -286,6 +302,15 @@ class TestRunSweep:
                 _write_json(path, {"cost": value})
             assert not path.exists()
 
+    @pytest.mark.parametrize("value", [np.int64(3), {1, 2}, {1: 2},
+                                       {"a": 1, 2: 3}],
+                             ids=["numpy-int", "set", "int-key", "mixed-keys"])
+    def test_reports_reject_other_types(self, tmp_path, value):
+        path = tmp_path / "report.json"
+        with pytest.raises(TypeError):
+            _write_json(path, {"value": [value]})
+        assert not path.exists()
+
     def test_dimension_sheet_rejects_infeasible(self, u12_config_path):
         cfg = load_config(u12_config_path)
         bearing = load_bearing_model()
@@ -369,7 +394,9 @@ class TestCommandLine:
         code = main(["eval", "--config", str(u12_config_path), "--design",
                      "20,40,100,0.5,3,isspg"])
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
         assert payload["feasible"] is True
         assert payload["cost"] == pytest.approx(-0.5970515307822426,
                                                 rel=1e-12)
@@ -399,6 +426,15 @@ class TestCommandLine:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_huge_config_integer_is_a_clean_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, {**MINIMAL, "motor": {
+            **MINIMAL["motor"], "height_mm": 10**400}})
+        code = main(["eval", "--config", str(path), "--design",
+                     "20,40,100,0.5,3,isspg"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: config motor.height_mm: ")
+
     def test_config_error_is_a_clean_error(self, tmp_path, capsys):
         path = write_config(tmp_path, {"motor": MINIMAL["motor"]})
         code = main(["sweep", "--config", str(path)])
@@ -422,3 +458,35 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith("error: the ")
         assert f"{what}, more than the bound of" in err
+
+
+# --- the JSON writer --------------------------------------------------------
+
+# quotes, a backslash, control characters, non-ASCII text and a code
+# point beyond the BMP, which the escaper writes as a surrogate pair
+json_strings = st.text() | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f\x7f", "\u00e9t\u00e9", "\u2028",
+     "\U0001f600", ""])
+json_scalars = (st.none() | st.booleans() | st.integers()
+                | st.sampled_from([2**64, -10**40])
+                | st.floats(allow_nan=False, allow_infinity=False)
+                | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308])
+                | json_strings)
+json_documents = st.recursive(
+    json_scalars,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(json_strings, children)),
+    max_leaves=40)
+
+
+class TestJsonWriter:
+    @settings(max_examples=100)
+    @given(document=json_documents)
+    def test_equals_json_dumps(self, document):
+        assert _json_text(document) == json.dumps(
+            document, sort_keys=True, indent=2, allow_nan=False)
+
+    @pytest.mark.parametrize("value", [nan, inf, -inf])
+    def test_rejects_non_finite_floats(self, value):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            _json_text({"a": [1.0, value]})

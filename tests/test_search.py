@@ -5,7 +5,9 @@ import csv
 import tracemalloc
 from bisect import bisect_right
 from dataclasses import fields, replace
+from functools import lru_cache, reduce
 from math import ceil, inf, isfinite, nan, pi, prod, radians
+from operator import or_
 from pathlib import Path
 from unittest import mock
 
@@ -86,6 +88,41 @@ def split_bins(row_bin, columns, count):
     ascending bin column."""
     ends = np.cumsum(np.bincount(row_bin, minlength=count))[:-1]
     return list(zip(*(np.split(column, ends) for column in columns)))
+
+
+def mask_gather_bin_columns(motor, arch, constraints, module_set, bins):
+    """``_bin_columns`` as it was written before its index gather: the
+    kept (planet count, row) cells taken by five boolean-mask gathers of
+    the broadcast grid, then a stable argsort on an int64 (bin, module)
+    key."""
+    n_min = constraints.min_teeth
+    n_cap = inf if constraints.max_teeth is None else constraints.max_teeth
+    d_max = max_gearbox_diameter(motor, arch, constraints)
+    los, his = np.array(bins, dtype=np.float64).reshape(-1, 2).T
+    modules = np.array([m for m in module_set if constraints.module_min_mm
+                        <= m <= constraints.module_max_mm], dtype=np.float64)
+    max_ring = np.floor(d_max / modules + 1e-9)
+    sun_counts = np.maximum(np.minimum(max_ring - 2 * n_min, n_cap)
+                            - n_min + 1, 0).astype(np.int64)
+    sun_module = np.repeat(np.arange(len(modules)), sun_counts)
+    suns = n_min + search._segment_offsets(sun_counts)
+    sun, planet, ring, planet_counts, sizes = search._window_rows(
+        arch, constraints, suns, los[:1], his[-1:],
+        np.minimum((max_ring[sun_module] - suns) // 2, n_cap), slack=1)
+    module_index = np.repeat(sun_module, sizes)
+    ratio = (2 * sun + 2 * planet) / sun
+    index = np.searchsorted(los, ratio, side="right") - 1
+    row_bin = np.where((index >= 0) & (ratio < his[index]), index, -1)
+    failed = reduce(or_, constraint_rules(
+        arch, modules[module_index], planet_counts, sun, planet, ring, motor,
+        constraints))
+    keep = ~failed & (row_bin >= 0)
+    row_bin, module_index, planets, sun, planet = (
+        np.broadcast_to(column, keep.shape)[keep]
+        for column in (row_bin, module_index, planet_counts, sun, planet))
+    order = np.argsort(row_bin * len(modules) + module_index, kind="stable")
+    return row_bin[order], tuple(column[order] for column in (
+        modules[module_index], planets, sun, planet))
 
 
 def scalar_bins(arch, ctx, modules, bins):
@@ -230,6 +267,31 @@ class TestEnumeration:
                      d.planet_teeth) for d in designs]
             assert keys == sorted(keys)
             assert len(keys) == len(set(keys))
+
+    @pytest.mark.parametrize("motor, bins, key_type", [
+        (U12, default_bins(), np.uint8),
+        (SCALE_MOTOR, default_bins(), np.uint8),
+        # 40 quarter-width bins x 8 modules: keys up to 319
+        (SCALE_MOTOR, [(5 + i / 4, 5 + (i + 1) / 4) for i in range(40)],
+         np.uint16),
+    ], ids=["u12", "scale", "wide-key"])
+    def test_index_gather_equals_mask_gather(self, motor, bins, key_type):
+        assert np.min_scalar_type(len(bins) * len(ALL_MODULES)) == key_type
+        top_keys = []
+        for arch in Architecture:
+            row_bin, columns = _bin_columns(motor, arch, ConstraintParams(),
+                                            ALL_MODULES, bins)
+            ref_bin, ref_columns = mask_gather_bin_columns(
+                motor, arch, ConstraintParams(), ALL_MODULES, bins)
+            assert len(row_bin) > 0
+            top_keys.append(row_bin[-1] * len(ALL_MODULES)
+                            + ALL_MODULES.index(columns[0][-1]))
+            for column, reference in zip((row_bin, *columns),
+                                         (ref_bin, *ref_columns)):
+                assert column.dtype == reference.dtype
+                assert np.array_equal(column, reference)
+        # the largest key does not fit the next narrower type
+        assert max(top_keys) > np.iinfo(key_type).max // 256
 
     def test_unbounded_window_equals_wide_finite_bin(self):
         # enumerate_feasible's (-inf, inf) window skips validate_bins;
@@ -1059,12 +1121,12 @@ class TestOnePassSearch:
 
 # --- every accepted input is scored or named --------------------------------
 
-@st.composite
-def extreme_records(draw, base):
-    """``base`` with each float field either left at its value or drawn
-    log-uniform over [1e-300, 1e300]; a draw the record's own checks
-    reject is discarded. Fields left at their values let a draw pass the
-    early rules and reach the later ones."""
+@lru_cache(maxsize=None)
+def _extreme_record_strategy(base):
+    """The strategy of ``extreme_records``, built once per base record:
+    Hypothesis validates and labels a strategy on its first draw, which
+    cost more than the draws themselves when it was built anew on each
+    one."""
     names = [spec.name for spec in fields(base) if spec.type is float]
 
     def build(values):
@@ -1074,9 +1136,18 @@ def extreme_records(draw, base):
             return None
 
     extreme = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
-    return draw(st.tuples(*[st.just(getattr(base, name)) | extreme
-                            for name in names])
-                .map(build).filter(lambda record: record is not None))
+    return (st.tuples(*[st.just(getattr(base, name)) | extreme
+                        for name in names])
+            .map(build).filter(lambda record: record is not None))
+
+
+@st.composite
+def extreme_records(draw, base):
+    """``base`` with each float field either left at its value or drawn
+    log-uniform over [1e-300, 1e300]; a draw the record's own checks
+    reject is discarded. Fields left at their values let a draw pass the
+    early rules and reach the later ones."""
+    return draw(_extreme_record_strategy(base))
 
 
 class TestExtremeInputs:
