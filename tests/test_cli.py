@@ -17,9 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from gearboxopt import Architecture, STANDARD_MODULE_SET_MM
 from gearboxopt.cli import (ConfigError, _json_text, _write_json,
-                            build_context,
-                            export_dimension_sheet, load_config, main,
-                            run_sweep)
+                            build_context, export_dimension_sheet,
+                            load_config, main, run_sweep)
 from gearboxopt.mass import default_bearing_table_path, load_bearing_model
 from gearboxopt.search import evaluate
 
