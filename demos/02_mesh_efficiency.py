@@ -9,67 +9,63 @@ how tooth counts and the friction coefficient move the result, and
 check the frictionless limit exactly.
 """
 
-from math import degrees
+from math import acos, degrees
 
-from gearboxopt import (Architecture, EfficiencyParams, GearboxDesign,
-                        GearRole, MeshKind, basic_driving_efficiency,
-                        contact_ratios, loss_parameter, overall_efficiency,
-                        planetary_efficiency, tip_pressure_angle)
+from gearboxopt import (Architecture, EfficiencyBreakdown, EfficiencyParams,
+                        GearboxDesign, GearRole, base_diameter,
+                        overall_efficiency, tip_diameter)
+from gearboxopt.efficiency import mesh_chain
 
 DESIGN = GearboxDesign(arch=Architecture.ISSPG, sun_teeth=20,
                        planet_teeth=40, ring_teeth=100, module_mm=0.5,
                        num_planets=3)
 
 
+def efficiency_chain(design: GearboxDesign,
+                     params: EfficiencyParams) -> EfficiencyBreakdown:
+    """The whole efficiency chain of one design, as evaluate computes it."""
+    _, fields = mesh_chain(design.module_mm, design.sun_teeth,
+                           design.planet_teeth, design.ring_teeth, params)
+    return EfficiencyBreakdown(*fields)
+
+
 def main() -> None:
     params = EfficiencyParams()  # 20 degree pressure angle, mu = 0.06
     d = DESIGN
 
-    # tip pressure angles: where the involute leaves the tooth tip
+    # tip pressure angles: where the involute leaves the tooth tip,
+    # arccos of the base over the tip circle diameter
     print("tip pressure angles, degrees")
     for role, teeth in ((GearRole.SUN, d.sun_teeth),
                         (GearRole.PLANET, d.planet_teeth),
                         (GearRole.RING, d.ring_teeth)):
-        angle = tip_pressure_angle(teeth, d.module_mm, role,
+        angle = acos(base_diameter(teeth, d.module_mm,
                                    params.pressure_angle_rad)
+                     / tip_diameter(teeth, d.module_mm, role))
         print(f"  {role.value:<7} {degrees(angle):6.2f}")
     print()
 
     # approach/recess contact ratios of each mesh and the loss
     # parameter they combine into
-    eps_a1, eps_a2 = contact_ratios(d.sun_teeth, d.planet_teeth,
-                                    d.module_mm, MeshKind.SUN_PLANET,
-                                    params.pressure_angle_rad)
-    eps_b1, eps_b2 = contact_ratios(d.planet_teeth, d.ring_teeth,
-                                    d.module_mm, MeshKind.PLANET_RING,
-                                    params.pressure_angle_rad)
+    chain = efficiency_chain(d, params)
     print("contact ratios (approach, recess) and loss parameter")
-    print(f"  sun-planet   ({eps_a1:.4f}, {eps_a2:.4f}) -> "
-          f"{loss_parameter(eps_a1, eps_a2):.4f}")
-    print(f"  planet-ring  ({eps_b1:.4f}, {eps_b2:.4f}) -> "
-          f"{loss_parameter(eps_b1, eps_b2):.4f}")
+    print(f"  sun-planet   ({chain.eps_a1:.4f}, {chain.eps_a2:.4f}) -> "
+          f"{chain.eps_a:.4f}")
+    print(f"  planet-ring  ({chain.eps_b1:.4f}, {chain.eps_b2:.4f}) -> "
+          f"{chain.eps_b:.4f}")
     print()
 
     # per-mesh basic driving efficiencies and the stage blend: the
     # sun's share of the power passes through the carrier without
     # meshing losses, so the stage beats the plain mesh product
-    eta_sp = basic_driving_efficiency(d.sun_teeth, d.planet_teeth,
-                                      d.module_mm, MeshKind.SUN_PLANET,
-                                      params)
-    eta_pr = basic_driving_efficiency(d.planet_teeth, d.ring_teeth,
-                                      d.module_mm, MeshKind.PLANET_RING,
-                                      params)
+    eta_sp, eta_pr = chain.eta_a, chain.eta_b
     eta = overall_efficiency(d.sun_teeth, d.ring_teeth, eta_sp, eta_pr)
     print(f"mesh efficiencies: sun-planet {eta_sp:.6f}, "
           f"planet-ring {eta_pr:.6f}")
     print(f"plain product {eta_sp * eta_pr:.6f} vs stage blend "
           f"{eta:.6f}")
-    print()
-
-    # one call that returns the whole chain
-    breakdown = planetary_efficiency(d, params)
-    print(f"full breakdown in one call: eta_overall = "
-          f"{breakdown.eta_overall:.6f}")
+    print(f"the chain's own stage efficiency: eta_overall = "
+          f"{chain.eta_overall:.6f}")
     print()
 
     # sensitivity to the friction coefficient, including the exact
@@ -77,9 +73,9 @@ def main() -> None:
     print("friction sensitivity")
     print("  mu     eta_overall")
     for mu in (0.0, 0.03, 0.06, 0.09, 0.12):
-        point = planetary_efficiency(d, EfficiencyParams(mu=mu))
+        point = efficiency_chain(d, EfficiencyParams(mu=mu))
         print(f"  {mu:.2f}   {point.eta_overall:.6f}")
-    frictionless = planetary_efficiency(d, EfficiencyParams(mu=0.0))
+    frictionless = efficiency_chain(d, EfficiencyParams(mu=0.0))
     print(f"  frictionless limit is exact: "
           f"{frictionless.eta_overall == 1.0}")
     print()
@@ -91,7 +87,7 @@ def main() -> None:
                          num_planets=3)
     print("tooth-count sensitivity at 6.0:1")
     for variant in (d, fine):
-        point = planetary_efficiency(variant, params)
+        point = efficiency_chain(variant, params)
         print(f"  Ns={variant.sun_teeth:<3} Np={variant.planet_teeth:<3} "
               f"Nr={variant.ring_teeth:<4} eta = "
               f"{point.eta_overall:.6f}")

@@ -9,11 +9,11 @@ motor) for a 6.0:1 in-stator design.
 """
 
 from gearboxopt import (Architecture, GearboxDesign, LoadCase,
-                        MassModelParams, MaterialSpec, MotorSpec,
-                        StrengthParams, actuator_mass, bearing_fit_report,
-                        face_width, lewis_form_factor, load_bearing_model,
-                        pitch_line_velocity_m_s, sun_pitch_radius_m,
-                        tangential_force, velocity_factor)
+                        MassBreakdown, MassModelParams, MaterialSpec,
+                        MotorSpec, StrengthParams, bearing_fit_report,
+                        load_bearing_model)
+from gearboxopt.mass import component_masses, context_terms
+from gearboxopt.strength import lewis_width
 
 MOTOR = MotorSpec(outer_diameter_mm=105.6, stator_inner_diameter_mm=65.0,
                   height_mm=46.5, mass_kg=0.765, max_torque_nm=3.0,
@@ -30,20 +30,21 @@ DESIGN = GearboxDesign(arch=Architecture.ISSPG, sun_teeth=20,
 def main() -> None:
     strength = StrengthParams()  # 138 MPa allowable, safety factor 2
 
-    # the quantities the Lewis equation combines
-    radius = sun_pitch_radius_m(DESIGN)
-    force = tangential_force(LOAD, DESIGN)
-    velocity = pitch_line_velocity_m_s(LOAD, DESIGN)
+    # the quantities the Lewis equation combines: the sun torque shared
+    # by the planets at the sun pitch radius, and its pitch-line speed
+    radius = DESIGN.module_mm * DESIGN.sun_teeth / 2.0 / 1000.0
+    force = LOAD.sun_torque_nm / (DESIGN.num_planets * radius)
+    velocity = LOAD.sun_speed_rad_s * radius
+    _, form_factor, velocity_factor, width = lewis_width(
+        DESIGN.module_mm, DESIGN.sun_teeth, DESIGN.planet_teeth,
+        DESIGN.num_planets, LOAD, strength)
     print("load path at the sun-planet mesh")
     print(f"  sun pitch radius      {radius * 1000:.1f} mm")
     print(f"  tangential force      {force:.1f} N per planet")
     print(f"  pitch-line velocity   {velocity:.2f} m/s")
-    print(f"  velocity factor       "
-          f"{velocity_factor(LOAD, DESIGN):.4f}")
-    print(f"  Lewis form factor     "
-          f"{lewis_form_factor(min(DESIGN.sun_teeth, DESIGN.planet_teeth)):.4f} "
+    print(f"  velocity factor       {velocity_factor:.4f}")
+    print(f"  Lewis form factor     {form_factor:.4f} "
           "(weaker gear of the mesh)")
-    width = face_width(LOAD, DESIGN, strength)
     print(f"  required face width   {width:.2f} mm")
     print()
 
@@ -59,8 +60,12 @@ def main() -> None:
     print()
 
     # everything that spins or holds the stage, plus the motor
-    breakdown = actuator_mass(DESIGN, MOTOR, width, bearings,
-                              MaterialSpec(), MassModelParams())
+    materials, params = MaterialSpec(), MassModelParams()
+    _, _, parts = component_masses(
+        DESIGN.arch, DESIGN.module_mm, DESIGN.num_planets, DESIGN.sun_teeth,
+        DESIGN.planet_teeth, DESIGN.ring_teeth, width, MOTOR, bearings,
+        materials, params, context_terms(MOTOR, bearings, materials, params))
+    breakdown = MassBreakdown(*parts, sum(parts))
     print(f"actuator mass breakdown for the "
           f"{DESIGN.reduction_ratio:.1f}:1 in-stator design, kg")
     rows = (("sun gear", breakdown.sun),

@@ -125,6 +125,10 @@ class ConstraintParams:
 
     def __post_init__(self):
         require_finite(self)
+        for field_name in ("min_teeth", "min_planets", "max_planets"):
+            # the search holds them, and max_planets + 1, in int64 columns
+            if getattr(self, field_name) >= 2 ** 63 - 1:
+                raise ValueError(f"{field_name} must be below 2**63 - 1")
         if self.min_teeth < 1:
             raise ValueError("min_teeth must be >= 1")
         if self.module_min_mm <= 0:

@@ -30,8 +30,7 @@ from importlib import resources
 import numpy as np
 
 from .geometry import (_ISSPG, Architecture, GearboxDesign, GearRole,
-                       MotorSpec, pitch_diameter, require_finite,
-                       tip_diameter)
+                       MotorSpec, require_finite, tip_diameter)
 
 _MM3_TO_M3 = 1e-9
 _BEARING_CSV_HEADER = ["bore_mm", "od_mm", "width_mm", "mass_kg"]
@@ -268,38 +267,6 @@ def _annulus_kg(density_kg_m3, length_mm, outer_mm, inner_mm):
                              * (outer_mm ** 2 - inner_mm ** 2)) * _MM3_TO_M3)
 
 
-def spur_gear_mass(tooth_count: int, module_mm: float, face_width_mm: float,
-                   bore_mm: float, materials: MaterialSpec) -> float:
-    """Steel cylinder at pitch diameter with a central bore (kg)."""
-    d_pitch = pitch_diameter(tooth_count, module_mm)
-    if bore_mm < 0:
-        raise ValueError("bore_mm must be >= 0")
-    if bore_mm >= d_pitch:
-        raise ValueError(
-            f"gear bore {bore_mm:.2f} mm >= pitch diameter {d_pitch:.2f} mm")
-    return _annulus_kg(materials.steel_density_kg_m3, face_width_mm, d_pitch,
-                       bore_mm)
-
-
-def ring_gear_mass(ring_teeth: int, module_mm: float, face_width_mm: float,
-                   radial_thickness_mm: float,
-                   materials: MaterialSpec) -> float:
-    """
-    Steel annulus from the ring tip circle (tooth tips point inward) out
-    to the pitch circle plus twice the radial wall (kg).
-    """
-    if radial_thickness_mm <= 0:
-        raise ValueError("radial_thickness_mm must be positive")
-    inner = tip_diameter(ring_teeth, module_mm, GearRole.RING)
-    if inner <= 0:
-        raise ValueError(f"ring tip diameter {inner:.2f} mm <= 0")
-    outer = pitch_diameter(ring_teeth, module_mm) + 2.0 * radial_thickness_mm
-    if not outer * outer < inf:
-        return inf  # the square overflows: no finite mass (mass_range)
-    return _annulus_kg(materials.steel_density_kg_m3, face_width_mm, outer,
-                       inner)
-
-
 def pin_circle_diameter_mm(design: GearboxDesign) -> float:
     """Diameter of the circle through the planet centers, m(N_s+N_p)."""
     return design.module_mm * (design.sun_teeth + design.planet_teeth)
@@ -339,19 +306,6 @@ def casing_length_mm(design: GearboxDesign, motor: MotorSpec,
     return motor.height_mm + gearbox_stack_height_mm(face_width_mm, params)
 
 
-def casing_mass(design: GearboxDesign, motor: MotorSpec,
-                face_width_mm: float, materials: MaterialSpec,
-                params: MassModelParams) -> float:
-    """Aluminum hollow cylinder at the motor OD with a uniform wall (kg)."""
-    od = motor.outer_diameter_mm
-    inner = od - 2.0 * params.casing_wall_mm
-    if inner <= 0:
-        raise ValueError("casing wall exceeds the motor radius")
-    return _annulus_kg(materials.aluminum_density_kg_m3,
-                       casing_length_mm(design, motor, face_width_mm, params),
-                       od, inner)
-
-
 def base_plate_mass(motor: MotorSpec, materials: MaterialSpec,
                     params: MassModelParams) -> float:
     """Aluminum disk closing the casing at the motor OD (kg)."""
@@ -389,7 +343,13 @@ def component_masses(arch: Architecture, module_mm, num_planets, sun_teeth,
     and the ``MassBreakdown`` fields before the total (none for one
     design not admitted, or for columns whose context fails a verdict),
     for one design or numpy columns, given the ``context_terms`` of the
-    other inputs. The secondary carrier is the bare disk."""
+    other inputs.
+
+    The sun and planets are steel cylinders at pitch diameter, solid with
+    ``fastener_offset`` on (the extra material stands in for excluded
+    nuts, bolts and circlips); the ring is a steel annulus from its
+    inward tip circle out to the pitch circle plus twice its radial wall.
+    The secondary carrier is the bare disk."""
     ((sun_bore, planet_bore), low, high, shaft_ok, planet_ok, casing_inner,
      shaft_od, shaft_kg, planet_kg, plate) = terms
     m, n, width = module_mm, num_planets, face_width_mm
@@ -423,37 +383,3 @@ def component_masses(arch: Architecture, module_mm, num_planets, sun_teeth,
         n * planet_kg + shaft_kg + bearing_mass(pin_circle, bearing, True),
         _annulus_kg(aluminum, casing_length, motor.outer_diameter_mm,
                     casing_inner), plate, motor.mass_kg)
-
-
-def actuator_mass(design: GearboxDesign, motor: MotorSpec,
-                  face_width_mm: float, bearing: BearingModel,
-                  materials: MaterialSpec,
-                  params: MassModelParams) -> MassBreakdown:
-    """
-    Full actuator mass breakdown (kg), component by component: a design
-    the mass rules reject raises at its first failing component. With
-    fastener_offset on (default), gear bores stay solid; the extra
-    material stands in for excluded nuts, bolts, and circlips.
-    """
-    m, n, width = design.module_mm, design.num_planets, face_width_mm
-    shaft, planet = params.input_bearing_bore_mm, params.planet_bearing_bore_mm
-    sun_bore, planet_bore = (0.0, 0.0) if params.fastener_offset else (
-        shaft, planet)
-    sun = spur_gear_mass(design.sun_teeth, m, width, sun_bore, materials)
-    planets = n * spur_gear_mass(design.planet_teeth, m, width, planet_bore,
-                                 materials)
-    ring = ring_gear_mass(design.ring_teeth, m, width,
-                          params.ring_radial_thickness_coeff * m, materials)
-    disk_od, shaft_od = carrier_disk_od_mm(design), bearing_od(shaft, bearing)
-    if not shaft_od < disk_od:
-        raise ValueError(f"carrier disk OD {disk_od:.1f} mm does not clear "
-                         f"the {shaft_od:.1f} mm sun-shaft bearing")
-    disk = _annulus_kg(materials.aluminum_density_kg_m3,
-                       params.carrier_disk_thickness_mm, disk_od, shaft_od)
-    parts = (sun, planets, ring,
-             disk + n * planet_pin_mass(width, materials, params), disk,
-             n * bearing_mass(planet, bearing) + bearing_mass(shaft, bearing)
-             + bearing_mass(output_bearing_bore_mm(design), bearing),
-             casing_mass(design, motor, width, materials, params),
-             base_plate_mass(motor, materials, params), motor.mass_kg)
-    return MassBreakdown(*parts, sum(parts))

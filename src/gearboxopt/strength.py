@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import pi
 
-from .geometry import GearboxDesign, pick, require_finite
+from .geometry import pick, require_finite
 
 
 class LewisFormula(Enum):
@@ -66,22 +66,6 @@ class LoadCase:
             raise ValueError("load case values must be >= 0")
 
 
-def sun_pitch_radius_m(design: GearboxDesign) -> float:
-    """Sun pitch radius in meters (the load-path lever arm)."""
-    return design.module_mm * design.sun_teeth / 2.0 / 1000.0
-
-
-def tangential_force(load: LoadCase, design: GearboxDesign) -> float:
-    """
-    Tangential tooth force per mesh, N.
-
-    The sun torque is shared equally among the planets:
-    F_t = T / (n_p * r_sun).
-    """
-    return load.sun_torque_nm / (design.num_planets
-                                 * sun_pitch_radius_m(design))
-
-
 def lewis_form_factor(tooth_count: int,
                       formula: LewisFormula = _FULL_DEPTH_20DEG) -> float:
     """
@@ -95,22 +79,12 @@ def lewis_form_factor(tooth_count: int,
     raise ValueError(f"unknown Lewis formula {formula}")
 
 
-def pitch_line_velocity_m_s(load: LoadCase, design: GearboxDesign) -> float:
-    """Pitch-line speed of the sun mesh, V = omega * r_sun (m/s)."""
-    return load.sun_speed_rad_s * sun_pitch_radius_m(design)
-
-
 def dynamic_factor(pitch_speed_m_s, formula: VelocityFormula = _BARTH):
-    """Derating factor K_v in (0, 1] at a pitch-line speed (m/s)."""
+    """Derating factor K_v in (0, 1] at a pitch-line speed V (m/s); the
+    Barth fit is K_v = 3 / (3 + V)."""
     if formula is _BARTH:
         return 3.0 / (3.0 + pitch_speed_m_s)
     raise ValueError(f"unknown velocity formula {formula}")
-
-
-def velocity_factor(load: LoadCase, design: GearboxDesign,
-                    formula: VelocityFormula = _BARTH) -> float:
-    """K_v of the sun mesh of one design."""
-    return dynamic_factor(pitch_line_velocity_m_s(load, design), formula)
 
 
 def lewis_width(module_mm, sun_teeth, planet_teeth, num_planets,
@@ -119,8 +93,13 @@ def lewis_width(module_mm, sun_teeth, planet_teeth, num_planets,
     Whether the Lewis model admits a design (sigma*y*K_v*P > 0, so y > 0
     and K_v > 0, and the product has not underflowed to 0), y, K_v and
     the face width (mm), at least min_face_width_mm, for one design (no
-    width when not admitted) or numpy columns. y is taken at the weaker
-    (smaller) external gear; the internal ring is stronger.
+    width when not admitted) or numpy columns.
+
+    The sun torque T is shared equally among the n_p planets at the sun
+    pitch radius r_sun = m*N_s/2, so each mesh carries the tangential
+    force F_t = T / (n_p * r_sun); K_v is taken at the sun's pitch-line
+    speed V = omega * r_sun. y is taken at the weaker (smaller) external
+    gear; the internal ring is stronger.
     """
     r_sun_m = module_mm * sun_teeth / 2.0 / 1000.0
     minimum, maximum = pick(r_sun_m, min, max)
@@ -136,19 +115,3 @@ def lewis_width(module_mm, sun_teeth, planet_teeth, num_planets,
         return sound, y, k_v, None
     width_m = params.fos * f_t / strength
     return sound, y, k_v, maximum(width_m * 1000.0, params.min_face_width_mm)
-
-
-def face_width(load: LoadCase, design: GearboxDesign,
-               params: StrengthParams) -> float:
-    """Common face width of all stage gears, mm, by ``lewis_width``;
-    raises where the Lewis model does not apply."""
-    sound, y, k_v, width = lewis_width(
-        design.module_mm, design.sun_teeth, design.planet_teeth,
-        design.num_planets, load, params)
-    if y <= 0:
-        raise ValueError(f"non-positive Lewis form factor {y:.4f}")
-    if k_v <= 0:
-        raise ValueError(f"non-positive velocity factor {k_v:.4f}")
-    if not sound:
-        raise ValueError("Lewis denominator sigma*y*K_v*P underflows to 0")
-    return width

@@ -425,14 +425,24 @@ class TestCommandLine:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_huge_config_integer_is_a_clean_error(self, tmp_path, capsys):
-        path = write_config(tmp_path, {**MINIMAL, "motor": {
-            **MINIMAL["motor"], "height_mm": 10**400}})
-        code = main(["eval", "--config", str(path), "--design",
-                     "20,40,100,0.5,3,isspg"])
-        assert code == 1
-        assert capsys.readouterr().err.startswith(
-            "error: config motor.height_mm: ")
+    @pytest.mark.parametrize("overrides, prefix", [
+        ({"motor": {**MINIMAL["motor"], "height_mm": 10**400}},
+         "error: config motor.height_mm: "),
+        # integers the search would hold in int64 columns
+        ({"constraints": {"min_teeth": 10**20}},
+         "error: config section 'constraints': min_teeth must be below"),
+        ({"constraints": {"min_planets": 10**20, "max_planets": 10**20}},
+         "error: config section 'constraints': min_planets must be below"),
+    ], ids=["float-overflow", "int64-min-teeth", "int64-planet-range"])
+    def test_huge_config_integer_is_a_clean_error(self, tmp_path, capsys,
+                                                  overrides, prefix):
+        path = write_config(tmp_path, {**MINIMAL, "output_dir": str(
+            tmp_path / "out"), **overrides})
+        for argv in (["eval", "--config", str(path), "--design",
+                      "20,40,100,0.5,3,isspg"],
+                     ["sweep", "--config", str(path)]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err.startswith(prefix)
 
     def test_config_error_is_a_clean_error(self, tmp_path, capsys):
         path = write_config(tmp_path, {"motor": MINIMAL["motor"]})

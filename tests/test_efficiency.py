@@ -6,28 +6,26 @@ approach/recess contact ratios, loss parameter, per-mesh and stage
 efficiency) and are frozen here to 16 significant digits.
 """
 
-import logging
-from dataclasses import astuple, replace
+from dataclasses import astuple
 from math import acos, degrees, radians
 
+import numpy as np
 import pytest
 
 import gearboxopt.efficiency
 from gearboxopt import (Architecture, EfficiencyBreakdown, EfficiencyParams,
-                        GearboxDesign, GearRole, GeometryInfeasibleError,
-                        MeshKind, ModelRangeError, basic_driving_efficiency,
-                        contact_ratios, loss_parameter, overall_efficiency,
-                        planetary_efficiency, tip_pressure_angle)
+                        GearboxDesign, GearRole, loss_parameter,
+                        overall_efficiency)
 from gearboxopt.efficiency import mesh_chain
+from gearboxopt.search import score_columns
+
+from reference_models import (basic_driving_efficiency, planetary_efficiency,
+                              tip_pressure_angle)
 
 ALPHA = radians(20.0)
 REL = 1e-12
 
 # reference stage: sun 20, planets 40, ring 100, module 0.5 mm
-REFERENCE = GearboxDesign(arch=Architecture.ISSPG, sun_teeth=20,
-                          planet_teeth=40, ring_teeth=100, module_mm=0.5,
-                          num_planets=3)
-
 TIP_EXT_20_DEG = 31.32125792965133
 TIP_EXT_40_DEG = 26.49858855496128
 TIP_RING_100_DEG = 16.48985246104468
@@ -41,6 +39,28 @@ ETA_A = 0.9900361278205298    # sun-planet mesh efficiency, mu = 0.06
 ETA_B = 0.9972704968987865    # planet-ring mesh efficiency, mu = 0.06
 ETA_OVERALL = 0.9894448509494419
 ETA_25_65_155 = 0.9918623868700256
+
+
+def chain(sun, planet, ring, module_mm=0.5, params=EfficiencyParams()):
+    """``mesh_chain`` of one sound design as an ``EfficiencyBreakdown``."""
+    sound, fields = mesh_chain(module_mm, sun, planet, ring, params)
+    assert sound
+    return EfficiencyBreakdown(*fields)
+
+
+def tip_angles(sun, planet, ring, module_mm, monkeypatch):
+    """The tip pressure angles (rad) of ``mesh_chain``'s arccos calls, in
+    call order."""
+    ratios = []
+
+    def recording(x):
+        ratios.append(x)
+        return acos(x)
+
+    monkeypatch.setattr(gearboxopt.efficiency, "acos", recording)
+    chain(sun, planet, ring, module_mm)
+    monkeypatch.undo()
+    return [acos(x) for x in ratios]
 
 
 class TestParams:
@@ -58,50 +78,45 @@ class TestParams:
 
 
 class TestTipPressureAngle:
-    def test_frozen_values(self):
-        assert degrees(tip_pressure_angle(20, 0.5, GearRole.SUN, ALPHA)) \
-            == pytest.approx(TIP_EXT_20_DEG, rel=REL)
-        assert degrees(tip_pressure_angle(40, 0.5, GearRole.PLANET, ALPHA)) \
-            == pytest.approx(TIP_EXT_40_DEG, rel=REL)
-        assert degrees(tip_pressure_angle(100, 0.5, GearRole.RING, ALPHA)) \
-            == pytest.approx(TIP_RING_100_DEG, rel=REL)
+    def test_frozen_values(self, monkeypatch):
+        # mesh_chain takes the planet's, the sun's and the ring's in turn
+        planet, sun, ring = tip_angles(20, 40, 100, 0.5, monkeypatch)
+        assert degrees(sun) == pytest.approx(TIP_EXT_20_DEG, rel=REL)
+        assert degrees(planet) == pytest.approx(TIP_EXT_40_DEG, rel=REL)
+        assert degrees(ring) == pytest.approx(TIP_RING_100_DEG, rel=REL)
 
-    def test_module_cancels(self):
+    def test_module_cancels(self, monkeypatch):
         # d_b/d_a reduces to cos(alpha) N/(N + 2), so the module drops
         # out analytically; numerically it cancels to rounding error
-        reference = tip_pressure_angle(20, 0.5, GearRole.SUN, ALPHA)
+        reference = tip_angles(20, 40, 100, 0.5, monkeypatch)
         for m in (0.6, 0.8, 1.2):
-            assert tip_pressure_angle(20, m, GearRole.SUN, ALPHA) \
+            assert tip_angles(20, 40, 100, m, monkeypatch) \
                 == pytest.approx(reference, rel=1e-12)
 
     def test_small_ring_is_degenerate(self):
-        # base circle reaches the inward-pointing tip circle at N = 33
-        with pytest.raises(GeometryInfeasibleError):
-            tip_pressure_angle(33, 0.5, GearRole.RING, ALPHA)
-        tip_pressure_angle(34, 0.5, GearRole.RING, ALPHA)  # just feasible
+        # base circle reaches the inward-pointing tip circle at N = 33,
+        # which fails the tooth-form verdict
+        params = EfficiencyParams()
+        assert mesh_chain(0.5, 20, 40, 33, params) == (False, None)
+        assert mesh_chain(0.5, 20, 40, 34, params)[0]  # just feasible
 
 
 class TestContactRatios:
     def test_sun_planet_frozen(self):
-        eps1, eps2 = contact_ratios(20, 40, 0.5, MeshKind.SUN_PLANET, ALPHA)
-        assert eps1 == pytest.approx(EPS_A1, rel=REL)
-        assert eps2 == pytest.approx(EPS_A2, rel=REL)
+        br = chain(20, 40, 100)
+        assert br.eps_a1 == pytest.approx(EPS_A1, rel=REL)
+        assert br.eps_a2 == pytest.approx(EPS_A2, rel=REL)
 
     def test_planet_ring_frozen(self):
-        eps1, eps2 = contact_ratios(40, 100, 0.5, MeshKind.PLANET_RING,
-                                    ALPHA)
-        assert eps1 == pytest.approx(EPS_B1, rel=REL)
-        assert eps2 == pytest.approx(EPS_B2, rel=REL)
+        br = chain(20, 40, 100)
+        assert br.eps_b1 == pytest.approx(EPS_B1, rel=REL)
+        assert br.eps_b2 == pytest.approx(EPS_B2, rel=REL)
 
     def test_ratios_positive_across_space(self):
         for n1 in range(20, 80, 7):
             for n2 in range(20, 80, 7):
-                eps1, eps2 = contact_ratios(n1, n2, 0.5,
-                                            MeshKind.SUN_PLANET, ALPHA)
-                assert eps1 > 0 and eps2 > 0
-                eps1, eps2 = contact_ratios(n1, n1 + 2 * n2, 0.5,
-                                            MeshKind.PLANET_RING, ALPHA)
-                assert eps1 > 0 and eps2 > 0
+                br = chain(n1, n2, n1 + 2 * n2)
+                assert min(br.eps_a1, br.eps_a2, br.eps_b1, br.eps_b2) > 0
 
 
 class TestLossParameter:
@@ -119,73 +134,52 @@ class TestLossParameter:
 
 class TestMeshEfficiency:
     def test_frozen_values(self):
-        params = EfficiencyParams()
-        assert basic_driving_efficiency(20, 40, 0.5, MeshKind.SUN_PLANET,
-                                        params) == pytest.approx(ETA_A,
-                                                                 rel=REL)
-        assert basic_driving_efficiency(40, 100, 0.5, MeshKind.PLANET_RING,
-                                        params) == pytest.approx(ETA_B,
-                                                                 rel=REL)
-
-    def test_discontinuous_mesh_warns_once(self, caplog):
-        # a 2/2-tooth external mesh at 25 deg has total contact ratio
-        # 0.955, the only way below 1 in the unshifted tooth form
-        params = EfficiencyParams(pressure_angle_rad=radians(25.0))
-        with caplog.at_level(logging.WARNING, logger="gearboxopt"):
-            basic_driving_efficiency(2, 2, 1.0, MeshKind.SUN_PLANET, params)
-        assert len(caplog.records) == 1
-        assert "total contact ratio 0.955" in caplog.records[0].getMessage()
+        br = chain(20, 40, 100)
+        assert br.eta_a == pytest.approx(ETA_A, rel=REL)
+        assert br.eta_b == pytest.approx(ETA_B, rel=REL)
 
     def test_frictionless_is_exactly_one(self):
-        params = EfficiencyParams(mu=0.0)
-        assert basic_driving_efficiency(20, 40, 0.5, MeshKind.SUN_PLANET,
-                                        params) == 1.0
-        assert basic_driving_efficiency(40, 100, 0.5, MeshKind.PLANET_RING,
-                                        params) == 1.0
+        br = chain(20, 40, 100, params=EfficiencyParams(mu=0.0))
+        assert br.eta_a == 1.0
+        assert br.eta_b == 1.0
 
     def test_more_friction_less_efficiency(self):
-        lo = basic_driving_efficiency(20, 40, 0.5, MeshKind.SUN_PLANET,
-                                      EfficiencyParams(mu=0.03))
-        hi = basic_driving_efficiency(20, 40, 0.5, MeshKind.SUN_PLANET,
-                                      EfficiencyParams(mu=0.12))
+        lo = chain(20, 40, 100, params=EfficiencyParams(mu=0.03)).eta_a
+        hi = chain(20, 40, 100, params=EfficiencyParams(mu=0.12)).eta_a
         assert hi < ETA_A < lo
 
     def test_monotone_in_tooth_counts(self):
-        params = EfficiencyParams()
+        # the ring does not enter the sun-planet mesh, nor the sun the
+        # planet-ring mesh
+        def sun_planet(sun, planet):
+            return chain(sun, planet, sun + 2 * planet).eta_a
+
+        def planet_ring(planet, ring):
+            return chain(20, planet, ring).eta_b
+
         for n1 in range(20, 101, 10):
             for n2 in range(20, 101, 10):
-                base = basic_driving_efficiency(n1, n2, 0.5,
-                                                MeshKind.SUN_PLANET, params)
-                assert basic_driving_efficiency(
-                    n1 + 10, n2, 0.5, MeshKind.SUN_PLANET, params) >= base
-                assert basic_driving_efficiency(
-                    n1, n2 + 10, 0.5, MeshKind.SUN_PLANET, params) >= base
+                base = sun_planet(n1, n2)
+                assert sun_planet(n1 + 10, n2) >= base
+                assert sun_planet(n1, n2 + 10) >= base
         # the internal mesh improves with planet teeth (ring fixed)
         for n1 in range(20, 81, 10):
             for n2 in range(max(60, n1 + 34), 201, 20):
-                base = basic_driving_efficiency(n1, n2, 0.5,
-                                                MeshKind.PLANET_RING, params)
-                assert basic_driving_efficiency(
-                    n1 + 10, n2, 0.5, MeshKind.PLANET_RING, params) >= base
+                assert planet_ring(n1 + 10, n2) >= planet_ring(n1, n2)
 
     def test_internal_mesh_beats_external(self):
         # (1/N_p - 1/N_r) < (1/N_s + 1/N_p) keeps the planet-ring mesh
         # more efficient than the sun-planet mesh of the same stage
-        params = EfficiencyParams()
         for ns in (20, 30, 40, 60):
             for npl in (20, 30, 50, 80):
-                eta_a = basic_driving_efficiency(ns, npl, 0.5,
-                                                 MeshKind.SUN_PLANET, params)
-                eta_b = basic_driving_efficiency(npl, ns + 2 * npl, 0.5,
-                                                 MeshKind.PLANET_RING,
-                                                 params)
-                assert eta_b > eta_a
+                br = chain(ns, npl, ns + 2 * npl)
+                assert br.eta_b > br.eta_a
 
-    def test_out_of_range_friction_raises(self):
-        # a one-tooth pinion with near-unity friction drives eta below 0
-        with pytest.raises(ModelRangeError):
-            basic_driving_efficiency(1, 40, 0.5, MeshKind.SUN_PLANET,
-                                     EfficiencyParams(mu=0.99))
+    def test_out_of_range_friction_is_not_clamped(self):
+        # a one-tooth pinion with near-unity friction drives eta below 0,
+        # which evaluate names efficiency_range
+        params = EfficiencyParams(mu=0.99)
+        assert chain(1, 40, 81, params=params).eta_a < 0
 
 
 class TestOverallEfficiency:
@@ -201,9 +195,9 @@ class TestOverallEfficiency:
                     >= ETA_A * ETA_B
 
 
-class TestPlanetaryEfficiency:
+class TestMeshChain:
     def test_frozen_breakdown(self):
-        br = planetary_efficiency(REFERENCE, EfficiencyParams())
+        br = chain(20, 40, 100)
         assert br.eps_a1 == pytest.approx(EPS_A1, rel=REL)
         assert br.eps_a2 == pytest.approx(EPS_A2, rel=REL)
         assert br.eps_b1 == pytest.approx(EPS_B1, rel=REL)
@@ -215,42 +209,30 @@ class TestPlanetaryEfficiency:
         assert br.eta_overall == pytest.approx(ETA_OVERALL, rel=REL)
 
     def test_each_tip_angle_computed_once(self, monkeypatch):
-        # three gears, three arccos calls in mesh_chain: the planet's tip
-        # angle serves both meshes
-        ratios = []
-
-        def counting(x):
-            ratios.append(x)
-            return acos(x)
-
-        monkeypatch.setattr(gearboxopt.efficiency, "acos", counting)
-        params = EfficiencyParams()
-        sound, chain = mesh_chain(0.5, 20, 40, 100, params)
-        monkeypatch.undo()
-        assert sound
-        assert sorted(acos(x) for x in ratios) == sorted(
+        # three gears, three arccos calls: the planet's tip angle serves
+        # both meshes
+        angles = tip_angles(20, 40, 100, 0.5, monkeypatch)
+        assert sorted(angles) == sorted(
             tip_pressure_angle(teeth, 0.5, role, ALPHA) for teeth, role in
             ((20, GearRole.SUN), (40, GearRole.PLANET), (100, GearRole.RING)))
-        br = EfficiencyBreakdown(*chain)
+        params = EfficiencyParams()
+        br = chain(20, 40, 100)
         assert br.eps_b2 == br.eps_a1
-        assert br.eta_a == basic_driving_efficiency(20, 40, 0.5,
-                                                    MeshKind.SUN_PLANET,
+        assert br.eta_a == basic_driving_efficiency(20, 40, 0.5, False,
                                                     params)
-        assert br.eta_b == basic_driving_efficiency(40, 100, 0.5,
-                                                    MeshKind.PLANET_RING,
+        assert br.eta_b == basic_driving_efficiency(40, 100, 0.5, True,
                                                     params)
 
     @pytest.mark.parametrize("mu, alpha_deg", [
         (0.06, 20.0), (0.0, 20.0), (0.4, 25.0), (0.9, 14.5), (0.06, 40.0)])
     def test_equals_mesh_helpers_exactly(self, mu, alpha_deg):
-        # mesh_chain, the scoring path, against the mesh-by-mesh helpers
-        # of planetary_efficiency: equal floats when every verdict passes,
-        # and a failed verdict exactly when the helpers raise, a failed
-        # mesh efficiency with ModelRangeError and a degenerate tooth form
-        # with a tip-circle error
+        # mesh_chain, the scoring path, against the mesh-by-mesh reference
+        # model: equal floats when every verdict passes, and a failed
+        # verdict exactly when the reference raises, at a mesh efficiency
+        # <= 0 for a sound tooth form and at a degenerate one otherwise
         params = EfficiencyParams(mu=mu, pressure_angle_rad=radians(
             alpha_deg))
-        outcomes = []
+        outcomes = set()
         for sun in (1, 2, 3, 5, 12, 20, 31):
             for planet in (1, 2, 4, 9, 17, 40):
                 for ring in (2, 3, 13, 33, sun + 2 * planet, 160):
@@ -258,40 +240,32 @@ class TestPlanetaryEfficiency:
                         arch=Architecture.ESSPG, sun_teeth=sun,
                         planet_teeth=planet, ring_teeth=ring, module_mm=0.7,
                         num_planets=3)
-                    sound, chain = mesh_chain(0.7, sun, planet, ring, params)
-                    if sound and chain[6] > 0 and chain[7] > 0:
-                        assert chain == astuple(
+                    sound, fields = mesh_chain(0.7, sun, planet, ring,
+                                               params)
+                    if sound and fields[6] > 0 and fields[7] > 0:
+                        assert fields == astuple(
                             planetary_efficiency(design, params)), design
-                        outcomes.append(None)
+                        outcomes.add("scored")
                         continue
-                    with pytest.raises(ValueError) as raised:
+                    message = "mesh efficiency" if sound else "degenerate"
+                    with pytest.raises(ValueError, match=message):
                         planetary_efficiency(design, params)
-                    assert (raised.type is ModelRangeError) == sound, design
-                    outcomes.append(raised.type)
-        assert None in outcomes and GeometryInfeasibleError in outcomes
+                    outcomes.add(message)
+        assert {"scored", "degenerate"} <= outcomes
 
     def test_second_design_frozen(self):
-        d = GearboxDesign(arch=Architecture.ESSPG, sun_teeth=25,
-                          planet_teeth=65, ring_teeth=155, module_mm=0.5,
-                          num_planets=3)
-        br = planetary_efficiency(d, EfficiencyParams())
-        assert br.eta_overall == pytest.approx(ETA_25_65_155, rel=REL)
+        assert chain(25, 65, 155).eta_overall == pytest.approx(
+            ETA_25_65_155, rel=REL)
 
-    def test_architecture_tag_is_irrelevant(self):
-        params = EfficiencyParams()
-        internal = planetary_efficiency(REFERENCE, params)
-        external = planetary_efficiency(
-            replace(REFERENCE, arch=Architecture.ESSPG), params)
-        assert internal == external
+    def test_architecture_tag_is_irrelevant(self, default_ctx):
+        columns = ([0.5, 0.5], [3, 3], [20, 25], [40, 65])
+        internal = score_columns(Architecture.ISSPG, default_ctx, *columns)
+        external = score_columns(Architecture.ESSPG, default_ctx, *columns)
+        assert np.array_equal(internal.eta_overall, external.eta_overall)
 
     def test_module_is_irrelevant(self):
         # the module cancels analytically in every tip angle, so a
         # rescaled design matches to rounding error on each field
-        params = EfficiencyParams()
-        base = planetary_efficiency(REFERENCE, params)
-        scaled = planetary_efficiency(replace(REFERENCE, module_mm=1.2),
-                                      params)
-        for field in ("eps_a1", "eps_a2", "eps_b1", "eps_b2", "eps_a",
-                      "eps_b", "eta_a", "eta_b", "eta_overall"):
-            assert getattr(scaled, field) \
-                == pytest.approx(getattr(base, field), rel=1e-12)
+        base = chain(20, 40, 100)
+        scaled = chain(20, 40, 100, module_mm=1.2)
+        assert astuple(scaled) == pytest.approx(astuple(base), rel=1e-12)

@@ -318,5 +318,14 @@ class TestParamValidation:
             ConstraintParams(min_planets=1)
         with pytest.raises(ValueError):
             ConstraintParams(min_teeth=0)
+        # the search holds these, and max_planets + 1, in int64 columns
+        for changes, name in (
+                (dict(min_teeth=10**20), "min_teeth"),
+                (dict(min_planets=10**20, max_planets=10**20),
+                 "min_planets"),
+                (dict(max_planets=2**63 - 1), "max_planets")):
+            with pytest.raises(ValueError, match=f"{name} must be below"):
+                ConstraintParams(**changes)
+        ConstraintParams(min_teeth=2**63 - 2, max_planets=2**63 - 2)
         with pytest.raises(ValueError):
             ConstraintParams(planet_clearance_mm=0.0)

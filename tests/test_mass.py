@@ -13,17 +13,20 @@ import pytest
 import gearboxopt.mass
 
 from gearboxopt import (Architecture, ConstraintParams, GearboxDesign,
-                        MassModelParams, MaterialSpec, StrengthParams,
-                        actuator_mass, base_plate_mass, bearing_fit_report,
+                        MassBreakdown, MassModelParams, MaterialSpec,
+                        StrengthParams, base_plate_mass, bearing_fit_report,
                         bearing_mass, bearing_od, bearing_width,
-                        carrier_disk_od_mm, casing_length_mm, casing_mass,
-                        default_bearing_table_path, face_width,
-                        fit_bearing_model, gearbox_stack_height_mm,
-                        load_bearing_model, load_bearing_table,
-                        output_bearing_bore_mm, pin_circle_diameter_mm,
-                        planet_pin_mass, ring_gear_mass, spur_gear_mass)
-from gearboxopt.mass import component_masses
+                        carrier_disk_od_mm, casing_length_mm,
+                        default_bearing_table_path, fit_bearing_model,
+                        gearbox_stack_height_mm, load_bearing_model,
+                        load_bearing_table, output_bearing_bore_mm,
+                        pin_circle_diameter_mm, planet_pin_mass)
+from gearboxopt.mass import component_masses, context_terms
 from gearboxopt.search import _MODEL_RULES, enumerate_feasible, evaluate
+from gearboxopt.strength import lewis_width
+
+from conftest import U12
+from reference_models import actuator_mass, spur_gear_mass
 
 REL = 1e-12
 
@@ -61,6 +64,24 @@ BREAKDOWN_KG = {
     "motor": 0.765,
     "total": 1.3818381711166409,
 }
+
+
+def components(design, width_mm, bearing, params=MassModelParams()):
+    """``component_masses`` of one design on the U12 motor: whether the
+    mass rules admit it, their verdicts and the breakdown (or None)."""
+    materials = MaterialSpec()
+    sound, verdicts, parts = component_masses(
+        design.arch, design.module_mm, design.num_planets, design.sun_teeth,
+        design.planet_teeth, design.ring_teeth, width_mm, U12, bearing,
+        materials, params, context_terms(U12, bearing, materials, params))
+    return sound, verdicts, (None if parts is None
+                             else MassBreakdown(*parts, sum(parts)))
+
+
+def breakdown(design, width_mm, bearing, params=MassModelParams()):
+    sound, _, masses = components(design, width_mm, bearing, params)
+    assert sound
+    return masses
 
 
 def write_table(path, rows, header="bore_mm,od_mm,width_mm,mass_kg"):
@@ -166,27 +187,38 @@ class TestBearingFit:
 
 
 class TestGearMasses:
-    def test_spur_gear_frozen(self):
-        materials = MaterialSpec()
-        assert spur_gear_mass(20, 0.5, 10.0, 0.0, materials) == \
+    def test_spur_gear_frozen(self, bearing_model):
+        assert breakdown(REFERENCE, 10.0, bearing_model).sun == \
             pytest.approx(SPUR_SUN_KG, rel=REL)
-        assert spur_gear_mass(40, 1.0, 12.0, 15.0, materials) == \
+        # one planet: N=40, m=1.0, bored for a 15 mm planet bearing
+        one_planet = replace(REFERENCE, module_mm=1.0, num_planets=1)
+        bored = MassModelParams(fastener_offset=False,
+                                planet_bearing_bore_mm=15.0)
+        assert breakdown(one_planet, 12.0, bearing_model,
+                         bored).planets_total == \
             pytest.approx(SPUR_PLANET_BORED_KG, rel=REL)
 
-    def test_spur_gear_guards(self):
-        materials = MaterialSpec()
+    def test_spur_gear_guards(self, bearing_model):
         with pytest.raises(ValueError):
-            spur_gear_mass(20, 0.5, 10.0, -1.0, materials)
-        with pytest.raises(ValueError, match="pitch diameter"):
-            spur_gear_mass(20, 0.5, 10.0, 10.0, materials)
+            MassModelParams(planet_bearing_bore_mm=-1.0)
+        # a sun bored out to its 10 mm pitch diameter fails the gear rule
+        at_pitch = MassModelParams(fastener_offset=False,
+                                   input_bearing_bore_mm=10.0)
+        sound, verdicts, _ = components(REFERENCE, 10.0, bearing_model,
+                                        at_pitch)
+        assert not sound and not verdicts[0]
 
-    def test_ring_gear_frozen(self):
-        assert ring_gear_mass(100, 0.5, 10.0, 1.25, MaterialSpec()) == \
+    def test_ring_gear_frozen(self, bearing_model):
+        assert breakdown(REFERENCE, 10.0, bearing_model).ring == \
             pytest.approx(RING_KG, rel=REL)
 
-    def test_ring_gear_guard(self):
+    def test_ring_gear_guard(self, bearing_model):
         with pytest.raises(ValueError):
-            ring_gear_mass(100, 0.5, 10.0, 0.0, MaterialSpec())
+            MassModelParams(ring_radial_thickness_coeff=0.0)
+        # a 2-tooth ring has its tip circle at 0 mm: the gear rule fails
+        sound, verdicts, _ = components(replace(REFERENCE, ring_teeth=2),
+                                        10.0, bearing_model)
+        assert not sound and not verdicts[0]
 
 
 class TestCarrierAndCasing:
@@ -202,23 +234,22 @@ class TestCarrierAndCasing:
         assert planet_pin_mass(10.0, MaterialSpec(), MassModelParams()) == \
             pytest.approx(expected, rel=1e-15)
 
-    def test_secondary_carrier_is_disk_only(self, u12, bearing_model):
-        materials = MaterialSpec()
-        params = MassModelParams()
-        breakdown = actuator_mass(REFERENCE, u12, 10.0, bearing_model,
-                                  materials, params)
-        pins = 3 * planet_pin_mass(10.0, materials, params)
-        assert breakdown.carrier == pytest.approx(
-            breakdown.secondary_carrier + pins, rel=1e-12)
+    def test_secondary_carrier_is_disk_only(self, bearing_model):
+        masses = breakdown(REFERENCE, 10.0, bearing_model)
+        pins = 3 * planet_pin_mass(10.0, MaterialSpec(), MassModelParams())
+        assert masses.carrier == pytest.approx(
+            masses.secondary_carrier + pins, rel=1e-12)
 
-    def test_carrier_must_clear_input_bearing(self, u12, bearing_model):
+    def test_carrier_must_clear_input_bearing(self, bearing_model):
         tight = GearboxDesign(arch=Architecture.ISSPG, sun_teeth=20,
                               planet_teeth=20, ring_teeth=60, module_mm=0.5,
                               num_planets=3)
         big_bore = MassModelParams(input_bearing_bore_mm=25.0)
-        with pytest.raises(ValueError, match="clear"):
-            actuator_mass(tight, u12, 10.0, bearing_model, MaterialSpec(),
-                          big_bore)
+        sound, verdicts, _ = components(tight, 10.0, bearing_model,
+                                        big_bore)
+        # only the carrier clearance fails
+        assert not sound
+        assert verdicts == (True, True, False, True, True, True, True)
 
     def test_stack_and_casing_lengths(self, u12):
         params = MassModelParams()
@@ -229,52 +260,45 @@ class TestCarrierAndCasing:
         assert casing_length_mm(external, u12, 10.0, params) == \
             pytest.approx(46.5 + 20.0)
 
-    def test_casing_mass_scales_with_length(self, u12):
-        materials = MaterialSpec()
-        params = MassModelParams()
-        internal = casing_mass(REFERENCE, u12, 10.0, materials, params)
-        external = casing_mass(replace(REFERENCE, arch=Architecture.ESSPG),
-                               u12, 10.0, materials, params)
+    def test_casing_mass_scales_with_length(self, bearing_model):
+        internal = breakdown(REFERENCE, 10.0, bearing_model).casing
+        external = breakdown(replace(REFERENCE, arch=Architecture.ESSPG),
+                             10.0, bearing_model).casing
         assert external / internal == pytest.approx((46.5 + 20.0) / 46.5,
                                                     rel=1e-12)
 
-    def test_casing_wall_guard(self, u12):
-        with pytest.raises(ValueError, match="wall"):
-            casing_mass(REFERENCE, u12, 10.0, MaterialSpec(),
-                        MassModelParams(casing_wall_mm=60.0))
+    def test_casing_wall_guard(self, bearing_model):
+        sound, verdicts, _ = components(
+            REFERENCE, 10.0, bearing_model,
+            MassModelParams(casing_wall_mm=60.0))
+        assert not sound and not verdicts[5]
 
 
-class TestActuatorMass:
-    def test_frozen_breakdown(self, u12, bearing_model):
-        breakdown = actuator_mass(REFERENCE, u12, FACE_REFERENCE_MM,
-                                  bearing_model, MaterialSpec(),
-                                  MassModelParams())
-        actual = asdict(breakdown)
+class TestComponentMasses:
+    def test_frozen_breakdown(self, bearing_model):
+        actual = asdict(breakdown(REFERENCE, FACE_REFERENCE_MM,
+                                  bearing_model))
         assert actual.keys() == BREAKDOWN_KG.keys()
         for key, expected in BREAKDOWN_KG.items():
             assert actual[key] == pytest.approx(expected, rel=REL), key
 
-    def test_total_is_component_sum(self, u12, bearing_model):
-        breakdown = actuator_mass(REFERENCE, u12, FACE_REFERENCE_MM,
-                                  bearing_model, MaterialSpec(),
-                                  MassModelParams())
-        parts = asdict(breakdown)
+    def test_total_is_component_sum(self, bearing_model):
+        parts = asdict(breakdown(REFERENCE, FACE_REFERENCE_MM,
+                                 bearing_model))
         total = parts.pop("total")
         assert total == pytest.approx(sum(parts.values()), rel=1e-15)
 
-    def test_bearing_count_rule(self, u12, bearing_model):
-        params = MassModelParams()
+    def test_bearing_count_rule(self, bearing_model):
         expected = (3 * bearing_mass(10.0, bearing_model)
                     + bearing_mass(15.0, bearing_model)
                     + bearing_mass(30.0, bearing_model))
-        breakdown = actuator_mass(REFERENCE, u12, FACE_REFERENCE_MM,
-                                  bearing_model, MaterialSpec(), params)
-        assert breakdown.bearings_total == pytest.approx(expected,
-                                                         rel=1e-15)
+        masses = breakdown(REFERENCE, FACE_REFERENCE_MM, bearing_model)
+        assert masses.bearings_total == pytest.approx(expected, rel=1e-15)
 
     def test_equals_component_rules_exactly(self, default_ctx):
         # component_masses with an EvalContext's terms, the scoring path,
-        # against actuator_mass, component by component: every part to
+        # against the reference model's actuator_mass, component by
+        # component: every part to
         # the last bit when every verdict passes, else the first failed
         # verdict names the component whose helper raises first (or, for
         # a ring too wide to square, an infinite total)
@@ -355,16 +379,14 @@ class TestActuatorMass:
         assert base_plate_mass(u12, MaterialSpec(), MassModelParams()) == \
             pytest.approx(expected, rel=1e-15)
 
-    def test_fastener_offset_keeps_gears_solid(self, u12, bearing_model):
+    def test_fastener_offset_keeps_gears_solid(self, bearing_model):
         # without the offset, gear bores are subtracted and mass drops
         bored_params = MassModelParams(fastener_offset=False)
         big = GearboxDesign(arch=Architecture.ISSPG, sun_teeth=20,
                             planet_teeth=40, ring_teeth=100, module_mm=1.0,
                             num_planets=3)
-        solid = actuator_mass(big, u12, 10.0, bearing_model, MaterialSpec(),
-                              MassModelParams())
-        bored = actuator_mass(big, u12, 10.0, bearing_model, MaterialSpec(),
-                              bored_params)
+        solid = breakdown(big, 10.0, bearing_model)
+        bored = breakdown(big, 10.0, bearing_model, bored_params)
         assert bored.sun < solid.sun
         assert bored.planets_total < solid.planets_total
         assert bored.ring == solid.ring
@@ -378,8 +400,6 @@ class TestActuatorMass:
                                            bearing_model):
         # identical gear train: the internal layout's shorter casing keeps
         # its actuator total at or below the external one
-        materials = MaterialSpec()
-        mass_params = MassModelParams()
         strength = StrengthParams()
         constraints = ConstraintParams()
         modules = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2]
@@ -393,12 +413,12 @@ class TestActuatorMass:
             if not (bearing_model.bore_min_mm <= bore
                     <= bearing_model.bore_max_mm):
                 continue
-            width = face_width(u12_load, d, strength)
-            external = actuator_mass(d, u12, width, bearing_model,
-                                     materials, mass_params)
-            internal = actuator_mass(replace(d, arch=Architecture.ISSPG),
-                                     u12, width, bearing_model, materials,
-                                     mass_params)
+            _, _, _, width = lewis_width(d.module_mm, d.sun_teeth,
+                                         d.planet_teeth, d.num_planets,
+                                         u12_load, strength)
+            external = breakdown(d, width, bearing_model)
+            internal = breakdown(replace(d, arch=Architecture.ISSPG), width,
+                                 bearing_model)
             assert internal.total <= external.total
             checked += 1
         assert checked > 1000

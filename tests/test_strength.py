@@ -9,10 +9,8 @@ from math import pi
 import pytest
 
 from gearboxopt import (Architecture, GearboxDesign, LewisFormula, LoadCase,
-                        StrengthParams, VelocityFormula, face_width,
-                        lewis_form_factor, pitch_line_velocity_m_s,
-                        sun_pitch_radius_m, tangential_force,
-                        velocity_factor)
+                        StrengthParams, VelocityFormula, lewis_form_factor)
+from gearboxopt.strength import lewis_width
 
 REL = 1e-12
 
@@ -26,6 +24,22 @@ WIDE_SUN = GearboxDesign(arch=Architecture.ESSPG, sun_teeth=25,
 # widths for sun torque 3 Nm at 418.9 rad/s, default strength params
 FACE_REFERENCE_MM = 28.90760138979485
 FACE_WIDE_SUN_MM = 23.52390274124247
+
+
+def lewis(load, design, params=StrengthParams()):
+    """``lewis_width`` of one design: (sound, y, K_v, width in mm)."""
+    return lewis_width(design.module_mm, design.sun_teeth,
+                       design.planet_teeth, design.num_planets, load, params)
+
+
+def face_width(load, design, params=StrengthParams()):
+    sound, _, _, width = lewis(load, design, params)
+    assert sound
+    return width
+
+
+def velocity_factor(load, design):
+    return lewis(load, design)[2]
 
 
 class TestParams:
@@ -47,24 +61,34 @@ class TestParams:
 
 class TestLoadPath:
     def test_sun_pitch_radius(self):
-        assert sun_pitch_radius_m(REFERENCE) == pytest.approx(0.005,
-                                                              rel=1e-15)
+        # at 1 rad/s the pitch-line speed in m/s is the 5 mm radius
+        unit_speed = LoadCase(sun_torque_nm=3.0, sun_speed_rad_s=1.0)
+        assert velocity_factor(unit_speed, REFERENCE) == pytest.approx(
+            3.0 / (3.0 + 0.005), rel=1e-15)
 
     def test_tangential_force(self, u12_load):
         # 3 Nm over 3 planets at a 5 mm radius: 200 N per mesh
-        assert tangential_force(u12_load, REFERENCE) == pytest.approx(
-            200.0, rel=1e-15)
+        params = StrengthParams()
+        _, y, k_v, width = lewis(u12_load, REFERENCE, params)
+        strength = params.allowable_bending_stress_pa * y * k_v * pi * 5e-4
+        assert width == pytest.approx(
+            1000.0 * params.fos * 200.0 / strength, rel=1e-12)
 
     def test_force_splits_across_planets(self, u12_load):
         two = GearboxDesign(arch=Architecture.ISSPG, sun_teeth=20,
                             planet_teeth=40, ring_teeth=100, module_mm=0.5,
                             num_planets=2)
-        assert tangential_force(u12_load, two) == pytest.approx(
-            1.5 * tangential_force(u12_load, REFERENCE), rel=1e-15)
+        assert face_width(u12_load, two) == pytest.approx(
+            1.5 * face_width(u12_load, REFERENCE), rel=1e-12)
 
     def test_pitch_line_velocity(self, u12_load):
-        assert pitch_line_velocity_m_s(u12_load, REFERENCE) == \
-            pytest.approx(418.9 * 0.005, rel=1e-15)
+        # V = omega * r_sun at the 5 mm sun and at a 10 mm one
+        big_sun = GearboxDesign(arch=Architecture.ISSPG, sun_teeth=40,
+                                planet_teeth=40, ring_teeth=120,
+                                module_mm=0.5, num_planets=3)
+        for design, radius_m in ((REFERENCE, 0.005), (big_sun, 0.01)):
+            assert velocity_factor(u12_load, design) == pytest.approx(
+                3.0 / (3.0 + 418.9 * radius_m), rel=1e-15)
 
 
 class TestFactors:
@@ -84,9 +108,9 @@ class TestFactors:
             3.0 / (3.0 + v), rel=1e-15)
         still = LoadCase(sun_torque_nm=1.0, sun_speed_rad_s=0.0)
         assert velocity_factor(still, REFERENCE) == 1.0
-        assert velocity_factor(
-            u12_load, REFERENCE, VelocityFormula.BARTH) == velocity_factor(
-                u12_load, REFERENCE)
+        barth = StrengthParams(velocity_formula=VelocityFormula.BARTH)
+        assert lewis(u12_load, REFERENCE, barth)[2] == velocity_factor(
+            u12_load, REFERENCE)
 
 
 class TestFaceWidth:

@@ -1,4 +1,5 @@
-"""Every name a module, test or demo imports is referenced in it."""
+"""Every name a module, test or demo imports is referenced in it, and
+every function and class the package defines is referenced in it."""
 
 import ast
 from pathlib import Path
@@ -7,11 +8,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 # the package ``__init__`` imports names only to re-export them
-SOURCES = sorted(
-    [path for path in (ROOT / "src" / "gearboxopt").glob("*.py")
-     if path.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py"))
-    + list((ROOT / "demos").glob("*.py")))
+PACKAGE = [path for path in (ROOT / "src" / "gearboxopt").glob("*.py")
+           if path.name != "__init__.py"]
+SOURCES = sorted(PACKAGE + list((ROOT / "tests").glob("*.py"))
+                 + list((ROOT / "demos").glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,6 +29,22 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def unreferenced_definitions(sources) -> list[str]:
+    """The top-level functions and classes of the sources that no name or
+    attribute in them reads."""
+    defined, read = [], set()
+    for source in sources:
+        tree = ast.parse(source)
+        defined += [node.name for node in tree.body if isinstance(
+            node, (ast.FunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [name for name in defined if name not in read]
+
+
 def test_scan_finds_an_unused_import():
     assert unused_imports("import os\nfrom math import pi, tau as t\n"
                           "import a.b\nprint(pi, a)\n") == [
@@ -39,3 +55,16 @@ def test_scan_finds_an_unused_import():
                          ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_scan_finds_an_unreferenced_definition():
+    assert unreferenced_definitions([
+        "def f():\n    pass\nclass C:\n    pass\ndef g():\n    return f\n",
+        "x = a.C\n"]) == ["g"]
+
+
+def test_no_unreferenced_definition_in_the_package():
+    # a public name that only the tests, demos or ``__init__`` read is a
+    # second copy of something the package computes elsewhere
+    assert unreferenced_definitions(
+        path.read_text() for path in PACKAGE) == []
