@@ -99,6 +99,8 @@ class GearboxDesign:
             raise ValueError("num_planets must be >= 1")
         if not self.module_mm > 0:  # nan too
             raise ValueError("module_mm must be positive")
+        if not isfinite(self.module_mm):
+            raise ValueError(f"module_mm must be finite, got {self.module_mm}")
 
     @property
     def gear_ratio(self) -> float:

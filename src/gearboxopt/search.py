@@ -36,8 +36,11 @@ architecture is reported. Ties break deterministically: lower mass,
 then higher efficiency, then lexicographic (m, n_p, N_s, N_p). An
 empty bin reports the most frequent blocker of its diagnosis window.
 The rows of every empty bin of an architecture are built once, each
-bin's rows one slice, and each slice is checked by its own
-``constraint_rules`` call with the modules as a leading axis.
+bin's rows one slice. One ``constraint_rules`` call on one certificate
+cell per bin decides every bin that lies wholly outside the ring
+envelope, where ``ring_diameter`` fails every cell and no rule can tie
+it; each other slice is checked by its own ``constraint_rules`` call
+with the modules as a leading axis.
 """
 
 from dataclasses import dataclass
@@ -65,8 +68,9 @@ _DIAG_SUN_TEETH_CAP = 60
 
 # most suns or (planet count, row) cells a window, or (module, planet
 # count, row) cells one bin's diagnosis grid, may hold, checked before
-# any of its arrays is built: 16x scale's unbounded window (41,776 rows
-# x 6 planet counts)
+# any of its arrays is built, and for every empty bin's grid, also one
+# the ring envelope decides and never builds: 16x scale's unbounded
+# window (41,776 rows x 6 planet counts)
 _WINDOW_BOUND = 4_000_000
 
 # relative tolerance, scaled by max(1, |value|), within which columnar
@@ -447,11 +451,20 @@ def _bin_tallies(motor: MotorSpec, arch: Architecture,
     and no feasibility filter.
 
     The rows do not depend on the module. One ``_window_rows`` call
-    builds every bin's rows as one slice; one ``constraint_rules`` call
-    per bin with rows takes the modules as a leading (M, 1, 1) axis, so
-    a rule that does not read the module is computed once per bin, and
-    each verdict's count is scaled by the grid axes it lacks. No bin's
-    (module, planet count, row) grid may exceed ``_WINDOW_BOUND``.
+    builds every bin's rows as one slice, and no bin's (module, planet
+    count, row) grid may exceed ``_WINDOW_BOUND``. A bin outside the
+    ring envelope is decided without its grid. A rounded product grows
+    with either positive factor, so where the bin's smallest ring at the
+    smallest module fails ``ring_diameter``, every cell fails it. Only a
+    rule whose name sorts first can then tie it and win, and none covers
+    the grid where the bin's first row, at the smallest module and
+    planet count, passes it. Such a bin's tally is
+    ``{"ring_diameter": cells}``, the rules that cannot outrank it left
+    uncounted; one ``constraint_rules`` call checks every bin's
+    certificate. Each other bin with rows takes one ``constraint_rules``
+    call with the modules as a leading (M, 1, 1) axis, so a rule that
+    does not read the module is computed once per bin, and each
+    verdict's count is scaled by the grid axes it lacks.
     """
     los, his = np.array(bins, dtype=np.float64).reshape(-1, 2).T
     sun, planet, ring, planet_counts, sizes = _window_rows(
@@ -460,11 +473,28 @@ def _bin_tallies(motor: MotorSpec, arch: Architecture,
     rows = sizes.reshape(len(bins), -1).sum(axis=1)
     grids = (len(module_set) * len(planet_counts) * rows).tolist()
     _bounded(arch, max(grids), "(module, planet count, row) cells")
+    # the certificate cells: each bin's first row, paired with its
+    # smallest ring, at the smallest module and planet count; where that
+    # ring is not the first row's own, ``geometric`` fails and the bin is
+    # tallied
+    filled = np.flatnonzero(rows)
+    first = (np.cumsum(rows) - rows)[filled]
+    verdicts = dict(zip(_RULE_ORDER, constraint_rules(
+        arch, min(module_set), constraints.min_planets, sun[first],
+        planet[first], np.minimum.reduceat(ring, first), motor,
+        constraints)))
+    outranking = reduce(or_, (verdict for name, verdict in verdicts.items()
+                              if name < "ring_diameter"))
+    decided = np.zeros(len(bins), dtype=bool)
+    decided[filled] = verdicts["ring_diameter"] & ~outranking
     modules = np.array(module_set, dtype=np.float64)[:, None, None]
     slices = zip(*(np.split(column, np.cumsum(rows)[:-1])
                    for column in (sun, planet, ring)))
     tallies = []
-    for cells, window in zip(grids, slices):
+    for cells, window, envelope in zip(grids, slices, decided.tolist()):
+        if envelope:
+            tallies.append({"ring_diameter": cells})
+            continue
         verdicts = constraint_rules(arch, modules, planet_counts, *window,
                                     motor, constraints) if cells else ()
         tallies.append({name: count for name, verdict
@@ -492,8 +522,9 @@ def optimize_bins(arch: Architecture, ctx: EvalContext,
     feasible rows within ``_SETTLE_TOL`` of that cost, which ``evaluate``
     settles in (m, n_p, N_s, N_p) order. Empty bins carry the dominant
     blocking constraint instead: the most frequent rule of
-    ``_bin_tallies``, which builds one diagnosis window for all of them
-    and checks each bin's slice of it on its own.
+    ``_bin_tallies``, which builds one diagnosis window for all of them,
+    decides the bins outside the ring envelope from one certificate cell
+    each and checks each other bin's slice of it on its own.
 
     ``workers`` is validated (None or an int >= 1) and otherwise
     ignored: evaluation is serial, and is kept as an argument only for

@@ -408,6 +408,13 @@ class TestCommandLine:
         assert payload["feasible"] is False
         assert payload["failure_reasons"] == ["ring_diameter"]
 
+    def test_eval_rejects_infinite_module_by_name(self, u12_config_path,
+                                                  capsys):
+        code = main(["eval", "--config", str(u12_config_path), "--design",
+                     "20,40,100,inf,3,esspg"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: module_mm")
+
     def test_eval_rejects_malformed_design(self, u12_config_path, capsys):
         with pytest.raises(SystemExit):
             main(["eval", "--config", str(u12_config_path), "--design",

@@ -96,7 +96,7 @@ class TestDesignVector:
     def test_validation(self):
         with pytest.raises(ValueError):
             design(Architecture.ISSPG, 0, 40, 100, 0.5, 3)
-        for module_mm in (-0.5, nan):
+        for module_mm in (-0.5, nan, inf):
             with pytest.raises(ValueError, match="module_mm"):
                 design(Architecture.ISSPG, 20, 40, 100, module_mm, 3)
         with pytest.raises(ValueError):

@@ -44,6 +44,9 @@ ALL_MODULES = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2]
 # output bearing bore above the bearing table
 SCALE_MOTOR = replace(U12, outer_diameter_mm=160.0,
                       stator_inner_diameter_mm=110.0, name="U12-scale")
+# no two planets fit: every u12 design fails planet_interference, and no
+# empty bin can be decided by the ring envelope alone
+CLEARANCE_1E4 = ConstraintParams(planet_clearance_mm=1e4)
 
 
 def naive_rectangle(arch, constraints, modules, motor=U12):
@@ -576,22 +579,44 @@ class TestDiagnosis:
         assert counts == {}
         assert reason == "no_candidates_in_ratio_window"
 
-    @pytest.mark.parametrize("arch, bins", [
-        (Architecture.ESSPG, [(11.0, 12.0), (12.0, 13.0), (13.0, 14.0),
-                              (14.0, 15.0)]),
-        (Architecture.ISSPG, [(7.0, 8.0)])])
-    def test_u12_empty_bin_tallies_over_all_modules(self, default_ctx, arch,
-                                                    bins):
+    def test_scale_empty_bin_tallies_over_all_modules(self, default_ctx):
         # the sweep's own module set: the hypothesis strategies draw at
         # most two modules, which can hide a module-order or
-        # weight-accumulation fault in the merged diagnosis
-        tallies = _bin_tallies(U12, arch, default_ctx.constraints,
-                               ALL_MODULES, bins)
+        # weight-accumulation fault in the merged diagnosis; the scale
+        # motor's empty esspg bins reach inside the ring envelope, so
+        # both are tallied in full
+        bins = [(13.0, 14.0), (14.0, 15.0)]
+        tallies = _bin_tallies(SCALE_MOTOR, Architecture.ESSPG,
+                               default_ctx.constraints, ALL_MODULES, bins)
         for (lo, hi), counts in zip(bins, tallies, strict=True):
-            assert counts == scalar_tallies(U12, arch,
+            assert counts == scalar_tallies(SCALE_MOTOR, Architecture.ESSPG,
                                             default_ctx.constraints,
                                             ALL_MODULES, lo, hi)
-            assert counts["ring_diameter"] > 0
+            assert 0 < counts["ring_diameter"] < diagnosis_cells(
+                default_ctx.constraints, ALL_MODULES, lo, hi)
+
+    def test_full_ring_diameter_tie_goes_to_planet_interference(self):
+        # every cell of u12 isspg [7,8) fails both rules; the tie goes to
+        # the first name, so the envelope alone cannot decide the bin
+        counts = scalar_tallies(U12, Architecture.ISSPG, CLEARANCE_1E4,
+                                ALL_MODULES, 7.0, 8.0)
+        assert counts["ring_diameter"] == counts["planet_interference"] \
+            == diagnosis_cells(CLEARANCE_1E4, ALL_MODULES, 7.0, 8.0) \
+            == 38_880
+        assert diagnosis(U12, Architecture.ISSPG, CLEARANCE_1E4, ALL_MODULES,
+                         7.0, 8.0) == (counts, "planet_interference")
+
+    def test_failed_certificate_cell_is_tallied_in_full(self):
+        # 0.5 mm fails module_range, so the first row at the smallest
+        # module cannot certify the bin; the full tally still names
+        # ring_diameter
+        constraints = ConstraintParams(module_min_mm=0.6)
+        counts = scalar_tallies(U12, Architecture.ISSPG, constraints,
+                                ALL_MODULES, 7.0, 8.0)
+        assert counts["ring_diameter"] == 38_880
+        assert counts["planet_interference"] == 25_920
+        assert diagnosis(U12, Architecture.ISSPG, constraints, ALL_MODULES,
+                         7.0, 8.0) == (counts, "ring_diameter")
 
     @pytest.mark.parametrize("arch, lo", [(Architecture.ISSPG, 7.0),
                                           (Architecture.ESSPG, 11.0)])
@@ -608,16 +633,15 @@ class TestDiagnosis:
                                "module_range", "tooth_count_cap",
                                "ring_diameter"}
 
-    @pytest.mark.parametrize("arch, filled, rule_calls",
-                             [(Architecture.ISSPG, 2, 9),
-                              (Architecture.ESSPG, 6, 5)])
-    def test_u12_call_counts(self, default_ctx, monkeypatch, arch, filled,
-                             rule_calls):
+    @pytest.mark.parametrize("arch, filled", [(Architecture.ISSPG, 2),
+                                              (Architecture.ESSPG, 6)])
+    def test_u12_call_counts(self, default_ctx, monkeypatch, arch, filled):
         # one search window per architecture, built by one window-rows
         # call, checked by one rules call and scored in one pass; one
         # diagnosis window for every empty bin, built by one window-rows
-        # call and checked by one rules call per empty bin over every
-        # module, and no scoring of bins without rows
+        # call, whose bins all lie outside the ring envelope and are
+        # decided by one rules call on their certificate cells, and no
+        # scoring of bins without rows
         calls = dict.fromkeys(("score_columns", "_window_rows",
                                "constraint_rules"), 0)
         scored_rows = []
@@ -638,7 +662,7 @@ class TestDiagnosis:
         assert sum(r.candidates_examined > 0 for r in results) == filled
         # the search window and the diagnosis window
         assert calls == {"score_columns": 1, "_window_rows": 2,
-                         "constraint_rules": rule_calls}
+                         "constraint_rules": 2}
         assert scored_rows == [sum(r.candidates_examined for r in results)]
         empty = [(r.lo, r.hi) for r in results if not r.candidates_examined]
         optimize_bins(arch, default_ctx, ALL_MODULES, empty)
@@ -646,12 +670,13 @@ class TestDiagnosis:
 
     def test_u12_diagnosis_allocates_one_bin_at_a_time(self, default_ctx):
         # numpy reports its buffers to tracemalloc; the whole diagnosis
-        # window's (module, planet count, row) grid peaks above 3 MB
-        optimize_bins(Architecture.ISSPG, default_ctx, ALL_MODULES,
-                      default_bins())
+        # window's (module, planet count, row) grid peaks above 3 MB. At a
+        # 1e4 mm planet clearance every bin is empty and tallied in full.
+        ctx = replace(default_ctx, constraints=CLEARANCE_1E4)
+        optimize_bins(Architecture.ISSPG, ctx, ALL_MODULES, default_bins())
         tracemalloc.start()
         try:
-            optimize_bins(Architecture.ISSPG, default_ctx, ALL_MODULES,
+            optimize_bins(Architecture.ISSPG, ctx, ALL_MODULES,
                           default_bins())
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -662,8 +687,9 @@ class TestDiagnosis:
                                                 monkeypatch):
         # a diagnosis call is the one with a module axis; its rows lie
         # in one bin, and its grid is no larger than that bin's
-        # (module, planet count, row) grid
-        constraints = default_ctx.constraints
+        # (module, planet count, row) grid. At a 1e4 mm planet clearance
+        # every bin is empty and tallied; by default every empty bin
+        # lies outside the ring envelope, and no grid is built.
         bins = default_bins()
         grids = {}
         rules = search.constraint_rules
@@ -679,20 +705,20 @@ class TestDiagnosis:
                     np.shape(sun), np.shape(planet)))
             return rules(arch, module_mm, num_planets, sun, planet, *rest)
         monkeypatch.setattr(search, "constraint_rules", recorded)
+        results = optimize_bins(Architecture.ISSPG,
+                                replace(default_ctx,
+                                        constraints=CLEARANCE_1E4),
+                                ALL_MODULES, bins)
+        assert all(r.best is None for r in results)
+        assert sorted(grids) == list(range(len(bins)))
+        for i, cells in grids.items():
+            assert cells <= diagnosis_cells(CLEARANCE_1E4, ALL_MODULES,
+                                            *bins[i])
+        grids.clear()
         results = optimize_bins(Architecture.ISSPG, default_ctx,
                                 ALL_MODULES, bins)
-        empty = [i for i, r in enumerate(results) if r.best is None]
-        assert sorted(grids) == empty
-        planet_counts = (constraints.max_planets
-                         - constraints.min_planets + 1)
-        for i, cells in grids.items():
-            lo, hi = bins[i]
-            rows = sum(max(0, ceil((hi - 2.0) * sun / 2.0)
-                           - max(constraints.min_teeth,
-                                 ceil((lo - 2.0) * sun / 2.0)))
-                       for sun in range(constraints.min_teeth,
-                                        _DIAG_SUN_TEETH_CAP + 1))
-            assert cells <= len(ALL_MODULES) * planet_counts * rows
+        assert sum(r.best is None for r in results) == 8
+        assert grids == {}
 
 
 class TestComparison:
@@ -821,6 +847,27 @@ def scalar_verdict(counts):
     return max(sorted(counts), key=lambda name: counts[name])
 
 
+def diagnosis_cells(constraints, modules, lo, hi):
+    """The (module, planet count, row) cells of one bin's diagnosis
+    grid."""
+    rows = sum(max(0, ceil((hi - 2.0) * sun / 2.0)
+                   - max(constraints.min_teeth, ceil((lo - 2.0) * sun / 2.0)))
+               for sun in range(constraints.min_teeth,
+                                _DIAG_SUN_TEETH_CAP + 1))
+    return (len(modules) * (constraints.max_planets
+                            - constraints.min_planets + 1) * rows)
+
+
+def assert_tally_equals_scan(counts, scalar, cells):
+    """A diagnosis tally equals the scalar scan's, except that a bin
+    decided by the ring envelope may count ring_diameter alone: then
+    every one of the grid's cells fails it, and the scan names it too."""
+    if counts != scalar:
+        assert counts == {"ring_diameter": cells}
+        assert scalar["ring_diameter"] == cells
+        assert scalar_verdict(scalar) == "ring_diameter"
+
+
 class TestRatioWindow:
     @settings(max_examples=60)
     @given(motor=motors(), constraints=constraint_sets(),
@@ -867,10 +914,14 @@ class TestRatioWindow:
     def test_diagnosis_tallies_equal_scalar_scan(self, motor, constraints,
                                                  arch, modules, bins):
         for lo, hi in bins:
-            counts = scalar_tallies(motor, arch, constraints, modules, lo,
+            scalar = scalar_tallies(motor, arch, constraints, modules, lo,
                                     hi)
-            assert diagnosis(motor, arch, constraints, modules, lo,
-                             hi) == (counts, scalar_verdict(counts))
+            counts, verdict = diagnosis(motor, arch, constraints, modules,
+                                        lo, hi)
+            assert verdict == scalar_verdict(scalar)
+            assert_tally_equals_scan(
+                counts, scalar,
+                diagnosis_cells(constraints, modules, lo, hi))
 
     @settings(max_examples=60)
     @given(motor=motors(), constraints=constraint_sets(),
@@ -932,7 +983,9 @@ class TestRatioWindow:
             assert result.candidates_examined == len(in_bin)
             scalar = scalar_tallies(motor, arch, constraints, modules,
                                     result.lo, result.hi)
-            assert counts == scalar
+            assert_tally_equals_scan(
+                counts, scalar,
+                diagnosis_cells(constraints, modules, result.lo, result.hi))
             if result.best is None:
                 assert result.empty_reason == scalar_verdict(scalar)
 
