@@ -11,9 +11,9 @@ ISSPG and ESSPG layouts. Profile shift coefficients are 0.
 """
 
 from dataclasses import dataclass
-from math import acos, cos, pi, radians, tan
+from math import acos, cos, nan, pi, radians, tan
 
-from .geometry import pick
+from .geometry import per_key
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def overall_efficiency(sun_teeth: int, ring_teeth: int, eta_sp: float,
 
 
 def mesh_chain(module_mm, sun_teeth, planet_teeth, ring_teeth,
-               params: EfficiencyParams) -> tuple:
+               params: EfficiencyParams, module_index=None) -> tuple:
     """
     Whether every tooth form is sound (base circle inside a positive tip
     circle) and the ``EfficiencyBreakdown`` fields (none for one unsound
@@ -99,7 +99,8 @@ def mesh_chain(module_mm, sun_teeth, planet_teeth, ring_teeth,
         eta = 1 - mu*pi*(1/N1 + sgn/N2)*eps
 
     with eps its ``loss_parameter``; a friction coefficient that drives
-    it to 0 or below is returned as such, not clamped.
+    it to 0 or below is returned as such, not clamped. On columns, each
+    tip angle is taken once per (``module_index``, tooth count).
     """
     m, s, p, r = module_mm, sun_teeth, planet_teeth, ring_teeth
     cos_alpha = cos(params.pressure_angle_rad)
@@ -109,11 +110,20 @@ def mesh_chain(module_mm, sun_teeth, planet_teeth, ring_teeth,
     sound = (base_s < tip_s) & (base_p < tip_p) & (base_r < tip_r)
     if sound is False:
         return sound, None
-    arccos, tangent = pick(tip_s, acos, tan)
+    if module_index is None:
+        tan_p, tan_s, tan_r = (tan(acos(base_p / tip_p)),
+                               tan(acos(base_s / tip_s)),
+                               tan(acos(base_r / tip_r)))
+    else:  # nan past acos's domain: a ring that fails tooth_form
+        tan_p, tan_s, tan_r = (
+            per_key(lambda x: tan(acos(x)) if x <= 1.0 else nan, base / tip,
+                    module_index, teeth)
+            for base, tip, teeth in ((base_p, tip_p, p), (base_s, tip_s, s),
+                                     (base_r, tip_r, r)))
     tan_alpha = tan(params.pressure_angle_rad)
-    eps_a1 = p / (2.0 * pi) * (tangent(arccos(base_p / tip_p)) - tan_alpha)
-    eps_a2 = s / (2.0 * pi) * (tangent(arccos(base_s / tip_s)) - tan_alpha)
-    eps_b1 = -(r / (2.0 * pi)) * (tangent(arccos(base_r / tip_r)) - tan_alpha)
+    eps_a1 = p / (2.0 * pi) * (tan_p - tan_alpha)
+    eps_a2 = s / (2.0 * pi) * (tan_s - tan_alpha)
+    eps_b1 = -(r / (2.0 * pi)) * (tan_r - tan_alpha)
     eps_a = loss_parameter(eps_a1, eps_a2)
     eps_b = loss_parameter(eps_b1, eps_a1)
     eta_a = 1.0 - params.mu * pi * (1.0 / s + 1.0 / p) * eps_a

@@ -20,7 +20,7 @@ otherwise.
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import compress
-from math import acos, cos, isfinite, pi, sin, tan
+from math import cos, isfinite, pi, sin
 from typing import Optional
 
 import numpy as np
@@ -49,30 +49,27 @@ def require_finite(record) -> None:
             raise ValueError(f"{spec.name} must be finite, got {value}")
 
 
-def _sin_pi_over(planets):
-    return sin(pi / planets)
-
-
-def _sin_pi_over_column(planets):
-    """``sin(pi/n)`` from a table of ``math.sin`` (0 below two planets)."""
-    low = int(planets.min()) if planets.size else 0
-    table = np.array([sin(pi / k) if k >= 2 else 0.0
-                      for k in range(low, int(planets.max(initial=low)) + 1)])
-    return table[planets - low]
-
-
-# numpy counterparts of the operations model formulas use on one design
-_COLUMN_OPS = {acos: np.arccos, tan: np.tan, min: np.minimum, max: np.maximum,
-               _sin_pi_over: _sin_pi_over_column}
-
-
-def pick(value, *scalar_ops) -> tuple:
-    """``scalar_ops`` (math, builtins) for a Python number, else their
-    numpy counterparts: numpy's acos, tan and sin differ from libm's in the
-    last bit, so one design stays on math."""
-    if value.__class__ is float or value.__class__ is int:
-        return scalar_ops
-    return tuple(_COLUMN_OPS[op] for op in scalar_ops)
+def per_key(func, value, *keys):
+    """``func`` (a ``math`` function) of one float, or of each entry of a
+    numpy column that the integer ``keys`` columns of its shape determine:
+    then ``func`` runs once per distinct key row, found by ``np.bincount``,
+    and equals one design's call bit for bit, where numpy's counterparts
+    may differ in the last bit."""
+    if value.__class__ is float:
+        return func(value)
+    if not value.size:
+        return np.empty(value.shape)
+    index = 0
+    for key in keys:
+        low = key.min()
+        index = index * (key.max() - low + 1) + (key - low)
+    count = np.bincount(index.ravel())
+    # each key's value, then in place its func value
+    table = np.empty(len(count))
+    table[index] = value
+    present = np.flatnonzero(count)
+    table[present] = [func(x) for x in table[present].tolist()]
+    return table[index]
 
 
 class GearRole(Enum):
@@ -208,9 +205,9 @@ def tip_diameter(tooth_count: int, module_mm: float, role: GearRole) -> float:
 def interference_margin_mm(module_mm, sun_teeth, planet_teeth, num_planets):
     """Clearance between adjacent planet gears, 2m(N_s+N_p)sin(pi/n_p) -
     2mN_p (mm), for one design's numbers or numpy columns."""
-    sin_pi_over, = pick(num_planets, _sin_pi_over)
     two_m = 2.0 * module_mm
-    margin = two_m * (sun_teeth + planet_teeth) * sin_pi_over(num_planets)
+    margin = two_m * (sun_teeth + planet_teeth) * per_key(
+        sin, pi / num_planets, num_planets)
     # in place on columns: one float grid less, the same values
     margin -= two_m * planet_teeth
     return margin

@@ -30,7 +30,7 @@ from importlib import resources
 import numpy as np
 
 from .geometry import (_ISSPG, Architecture, GearboxDesign, GearRole,
-                       MotorSpec, require_finite, tip_diameter)
+                       MotorSpec, per_key, require_finite, tip_diameter)
 
 _MM3_TO_M3 = 1e-9
 _BEARING_CSV_HEADER = ["bore_mm", "od_mm", "width_mm", "mass_kg"]
@@ -199,35 +199,27 @@ def load_bearing_model(path: str | Path | None = None) -> BearingModel:
     return fit_bearing_model(load_bearing_table(table_path))
 
 
-def _check_bore_range(bore_mm: float, model: BearingModel,
-                      extrapolate: bool) -> None:
-    if extrapolate:
-        return
+def _fitted(bore_mm: float, model: BearingModel, c: float, k: float):
     if not model.bore_min_mm <= bore_mm <= model.bore_max_mm:
         raise ValueError(
             f"bearing bore {bore_mm:.2f} mm outside the fitted range "
             f"[{model.bore_min_mm:.0f}, {model.bore_max_mm:.0f}] mm")
+    return c * bore_mm ** k
 
 
-def bearing_mass(bore_mm: float, model: BearingModel,
-                 extrapolate: bool = False) -> float:
+def bearing_mass(bore_mm: float, model: BearingModel) -> float:
     """Fitted bearing mass at a bore (kg); rejects out-of-range bores."""
-    _check_bore_range(bore_mm, model, extrapolate)
-    return model.mass_c * bore_mm ** model.mass_k
+    return _fitted(bore_mm, model, model.mass_c, model.mass_k)
 
 
-def bearing_od(bore_mm: float, model: BearingModel,
-               extrapolate: bool = False) -> float:
+def bearing_od(bore_mm: float, model: BearingModel) -> float:
     """Fitted bearing outer diameter at a bore (mm)."""
-    _check_bore_range(bore_mm, model, extrapolate)
-    return model.od_c * bore_mm ** model.od_k
+    return _fitted(bore_mm, model, model.od_c, model.od_k)
 
 
-def bearing_width(bore_mm: float, model: BearingModel,
-                  extrapolate: bool = False) -> float:
+def bearing_width(bore_mm: float, model: BearingModel) -> float:
     """Fitted bearing width at a bore (mm)."""
-    _check_bore_range(bore_mm, model, extrapolate)
-    return model.width_c * bore_mm ** model.width_k
+    return _fitted(bore_mm, model, model.width_c, model.width_k)
 
 
 def bearing_fit_report(model: BearingModel) -> dict:
@@ -264,7 +256,8 @@ def bearing_fit_report(model: BearingModel) -> dict:
 def _annulus_kg(density_kg_m3, length_mm, outer_mm, inner_mm):
     """A hollow cylinder's mass (kg), for one design or numpy columns."""
     return (density_kg_m3 * (length_mm * pi / 4.0
-                             * (outer_mm ** 2 - inner_mm ** 2)) * _MM3_TO_M3)
+                             * (outer_mm * outer_mm - inner_mm * inner_mm))
+            * _MM3_TO_M3)
 
 
 def pin_circle_diameter_mm(design: GearboxDesign) -> float:
@@ -336,14 +329,15 @@ def component_masses(arch: Architecture, module_mm, num_planets, sun_teeth,
                      planet_teeth, ring_teeth, face_width_mm,
                      motor: MotorSpec, bearing: BearingModel,
                      materials: MaterialSpec, params: MassModelParams,
-                     terms: tuple) -> tuple:
+                     terms: tuple, module_index=None) -> tuple:
     """Whether the mass rules admit a design, their verdicts in component
     order (gears, sun-shaft bearing, disk clearance, planet bearing,
     output bearing, casing, a ring outer diameter whose square is finite)
     and the ``MassBreakdown`` fields before the total (none for one
     design not admitted, or for columns whose context fails a verdict),
     for one design or numpy columns, given the ``context_terms`` of the
-    other inputs.
+    other inputs. On columns, the output bearing's mass is taken once per
+    (``module_index``, N_s + N_p), nan outside the table.
 
     The sun and planets are steel cylinders at pitch diameter, solid with
     ``fastener_offset`` on (the extra material stands in for excluded
@@ -375,11 +369,17 @@ def component_masses(arch: Architecture, module_mm, num_planets, sun_teeth,
     casing_length = motor.height_mm
     if arch is not _ISSPG:
         casing_length = casing_length + gearbox_stack_height_mm(width, params)
+    if module_index is None:
+        output_kg = bearing_mass(pin_circle, bearing)
+    else:
+        output_kg = per_key(
+            lambda bore: bearing_mass(bore, bearing) if low <= bore <= high
+            else nan, pin_circle, module_index, sun_teeth + planet_teeth)
     return sound, verdicts, (
         _annulus_kg(steel, width, d_sun, sun_bore),
         n * _annulus_kg(steel, width, d_planet, planet_bore),
         _annulus_kg(steel, width, ring_outer, ring_tip),
         disk + n * planet_pin_mass(width, materials, params), disk,
-        n * planet_kg + shaft_kg + bearing_mass(pin_circle, bearing, True),
+        n * planet_kg + shaft_kg + output_kg,
         _annulus_kg(aluminum, casing_length, motor.outer_diameter_mm,
                     casing_inner), plate, motor.mass_kg)

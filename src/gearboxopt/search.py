@@ -18,18 +18,15 @@ The search keeps the rows that fail no rule and scores them with
 
     cost = K_m * actuator_mass - K_e * efficiency
 
-in two steps. ``score_columns`` runs the model functions of scalar
-``evaluate`` (``mesh_chain``, ``lewis_width``, ``component_masses``,
-each written once for floats and numpy columns) once on the whole
-window's columns, with one feasibility mask that equals
-``evaluate(...).feasible`` row by row. The bin column then gives each
-bin's candidate and feasible counts and its cheapest columnar cost.
-Every feasible row within a small tolerance of its own bin's cheapest
-cost is scored again by scalar ``evaluate``, which settles the winner,
-so every reported number comes from the scalar model. ``evaluate``
-reads the models' verdicts itself: a design that passes the
-constraints is dropped by the first model rule of ``_MODEL_RULES`` it
-fails, by name.
+``score_columns`` runs the model functions of scalar ``evaluate``
+(``mesh_chain``, ``lewis_width``, ``component_masses``, each written
+once for floats and numpy columns) once on the whole window's columns,
+equal to ``evaluate`` bit for bit row by row. The bin column then gives
+each bin's candidate and feasible counts and its cheapest cost; scalar
+``evaluate`` builds the records of the feasible rows at exactly that
+cost, and ``ranking_key`` picks the winner. ``evaluate`` reads the
+models' verdicts itself: a design that passes the constraints is
+dropped by the first model rule of ``_MODEL_RULES`` it fails, by name.
 
 The cheapest feasible design per bin (default [5,6) ... [14,15)) and
 architecture is reported. Ties break deterministically: lower mass,
@@ -72,11 +69,6 @@ _DIAG_SUN_TEETH_CAP = 60
 # the ring envelope decides and never builds: 16x scale's unbounded
 # window (41,776 rows x 6 planet counts)
 _WINDOW_BOUND = 4_000_000
-
-# relative tolerance, scaled by max(1, |value|), within which columnar
-# costs and mesh efficiencies are left to scalar ``evaluate``: numpy's
-# arccos, tan and power may differ from libm in the last bit
-_SETTLE_TOL = 1e-9
 
 # the model rules of ``evaluate``, in the order it checks them; the
 # verdicts of ``component_masses`` are the last seven, in order
@@ -176,7 +168,7 @@ class BinComparison:
 class ColumnScores(NamedTuple):
     """``evaluate`` over the rows of a bin, one column per quantity."""
     feasible: np.ndarray     # equals evaluate(...).feasible row by row
-    cost: np.ndarray         # meaningful on feasible rows only
+    cost: np.ndarray         # equals evaluate(...).cost on feasible rows
     mass_total: np.ndarray   # kg
     eta_overall: np.ndarray
 
@@ -272,12 +264,13 @@ def _bin_columns(motor: MotorSpec, arch: Architecture,
     """
     The rows of ``bin_candidates`` over ascending, disjoint bins and the
     ascending, distinct modules of ``validate_module_set``: each row's
-    bin index, ascending, and the rows' (module_mm, n_p, N_s, N_p)
-    columns, each bin's rows in lexicographic order. Each module adds one
-    planet range per sun over [bins[0].lo, bins[-1].hi), inside its ring
-    envelope and the tooth cap, widened by one tooth at each end because
-    rounding of the edges can drop a design whose float ratio lies in a
-    bin; one ``_window_rows`` call builds the rows of every module.
+    bin index, ascending, and the rows' (module_mm, n_p, N_s, N_p,
+    module index) columns, each bin's rows in lexicographic order. Each
+    module adds one planet range per sun over [bins[0].lo, bins[-1].hi),
+    inside its ring envelope and the tooth cap, widened by one tooth at
+    each end because rounding of the edges can drop a design whose float
+    ratio lies in a bin; one ``_window_rows`` call builds the rows of
+    every module.
     Modules outside [module_min_mm, module_max_mm] add no rows
     (module_range). The (planet count, row) cells that fail no rule and
     lie in a bin are found by one ``np.nonzero``, and each column is
@@ -317,16 +310,17 @@ def _bin_columns(motor: MotorSpec, arch: Architecture,
     order = np.argsort(key.astype(np.min_scalar_type(len(los) * len(modules))),
                        kind="stable")
     planet_index, row = planet_index[order], row[order]
-    return row_bin[row], (modules[module_index[row]],
+    module_index = module_index[row]
+    return row_bin[row], (modules[module_index],
                           planet_counts[planet_index, 0], sun[row],
-                          planet[row])
+                          planet[row], module_index)
 
 
 def _designs(arch: Architecture, columns: tuple[np.ndarray, ...],
              rows=slice(None)) -> list[GearboxDesign]:
     """The designs of ``_bin_columns`` rows (all rows by default)."""
     modules, planets, suns, planet_teeth = (column[rows].tolist()
-                                            for column in columns)
+                                            for column in columns[:4])
     return [GearboxDesign(arch=arch, sun_teeth=s, planet_teeth=p,
                           ring_teeth=s + 2 * p, module_mm=m, num_planets=n)
             for m, n, s, p in zip(modules, planets, suns, planet_teeth)]
@@ -403,40 +397,35 @@ def ranking_key(evaluation: DesignEvaluation) -> tuple:
 
 
 def score_columns(arch: Architecture, ctx: EvalContext, module_mm,
-                  num_planets, sun_teeth, planet_teeth) -> ColumnScores:
+                  num_planets, sun_teeth, planet_teeth,
+                  module_index) -> ColumnScores:
     """Columnar ``evaluate`` over designs that pass every constraint, such
     as every row of an architecture's search window: ``mesh_chain``,
-    ``lewis_width`` and ``component_masses`` on numpy columns. A row is
-    feasible when every model admits it, both mesh efficiencies are > 0
-    and the cost is finite; rows whose mesh efficiency lies within
-    ``_SETTLE_TOL`` of 0 are settled by scalar ``evaluate``. A context
-    that fails a mass rule on its own drops every row (nan cost and
-    mass)."""
+    ``lewis_width`` and ``component_masses`` on numpy columns, with
+    ``module_index`` equal exactly where the module is. Each row's
+    feasibility, cost, mass and efficiency equal ``evaluate``'s bit for
+    bit: a row is feasible when every model admits it, both mesh
+    efficiencies are > 0 and the cost is finite. A context that fails a
+    mass rule on its own drops every row (nan cost and mass)."""
     m = np.asarray(module_mm, dtype=np.float64)
-    n, s, p = (np.asarray(column, dtype=np.int64)
-               for column in (num_planets, sun_teeth, planet_teeth))
+    n, s, p, index = (np.asarray(column, dtype=np.int64) for column
+                      in (num_planets, sun_teeth, planet_teeth, module_index))
     r = s + 2 * p
     # degenerate rows (ring tip circle <= 0, non-positive Lewis factor)
     # produce nan or inf here and are masked out below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         tooth_ok, (*_, eta_a, eta_b, eta_overall) = mesh_chain(
-            m, s, p, r, ctx.efficiency)
+            m, s, p, r, ctx.efficiency, index)
         lewis_ok, _, _, width = lewis_width(m, s, p, n, ctx.load,
                                             ctx.strength)
         mass_ok, _, parts = component_masses(
             arch, m, n, s, p, r, width, ctx.motor, ctx.bearing,
-            ctx.materials, ctx.mass_params, ctx.mass_terms)
+            ctx.materials, ctx.mass_params, ctx.mass_terms, index)
         # no parts: a mass rule of the context alone drops every row
         total = sum(parts) if parts is not None else np.full(s.shape, nan)
         cost = ctx.cost.k_m * total - ctx.cost.k_e * eta_overall
-        eta_mesh = np.minimum(eta_a, eta_b)
-        model_ok = tooth_ok & lewis_ok & mass_ok & np.isfinite(cost)
-        feasible = model_ok & (eta_mesh > _SETTLE_TOL)
-        unsure = model_ok & (np.abs(eta_mesh) <= _SETTLE_TOL)
-    if unsure.any():
-        columns = (np.broadcast_to(m, s.shape), n, s, p)
-        feasible[unsure] = [evaluate(design, ctx).feasible
-                            for design in _designs(arch, columns, unsure)]
+        feasible = (tooth_ok & (eta_a > 0) & (eta_b > 0) & lewis_ok & mass_ok
+                    & np.isfinite(cost))
     return ColumnScores(feasible=feasible, cost=cost, mass_total=total,
                         eta_overall=eta_overall)
 
@@ -518,9 +507,9 @@ def optimize_bins(arch: Architecture, ctx: EvalContext,
     Evaluate all candidates whose reduction ratio falls in some bin and
     keep the min-cost feasible design per bin. One ``score_columns``
     call scores the whole search window; the bin column gives each
-    bin's counts, its cheapest columnar cost and its shortlist, the
-    feasible rows within ``_SETTLE_TOL`` of that cost, which ``evaluate``
-    settles in (m, n_p, N_s, N_p) order. Empty bins carry the dominant
+    bin's counts, its cheapest cost and the feasible rows at exactly
+    that cost, which ``evaluate`` scores in (m, n_p, N_s, N_p) order for
+    ``ranking_key``. Empty bins carry the dominant
     blocking constraint instead: the most frequent rule of
     ``_bin_tallies``, which builds one diagnosis window for all of them,
     decides the bins outside the ring envelope from one certificate cell
@@ -544,8 +533,7 @@ def optimize_bins(arch: Architecture, ctx: EvalContext,
         feasible_count = np.bincount(feasible_bin, minlength=len(bins))
         cost_min = np.full(len(bins), inf)
         np.minimum.at(cost_min, feasible_bin, scores.cost[scores.feasible])
-        bound = cost_min + _SETTLE_TOL * np.maximum(1.0, np.abs(cost_min))
-        shortlist = scores.feasible & (scores.cost <= bound[row_bin])
+        shortlist = scores.feasible & (scores.cost == cost_min[row_bin])
         shortlisted = zip(row_bin[shortlist].tolist(),
                           _designs(arch, columns, shortlist))
         for i, group in groupby(shortlisted, key=itemgetter(0)):

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from enum import Enum
 from math import pi
 
-from .geometry import pick, require_finite
+import numpy as np
+
+from .geometry import require_finite
 
 
 class LewisFormula(Enum):
@@ -102,7 +104,10 @@ def lewis_width(module_mm, sun_teeth, planet_teeth, num_planets,
     gear; the internal ring is stronger.
     """
     r_sun_m = module_mm * sun_teeth / 2.0 / 1000.0
-    minimum, maximum = pick(r_sun_m, min, max)
+    if r_sun_m.__class__ is float:
+        minimum, maximum = min, max
+    else:
+        minimum, maximum = np.minimum, np.maximum
     f_t = load.sun_torque_nm / (num_planets * r_sun_m)
     y = lewis_form_factor(minimum(sun_teeth, planet_teeth),
                           params.lewis_formula)

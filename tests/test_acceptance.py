@@ -116,6 +116,7 @@ def test_criterion_2_frictionless_limits(default_ctx):
     # the sample's rows scored as each layout
     columns = [[getattr(design, name) for design in sample] for name in
                ("module_mm", "num_planets", "sun_teeth", "planet_teeth")]
+    columns.append([ALL_MODULES.index(module_mm) for module_mm in columns[0]])
     arch_free = np.array_equal(
         score_columns(Architecture.ISSPG, default_ctx, *columns).eta_overall,
         score_columns(Architecture.ESSPG, default_ctx, *columns).eta_overall)

@@ -6,7 +6,7 @@ approach/recess contact ratios, loss parameter, per-mesh and stage
 efficiency) and are frozen here to 16 significant digits.
 """
 
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from math import acos, degrees, radians
 
 import numpy as np
@@ -16,8 +16,10 @@ import gearboxopt.efficiency
 from gearboxopt import (Architecture, EfficiencyBreakdown, EfficiencyParams,
                         GearboxDesign, GearRole, loss_parameter,
                         overall_efficiency)
+from gearboxopt.cli import build_context, load_config
 from gearboxopt.efficiency import mesh_chain
-from gearboxopt.search import score_columns
+from gearboxopt.mass import load_bearing_model
+from gearboxopt.search import _bin_columns, score_columns
 
 from reference_models import (basic_driving_efficiency, planetary_efficiency,
                               tip_pressure_angle)
@@ -117,6 +119,29 @@ class TestContactRatios:
             for n2 in range(20, 80, 7):
                 br = chain(n1, n2, n1 + 2 * n2)
                 assert min(br.eps_a1, br.eps_a2, br.eps_b1, br.eps_b2) > 0
+
+    @pytest.mark.parametrize("min_teeth, floor", [(20, 1.605), (4, 1.345)])
+    def test_smallest_total_ratio_of_feasible_u12_rows(
+            self, u12_config_path, min_teeth, floor):
+        # the model has no contact-ratio >= 1 rule because none could
+        # fire: over every feasible binned u12 row of both layouts, the
+        # smallest total contact ratio of either mesh stays this far
+        # above 1, also with a tooth floor of 4 (the Lewis rule still
+        # drops gears under 6 teeth)
+        cfg = load_config(u12_config_path)
+        ctx = build_context(cfg, load_bearing_model(cfg.bearing_table_path))
+        ctx = replace(ctx, constraints=replace(ctx.constraints,
+                                               min_teeth=min_teeth))
+        smallest = []
+        for arch in cfg.architectures:
+            _, columns = _bin_columns(ctx.motor, arch, ctx.constraints,
+                                      cfg.module_set, cfg.bins)
+            feasible = score_columns(arch, ctx, *columns).feasible
+            m, _, s, p, index = (column[feasible] for column in columns)
+            _, (a1, a2, b1, b2, *_) = mesh_chain(m, s, p, s + 2 * p,
+                                                 ctx.efficiency, index)
+            smallest += [(a1 + a2).min(), (b1 + b2).min()]
+        assert round(float(min(smallest)), 3) == floor
 
 
 class TestLossParameter:
@@ -258,7 +283,7 @@ class TestMeshChain:
             ETA_25_65_155, rel=REL)
 
     def test_architecture_tag_is_irrelevant(self, default_ctx):
-        columns = ([0.5, 0.5], [3, 3], [20, 25], [40, 65])
+        columns = ([0.5, 0.5], [3, 3], [20, 25], [40, 65], [0, 0])
         internal = score_columns(Architecture.ISSPG, default_ctx, *columns)
         external = score_columns(Architecture.ESSPG, default_ctx, *columns)
         assert np.array_equal(internal.eta_overall, external.eta_overall)

@@ -188,7 +188,7 @@ class TestFiniteInputs:
         def scored(motor):
             ctx = EvalContext.with_defaults(motor, default_ctx.load)
             columns = score_columns(REFERENCE.arch, ctx, [0.5], [3], [20],
-                                    [40])
+                                    [40], [0])
             return evaluate(REFERENCE, ctx), bool(columns.feasible[0])
 
         evaluation, columnar = scored(replace(motor,

@@ -6,7 +6,7 @@ packaged bearing table.
 """
 
 from dataclasses import asdict, replace
-from math import inf, pi
+from math import inf, nextafter, pi
 
 import pytest
 
@@ -170,9 +170,12 @@ class TestBearingFit:
             bearing_mass(5.0, bearing_model)
         with pytest.raises(ValueError, match="outside the fitted range"):
             bearing_od(70.0, bearing_model)
-        # explicit extrapolation bypasses the guard
-        assert bearing_mass(70.0, bearing_model, extrapolate=True) > \
-            bearing_mass(60.0, bearing_model)
+        # the guard is closed at both ends of the table
+        low, high = bearing_model.bore_min_mm, bearing_model.bore_max_mm
+        assert bearing_mass(high, bearing_model) > \
+            bearing_mass(low, bearing_model)
+        with pytest.raises(ValueError, match="outside the fitted range"):
+            bearing_width(nextafter(high, inf), bearing_model)
 
     def test_decreasing_mass_table_rejected(self, tmp_path):
         path = write_table(tmp_path / "t.csv",
@@ -358,9 +361,9 @@ class TestComponentMasses:
                                                      monkeypatch):
         bores = []
 
-        def counting_od(bore_mm, model, extrapolate=False):
+        def counting_od(bore_mm, model):
             bores.append(bore_mm)
-            return bearing_od(bore_mm, model, extrapolate)
+            return bearing_od(bore_mm, model)
 
         monkeypatch.setattr(gearboxopt.mass, "bearing_od", counting_od)
         ctx = replace(default_ctx)

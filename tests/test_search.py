@@ -28,8 +28,8 @@ from gearboxopt.efficiency import mesh_chain
 from gearboxopt.geometry import _RULE_ORDER, constraint_rules
 from gearboxopt.mass import load_bearing_model
 from gearboxopt.search import (_DIAG_SUN_TEETH_CAP, _MODEL_RULES,
-                               _SETTLE_TOL, _bin_columns, _bin_tallies,
-                               _designs, _dominant_rule, bin_candidates,
+                               _bin_columns, _bin_tallies, _designs,
+                               _dominant_rule, bin_candidates,
                                enumerate_feasible, score_columns)
 from gearboxopt.strength import lewis_width
 
@@ -126,7 +126,7 @@ def mask_gather_bin_columns(motor, arch, constraints, module_set, bins):
         for column in (row_bin, module_index, planet_counts, sun, planet))
     order = np.argsort(row_bin * len(modules) + module_index, kind="stable")
     return row_bin[order], tuple(column[order] for column in (
-        modules[module_index], planets, sun, planet))
+        modules[module_index], planets, sun, planet, module_index))
 
 
 def scalar_bins(arch, ctx, modules, bins):
@@ -290,6 +290,7 @@ class TestEnumeration:
             assert len(row_bin) > 0
             top_keys.append(row_bin[-1] * len(ALL_MODULES)
                             + ALL_MODULES.index(columns[0][-1]))
+            assert len(columns) == len(ref_columns)
             for column, reference in zip((row_bin, *columns),
                                          (ref_bin, *ref_columns)):
                 assert column.dtype == reference.dtype
@@ -396,7 +397,8 @@ class TestEvaluate:
         self._assert_unscored(evaluate(REFERENCE, ctx), "lewis_range")
         sound, *_ = lewis_width(0.5, 20, 40, 3, ctx.load, ctx.strength)
         assert sound is False
-        scores = score_columns(REFERENCE.arch, ctx, [0.5], [3], [20], [40])
+        scores = score_columns(REFERENCE.arch, ctx, [0.5], [3], [20], [40],
+                               [0])
         assert not scores.feasible[0]
 
     @pytest.mark.parametrize("changes, rule", [
@@ -419,7 +421,7 @@ class TestEvaluate:
             self._assert_unscored(evaluate(replace(REFERENCE, arch=arch), ctx),
                                   rule)
             # the columns drop the design too, without raising
-            scores = score_columns(arch, ctx, [0.5], [3], [20], [40])
+            scores = score_columns(arch, ctx, [0.5], [3], [20], [40], [0])
             assert not scores.feasible[0]
 
     def test_point_eval_pool_exact(self, u12_config_path):
@@ -1072,12 +1074,10 @@ class TestScoreColumns:
                             *vars(evaluation.mass).values()]
             assert {type(x) for x in numbers} == {float}
             if evaluation.feasible:
-                assert scores.cost[i] == pytest.approx(
-                    evaluation.cost, rel=1e-12, abs=1e-12)
-                assert scores.mass_total[i] == pytest.approx(
-                    evaluation.mass.total, rel=1e-12)
-                assert scores.eta_overall[i] == pytest.approx(
-                    evaluation.efficiency.eta_overall, rel=1e-12)
+                assert scores.cost[i] == evaluation.cost
+                assert scores.mass_total[i] == evaluation.mass.total
+                assert scores.eta_overall[i] == \
+                    evaluation.efficiency.eta_overall
 
     def test_negative_lewis_factor_alone_drops_a_design(self, default_ctx):
         # a 5-tooth sun passes every other check; its negative Lewis
@@ -1089,17 +1089,104 @@ class TestScoreColumns:
         evaluation = evaluate(design, ctx)
         assert evaluation.failure_reasons == ("lewis_range",)
         scores = score_columns(Architecture.ESSPG, ctx, [1.2], [2], [5],
-                               [25])
+                               [25], [0])
         assert not scores.feasible[0]
 
-    def test_mesh_efficiency_near_zero_settled_by_evaluate(self,
-                                                           default_ctx):
+
+def assert_columns_equal_evaluate(arch, ctx, columns):
+    """``score_columns`` over (module_mm, n_p, N_s, N_p, module index)
+    columns equals scalar ``evaluate`` on every row with ``==``: the
+    feasibility, and the cost, total mass and stage efficiency of each
+    feasible row. Returns the evaluations."""
+    columns = tuple(np.asarray(column) for column in columns)
+    scores = score_columns(arch, ctx, *columns)
+    evaluations = [evaluate(design, ctx)
+                   for design in _designs(arch, columns)]
+    assert len(scores.feasible) == len(evaluations)
+    for i, evaluation in enumerate(evaluations):
+        assert scores.feasible[i] == evaluation.feasible, evaluation
+        if evaluation.feasible:
+            assert scores.cost[i] == evaluation.cost, evaluation
+            assert scores.mass_total[i] == evaluation.mass.total, evaluation
+            assert (scores.eta_overall[i]
+                    == evaluation.efficiency.eta_overall), evaluation
+    return evaluations
+
+
+@st.composite
+def window_contexts(draw, bearing):
+    """Sweep contexts whose windows hold many feasible rows: the motor's
+    outer diameter and stator bore, the friction coefficient, the tooth
+    floor and the planet range are drawn, every other input is the
+    default."""
+    outer = draw(st.floats(50.0, 130.0))
+    motor = replace(U12, outer_diameter_mm=outer,
+                    stator_inner_diameter_mm=draw(st.floats(30.0,
+                                                            outer - 5.0)))
+    min_planets = draw(st.integers(2, 5))
+    constraints = ConstraintParams(
+        min_teeth=draw(st.integers(4, 24)), min_planets=min_planets,
+        max_planets=draw(st.integers(min_planets, min_planets + 3)))
+    return EvalContext(
+        motor=motor, load=LoadCase(sun_torque_nm=3.0, sun_speed_rad_s=418.9),
+        constraints=constraints,
+        efficiency=EfficiencyParams(mu=draw(st.floats(0.0, 0.3))),
+        strength=StrengthParams(), materials=MaterialSpec(),
+        mass_params=MassModelParams(), bearing=bearing, cost=CostWeights())
+
+
+class TestBitExactColumns:
+    # several modules in one window: a tip angle or an output bearing
+    # keyed on the tooth count alone would mix two modules' values
+    @settings(max_examples=60)
+    @given(data=st.data(), arch=st.sampled_from(list(Architecture)),
+           modules=st.lists(st.sampled_from(MODULE_CHOICES), min_size=1,
+                            max_size=4, unique=True).map(sorted),
+           bins=gapped_bins(top=15, max_edges=8))
+    def test_window_columns_equal_evaluate(self, bearing_model, data, arch,
+                                           modules, bins):
+        ctx = data.draw(window_contexts(bearing_model))
+        _, columns = _bin_columns(ctx.motor, arch, ctx.constraints, modules,
+                                  bins)
+        assert_columns_equal_evaluate(arch, ctx, columns)
+
+    def test_empty_window(self, default_ctx):
+        # no module of the set lies in the allowed range
+        _, columns = _bin_columns(default_ctx.motor, Architecture.ISSPG,
+                                  default_ctx.constraints, [1.5],
+                                  default_bins())
+        assert len(columns[0]) == 0
+        scores = score_columns(Architecture.ISSPG, default_ctx, *columns)
+        assert all(len(column) == 0 for column in scores)
+        assert assert_columns_equal_evaluate(Architecture.ISSPG, default_ctx,
+                                             ([], [], [], [], [])) == []
+
+    def test_one_row(self, default_ctx):
+        evaluation, = assert_columns_equal_evaluate(
+            REFERENCE.arch, default_ctx, ([0.5], [3], [20], [40], [0]))
+        assert evaluation.feasible
+        assert evaluation.cost == REFERENCE_COST
+
+    def test_unsound_tooth_form_rows(self, default_ctx):
+        # rings of 29 to 33 teeth have their base circle outside the tip
+        # circle at 20 deg: the tip angle's argument lies past acos's
+        # domain, the columns take nan there, and tooth_form drops the
+        # row; the sound rows around them share the columns and tables
+        ctx = replace(default_ctx, constraints=ConstraintParams(min_teeth=3))
+        suns = [3, 5, 7, 9, 20, 25]
+        planets = [13, 13, 13, 12, 40, 40]
+        evaluations = assert_columns_equal_evaluate(
+            Architecture.ESSPG, ctx,
+            ([1.2] * 4 + [0.5] * 2, [2] * 6, suns, planets, [1] * 4 + [0] * 2))
+        reasons = [e.failure_reasons for e in evaluations]
+        assert reasons[:4] == [("tooth_form",)] * 4
+        assert any(e.feasible for e in evaluations)
+
+    def test_mesh_efficiency_near_zero(self, default_ctx):
         # at an 80 deg pressure angle a 12/12 sun-planet mesh reaches
-        # eta = 0 at mu ~ 0.46; step mu across that point one ulp at a
-        # time so the columnar efficiency sits within rounding of 0
-        design = GearboxDesign(arch=Architecture.ISSPG, sun_teeth=12,
-                               planet_teeth=12, ring_teeth=36,
-                               module_mm=1.2, num_planets=3)
+        # eta = 0 at mu ~ 0.46; stepping mu across that point one ulp at
+        # a time puts the mesh efficiency within rounding of 0, where one
+        # differing bit would flip the verdict
         alpha = radians(80.0)
         eps_a = mesh_chain(1.2, 12, 12, 36, EfficiencyParams(
             pressure_angle_rad=alpha))[1][4]
@@ -1114,18 +1201,16 @@ class TestScoreColumns:
                           constraints=ConstraintParams(min_teeth=12),
                           efficiency=EfficiencyParams(
                               mu=float(mu_k), pressure_angle_rad=alpha))
-            scores = score_columns(Architecture.ISSPG, ctx, [1.2], [3],
-                                   [12], [12])
-            evaluation = evaluate(design, ctx)
-            assert scores.feasible[0] == evaluation.feasible
+            evaluation, = assert_columns_equal_evaluate(
+                Architecture.ISSPG, ctx, ([1.2], [3], [12], [12], [0]))
             verdicts.add(evaluation.feasible)
         assert verdicts == {True, False}
 
 
 def per_bin_search(arch, ctx, modules, bins):
     """(best, candidates_examined, feasible_count) of each bin, scoring
-    each bin's rows alone with ``score_columns`` and settling its
-    shortlist with ``evaluate``."""
+    each bin's rows alone with ``score_columns`` and ranking its
+    cheapest rows with ``evaluate``."""
     cells = []
     for lo, hi in bins:
         _, columns = _bin_columns(ctx.motor, arch, ctx.constraints, modules,
@@ -1135,10 +1220,8 @@ def per_bin_search(arch, ctx, modules, bins):
             scores = score_columns(arch, ctx, *columns)
             feasible_count = int(np.count_nonzero(scores.feasible))
         if feasible_count:
-            cost_min = float(scores.cost[scores.feasible].min())
-            shortlist = scores.feasible & (
-                scores.cost <= cost_min
-                + _SETTLE_TOL * max(1.0, abs(cost_min)))
+            cost_min = scores.cost[scores.feasible].min()
+            shortlist = scores.feasible & (scores.cost == cost_min)
             best = min((search.evaluate(design, ctx)
                         for design in _designs(arch, columns, shortlist)),
                        key=ranking_key)
@@ -1149,8 +1232,8 @@ def per_bin_search(arch, ctx, modules, bins):
 class TestOnePassSearch:
     # the deterministic draws hold bins without rows, bins whose rows
     # are all dropped, and several feasible bins with different
-    # cheapest costs in one sweep, where a shortlist bound taken from
-    # the wrong bin drops a winner or settles extra rows
+    # cheapest costs in one sweep, where a cheapest cost taken from the
+    # wrong bin drops a winner or ranks extra rows
     @settings(max_examples=120)
     @given(data=st.data(), arch=st.sampled_from(list(Architecture)),
            modules=module_sets, bins=gapped_bins(top=15, max_edges=12),
@@ -1164,12 +1247,12 @@ class TestOnePassSearch:
             ctx = replace(ctx, efficiency=EfficiencyParams(),
                           mass_params=MassModelParams())
         with mock.patch.object(search, "evaluate",
-                               wraps=search.evaluate) as settled:
+                               wraps=search.evaluate) as ranked:
             results = optimize_bins(arch, ctx, modules, bins)
-            one_pass_calls = settled.call_count
-            settled.reset_mock()
+            one_pass_calls = ranked.call_count
+            ranked.reset_mock()
             reference = per_bin_search(arch, ctx, modules, bins)
-            assert settled.call_count == one_pass_calls
+            assert ranked.call_count == one_pass_calls
         assert [(r.best, r.candidates_examined, r.feasible_count)
                 for r in results] == reference
 
@@ -1223,7 +1306,7 @@ class TestExtremeInputs:
             scores = score_columns(arch, ctx, [REFERENCE.module_mm],
                                    [REFERENCE.num_planets],
                                    [REFERENCE.sun_teeth],
-                                   [REFERENCE.planet_teeth])
+                                   [REFERENCE.planet_teeth], [0])
             try:
                 result = evaluate(replace(REFERENCE, arch=arch), ctx)
             except ValueError as exc:
