@@ -13,6 +13,8 @@ ISSPG and ESSPG layouts. Profile shift coefficients are 0.
 from dataclasses import dataclass
 from math import acos, cos, nan, pi, radians, tan
 
+import numpy as np
+
 from .geometry import per_key
 
 
@@ -100,7 +102,7 @@ def mesh_chain(module_mm, sun_teeth, planet_teeth, ring_teeth,
 
     with eps its ``loss_parameter``; a friction coefficient that drives
     it to 0 or below is returned as such, not clamped. On columns, each
-    tip angle is taken once per (``module_index``, tooth count).
+    tip angle is taken once per (tip form, ``module_index``, tooth count).
     """
     m, s, p, r = module_mm, sun_teeth, planet_teeth, ring_teeth
     cos_alpha = cos(params.pressure_angle_rad)
@@ -115,11 +117,10 @@ def mesh_chain(module_mm, sun_teeth, planet_teeth, ring_teeth,
                                tan(acos(base_s / tip_s)),
                                tan(acos(base_r / tip_r)))
     else:  # nan past acos's domain: a ring that fails tooth_form
-        tan_p, tan_s, tan_r = (
-            per_key(lambda x: tan(acos(x)) if x <= 1.0 else nan, base / tip,
-                    module_index, teeth)
-            for base, tip, teeth in ((base_p, tip_p, p), (base_s, tip_s, s),
-                                     (base_r, tip_r, r)))
+        tan_s, tan_p, tan_r = per_key(  # one table: external, internal tips
+            lambda x: tan(acos(x)) if x <= 1.0 else nan,
+            np.array((base_s / tip_s, base_p / tip_p, base_r / tip_r)),
+            np.array([[0], [0], [1]]), module_index, np.array((s, p, r)))
     tan_alpha = tan(params.pressure_angle_rad)
     eps_a1 = p / (2.0 * pi) * (tan_p - tan_alpha)
     eps_a2 = s / (2.0 * pi) * (tan_s - tan_alpha)

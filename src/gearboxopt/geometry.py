@@ -51,10 +51,10 @@ def require_finite(record) -> None:
 
 def per_key(func, value, *keys):
     """``func`` (a ``math`` function) of one float, or of each entry of a
-    numpy column that the integer ``keys`` columns of its shape determine:
-    then ``func`` runs once per distinct key row, found by ``np.bincount``,
-    and equals one design's call bit for bit, where numpy's counterparts
-    may differ in the last bit."""
+    numpy column that the integer ``keys`` columns, broadcast to its shape,
+    determine: then ``func`` runs once per distinct key, found by
+    ``np.bincount``, and equals one design's call bit for bit, where
+    numpy's counterparts may differ in the last bit."""
     if value.__class__ is float:
         return func(value)
     if not value.size:

@@ -372,8 +372,8 @@ def component_masses(arch: Architecture, module_mm, num_planets, sun_teeth,
     if module_index is None:
         output_kg = bearing_mass(pin_circle, bearing)
     else:
-        output_kg = per_key(
-            lambda bore: bearing_mass(bore, bearing) if low <= bore <= high
+        output_kg = bearing.mass_c * per_key(  # bearing_mass's power law
+            lambda bore: bore ** bearing.mass_k if low <= bore <= high
             else nan, pin_circle, module_index, sun_teeth + planet_teeth)
     return sound, verdicts, (
         _annulus_kg(steel, width, d_sun, sun_bore),
