@@ -61,7 +61,7 @@ def main() -> None:
 
     # everything that spins or holds the stage, plus the motor
     materials, params = MaterialSpec(), MassModelParams()
-    _, _, parts = component_masses(
+    _, _, parts, dimensions = component_masses(
         DESIGN.arch, DESIGN.module_mm, DESIGN.num_planets, DESIGN.sun_teeth,
         DESIGN.planet_teeth, DESIGN.ring_teeth, width, MOTOR, bearings,
         materials, params, context_terms(MOTOR, bearings, materials, params))
@@ -81,6 +81,10 @@ def main() -> None:
         print(f"  {label:<18} {mass:7.4f}")
     print(f"  {'total':<18} {breakdown.total:7.4f}")
     print()
+    pin_circle, disk_od, disk_id, casing_length = dimensions
+    print(f"priced at a {pin_circle:.1f} mm pin circle (the output bearing "
+          f"bore), a {disk_od:.1f}/{disk_id:.1f} mm carrier disk and a "
+          f"{casing_length:.1f} mm casing")
     gearbox = breakdown.total - breakdown.motor
     print(f"the gearbox adds {gearbox * 1000:.0f} g on top of the "
           f"{breakdown.motor * 1000:.0f} g motor")

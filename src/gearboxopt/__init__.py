@@ -15,12 +15,9 @@ from .geometry import (Architecture, ConstraintParams, GearboxDesign,
                        pitch_diameter, tip_diameter)
 from .mass import (MassBreakdown, MassModelParams, MaterialSpec,
                    base_plate_mass, bearing_fit_report, bearing_mass,
-                   bearing_od, bearing_width, carrier_disk_od_mm,
-                   casing_length_mm, default_bearing_table_path,
+                   bearing_od, bearing_width, default_bearing_table_path,
                    fit_bearing_model, gearbox_stack_height_mm,
-                   load_bearing_model, load_bearing_table,
-                   output_bearing_bore_mm, pin_circle_diameter_mm,
-                   planet_pin_mass)
+                   load_bearing_model, load_bearing_table, planet_pin_mass)
 from .search import (BinResult, CostWeights, DesignEvaluation, EvalContext,
                      compare_architectures, default_bins, enumerate_feasible,
                      evaluate, optimize_bins, ranking_key, validate_bins)
@@ -36,13 +33,12 @@ __all__ = [
     "MassBreakdown", "MassModelParams", "MaterialSpec", "MotorSpec",
     "STANDARD_MODULE_SET_MM", "StrengthParams", "VelocityFormula",
     "base_diameter", "base_plate_mass", "bearing_fit_report", "bearing_mass",
-    "bearing_od", "bearing_width", "carrier_disk_od_mm", "casing_length_mm",
-    "compare_architectures", "constraint_failures",
-    "default_bearing_table_path", "default_bins", "enumerate_feasible",
-    "evaluate", "fit_bearing_model", "gearbox_stack_height_mm",
-    "interference_margin_mm", "lewis_form_factor", "load_bearing_model",
-    "load_bearing_table", "loss_parameter", "max_gearbox_diameter",
-    "optimize_bins", "output_bearing_bore_mm", "overall_efficiency",
-    "pin_circle_diameter_mm", "pitch_diameter", "planet_pin_mass",
-    "ranking_key", "tip_diameter", "validate_bins",
+    "bearing_od", "bearing_width", "compare_architectures",
+    "constraint_failures", "default_bearing_table_path", "default_bins",
+    "enumerate_feasible", "evaluate", "fit_bearing_model",
+    "gearbox_stack_height_mm", "interference_margin_mm", "lewis_form_factor",
+    "load_bearing_model", "load_bearing_table", "loss_parameter",
+    "max_gearbox_diameter", "optimize_bins", "overall_efficiency",
+    "pitch_diameter", "planet_pin_mass", "ranking_key", "tip_diameter",
+    "validate_bins",
 ]

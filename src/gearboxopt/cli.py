@@ -34,14 +34,12 @@ from .geometry import (Architecture, ConstraintParams, GearboxDesign,
                        base_diameter, pitch_diameter, tip_diameter)
 from .mass import (BearingModel, MassModelParams, MaterialSpec,
                    bearing_fit_report, bearing_mass, bearing_od,
-                   bearing_width, carrier_disk_od_mm, casing_length_mm,
-                   gearbox_stack_height_mm, load_bearing_model,
-                   output_bearing_bore_mm, pin_circle_diameter_mm)
+                   bearing_width, component_masses, gearbox_stack_height_mm,
+                   load_bearing_model)
 from .search import (BinComparison, BinResult, CostWeights,
                      DesignEvaluation, EvalContext, compare_architectures,
                      default_bins, enumerate_feasible, evaluate,
-                     optimize_bins, validate_bins, validate_module_set,
-                     validate_workers)
+                     optimize_bins, validate_bins, validate_module_set)
 from .strength import LoadCase, StrengthParams
 
 _TOP_LEVEL_KEYS = {"motor", "load", "constraints", "efficiency", "strength",
@@ -382,19 +380,25 @@ def _comparison_dict(row: BinComparison) -> dict:
     }
 
 
-def export_dimension_sheet(evaluation: DesignEvaluation, cfg: RunConfig,
-                           bearing: BearingModel) -> dict:
+def export_dimension_sheet(evaluation: DesignEvaluation,
+                           ctx: EvalContext) -> dict:
     """
     Every derived dimension of one feasible design, units in the key
-    names, plus its mass and efficiency summary.
+    names, plus its mass and efficiency summary. The pin circle, carrier
+    disk, output bearing and casing are the ones ``component_masses``
+    prices the design at.
     """
     if not evaluation.feasible:
         raise ValueError(
             "cannot export a dimension sheet for an infeasible design: "
             + "; ".join(evaluation.failure_reasons))
-    design = evaluation.design
-    alpha = cfg.efficiency.pressure_angle_rad
-    width = evaluation.face_width_mm
+    design, width = evaluation.design, evaluation.face_width_mm
+    bearing, mass_params = ctx.bearing, ctx.mass_params
+    alpha = ctx.efficiency.pressure_angle_rad
+    *_, (pin_circle, disk_od, disk_id, casing_length) = component_masses(
+        design.arch, design.module_mm, design.num_planets, design.sun_teeth,
+        design.planet_teeth, design.ring_teeth, width, ctx.motor, bearing,
+        ctx.materials, mass_params, ctx.mass_terms)
 
     def gear_entry(tooth_count: int, role: GearRole) -> dict:
         return {
@@ -415,7 +419,6 @@ def export_dimension_sheet(evaluation: DesignEvaluation, cfg: RunConfig,
             "mass_kg": bearing_mass(bore_mm, bearing),
         }
 
-    mass_params = cfg.mass_params
     return {
         "design": _dataclass_dict(design),
         "reduction_ratio": design.reduction_ratio,
@@ -429,25 +432,23 @@ def export_dimension_sheet(evaluation: DesignEvaluation, cfg: RunConfig,
         "bearings": {
             "planet": bearing_entry(mass_params.planet_bearing_bore_mm),
             "input": bearing_entry(mass_params.input_bearing_bore_mm),
-            "output": bearing_entry(output_bearing_bore_mm(design)),
+            "output": bearing_entry(pin_circle),
         },
         "carrier": {
-            "disk_od_mm": carrier_disk_od_mm(design),
-            "disk_id_mm": bearing_od(mass_params.input_bearing_bore_mm,
-                                     bearing),
+            "disk_od_mm": disk_od,
+            "disk_id_mm": disk_id,
             "disk_thickness_mm": mass_params.carrier_disk_thickness_mm,
-            "pin_circle_diameter_mm": pin_circle_diameter_mm(design),
+            "pin_circle_diameter_mm": pin_circle,
             "pin_diameter_mm": mass_params.planet_bearing_bore_mm,
             "pin_length_mm": width + mass_params.pin_engagement_mm,
             "pin_count": design.num_planets,
         },
         "casing": {
-            "od_mm": cfg.motor.outer_diameter_mm,
+            "od_mm": ctx.motor.outer_diameter_mm,
             "wall_mm": mass_params.casing_wall_mm,
-            "length_mm": casing_length_mm(design, cfg.motor, width,
-                                          mass_params),
+            "length_mm": casing_length,
             "stack_height_mm": gearbox_stack_height_mm(width, mass_params),
-            "base_plate_od_mm": cfg.motor.outer_diameter_mm,
+            "base_plate_od_mm": ctx.motor.outer_diameter_mm,
             "base_plate_thickness_mm": mass_params.base_plate_thickness_mm,
         },
         "efficiency": _dataclass_dict(evaluation.efficiency),
@@ -599,7 +600,8 @@ def run_sweep(cfg: RunConfig, architectures: Optional[list[Architecture]]
     >= 1) and the architectures checked for repeats before anything is
     written; ``workers`` is otherwise ignored: the sweep is serial.
     """
-    validate_workers(workers)
+    if workers is not None and workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
     architectures = architectures or cfg.architectures
     _validate_architectures(architectures)
     out_dir = Path(out_dir) if out_dir is not None else cfg.output_dir
@@ -607,8 +609,7 @@ def run_sweep(cfg: RunConfig, architectures: Optional[list[Architecture]]
 
     bearing = load_bearing_model(cfg.bearing_table_path)
     ctx = build_context(cfg, bearing)
-    results = {arch: optimize_bins(arch, ctx, cfg.module_set, cfg.bins,
-                                   workers)
+    results = {arch: optimize_bins(arch, ctx, cfg.module_set, cfg.bins)
                for arch in architectures}
 
     fit_report = bearing_fit_report(bearing)
@@ -636,7 +637,7 @@ def run_sweep(cfg: RunConfig, architectures: Optional[list[Architecture]]
         for result in results[arch]:
             if result.best is None:
                 continue
-            sheet = export_dimension_sheet(result.best, cfg, bearing)
+            sheet = export_dimension_sheet(result.best, ctx)
             name = (f"dimension_sheet_{arch.value}_"
                     f"{result.lo:g}-{result.hi:g}.json")
             _write_json(out_dir / name, sheet)

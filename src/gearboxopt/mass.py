@@ -29,8 +29,8 @@ from importlib import resources
 
 import numpy as np
 
-from .geometry import (_ISSPG, Architecture, GearboxDesign, GearRole,
-                       MotorSpec, per_key, require_finite, tip_diameter)
+from .geometry import (_ISSPG, Architecture, MotorSpec, per_key,
+                       require_finite)
 
 _MM3_TO_M3 = 1e-9
 _BEARING_CSV_HEADER = ["bore_mm", "od_mm", "width_mm", "mass_kg"]
@@ -260,23 +260,6 @@ def _annulus_kg(density_kg_m3, length_mm, outer_mm, inner_mm):
             * _MM3_TO_M3)
 
 
-def pin_circle_diameter_mm(design: GearboxDesign) -> float:
-    """Diameter of the circle through the planet centers, m(N_s+N_p)."""
-    return design.module_mm * (design.sun_teeth + design.planet_teeth)
-
-
-def carrier_disk_od_mm(design: GearboxDesign) -> float:
-    """Carrier disk OD: pin circle plus a planet tip-radius allowance."""
-    planet_tip = tip_diameter(design.planet_teeth, design.module_mm,
-                              GearRole.PLANET)
-    return pin_circle_diameter_mm(design) + planet_tip / 2.0
-
-
-def output_bearing_bore_mm(design: GearboxDesign) -> float:
-    """Main output bearing rides the carrier at the pin circle diameter."""
-    return pin_circle_diameter_mm(design)
-
-
 def planet_pin_mass(face_width_mm: float, materials: MaterialSpec,
                     params: MassModelParams) -> float:
     """One steel planet pin: bearing-bore diameter, width plus engagement."""
@@ -289,14 +272,6 @@ def gearbox_stack_height_mm(face_width_mm: float,
                             params: MassModelParams) -> float:
     """Axial span of the gear train: face width between two carrier disks."""
     return face_width_mm + 2.0 * params.carrier_disk_thickness_mm
-
-
-def casing_length_mm(design: GearboxDesign, motor: MotorSpec,
-                     face_width_mm: float, params: MassModelParams) -> float:
-    """ISSPG hides the train inside the stator; ESSPG adds the stack."""
-    if design.arch is _ISSPG:
-        return motor.height_mm
-    return motor.height_mm + gearbox_stack_height_mm(face_width_mm, params)
 
 
 def base_plate_mass(motor: MotorSpec, materials: MaterialSpec,
@@ -332,12 +307,15 @@ def component_masses(arch: Architecture, module_mm, num_planets, sun_teeth,
                      terms: tuple, module_index=None) -> tuple:
     """Whether the mass rules admit a design, their verdicts in component
     order (gears, sun-shaft bearing, disk clearance, planet bearing,
-    output bearing, casing, a ring outer diameter whose square is finite)
-    and the ``MassBreakdown`` fields before the total (none for one
-    design not admitted, or for columns whose context fails a verdict),
-    for one design or numpy columns, given the ``context_terms`` of the
-    other inputs. On columns, the output bearing's mass is taken once per
-    (``module_index``, N_s + N_p), nan outside the table.
+    output bearing, casing, a ring outer diameter whose square is finite),
+    the ``MassBreakdown`` fields before the total and the dimensions they
+    are priced at: the pin circle (the output bearing's bore), the
+    carrier disk OD, the sun-shaft bearing OD (the disk's ID) and the
+    casing length. Both are none for one design not admitted, or for
+    columns whose context fails a verdict. For one design or numpy
+    columns, given the ``context_terms`` of the other inputs. On columns,
+    the output bearing's mass is taken once per (``module_index``,
+    N_s + N_p), nan outside the table.
 
     The sun and planets are steel cylinders at pitch diameter, solid with
     ``fastener_offset`` on (the extra material stands in for excluded
@@ -361,7 +339,7 @@ def component_masses(arch: Architecture, module_mm, num_planets, sun_teeth,
              & casing_ok & squares)
     # a failed verdict of the context alone fails every row of columns too
     if sound is False or not (shaft_ok and planet_ok and casing_ok):
-        return sound, verdicts, None
+        return sound, verdicts, None, None
     steel, aluminum = (materials.steel_density_kg_m3,
                        materials.aluminum_density_kg_m3)
     disk = _annulus_kg(aluminum, params.carrier_disk_thickness_mm, disk_od,
@@ -382,4 +360,5 @@ def component_masses(arch: Architecture, module_mm, num_planets, sun_teeth,
         disk + n * planet_pin_mass(width, materials, params), disk,
         n * planet_kg + shaft_kg + output_kg,
         _annulus_kg(aluminum, casing_length, motor.outer_diameter_mm,
-                    casing_inner), plate, motor.mass_kg)
+                    casing_inner), plate, motor.mass_kg), (
+        pin_circle, disk_od, shaft_od, casing_length)

@@ -203,13 +203,6 @@ def validate_module_set(module_set: list[float]) -> list[float]:
     return modules
 
 
-def validate_workers(workers: Optional[int]) -> None:
-    """Require None or a worker count >= 1; evaluation is serial either
-    way."""
-    if workers is not None and workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-
-
 def default_bins() -> list[tuple[float, float]]:
     """Unit-width reduction bins [5,6) through [14,15)."""
     return [(float(lo), float(lo + 1)) for lo in range(5, 15)]
@@ -371,7 +364,7 @@ def evaluate(design: GearboxDesign, ctx: EvalContext) -> DesignEvaluation:
     sound, _, _, width_mm = lewis_width(m, s, p, n, ctx.load, ctx.strength)
     if not sound:
         return _dropped(design, (_LEWIS_RANGE,))
-    sound, verdicts, parts = component_masses(
+    sound, verdicts, parts, _ = component_masses(
         design.arch, m, n, s, p, r, width_mm, ctx.motor, ctx.bearing,
         ctx.materials, ctx.mass_params, ctx.mass_terms)
     if not sound:
@@ -418,7 +411,7 @@ def score_columns(arch: Architecture, ctx: EvalContext, module_mm,
             m, s, p, r, ctx.efficiency, index)
         lewis_ok, _, _, width = lewis_width(m, s, p, n, ctx.load,
                                             ctx.strength)
-        mass_ok, _, parts = component_masses(
+        mass_ok, _, parts, _ = component_masses(
             arch, m, n, s, p, r, width, ctx.motor, ctx.bearing,
             ctx.materials, ctx.mass_params, ctx.mass_terms, index)
         # no parts: a mass rule of the context alone drops every row
@@ -501,8 +494,7 @@ def _dominant_rule(counts: dict[str, int]) -> str:
 
 def optimize_bins(arch: Architecture, ctx: EvalContext,
                   module_set: list[float],
-                  bins: list[tuple[float, float]],
-                  workers: Optional[int] = None) -> list[BinResult]:
+                  bins: list[tuple[float, float]]) -> list[BinResult]:
     """
     Evaluate all candidates whose reduction ratio falls in some bin and
     keep the min-cost feasible design per bin. One ``score_columns``
@@ -514,14 +506,9 @@ def optimize_bins(arch: Architecture, ctx: EvalContext,
     ``_bin_tallies``, which builds one diagnosis window for all of them,
     decides the bins outside the ring envelope from one certificate cell
     each and checks each other bin's slice of it on its own.
-
-    ``workers`` is validated (None or an int >= 1) and otherwise
-    ignored: evaluation is serial, and is kept as an argument only for
-    existing callers.
     """
     bins = validate_bins(bins)
     module_set = validate_module_set(module_set)
-    validate_workers(workers)
     row_bin, columns = _bin_columns(ctx.motor, arch, ctx.constraints,
                                     module_set, bins)
     examined = np.bincount(row_bin, minlength=len(bins))

@@ -1,20 +1,21 @@
-"""Reference models: the mesh-efficiency chain and the actuator mass
-derived a second time, mesh by mesh and component by component.
+"""Reference models: the mesh-efficiency chain, the actuator mass and
+the layout it is priced at, derived a second time, mesh by mesh and
+component by component.
 
-They are the oracles of ``mesh_chain`` and ``component_masses``, the
-way ``naive_rectangle`` is the search oracle: each helper computes one
-quantity from the geometry circles and raises ``ValueError`` at the
-first input outside its model, where the package returns a verdict.
+They are the oracles of ``mesh_chain``, ``component_masses`` and the
+dimension sheets, the way ``naive_rectangle`` is the search oracle:
+each helper computes one quantity from the geometry circles and raises
+``ValueError`` at the first input outside its model, where the package
+returns a verdict.
 """
 
 from math import acos, inf, pi, tan
 
-from gearboxopt import (EfficiencyBreakdown, GearRole, MassBreakdown,
-                        base_diameter, base_plate_mass, bearing_mass,
-                        bearing_od, carrier_disk_od_mm, casing_length_mm,
-                        loss_parameter, output_bearing_bore_mm,
-                        overall_efficiency, pitch_diameter, planet_pin_mass,
-                        tip_diameter)
+from gearboxopt import (Architecture, EfficiencyBreakdown, GearRole,
+                        MassBreakdown, base_diameter, base_plate_mass,
+                        bearing_mass, bearing_od, gearbox_stack_height_mm,
+                        loss_parameter, overall_efficiency, pitch_diameter,
+                        planet_pin_mass, tip_diameter)
 
 
 # --- mesh efficiency ---------------------------------------------------------
@@ -82,6 +83,30 @@ def planetary_efficiency(design, params) -> EfficiencyBreakdown:
 def _annulus_kg(density_kg_m3, length_mm, outer_mm, inner_mm):
     return (density_kg_m3 * (length_mm * pi / 4.0
                              * (outer_mm ** 2 - inner_mm ** 2)) * 1e-9)
+
+
+def pin_circle_diameter_mm(design):
+    """Diameter of the circle through the planet centers, m(N_s+N_p)."""
+    return design.module_mm * (design.sun_teeth + design.planet_teeth)
+
+
+def carrier_disk_od_mm(design):
+    """Carrier disk OD: pin circle plus a planet tip-radius allowance."""
+    planet_tip = tip_diameter(design.planet_teeth, design.module_mm,
+                              GearRole.PLANET)
+    return pin_circle_diameter_mm(design) + planet_tip / 2.0
+
+
+def output_bearing_bore_mm(design):
+    """Main output bearing rides the carrier at the pin circle diameter."""
+    return pin_circle_diameter_mm(design)
+
+
+def casing_length_mm(design, motor, face_width_mm, params):
+    """ISSPG hides the train inside the stator; ESSPG adds the stack."""
+    if design.arch is Architecture.ISSPG:
+        return motor.height_mm
+    return motor.height_mm + gearbox_stack_height_mm(face_width_mm, params)
 
 
 def spur_gear_mass(tooth_count, module_mm, face_width_mm, bore_mm,

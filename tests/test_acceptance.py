@@ -40,7 +40,7 @@ def _report(number: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def full_bin_results(default_ctx):
     return {arch: optimize_bins(arch, default_ctx, ALL_MODULES,
-                                default_bins(), workers=1)
+                                default_bins())
             for arch in BOTH_ARCHS}
 
 
@@ -57,7 +57,7 @@ def test_criterion_1_oracle_equivalence(bearing_model):
     bins = default_bins()
     mismatches = []
     for arch in BOTH_ARCHS:
-        optimized = optimize_bins(arch, ctx, modules, bins, workers=1)
+        optimized = optimize_bins(arch, ctx, modules, bins)
         naive_best = [None] * len(bins)
         for module_mm in modules:
             for num_planets in range(2, 6):

@@ -15,12 +15,16 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from gearboxopt import Architecture, STANDARD_MODULE_SET_MM
+from gearboxopt import (Architecture, GearboxDesign, STANDARD_MODULE_SET_MM,
+                        bearing_od)
 from gearboxopt.cli import (ConfigError, _json_text, _write_json,
                             build_context, export_dimension_sheet,
                             load_config, main, run_sweep)
 from gearboxopt.mass import default_bearing_table_path, load_bearing_model
 from gearboxopt.search import evaluate
+
+from reference_models import (carrier_disk_od_mm, casing_length_mm,
+                              output_bearing_bore_mm, pin_circle_diameter_mm)
 
 MINIMAL = {
     "motor": {"name": "U12", "outer_diameter_mm": 105.6,
@@ -252,7 +256,8 @@ class TestRunSweep:
         assert lines[2].startswith("6.0,7.0,ok,20,40,100,0.5,3,")
         assert lines[3].startswith("7.0,8.0,empty,")
 
-    def test_dimension_sheet_contents(self, sweep_dir):
+    def test_dimension_sheet_contents(self, sweep_dir, u12_config_path,
+                                      tmp_path):
         out, _ = sweep_dir
         sheet = json.loads(
             (out / "dimension_sheet_isspg_6-7.json").read_text())
@@ -263,6 +268,36 @@ class TestRunSweep:
         assert sheet["bearings"]["output"]["bore_mm"] == pytest.approx(30.0)
         assert sheet["carrier"]["pin_count"] == 3
         assert sheet["casing"]["length_mm"] == pytest.approx(46.5)
+        # every winner's sheet carries the layout its mass was priced at,
+        # to the last bit of the reference model's derivation
+        scale = load_config(REPO / "bench" / "scale.yaml")
+        sweeps = [(load_config(u12_config_path), out),
+                  (scale, tmp_path)]
+        run_sweep(scale, out_dir=tmp_path)
+        for cfg, directory in sweeps:
+            bearing = load_bearing_model(cfg.bearing_table_path)
+            params = cfg.mass_params
+            sheets = sorted(directory.glob("dimension_sheet_*.json"))
+            document = json.loads((directory / "sweep.json").read_text())
+            assert len(sheets) == sum(
+                result["best"] is not None
+                for results in document["results"].values()
+                for result in results) > 0
+            for path in sheets:
+                sheet = json.loads(path.read_text())
+                design = GearboxDesign(**{
+                    **sheet["design"],
+                    "arch": Architecture(sheet["design"]["arch"])})
+                carrier = sheet["carrier"]
+                assert carrier["pin_circle_diameter_mm"] == \
+                    pin_circle_diameter_mm(design), path.name
+                assert sheet["bearings"]["output"]["bore_mm"] == \
+                    output_bearing_bore_mm(design), path.name
+                assert carrier["disk_od_mm"] == carrier_disk_od_mm(design)
+                assert carrier["disk_id_mm"] == bearing_od(
+                    params.input_bearing_bore_mm, bearing)
+                assert sheet["casing"]["length_mm"] == casing_length_mm(
+                    design, cfg.motor, sheet["face_width_mm"], params)
 
     def test_single_architecture_run(self, u12_config_path, tmp_path):
         cfg = load_config(u12_config_path)
@@ -312,14 +347,12 @@ class TestRunSweep:
 
     def test_dimension_sheet_rejects_infeasible(self, u12_config_path):
         cfg = load_config(u12_config_path)
-        bearing = load_bearing_model()
-        from gearboxopt import GearboxDesign
         bad = GearboxDesign(arch=Architecture.ISSPG, sun_teeth=20,
                             planet_teeth=50, ring_teeth=120, module_mm=0.5,
                             num_planets=3)
-        evaluation = evaluate(bad, build_context(cfg, bearing))
+        ctx = build_context(cfg, load_bearing_model())
         with pytest.raises(ValueError, match="feasible"):
-            export_dimension_sheet(evaluation, cfg, bearing)
+            export_dimension_sheet(evaluate(bad, ctx), ctx)
 
 
 class TestCommandLine:

@@ -16,17 +16,17 @@ from gearboxopt import (Architecture, ConstraintParams, GearboxDesign,
                         MassBreakdown, MassModelParams, MaterialSpec,
                         StrengthParams, base_plate_mass, bearing_fit_report,
                         bearing_mass, bearing_od, bearing_width,
-                        carrier_disk_od_mm, casing_length_mm,
                         default_bearing_table_path, fit_bearing_model,
                         gearbox_stack_height_mm, load_bearing_model,
-                        load_bearing_table, output_bearing_bore_mm,
-                        pin_circle_diameter_mm, planet_pin_mass)
+                        load_bearing_table, planet_pin_mass)
 from gearboxopt.mass import component_masses, context_terms
 from gearboxopt.search import _MODEL_RULES, enumerate_feasible, evaluate
 from gearboxopt.strength import lewis_width
 
 from conftest import U12
-from reference_models import actuator_mass, spur_gear_mass
+from reference_models import (actuator_mass, carrier_disk_od_mm,
+                              casing_length_mm, output_bearing_bore_mm,
+                              pin_circle_diameter_mm, spur_gear_mass)
 
 REL = 1e-12
 
@@ -66,14 +66,19 @@ BREAKDOWN_KG = {
 }
 
 
-def components(design, width_mm, bearing, params=MassModelParams()):
-    """``component_masses`` of one design on the U12 motor: whether the
-    mass rules admit it, their verdicts and the breakdown (or None)."""
+def priced(design, width_mm, bearing, params=MassModelParams()):
+    """``component_masses`` of one design on the U12 motor."""
     materials = MaterialSpec()
-    sound, verdicts, parts = component_masses(
+    return component_masses(
         design.arch, design.module_mm, design.num_planets, design.sun_teeth,
         design.planet_teeth, design.ring_teeth, width_mm, U12, bearing,
         materials, params, context_terms(U12, bearing, materials, params))
+
+
+def components(design, width_mm, bearing, params=MassModelParams()):
+    """Whether the mass rules admit one design on the U12 motor, their
+    verdicts and the breakdown (or None)."""
+    sound, verdicts, parts, _ = priced(design, width_mm, bearing, params)
     return sound, verdicts, (None if parts is None
                              else MassBreakdown(*parts, sum(parts)))
 
@@ -225,11 +230,15 @@ class TestGearMasses:
 
 
 class TestCarrierAndCasing:
-    def test_layout_helpers(self):
-        assert pin_circle_diameter_mm(REFERENCE) == pytest.approx(30.0)
-        assert output_bearing_bore_mm(REFERENCE) == pytest.approx(30.0)
+    def test_layout_dimensions(self, bearing_model):
+        # the dimensions the mass is priced at; the pin circle is also
+        # the output bearing's bore
+        pin_circle, disk_od, disk_id, _ = priced(REFERENCE, 10.0,
+                                                 bearing_model)[3]
+        assert pin_circle == pytest.approx(30.0)
         # pin circle plus half the 21 mm planet tip diameter
-        assert carrier_disk_od_mm(REFERENCE) == pytest.approx(40.5)
+        assert disk_od == pytest.approx(40.5)
+        assert disk_id == bearing_od(15.0, bearing_model)
 
     def test_pin_mass(self):
         # 10 mm pin, length = width + 4 mm engagement
@@ -248,20 +257,21 @@ class TestCarrierAndCasing:
                               planet_teeth=20, ring_teeth=60, module_mm=0.5,
                               num_planets=3)
         big_bore = MassModelParams(input_bearing_bore_mm=25.0)
-        sound, verdicts, _ = components(tight, 10.0, bearing_model,
-                                        big_bore)
-        # only the carrier clearance fails
+        sound, verdicts, parts, dimensions = priced(tight, 10.0,
+                                                    bearing_model, big_bore)
+        # only the carrier clearance fails, and nothing is priced
         assert not sound
         assert verdicts == (True, True, False, True, True, True, True)
+        assert parts is None and dimensions is None
 
-    def test_stack_and_casing_lengths(self, u12):
-        params = MassModelParams()
-        assert gearbox_stack_height_mm(10.0, params) == pytest.approx(20.0)
-        assert casing_length_mm(REFERENCE, u12, 10.0, params) == \
-            pytest.approx(46.5)
-        external = replace(REFERENCE, arch=Architecture.ESSPG)
-        assert casing_length_mm(external, u12, 10.0, params) == \
-            pytest.approx(46.5 + 20.0)
+    def test_stack_and_casing_lengths(self, bearing_model):
+        assert gearbox_stack_height_mm(10.0, MassModelParams()) == \
+            pytest.approx(20.0)
+        *_, internal = priced(REFERENCE, 10.0, bearing_model)[3]
+        assert internal == pytest.approx(46.5)
+        *_, external = priced(replace(REFERENCE, arch=Architecture.ESSPG),
+                              10.0, bearing_model)[3]
+        assert external == pytest.approx(46.5 + 20.0)
 
     def test_casing_mass_scales_with_length(self, bearing_model):
         internal = breakdown(REFERENCE, 10.0, bearing_model).casing
@@ -328,13 +338,21 @@ class TestComponentMasses:
                         ctx = replace(default_ctx, mass_params=params)
                         args = (design, ctx.motor, 12.5, ctx.bearing,
                                 ctx.materials, params)
-                        sound, verdicts, parts = component_masses(
-                            arch, module_mm, 3, sun, planet, ring, 12.5,
-                            ctx.motor, ctx.bearing, ctx.materials, params,
-                            ctx.mass_terms)
+                        sound, verdicts, parts, dimensions = (
+                            component_masses(
+                                arch, module_mm, 3, sun, planet, ring, 12.5,
+                                ctx.motor, ctx.bearing, ctx.materials,
+                                params, ctx.mass_terms))
                         if sound:
                             assert (*parts, sum(parts)) == tuple(
                                 asdict(actuator_mass(*args)).values())
+                            assert dimensions == (
+                                pin_circle_diameter_mm(design),
+                                carrier_disk_od_mm(design),
+                                bearing_od(params.input_bearing_bore_mm,
+                                           ctx.bearing),
+                                casing_length_mm(design, ctx.motor, 12.5,
+                                                 params))
                             failed.add(None)
                             continue
                         rule = _MODEL_RULES[3 + verdicts.index(False)]

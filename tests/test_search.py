@@ -152,7 +152,7 @@ def scalar_bins(arch, ctx, modules, bins):
 @pytest.fixture(scope="module")
 def bin_results(default_ctx):
     return {arch: optimize_bins(arch, default_ctx, ALL_MODULES,
-                                default_bins(), workers=1)
+                                default_bins())
             for arch in (Architecture.ISSPG, Architecture.ESSPG)}
 
 
@@ -162,11 +162,7 @@ class TestHelpers:
         with pytest.raises(ValueError):
             CostWeights(k_m=-1.0)
 
-    def test_worker_count_validated(self, default_ctx, u12_config_path,
-                                    tmp_path):
-        with pytest.raises(ValueError):
-            optimize_bins(Architecture.ISSPG, default_ctx, ALL_MODULES,
-                          default_bins(), workers=0)
+    def test_worker_count_validated(self, u12_config_path, tmp_path):
         # rejected before the output directory is created
         out_dir = tmp_path / "sweep"
         with pytest.raises(ValueError):
@@ -509,12 +505,6 @@ class TestOptimizeBins:
             assert result.best is None
             assert result.empty_reason == "ring_diameter"
         assert bin_results[Architecture.ESSPG][5].best is not None
-
-    def test_worker_count_does_not_change_results(self, default_ctx,
-                                                  bin_results):
-        parallel = optimize_bins(Architecture.ESSPG, default_ctx,
-                                 ALL_MODULES, default_bins(), workers=2)
-        assert parallel == bin_results[Architecture.ESSPG]
 
     def test_counts_are_python_ints(self, bin_results):
         # a numpy integer here would break json.dumps of sweep.json

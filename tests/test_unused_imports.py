@@ -1,5 +1,6 @@
-"""Every name a module, test or demo imports is referenced in it, and
-every function and class the package defines is referenced in it."""
+"""Every name a module, test or demo imports is referenced in it, every
+function and class the package defines is referenced in it, and every
+oracle of the reference models is read by the tests."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,8 @@ PACKAGE = [path for path in (ROOT / "src" / "gearboxopt").glob("*.py")
            if path.name != "__init__.py"]
 SOURCES = sorted(PACKAGE + list((ROOT / "tests").glob("*.py"))
                  + list((ROOT / "demos").glob("*.py")))
+REFERENCE_MODELS = ROOT / "tests" / "reference_models.py"
+TESTS = sorted((ROOT / "tests").glob("test_*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,15 +32,16 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-def unreferenced_definitions(sources) -> list[str]:
+def unreferenced_definitions(sources, readers=()) -> list[str]:
     """The top-level functions and classes of the sources that no name or
-    attribute in them reads."""
+    attribute in them or in the readers reads."""
     defined, read = [], set()
+    sources = list(sources)
     for source in sources:
-        tree = ast.parse(source)
-        defined += [node.name for node in tree.body if isinstance(
-            node, (ast.FunctionDef, ast.ClassDef))]
-        for node in ast.walk(tree):
+        defined += [node.name for node in ast.parse(source).body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    for source in sources + list(readers):
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -61,6 +65,10 @@ def test_scan_finds_an_unreferenced_definition():
     assert unreferenced_definitions([
         "def f():\n    pass\nclass C:\n    pass\ndef g():\n    return f\n",
         "x = a.C\n"]) == ["g"]
+    # a reader's names count as reads, its definitions do not
+    assert unreferenced_definitions(
+        ["def f():\n    pass\ndef g():\n    pass\n"],
+        ["from m import f\ndef h():\n    return f()\n"]) == ["g"]
 
 
 def test_no_unreferenced_definition_in_the_package():
@@ -68,3 +76,11 @@ def test_no_unreferenced_definition_in_the_package():
     # second copy of something the package computes elsewhere
     assert unreferenced_definitions(
         path.read_text() for path in PACKAGE) == []
+
+
+def test_every_oracle_is_read_by_a_test():
+    # an oracle that no test reads, directly or through another oracle,
+    # checks nothing
+    assert unreferenced_definitions(
+        [REFERENCE_MODELS.read_text()],
+        (path.read_text() for path in TESTS)) == []
