@@ -8,14 +8,12 @@ feasibility rule the search applies, on a 6.0:1 design that fits inside
 the stator bore of a large-gap outrunner motor.
 """
 
-from math import radians
+from gearboxopt import (Architecture, ConstraintParams, EfficiencyParams,
+                        GearboxDesign, MotorSpec, constraint_failures,
+                        interference_margin_mm, max_gearbox_diameter)
+from gearboxopt.efficiency import mesh_chain
 
-from gearboxopt import (Architecture, ConstraintParams, GearboxDesign,
-                        GearRole, MotorSpec, base_diameter,
-                        constraint_failures, interference_margin_mm,
-                        max_gearbox_diameter, pitch_diameter, tip_diameter)
-
-PRESSURE_ANGLE_RAD = radians(20.0)  # standard full-depth involute
+TOOTH_FORM = EfficiencyParams()  # 20 degree standard full-depth involute
 
 # the motor whose envelope the gearbox must share (datasheet values)
 MOTOR = MotorSpec(outer_diameter_mm=105.6, stator_inner_diameter_mm=65.0,
@@ -45,15 +43,14 @@ def main() -> None:
 
     # the three circles that define an involute gear: pitch (where the
     # module lives), base (where the involute starts), tip (outer or,
-    # for the internal ring, inner boundary of the teeth)
+    # for the internal ring, inner boundary of the teeth), as the
+    # efficiency model draws them
     print("circle diameters, mm (pitch / base / tip)")
-    for role, teeth in ((GearRole.SUN, d.sun_teeth),
-                        (GearRole.PLANET, d.planet_teeth),
-                        (GearRole.RING, d.ring_teeth)):
-        pitch = pitch_diameter(teeth, d.module_mm)
-        base = base_diameter(teeth, d.module_mm, PRESSURE_ANGLE_RAD)
-        tip = tip_diameter(teeth, d.module_mm, role)
-        print(f"  {role.value:<7} {pitch:7.3f} / {base:7.3f} / {tip:7.3f}")
+    *_, circles = mesh_chain(d.module_mm, d.sun_teeth, d.planet_teeth,
+                             d.ring_teeth, TOOTH_FORM)
+    for gear, (pitch, base, tip) in zip(("sun", "planet", "ring"),
+                                        circles):
+        print(f"  {gear:<7} {pitch:7.3f} / {base:7.3f} / {tip:7.3f}")
     print()
 
     # feasibility rules, one by one, under the names constraint_failures

@@ -12,8 +12,7 @@ check the frictionless limit exactly.
 from math import acos, degrees
 
 from gearboxopt import (Architecture, EfficiencyBreakdown, EfficiencyParams,
-                        GearboxDesign, GearRole, base_diameter,
-                        overall_efficiency, tip_diameter)
+                        GearboxDesign, overall_efficiency)
 from gearboxopt.efficiency import mesh_chain
 
 DESIGN = GearboxDesign(arch=Architecture.ISSPG, sun_teeth=20,
@@ -24,8 +23,8 @@ DESIGN = GearboxDesign(arch=Architecture.ISSPG, sun_teeth=20,
 def efficiency_chain(design: GearboxDesign,
                      params: EfficiencyParams) -> EfficiencyBreakdown:
     """The whole efficiency chain of one design, as evaluate computes it."""
-    _, fields = mesh_chain(design.module_mm, design.sun_teeth,
-                           design.planet_teeth, design.ring_teeth, params)
+    _, fields, _ = mesh_chain(design.module_mm, design.sun_teeth,
+                              design.planet_teeth, design.ring_teeth, params)
     return EfficiencyBreakdown(*fields)
 
 
@@ -36,13 +35,10 @@ def main() -> None:
     # tip pressure angles: where the involute leaves the tooth tip,
     # arccos of the base over the tip circle diameter
     print("tip pressure angles, degrees")
-    for role, teeth in ((GearRole.SUN, d.sun_teeth),
-                        (GearRole.PLANET, d.planet_teeth),
-                        (GearRole.RING, d.ring_teeth)):
-        angle = acos(base_diameter(teeth, d.module_mm,
-                                   params.pressure_angle_rad)
-                     / tip_diameter(teeth, d.module_mm, role))
-        print(f"  {role.value:<7} {degrees(angle):6.2f}")
+    *_, circles = mesh_chain(d.module_mm, d.sun_teeth, d.planet_teeth,
+                             d.ring_teeth, params)
+    for gear, (_, base, tip) in zip(("sun", "planet", "ring"), circles):
+        print(f"  {gear:<7} {degrees(acos(base / tip)):6.2f}")
     print()
 
     # approach/recess contact ratios of each mesh and the loss

@@ -9,10 +9,9 @@ gear-ratio-bin optima under a mass/efficiency cost.
 from .efficiency import (EfficiencyBreakdown, EfficiencyParams,
                          loss_parameter, overall_efficiency)
 from .geometry import (Architecture, ConstraintParams, GearboxDesign,
-                       GearRole, MotorSpec, STANDARD_MODULE_SET_MM,
-                       base_diameter, constraint_failures,
-                       interference_margin_mm, max_gearbox_diameter,
-                       pitch_diameter, tip_diameter)
+                       MotorSpec, STANDARD_MODULE_SET_MM,
+                       constraint_failures, interference_margin_mm,
+                       max_gearbox_diameter)
 from .mass import (MassBreakdown, MassModelParams, MaterialSpec,
                    base_plate_mass, bearing_fit_report, bearing_mass,
                    bearing_od, bearing_width, default_bearing_table_path,
@@ -29,16 +28,15 @@ __version__ = "0.1.0"
 __all__ = [
     "Architecture", "BinResult", "ConstraintParams", "CostWeights",
     "DesignEvaluation", "EfficiencyBreakdown", "EfficiencyParams",
-    "EvalContext", "GearboxDesign", "GearRole", "LewisFormula", "LoadCase",
+    "EvalContext", "GearboxDesign", "LewisFormula", "LoadCase",
     "MassBreakdown", "MassModelParams", "MaterialSpec", "MotorSpec",
     "STANDARD_MODULE_SET_MM", "StrengthParams", "VelocityFormula",
-    "base_diameter", "base_plate_mass", "bearing_fit_report", "bearing_mass",
-    "bearing_od", "bearing_width", "compare_architectures",
-    "constraint_failures", "default_bearing_table_path", "default_bins",
-    "enumerate_feasible", "evaluate", "fit_bearing_model",
-    "gearbox_stack_height_mm", "interference_margin_mm", "lewis_form_factor",
-    "load_bearing_model", "load_bearing_table", "loss_parameter",
-    "max_gearbox_diameter", "optimize_bins", "overall_efficiency",
-    "pitch_diameter", "planet_pin_mass", "ranking_key", "tip_diameter",
-    "validate_bins",
+    "base_plate_mass", "bearing_fit_report", "bearing_mass", "bearing_od",
+    "bearing_width", "compare_architectures", "constraint_failures",
+    "default_bearing_table_path", "default_bins", "enumerate_feasible",
+    "evaluate", "fit_bearing_model", "gearbox_stack_height_mm",
+    "interference_margin_mm", "lewis_form_factor", "load_bearing_model",
+    "load_bearing_table", "loss_parameter", "max_gearbox_diameter",
+    "optimize_bins", "overall_efficiency", "planet_pin_mass",
+    "ranking_key", "validate_bins",
 ]

@@ -28,10 +28,9 @@ from typing import Any, Iterable, Optional
 
 import yaml
 
-from .efficiency import EfficiencyParams
+from .efficiency import EfficiencyParams, mesh_chain
 from .geometry import (Architecture, ConstraintParams, GearboxDesign,
-                       GearRole, MotorSpec, STANDARD_MODULE_SET_MM,
-                       base_diameter, pitch_diameter, tip_diameter)
+                       MotorSpec, STANDARD_MODULE_SET_MM)
 from .mass import (BearingModel, MassModelParams, MaterialSpec,
                    bearing_fit_report, bearing_mass, bearing_od,
                    bearing_width, component_masses, gearbox_stack_height_mm,
@@ -384,9 +383,10 @@ def export_dimension_sheet(evaluation: DesignEvaluation,
                            ctx: EvalContext) -> dict:
     """
     Every derived dimension of one feasible design, units in the key
-    names, plus its mass and efficiency summary. The pin circle, carrier
-    disk, output bearing and casing are the ones ``component_masses``
-    prices the design at.
+    names, plus its mass and efficiency summary. The gear circles are the
+    ones ``mesh_chain`` scores the design at; the pin circle, carrier
+    disk, output bearing and casing the ones ``component_masses`` prices
+    it at.
     """
     if not evaluation.feasible:
         raise ValueError(
@@ -394,22 +394,11 @@ def export_dimension_sheet(evaluation: DesignEvaluation,
             + "; ".join(evaluation.failure_reasons))
     design, width = evaluation.design, evaluation.face_width_mm
     bearing, mass_params = ctx.bearing, ctx.mass_params
-    alpha = ctx.efficiency.pressure_angle_rad
+    teeth = design.sun_teeth, design.planet_teeth, design.ring_teeth
+    *_, circles = mesh_chain(design.module_mm, *teeth, ctx.efficiency)
     *_, (pin_circle, disk_od, disk_id, casing_length) = component_masses(
-        design.arch, design.module_mm, design.num_planets, design.sun_teeth,
-        design.planet_teeth, design.ring_teeth, width, ctx.motor, bearing,
-        ctx.materials, mass_params, ctx.mass_terms)
-
-    def gear_entry(tooth_count: int, role: GearRole) -> dict:
-        return {
-            "teeth": tooth_count,
-            "pitch_diameter_mm": pitch_diameter(tooth_count,
-                                                design.module_mm),
-            "base_diameter_mm": base_diameter(tooth_count, design.module_mm,
-                                              alpha),
-            "tip_diameter_mm": tip_diameter(tooth_count, design.module_mm,
-                                            role),
-        }
+        design.arch, design.module_mm, design.num_planets, *teeth, width,
+        ctx.motor, bearing, ctx.materials, mass_params, ctx.mass_terms)
 
     def bearing_entry(bore_mm: float) -> dict:
         return {
@@ -424,9 +413,10 @@ def export_dimension_sheet(evaluation: DesignEvaluation,
         "reduction_ratio": design.reduction_ratio,
         "gear_ratio": design.gear_ratio,
         "gears": {
-            "sun": gear_entry(design.sun_teeth, GearRole.SUN),
-            "planet": gear_entry(design.planet_teeth, GearRole.PLANET),
-            "ring": gear_entry(design.ring_teeth, GearRole.RING),
+            gear: {"teeth": count, "pitch_diameter_mm": pitch,
+                   "base_diameter_mm": base, "tip_diameter_mm": tip}
+            for gear, count, (pitch, base, tip)
+            in zip(("sun", "planet", "ring"), teeth, circles)
         },
         "face_width_mm": width,
         "bearings": {

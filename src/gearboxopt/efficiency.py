@@ -82,8 +82,12 @@ def mesh_chain(module_mm, sun_teeth, planet_teeth, ring_teeth,
                params: EfficiencyParams, module_index=None) -> tuple:
     """
     Whether every tooth form is sound (base circle inside a positive tip
-    circle) and the ``EfficiencyBreakdown`` fields (none for one unsound
+    circle), the ``EfficiencyBreakdown`` fields and the (pitch, base, tip)
+    circle diameters of the sun, planet and ring (none for one unsound
     design), for one design or numpy columns.
+
+    Each gear's pitch diameter is d = m*N, its base circle d*cos(alpha)
+    and its tip circle d + 2m, or d - 2m for the internal ring (mm).
 
     Each gear's tip pressure angle arccos(d_base/d_tip) is computed once.
     In a mesh where gear 1 drives gear 2 (sun-planet, then planet-ring),
@@ -105,13 +109,14 @@ def mesh_chain(module_mm, sun_teeth, planet_teeth, ring_teeth,
     tip angle is taken once per (tip form, ``module_index``, tooth count).
     """
     m, s, p, r = module_mm, sun_teeth, planet_teeth, ring_teeth
-    cos_alpha = cos(params.pressure_angle_rad)
-    base_s, tip_s = m * s * cos_alpha, m * s + 2.0 * m
-    base_p, tip_p = m * p * cos_alpha, m * p + 2.0 * m
-    base_r, tip_r = m * r * cos_alpha, m * r - 2.0 * m
+    cos_alpha, addendum = cos(params.pressure_angle_rad), 2.0 * m
+    pitch_s, pitch_p, pitch_r = m * s, m * p, m * r
+    base_s, tip_s = pitch_s * cos_alpha, pitch_s + addendum
+    base_p, tip_p = pitch_p * cos_alpha, pitch_p + addendum
+    base_r, tip_r = pitch_r * cos_alpha, pitch_r - addendum
     sound = (base_s < tip_s) & (base_p < tip_p) & (base_r < tip_r)
     if sound is False:
-        return sound, None
+        return sound, None, None
     if module_index is None:
         tan_p, tan_s, tan_r = (tan(acos(base_p / tip_p)),
                                tan(acos(base_s / tip_s)),
@@ -130,4 +135,6 @@ def mesh_chain(module_mm, sun_teeth, planet_teeth, ring_teeth,
     eta_a = 1.0 - params.mu * pi * (1.0 / s + 1.0 / p) * eps_a
     eta_b = 1.0 - params.mu * pi * (1.0 / p - 1.0 / r) * eps_b
     return sound, (eps_a1, eps_a2, eps_b1, eps_a1, eps_a, eps_b, eta_a,
-                   eta_b, overall_efficiency(s, r, eta_a, eta_b))
+                   eta_b, overall_efficiency(s, r, eta_a, eta_b)), (
+        (pitch_s, base_s, tip_s), (pitch_p, base_p, tip_p),
+        (pitch_r, base_r, tip_r))

@@ -1,5 +1,5 @@
 """
-Involute spur-gear geometry and feasibility rules for single-stage
+Design vector, motor envelope and feasibility rules for single-stage
 planetary gearboxes.
 
 Covers the two quasi-direct-drive actuator layouts:
@@ -9,9 +9,9 @@ Covers the two quasi-direct-drive actuator layouts:
 - ESSPG: gearbox stacked outside the motor body (ring gear may grow up
   to the motor outer diameter).
 
-All diameters follow the standard involute relations (DIN 867 basic
-rack, 20 deg full depth): pitch d = m*N, base d_b = m*N*cos(alpha),
-tip d_a = m*N +/- 2m (external/internal teeth).
+The gears follow the DIN 867 basic rack (full depth, profile shift 0);
+their pitch, base and tip circles are computed by
+``efficiency.mesh_chain``.
 
 Units: lengths in mm, angles in rad, masses in kg unless suffixed
 otherwise.
@@ -20,7 +20,7 @@ otherwise.
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import compress
-from math import cos, isfinite, pi, sin
+from math import isfinite, pi, sin
 from typing import Optional
 
 import numpy as np
@@ -70,13 +70,6 @@ def per_key(func, value, *keys):
     present = np.flatnonzero(count)
     table[present] = [func(x) for x in table[present].tolist()]
     return table[index]
-
-
-class GearRole(Enum):
-    """Position of a gear in the planetary stage (sets tip-circle sign)."""
-    SUN = "sun"
-    PLANET = "planet"
-    RING = "ring"
 
 
 @dataclass(frozen=True)
@@ -169,37 +162,6 @@ class MotorSpec:
                            "max_speed_rad_s"):
             if getattr(self, field_name) <= 0:
                 raise ValueError(f"{field_name} must be positive")
-
-
-def pitch_diameter(tooth_count: int, module_mm: float) -> float:
-    """Pitch circle diameter d = m*N (mm)."""
-    if tooth_count < 1:
-        raise ValueError("tooth_count must be >= 1")
-    if module_mm <= 0:
-        raise ValueError("module_mm must be positive")
-    return module_mm * tooth_count
-
-
-def base_diameter(tooth_count: int, module_mm: float,
-                  pressure_angle_rad: float) -> float:
-    """Base circle diameter d_b = m*N*cos(alpha) (mm)."""
-    if not 0 < pressure_angle_rad < pi / 2:
-        raise ValueError("pressure_angle_rad must lie in (0, pi/2)")
-    return pitch_diameter(tooth_count, module_mm) * cos(pressure_angle_rad)
-
-
-def tip_diameter(tooth_count: int, module_mm: float, role: GearRole) -> float:
-    """
-    Tip circle diameter d_a = m*N + sgn*2m (mm).
-
-    sgn = +1 for external teeth (sun, planet), -1 for the internal ring.
-    """
-    sgn = -1.0 if role is GearRole.RING else 1.0
-    d_a = module_mm * tooth_count + sgn * 2.0 * module_mm
-    if d_a <= 0:
-        raise ValueError(
-            f"degenerate ring tip circle: m*N - 2m = {d_a:.3f} mm <= 0")
-    return d_a
 
 
 def interference_margin_mm(module_mm, sun_teeth, planet_teeth, num_planets):

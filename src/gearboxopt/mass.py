@@ -136,7 +136,8 @@ def load_bearing_table(path: str | Path) -> tuple[BearingRow, ...]:
     """
     Read a bearing CSV with header bore_mm,od_mm,width_mm,mass_kg.
 
-    Rows must be strictly increasing in bore with positive entries.
+    Rows must be strictly increasing in bore with positive, finite
+    entries.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -158,10 +159,11 @@ def load_bearing_table(path: str | Path) -> tuple[BearingRow, ...]:
             except ValueError as exc:
                 raise ValueError(
                     f"bearing table {path} line {line_no}: {exc}") from exc
-            if min(row.bore_mm, row.od_mm, row.width_mm, row.mass_kg) <= 0:
+            if not all(0 < value < inf for value in (
+                    row.bore_mm, row.od_mm, row.width_mm, row.mass_kg)):
                 raise ValueError(
                     f"bearing table {path} line {line_no}: "
-                    "all values must be positive")
+                    "all values must be positive and finite")
             rows.append(row)
     if len(rows) < 3:
         raise ValueError(f"bearing table {path}: need at least 3 rows")
@@ -226,6 +228,8 @@ def bearing_fit_report(model: BearingModel) -> dict:
     """
     Fit quality per column: coefficients, R^2 (in log space), and the
     per-row relative residuals of the fitted curve against the table.
+    A column of equal values has no variance to explain and reports
+    R^2 = 1: its fit reproduces it to rounding.
     """
     bore = np.array([row.bore_mm for row in model.table])
     report = {}
@@ -246,7 +250,8 @@ def bearing_fit_report(model: BearingModel) -> dict:
         report[name] = {
             "c": c,
             "k": k,
-            "r_squared": 1.0 - ss_res / ss_tot,
+            "r_squared": (1.0 - ss_res / ss_tot
+                          if actual.min() < actual.max() else 1.0),
             "max_relative_residual": float(residuals.max()),
             "relative_residuals": [float(r) for r in residuals],
         }

@@ -289,7 +289,7 @@ def _bin_columns(motor: MotorSpec, arch: Architecture,
         arch, constraints, suns, los[:1], his[-1:],
         np.minimum((max_ring[sun_module] - suns) // 2, n_cap), slack=1)
     module_index = np.repeat(sun_module, sizes)
-    ratio = (2 * sun + 2 * planet) / sun
+    ratio = (sun + ring) / sun
     index = np.searchsorted(los, ratio, side="right") - 1
     row_bin = np.where((index >= 0) & (ratio < his[index]), index, -1)
     failed = reduce(or_, constraint_rules(
@@ -355,7 +355,7 @@ def evaluate(design: GearboxDesign, ctx: EvalContext) -> DesignEvaluation:
         return _dropped(design, failures)
     m, n, s, p, r = (design.module_mm, design.num_planets, design.sun_teeth,
                      design.planet_teeth, design.ring_teeth)
-    sound, chain = mesh_chain(m, s, p, r, ctx.efficiency)
+    sound, chain, _ = mesh_chain(m, s, p, r, ctx.efficiency)
     if not sound:
         return _dropped(design, (_TOOTH_FORM,))
     *_, eta_a, eta_b, eta_overall = chain
@@ -407,7 +407,7 @@ def score_columns(arch: Architecture, ctx: EvalContext, module_mm,
     # degenerate rows (ring tip circle <= 0, non-positive Lewis factor)
     # produce nan or inf here and are masked out below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tooth_ok, (*_, eta_a, eta_b, eta_overall) = mesh_chain(
+        tooth_ok, (*_, eta_a, eta_b, eta_overall), _ = mesh_chain(
             m, s, p, r, ctx.efficiency, index)
         lewis_ok, _, _, width = lewis_width(m, s, p, n, ctx.load,
                                             ctx.strength)

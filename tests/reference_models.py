@@ -1,21 +1,68 @@
-"""Reference models: the mesh-efficiency chain, the actuator mass and
-the layout it is priced at, derived a second time, mesh by mesh and
-component by component.
+"""Reference models: the gear circles, the mesh-efficiency chain, the
+actuator mass and the layout it is priced at, derived a second time,
+gear by gear, mesh by mesh and component by component.
 
 They are the oracles of ``mesh_chain``, ``component_masses`` and the
 dimension sheets, the way ``naive_rectangle`` is the search oracle:
-each helper computes one quantity from the geometry circles and raises
+each helper computes one quantity from the gear circles and raises
 ``ValueError`` at the first input outside its model, where the package
 returns a verdict.
 """
 
-from math import acos, inf, pi, tan
+from enum import Enum
+from math import acos, cos, inf, pi, tan
 
-from gearboxopt import (Architecture, EfficiencyBreakdown, GearRole,
-                        MassBreakdown, base_diameter, base_plate_mass,
-                        bearing_mass, bearing_od, gearbox_stack_height_mm,
-                        loss_parameter, overall_efficiency, pitch_diameter,
-                        planet_pin_mass, tip_diameter)
+from gearboxopt import (Architecture, EfficiencyBreakdown, MassBreakdown,
+                        base_plate_mass, bearing_mass, bearing_od,
+                        gearbox_stack_height_mm, loss_parameter,
+                        overall_efficiency, planet_pin_mass)
+
+
+# --- gear circles ------------------------------------------------------------
+
+class GearRole(Enum):
+    """Position of a gear in the planetary stage (sets tip-circle sign)."""
+    SUN = "sun"
+    PLANET = "planet"
+    RING = "ring"
+
+
+def pitch_diameter(tooth_count, module_mm):
+    """Pitch circle diameter d = m*N (mm)."""
+    if tooth_count < 1:
+        raise ValueError("tooth_count must be >= 1")
+    if module_mm <= 0:
+        raise ValueError("module_mm must be positive")
+    return module_mm * tooth_count
+
+
+def base_diameter(tooth_count, module_mm, pressure_angle_rad):
+    """Base circle diameter d_b = m*N*cos(alpha) (mm)."""
+    if not 0 < pressure_angle_rad < pi / 2:
+        raise ValueError("pressure_angle_rad must lie in (0, pi/2)")
+    return pitch_diameter(tooth_count, module_mm) * cos(pressure_angle_rad)
+
+
+def tip_diameter(tooth_count, module_mm, role):
+    """Tip circle diameter d_a = m*N + sgn*2m (mm), sgn = +1 for external
+    teeth (sun, planet) and -1 for the internal ring."""
+    sgn = -1.0 if role is GearRole.RING else 1.0
+    d_a = module_mm * tooth_count + sgn * 2.0 * module_mm
+    if d_a <= 0:
+        raise ValueError(
+            f"degenerate ring tip circle: m*N - 2m = {d_a:.3f} mm <= 0")
+    return d_a
+
+
+def gear_circles(design, pressure_angle_rad):
+    """The (pitch, base, tip) diameters of the sun, planet and ring."""
+    return tuple(
+        (pitch_diameter(teeth, design.module_mm),
+         base_diameter(teeth, design.module_mm, pressure_angle_rad),
+         tip_diameter(teeth, design.module_mm, role))
+        for teeth, role in ((design.sun_teeth, GearRole.SUN),
+                            (design.planet_teeth, GearRole.PLANET),
+                            (design.ring_teeth, GearRole.RING)))
 
 
 # --- mesh efficiency ---------------------------------------------------------

@@ -24,7 +24,8 @@ from gearboxopt.mass import default_bearing_table_path, load_bearing_model
 from gearboxopt.search import evaluate
 
 from reference_models import (carrier_disk_od_mm, casing_length_mm,
-                              output_bearing_bore_mm, pin_circle_diameter_mm)
+                              gear_circles, output_bearing_bore_mm,
+                              pin_circle_diameter_mm)
 
 MINIMAL = {
     "motor": {"name": "U12", "outer_diameter_mm": 105.6,
@@ -53,6 +54,23 @@ def write_config(tmp_path, mapping, name="run.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(mapping))
     return path
+
+
+def edited_bearing_table(tmp_path, column, value, rows=None):
+    """The packaged bearing table with ``column`` set to the text
+    ``value`` on the data rows ``rows`` (all by default), and a config of
+    ``MINIMAL`` that reads it."""
+    lines = default_bearing_table_path().read_text().splitlines()
+    index = lines[0].split(",").index(column)
+    for row in range(1, len(lines)) if rows is None else rows:
+        cells = lines[row].split(",")
+        cells[index] = value
+        lines[row] = ",".join(cells)
+    table = tmp_path / "bearings.csv"
+    table.write_text("\n".join(lines) + "\n")
+    return table, write_config(tmp_path, {
+        **MINIMAL, "bearing_table": table.name,
+        "output_dir": str(tmp_path / "out")})
 
 
 @pytest.fixture(scope="module")
@@ -268,8 +286,9 @@ class TestRunSweep:
         assert sheet["bearings"]["output"]["bore_mm"] == pytest.approx(30.0)
         assert sheet["carrier"]["pin_count"] == 3
         assert sheet["casing"]["length_mm"] == pytest.approx(46.5)
-        # every winner's sheet carries the layout its mass was priced at,
-        # to the last bit of the reference model's derivation
+        # every winner's sheet carries the gear circles it was scored at
+        # and the layout its mass was priced at, to the last bit of the
+        # reference model's derivation
         scale = load_config(REPO / "bench" / "scale.yaml")
         sweeps = [(load_config(u12_config_path), out),
                   (scale, tmp_path)]
@@ -288,6 +307,15 @@ class TestRunSweep:
                 design = GearboxDesign(**{
                     **sheet["design"],
                     "arch": Architecture(sheet["design"]["arch"])})
+                teeth = (design.sun_teeth, design.planet_teeth,
+                         design.ring_teeth)
+                assert sheet["gears"] == {
+                    gear: {"teeth": count, "pitch_diameter_mm": pitch,
+                           "base_diameter_mm": base, "tip_diameter_mm": tip}
+                    for gear, count, (pitch, base, tip) in zip(
+                        ("sun", "planet", "ring"), teeth, gear_circles(
+                            design, cfg.efficiency.pressure_angle_rad))
+                }, path.name
                 carrier = sheet["carrier"]
                 assert carrier["pin_circle_diameter_mm"] == \
                     pin_circle_diameter_mm(design), path.name
@@ -459,6 +487,32 @@ class TestCommandLine:
         assert "mass_kg" in out
         assert "R^2" in out
         assert "residual" in out
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_bearing_cell_is_a_clean_error(self, tmp_path,
+                                                      capsys, cell):
+        # named with its table line before a fit or report reads it
+        table, config = edited_bearing_table(tmp_path, "mass_kg", cell, [3])
+        for argv in (["sweep", "--config", str(config)],
+                     ["fit-bearings", "--table", str(table)]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (
+                f"error: bearing table {table} line 4: all values must be "
+                "positive and finite\n")
+
+    @pytest.mark.parametrize("width", ["1.0", "2.0", "4.0", "6.0", "7.0",
+                                       "10.0"])
+    def test_constant_bearing_width_is_reported(self, tmp_path, capsys,
+                                                width):
+        table, config = edited_bearing_table(tmp_path, "width_mm", width)
+        assert main(["fit-bearings", "--table", str(table)]) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("width_mm: "))
+        assert line.startswith(f"width_mm: value ~ {float(width):g} * ")
+        assert "(R^2 = 1.0000, max residual 0.0%)" in line
+        assert main(["sweep", "--config", str(config)]) == 0
+        document = json.loads((tmp_path / "out" / "sweep.json").read_text())
+        assert document["bearing_fit"]["width_mm"]["r_squared"] == 1.0
 
     def test_missing_config_is_a_clean_error(self, tmp_path, capsys):
         code = main(["sweep", "--config", str(tmp_path / "nope.yaml")])

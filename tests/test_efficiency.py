@@ -7,21 +7,22 @@ efficiency) and are frozen here to 16 significant digits.
 """
 
 from dataclasses import astuple, replace
-from math import acos, degrees, radians
+from math import acos, degrees, pi, radians
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gearboxopt.efficiency
 from gearboxopt import (Architecture, EfficiencyBreakdown, EfficiencyParams,
-                        GearboxDesign, GearRole, loss_parameter,
-                        overall_efficiency)
+                        GearboxDesign, loss_parameter, overall_efficiency)
 from gearboxopt.cli import build_context, load_config
 from gearboxopt.efficiency import mesh_chain
 from gearboxopt.mass import load_bearing_model
 from gearboxopt.search import _bin_columns, score_columns
 
-from reference_models import (basic_driving_efficiency, planetary_efficiency,
+from reference_models import (GearRole, basic_driving_efficiency,
+                              gear_circles, planetary_efficiency,
                               tip_pressure_angle)
 
 ALPHA = radians(20.0)
@@ -45,7 +46,7 @@ ETA_25_65_155 = 0.9918623868700256
 
 def chain(sun, planet, ring, module_mm=0.5, params=EfficiencyParams()):
     """``mesh_chain`` of one sound design as an ``EfficiencyBreakdown``."""
-    sound, fields = mesh_chain(module_mm, sun, planet, ring, params)
+    sound, fields, _ = mesh_chain(module_mm, sun, planet, ring, params)
     assert sound
     return EfficiencyBreakdown(*fields)
 
@@ -75,8 +76,9 @@ class TestParams:
             EfficiencyParams(mu=1.0)
 
     def test_pressure_angle_range(self):
-        with pytest.raises(ValueError):
-            EfficiencyParams(pressure_angle_rad=0.0)
+        for angle in (0.0, pi / 2):
+            with pytest.raises(ValueError, match="pressure_angle_rad"):
+                EfficiencyParams(pressure_angle_rad=angle)
 
 
 class TestTipPressureAngle:
@@ -99,7 +101,7 @@ class TestTipPressureAngle:
         # base circle reaches the inward-pointing tip circle at N = 33,
         # which fails the tooth-form verdict
         params = EfficiencyParams()
-        assert mesh_chain(0.5, 20, 40, 33, params) == (False, None)
+        assert mesh_chain(0.5, 20, 40, 33, params) == (False, None, None)
         assert mesh_chain(0.5, 20, 40, 34, params)[0]  # just feasible
 
 
@@ -138,8 +140,8 @@ class TestContactRatios:
                                       cfg.module_set, cfg.bins)
             feasible = score_columns(arch, ctx, *columns).feasible
             m, _, s, p, index = (column[feasible] for column in columns)
-            _, (a1, a2, b1, b2, *_) = mesh_chain(m, s, p, s + 2 * p,
-                                                 ctx.efficiency, index)
+            _, (a1, a2, b1, b2, *_), _ = mesh_chain(m, s, p, s + 2 * p,
+                                                    ctx.efficiency, index)
             smallest += [(a1 + a2).min(), (b1 + b2).min()]
         assert round(float(min(smallest)), 3) == floor
 
@@ -265,8 +267,8 @@ class TestMeshChain:
                         arch=Architecture.ESSPG, sun_teeth=sun,
                         planet_teeth=planet, ring_teeth=ring, module_mm=0.7,
                         num_planets=3)
-                    sound, fields = mesh_chain(0.7, sun, planet, ring,
-                                               params)
+                    sound, fields, _ = mesh_chain(0.7, sun, planet, ring,
+                                                  params)
                     if sound and fields[6] > 0 and fields[7] > 0:
                         assert fields == astuple(
                             planetary_efficiency(design, params)), design
@@ -277,6 +279,41 @@ class TestMeshChain:
                         planetary_efficiency(design, params)
                     outcomes.add(message)
         assert {"scored", "degenerate"} <= outcomes
+
+    @settings(max_examples=60)
+    @given(modules=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=4,
+                            unique=True),
+           rows=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 150),
+                                   st.integers(1, 150), st.integers(1, 400)),
+                         min_size=1, max_size=30),
+           alpha=st.floats(0.01, 1.56))
+    def test_circles_on_columns_equal_scalar_calls_and_oracles(
+            self, modules, rows, alpha):
+        # every drawn table also holds a 2-tooth ring, whose tip circle
+        # m*N - 2m is 0, and a 1-tooth ring, whose tip circle is negative
+        rows = rows + [(0, 20, 40, 2), (0, 20, 40, 1)]
+        params = EfficiencyParams(pressure_angle_rad=alpha)
+        index = np.array([k % len(modules) for k, *_ in rows])
+        m = np.array(modules)[index]
+        s, p, r = (np.array(column) for column in list(zip(*rows))[1:])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sound, _, circles = mesh_chain(m, s, p, r, params, index)
+        for i, row_sound in enumerate(sound.tolist()):
+            design = GearboxDesign(
+                arch=Architecture.ESSPG, sun_teeth=int(s[i]),
+                planet_teeth=int(p[i]), ring_teeth=int(r[i]),
+                module_mm=float(m[i]), num_planets=3)
+            scalar = mesh_chain(design.module_mm, design.sun_teeth,
+                                design.planet_teeth, design.ring_teeth,
+                                params)
+            assert scalar[0] is row_sound, design
+            if row_sound:
+                assert tuple(tuple(float(column[i]) for column in gear)
+                             for gear in circles) == scalar[2] == \
+                    gear_circles(design, alpha), design
+            else:
+                assert scalar[1:] == (None, None)
+        assert sound.tolist()[-2:] == [False, False]
 
     def test_second_design_frozen(self):
         assert chain(25, 65, 155).eta_overall == pytest.approx(

@@ -1,4 +1,4 @@
-"""Involute diameter relations, design-vector ratios, and feasibility
+"""Gear circle diameters, design-vector ratios, and feasibility
 predicates, checked against hand-computed values."""
 
 from dataclasses import fields, replace
@@ -9,11 +9,11 @@ import pytest
 
 from gearboxopt import (Architecture, ConstraintParams, CostWeights,
                         EfficiencyParams, EvalContext, GearboxDesign,
-                        GearRole, LoadCase, MassModelParams, MaterialSpec,
-                        MotorSpec, STANDARD_MODULE_SET_MM, StrengthParams,
-                        base_diameter, constraint_failures, evaluate,
-                        interference_margin_mm, max_gearbox_diameter,
-                        pitch_diameter, tip_diameter)
+                        LoadCase, MassModelParams, MaterialSpec, MotorSpec,
+                        STANDARD_MODULE_SET_MM, StrengthParams,
+                        constraint_failures, evaluate,
+                        interference_margin_mm, max_gearbox_diameter)
+from gearboxopt.efficiency import mesh_chain
 from gearboxopt.geometry import _RULE_ORDER, constraint_rules
 from gearboxopt.search import score_columns
 
@@ -26,6 +26,12 @@ def design(arch, ns, npl, nr, m, k):
 
 
 REFERENCE = design(Architecture.ISSPG, 20, 40, 100, 0.5, 3)
+
+
+def circles(sun, planet, ring, module_mm):
+    """``mesh_chain``'s (pitch, base, tip) diameters of each gear at a
+    20 deg pressure angle."""
+    return mesh_chain(module_mm, sun, planet, ring, EfficiencyParams())[2]
 
 
 def margin(d):
@@ -51,39 +57,26 @@ class TestDiameters:
         assert STANDARD_MODULE_SET_MM == sorted(STANDARD_MODULE_SET_MM)
 
     def test_pitch_diameter(self):
-        assert pitch_diameter(20, 0.5) == 10.0
-        assert pitch_diameter(100, 0.5) == 50.0
-        assert pitch_diameter(33, 1.2) == pytest.approx(39.6)
-
-    def test_pitch_diameter_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            pitch_diameter(0, 0.5)
-        with pytest.raises(ValueError):
-            pitch_diameter(20, 0.0)
+        assert [pitch for pitch, _, _ in circles(20, 40, 100, 0.5)] == [
+            10.0, 20.0, 50.0]
+        assert circles(33, 20, 73, 1.2)[0][0] == pytest.approx(39.6)
 
     def test_base_diameter(self):
-        assert base_diameter(20, 0.5, ALPHA) == pytest.approx(
-            10.0 * cos(ALPHA), rel=1e-15)
+        (_, base, _), _, _ = circles(20, 40, 100, 0.5)
+        assert base == pytest.approx(10.0 * cos(ALPHA), rel=1e-15)
         # cos(20 deg) = 0.9396926207859084
-        assert base_diameter(20, 0.5, ALPHA) == pytest.approx(
-            9.396926207859084, rel=1e-12)
-
-    def test_base_diameter_rejects_bad_angle(self):
-        with pytest.raises(ValueError):
-            base_diameter(20, 0.5, 0.0)
-        with pytest.raises(ValueError):
-            base_diameter(20, 0.5, pi / 2)
+        assert base == pytest.approx(9.396926207859084, rel=1e-12)
 
     def test_tip_diameter_signs(self):
-        assert tip_diameter(20, 0.5, GearRole.SUN) == pytest.approx(11.0)
-        assert tip_diameter(40, 0.5, GearRole.PLANET) == pytest.approx(21.0)
-        assert tip_diameter(100, 0.5, GearRole.RING) == pytest.approx(49.0)
+        assert [tip for _, _, tip in circles(20, 40, 100, 0.5)] == \
+            pytest.approx([11.0, 21.0, 49.0])
 
-    def test_ring_tip_degenerate_raises(self):
-        with pytest.raises(ValueError):
-            tip_diameter(2, 0.5, GearRole.RING)
-        with pytest.raises(ValueError):
-            tip_diameter(1, 1.0, GearRole.RING)
+    def test_degenerate_ring_tip_fails_tooth_form(self):
+        # a ring tip circle m*N - 2m <= 0 fails the tooth-form verdict,
+        # and nothing is drawn
+        for m, ring in ((0.5, 2), (1.0, 1)):
+            assert mesh_chain(m, 20, 40, ring, EfficiencyParams()) == (
+                False, None, None)
 
 
 class TestDesignVector:
@@ -94,9 +87,10 @@ class TestDesignVector:
         assert d.reduction_ratio == pytest.approx(7.2, rel=1e-15)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        # no design has a pitch circle that is not positive
+        with pytest.raises(ValueError, match="tooth counts"):
             design(Architecture.ISSPG, 0, 40, 100, 0.5, 3)
-        for module_mm in (-0.5, nan, inf):
+        for module_mm in (-0.5, 0.0, nan, inf):
             with pytest.raises(ValueError, match="module_mm"):
                 design(Architecture.ISSPG, 20, 40, 100, module_mm, 3)
         with pytest.raises(ValueError):

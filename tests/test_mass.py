@@ -130,11 +130,13 @@ class TestBearingTable:
                             (30, 40, 7, 0.04)])
         with pytest.raises(ValueError, match="4 columns"):
             load_bearing_table(path)
-        path = write_table(tmp_path / "u.csv",
-                           [(10, 20, 5, 0.01), (20, 30, 6, -0.02),
-                            (30, 40, 7, 0.04)])
-        with pytest.raises(ValueError, match="positive"):
-            load_bearing_table(path)
+        for cell in ("-0.02", "nan", "inf"):
+            path = write_table(tmp_path / "u.csv",
+                               [(10, 20, 5, 0.01), (20, 30, 6, cell),
+                                (30, 40, 7, 0.04)])
+            with pytest.raises(ValueError, match=r"u\.csv line 3: all "
+                               "values must be positive and finite"):
+                load_bearing_table(path)
 
     def test_blank_lines_tolerated(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -181,6 +183,23 @@ class TestBearingFit:
             bearing_mass(low, bearing_model)
         with pytest.raises(ValueError, match="outside the fitted range"):
             bearing_width(nextafter(high, inf), bearing_model)
+
+    @pytest.mark.parametrize("column, value", [
+        *[("width_mm", width) for width in (1.0, 2.0, 4.0, 6.0, 7.0, 10.0)],
+        ("od_mm", 70.0), ("od_mm", 100.0)])
+    def test_constant_column_fits_exactly(self, bearing_model, column,
+                                          value):
+        # equal values leave no variance to explain: the power law
+        # reproduces them to rounding, and R^2 reads 1
+        table = tuple(replace(row, **{column: value})
+                      for row in bearing_model.table)
+        report = bearing_fit_report(fit_bearing_model(table))
+        assert report[column]["r_squared"] == 1.0
+        assert report[column]["max_relative_residual"] < 1e-12
+        packaged = bearing_fit_report(bearing_model)
+        assert {name: stats for name, stats in report.items()
+                if name != column} == {name: stats for name, stats
+                                       in packaged.items() if name != column}
 
     def test_decreasing_mass_table_rejected(self, tmp_path):
         path = write_table(tmp_path / "t.csv",
