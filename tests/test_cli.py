@@ -193,6 +193,24 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="config search.bins"):
             load_config(write_config(tmp_path, bad))
 
+    @pytest.mark.parametrize("key, value", [
+        ("bins", {"lo": 5, "hi": 6}), ("bins", 5), ("bins", [[5, 6, 7]]),
+        ("module_set", "0.5"), ("architectures", []),
+        ("architectures", ["spur"]),
+    ], ids=["bins-mapping", "bins-scalar", "bins-three-edges",
+            "module-set-string", "architectures-empty",
+            "architectures-unknown"])
+    def test_malformed_search_value_is_named(self, tmp_path, capsys, key,
+                                             value):
+        path = write_config(tmp_path, {**MINIMAL, "search": {key: value},
+                                       "output_dir": str(tmp_path / "out")})
+        with pytest.raises(ConfigError) as error:
+            load_config(path)
+        assert str(error.value).startswith(f"config search.{key}")
+        assert main(["sweep", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: config search.{key}")
+
     def test_repeated_module_rejected(self, tmp_path):
         bad = dict(MINIMAL, search={"module_set": [0.5, 0.6, 0.5]})
         with pytest.raises(ConfigError,
