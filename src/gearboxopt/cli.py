@@ -19,12 +19,12 @@ sort_keys=True, indent=2, allow_nan=False)``.
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from json.encoder import encode_basestring_ascii
-from math import degrees, isfinite, radians
+from math import isfinite
 from pathlib import Path
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, get_args, get_origin
 
 import yaml
 
@@ -41,9 +41,17 @@ from .search import (BinComparison, BinResult, CostWeights,
                      optimize_bins, validate_bins, validate_module_set)
 from .strength import LoadCase, StrengthParams
 
-_TOP_LEVEL_KEYS = {"motor", "load", "constraints", "efficiency", "strength",
-                   "materials", "mass", "cost", "search", "bearing_table",
-                   "output_dir"}
+
+@dataclass(frozen=True)
+class _SearchSection:
+    """The keys, types and defaults of the config's ``search`` section."""
+    bins: list[tuple[float, float]] = field(default_factory=default_bins)
+    architectures: list[Architecture] = field(
+        default_factory=lambda: [Architecture.ISSPG, Architecture.ESSPG])
+    module_set: list[float] = field(
+        default_factory=lambda: list(STANDARD_MODULE_SET_MM))
+
+
 _SECTION_CLASSES = {
     "motor": MotorSpec,
     "load": LoadCase,
@@ -53,15 +61,33 @@ _SECTION_CLASSES = {
     "materials": MaterialSpec,
     "mass": MassModelParams,
     "cost": CostWeights,
+    "search": _SearchSection,
 }
+_TOP_LEVEL_KEYS = {*_SECTION_CLASSES, "bearing_table", "output_dir"}
 # fields that must come from the user (datasheet/requirement values)
 _REQUIRED_FIELDS = {
     "motor": {"outer_diameter_mm", "stator_inner_diameter_mm", "height_mm",
               "mass_kg", "max_torque_nm", "max_speed_rad_s"},
     "load": {"sun_torque_nm", "sun_speed_rad_s"},
 }
-# config exposes the pressure angle in degrees for readability
-_FIELD_ALIASES = {"efficiency": {"pressure_angle_deg": "pressure_angle_rad"}}
+
+
+def _validate_architectures(architectures: list[Architecture]
+                            ) -> list[Architecture]:
+    """Require at least one layout, each at most once: a repeat would be
+    swept and reported twice."""
+    if not architectures:
+        raise ValueError("no architectures given")
+    for i, arch in enumerate(architectures):
+        if arch in architectures[:i]:
+            raise ValueError(f"architecture {arch.value} given twice")
+    return architectures
+
+
+# checks of a whole given value, after its items are coerced
+_FIELD_CHECKS = {"search.bins": validate_bins,
+                 "search.module_set": validate_module_set,
+                 "search.architectures": _validate_architectures}
 
 
 @dataclass(frozen=True)
@@ -87,8 +113,18 @@ class ConfigError(ValueError):
     """A config file problem, with the offending field in the message."""
 
 
-def _coerce(section: str, key: str, value: Any, target: type) -> Any:
+def _coerce(section: str, key: str, value: Any, target: Any) -> Any:
     label = f"config {section}.{key}"
+    container = get_origin(target)
+    if container is list or container is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{label}: expected a list, got {value!r}")
+        kinds = get_args(target) * (len(value) if container is list else 1)
+        if len(value) != len(kinds):
+            raise ConfigError(
+                f"{label}: expected {len(kinds)} items, got {value!r}")
+        return container(_coerce(section, key, item, kind)
+                         for item, kind in zip(value, kinds))
     if target is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{label}: expected a number, got {value!r}")
@@ -129,111 +165,34 @@ def _build_section(section: str, raw: Any,
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(f"config section '{section}' must be a mapping")
-    aliases = _FIELD_ALIASES.get(section, {})
     field_map = {f.name: f for f in fields(cls)}
-    known_keys = (set(field_map) - set(aliases.values())) | set(aliases)
-    unknown = set(raw) - known_keys
+    unknown = set(raw) - set(field_map)
     if unknown:
         raise ConfigError(
             f"config section '{section}': unknown key "
-            f"'{sorted(unknown)[0]}' (known: {', '.join(sorted(known_keys))})")
+            f"'{sorted(unknown)[0]}' (known: {', '.join(sorted(field_map))})")
 
     kwargs = {}
-    for config_key in sorted(known_keys):
-        field_name = aliases.get(config_key, config_key)
-        spec = field_map[field_name]
-        if config_key in raw:
-            value = _coerce(section, config_key, raw[config_key], spec.type
-                            if config_key not in aliases else float)
-            if config_key in aliases:  # degrees in the file, radians inside
-                value = radians(value)
-            kwargs[field_name] = value
-        elif config_key in _REQUIRED_FIELDS.get(section, set()):
-            raise ConfigError(
-                f"config section '{section}': missing required key "
-                f"'{config_key}'")
+    for key in sorted(field_map):
+        if key in raw:
+            value = _coerce(section, key, raw[key], field_map[key].type)
+            check = _FIELD_CHECKS.get(f"{section}.{key}")
+            if check is not None:
+                try:
+                    value = check(value)
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"config {section}.{key}: {exc}") from exc
+            kwargs[key] = value
+        elif key in _REQUIRED_FIELDS.get(section, set()):
+            raise ConfigError(f"config section '{section}': missing "
+                              f"required key '{key}'")
         else:
-            defaults_log.append(f"{section}.{config_key}")
+            defaults_log.append(f"{section}.{key}")
     try:
         return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"config section '{section}': {exc}") from exc
-
-
-def _validate_architectures(architectures: list[Architecture]) -> None:
-    """Require every layout at most once: a repeat would be swept and
-    reported twice."""
-    for i, arch in enumerate(architectures):
-        if arch in architectures[:i]:
-            raise ValueError(f"architecture {arch.value} given twice")
-
-
-def _build_search_section(raw: Any, constraints: ConstraintParams,
-                          defaults_log: list[str]
-                          ) -> tuple[list, list, list]:
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError("config section 'search' must be a mapping")
-    unknown = set(raw) - {"bins", "architectures", "module_set"}
-    if unknown:
-        raise ConfigError(
-            f"config section 'search': unknown key '{sorted(unknown)[0]}'")
-
-    if "bins" in raw:
-        entries = raw["bins"]
-        if (not isinstance(entries, list)
-                or any(not isinstance(e, list) or len(e) != 2
-                       for e in entries)):
-            raise ConfigError(
-                "config search.bins must be a list of [lo, hi] pairs")
-        bins = [tuple(_coerce("search", "bins", edge, float)
-                      for edge in entry) for entry in entries]
-    else:
-        bins = default_bins()
-        defaults_log.append("search.bins")
-    try:
-        bins = validate_bins(bins)
-    except ValueError as exc:
-        raise ConfigError(f"config search.bins: {exc}") from exc
-
-    if "architectures" in raw:
-        entries = raw["architectures"]
-        if not isinstance(entries, list) or not entries:
-            raise ConfigError(
-                "config search.architectures must be a non-empty list")
-        architectures = [_coerce("search", "architectures", e, Architecture)
-                         for e in entries]
-        try:
-            _validate_architectures(architectures)
-        except ValueError as exc:
-            raise ConfigError(f"config search.architectures: {exc}") from exc
-    else:
-        architectures = [Architecture.ISSPG, Architecture.ESSPG]
-        defaults_log.append("search.architectures")
-
-    if "module_set" in raw:
-        entries = raw["module_set"]
-        if not isinstance(entries, list):
-            raise ConfigError("config search.module_set must be a list of "
-                              "modules (mm)")
-        modules = [_coerce("search", "module_set", e, float)
-                   for e in entries]
-        try:
-            module_set = validate_module_set(modules)
-        except ValueError as exc:
-            raise ConfigError(f"config search.module_set: {exc}") from exc
-    else:
-        module_set = list(STANDARD_MODULE_SET_MM)
-        defaults_log.append("search.module_set")
-    for module_mm in module_set:
-        if not (constraints.module_min_mm <= module_mm
-                <= constraints.module_max_mm):
-            raise ConfigError(
-                f"config search.module_set: module {module_mm:g} mm outside "
-                f"the allowed range [{constraints.module_min_mm:g}, "
-                f"{constraints.module_max_mm:g}] mm")
-    return bins, architectures, module_set
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -260,8 +219,14 @@ def load_config(path: str | Path) -> RunConfig:
     defaults_log: list[str] = []
     sections = {name: _build_section(name, raw.get(name), defaults_log)
                 for name in _SECTION_CLASSES}
-    bins, architectures, module_set = _build_search_section(
-        raw.get("search"), sections["constraints"], defaults_log)
+    constraints, search = sections["constraints"], sections["search"]
+    for module_mm in search.module_set:
+        if not (constraints.module_min_mm <= module_mm
+                <= constraints.module_max_mm):
+            raise ConfigError(
+                f"config search.module_set: module {module_mm:g} mm outside "
+                f"the allowed range [{constraints.module_min_mm:g}, "
+                f"{constraints.module_max_mm:g}] mm")
 
     if "bearing_table" in raw:
         table = _coerce("top-level", "bearing_table", raw["bearing_table"],
@@ -282,13 +247,12 @@ def load_config(path: str | Path) -> RunConfig:
         defaults_log.append("output_dir")
 
     return RunConfig(motor=sections["motor"], load=sections["load"],
-                     constraints=sections["constraints"],
+                     constraints=constraints,
                      efficiency=sections["efficiency"],
                      strength=sections["strength"],
                      materials=sections["materials"],
                      mass_params=sections["mass"], cost=sections["cost"],
-                     bins=bins, architectures=architectures,
-                     module_set=module_set, bearing_table_path=bearing_path,
+                     **vars(search), bearing_table_path=bearing_path,
                      output_dir=output_dir,
                      applied_defaults=tuple(sorted(defaults_log)))
 
@@ -302,14 +266,18 @@ def build_context(cfg: RunConfig, bearing: BearingModel) -> EvalContext:
                        bearing=bearing, cost=cfg.cost)
 
 
+def _plain(item: Any) -> Any:
+    """``item`` with enum members as their values and tuples as lists."""
+    if isinstance(item, Enum):
+        return item.value
+    if isinstance(item, (list, tuple)):
+        return [_plain(entry) for entry in item]
+    return item
+
+
 def _dataclass_dict(value: Any) -> dict:
-    out = {}
-    for spec in fields(value):
-        item = getattr(value, spec.name)
-        if isinstance(item, Enum):
-            item = item.value
-        out[spec.name] = item
-    return out
+    return {spec.name: _plain(getattr(value, spec.name))
+            for spec in fields(value)}
 
 
 def resolved_config_dict(cfg: RunConfig) -> dict:
@@ -318,27 +286,15 @@ def resolved_config_dict(cfg: RunConfig) -> dict:
     into reports. Output paths are excluded so that report bytes depend
     only on the model inputs; the bearing table is identified by name.
     """
-    efficiency = _dataclass_dict(cfg.efficiency)
-    angle = efficiency.pop("pressure_angle_rad")
-    efficiency["pressure_angle_deg"] = degrees(angle)
-    return {
-        "motor": _dataclass_dict(cfg.motor),
-        "load": _dataclass_dict(cfg.load),
-        "constraints": _dataclass_dict(cfg.constraints),
-        "efficiency": efficiency,
-        "strength": _dataclass_dict(cfg.strength),
-        "materials": _dataclass_dict(cfg.materials),
-        "mass": _dataclass_dict(cfg.mass_params),
-        "cost": _dataclass_dict(cfg.cost),
-        "search": {
-            "bins": [[lo, hi] for lo, hi in cfg.bins],
-            "architectures": [a.value for a in cfg.architectures],
-            "module_set": list(cfg.module_set),
-        },
-        "bearing_table": (cfg.bearing_table_path.name
-                          if cfg.bearing_table_path else "packaged"),
-        "applied_defaults": list(cfg.applied_defaults),
-    }
+    sections = dict(vars(cfg), mass=cfg.mass_params, search=_SearchSection(
+        bins=cfg.bins, architectures=cfg.architectures,
+        module_set=cfg.module_set))
+    echo = {name: _dataclass_dict(sections[name])
+            for name in _SECTION_CLASSES}
+    echo["bearing_table"] = (cfg.bearing_table_path.name
+                             if cfg.bearing_table_path else "packaged")
+    echo["applied_defaults"] = list(cfg.applied_defaults)
+    return echo
 
 
 def _evaluation_dict(evaluation: DesignEvaluation) -> dict:
@@ -578,25 +534,22 @@ def _write_comparison_md(path: Path, cfg: RunConfig,
     path.write_text("\n".join(lines))
 
 
-def run_sweep(cfg: RunConfig, architectures: Optional[list[Architecture]]
-              = None, out_dir: Optional[Path] = None,
+def run_sweep(cfg: RunConfig, out_dir: Optional[Path] = None,
               log_candidates: bool = False,
               workers: Optional[int] = None) -> dict:
     """
-    Execute the full optimization and write all report files.
+    Execute the full optimization of ``cfg.architectures`` and write all
+    report files.
 
     Returns the sweep document (the content of sweep.json). Empty bins
-    are reported, not errors. ``workers`` is validated (None or an int
-    >= 1) and the architectures checked for repeats before anything is
-    written; ``workers`` is otherwise ignored: the sweep is serial.
+    are reported, not errors. A refused sweep makes no output directory:
+    ``workers`` (None or an int >= 1) and the architectures are checked,
+    and the search is run, before it is made. ``workers`` is otherwise
+    ignored: the sweep is serial.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
-    architectures = architectures or cfg.architectures
-    _validate_architectures(architectures)
-    out_dir = Path(out_dir) if out_dir is not None else cfg.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    architectures = _validate_architectures(cfg.architectures)
     bearing = load_bearing_model(cfg.bearing_table_path)
     ctx = build_context(cfg, bearing)
     results = {arch: optimize_bins(arch, ctx, cfg.module_set, cfg.bins)
@@ -620,6 +573,8 @@ def run_sweep(cfg: RunConfig, architectures: Optional[list[Architecture]]
         document["comparison"] = [_comparison_dict(row)
                                   for row in comparison]
 
+    out_dir = Path(out_dir) if out_dir is not None else cfg.output_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "sweep.json", document)
     for arch in architectures:
         _write_results_csv(out_dir / f"results_{arch.value}.csv",
@@ -662,29 +617,25 @@ def _parse_design(text: str) -> tuple:
 
 def _parse_architectures(text: str) -> list[Architecture]:
     try:
-        parsed = [Architecture(part.strip().lower())
-                  for part in text.split(",") if part.strip()]
+        return _validate_architectures([
+            Architecture(part.strip().lower())
+            for part in text.split(",") if part.strip()])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    if not parsed:
-        raise argparse.ArgumentTypeError("no architectures given")
-    try:
-        _validate_architectures(parsed)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    return parsed
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    document = run_sweep(cfg, architectures=args.architectures,
-                         out_dir=args.out,
+    if args.architectures is not None:  # the echo reports what was swept
+        defaults = set(cfg.applied_defaults) - {"search.architectures"}
+        cfg = replace(cfg, architectures=args.architectures,
+                      applied_defaults=tuple(sorted(defaults)))
+    document = run_sweep(cfg, out_dir=args.out,
                          log_candidates=args.log_candidates)
     out_dir = Path(args.out) if args.out else cfg.output_dir
-    archs = args.architectures or cfg.architectures
     print(f"sweep complete: {len(cfg.bins)} bins x "
-          f"{len(archs)} architecture(s) -> {out_dir}")
-    for arch in archs:
+          f"{len(cfg.architectures)} architecture(s) -> {out_dir}")
+    for arch in cfg.architectures:
         filled = sum(1 for entry in document["results"][arch.value]
                      if entry["best"] is not None)
         print(f"  {arch.value}: {filled}/{len(cfg.bins)} bins feasible")
@@ -709,7 +660,9 @@ def _cmd_fit_bearings(args: argparse.Namespace) -> int:
     print(f"bearing table: {len(model.table)} rows, bores "
           f"{model.bore_min_mm:g}-{model.bore_max_mm:g} mm")
     for column, stats in report.items():
-        print(f"{column}: value ~ {stats['c']:.6g} * bore^{stats['k']:.4f}"
+        # + 0.0 turns a -0.0 of rounding noise into 0.0
+        exponent = round(stats["k"], 4) + 0.0
+        print(f"{column}: value ~ {stats['c']:.6g} * bore^{exponent:.4f}"
               f"  (R^2 = {stats['r_squared']:.4f}, max residual "
               f"{stats['max_relative_residual'] * 100.0:.1f}%)")
     print("per-row relative residuals (mass fit):")

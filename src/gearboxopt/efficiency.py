@@ -21,14 +21,14 @@ from .geometry import per_key
 @dataclass(frozen=True)
 class EfficiencyParams:
     """Friction and tooth-profile inputs of the mesh-efficiency model."""
-    mu: float = 0.06                             # avg tooth friction coefficient
-    pressure_angle_rad: float = radians(20.0)    # involute pressure angle
+    mu: float = 0.06                  # avg tooth friction coefficient
+    pressure_angle_deg: float = 20.0  # involute pressure angle
 
     def __post_init__(self):
         if not 0 <= self.mu < 1:
             raise ValueError("mu must lie in [0, 1)")
-        if not 0 < self.pressure_angle_rad < pi / 2:
-            raise ValueError("pressure_angle_rad must lie in (0, pi/2)")
+        if not 0 < self.pressure_angle_deg < 90:
+            raise ValueError("pressure_angle_deg must lie in (0, 90)")
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,8 @@ def mesh_chain(module_mm, sun_teeth, planet_teeth, ring_teeth,
     tip angle is taken once per (tip form, ``module_index``, tooth count).
     """
     m, s, p, r = module_mm, sun_teeth, planet_teeth, ring_teeth
-    cos_alpha, addendum = cos(params.pressure_angle_rad), 2.0 * m
+    alpha = radians(params.pressure_angle_deg)
+    cos_alpha, addendum = cos(alpha), 2.0 * m
     pitch_s, pitch_p, pitch_r = m * s, m * p, m * r
     base_s, tip_s = pitch_s * cos_alpha, pitch_s + addendum
     base_p, tip_p = pitch_p * cos_alpha, pitch_p + addendum
@@ -126,7 +127,7 @@ def mesh_chain(module_mm, sun_teeth, planet_teeth, ring_teeth,
             lambda x: tan(acos(x)) if x <= 1.0 else nan,
             np.array((base_s / tip_s, base_p / tip_p, base_r / tip_r)),
             np.array([[0], [0], [1]]), module_index, np.array((s, p, r)))
-    tan_alpha = tan(params.pressure_angle_rad)
+    tan_alpha = tan(alpha)
     eps_a1 = p / (2.0 * pi) * (tan_p - tan_alpha)
     eps_a2 = s / (2.0 * pi) * (tan_s - tan_alpha)
     eps_b1 = -(r / (2.0 * pi)) * (tan_r - tan_alpha)

@@ -173,7 +173,8 @@ class ColumnScores(NamedTuple):
     eta_overall: np.ndarray
 
 
-def validate_bins(bins: list[tuple[float, float]]) -> list[tuple[float, float]]:
+def validate_bins(bins: list[tuple[float, float]]
+                  ) -> list[tuple[float, float]]:
     """Require ascending, non-overlapping, non-empty, finite bins."""
     if not bins:
         raise ValueError("at least one ratio bin is required")

@@ -10,7 +10,7 @@ returns a verdict.
 """
 
 from enum import Enum
-from math import acos, cos, inf, pi, tan
+from math import acos, cos, inf, pi, radians, tan
 
 from gearboxopt import (Architecture, EfficiencyBreakdown, MassBreakdown,
                         base_plate_mass, bearing_mass, bearing_od,
@@ -98,7 +98,7 @@ def basic_driving_efficiency(teeth_1, teeth_2, module_mm, internal, params):
     """eta = 1 - mu*pi*(1/N1 +/- 1/N2)*eps of one mesh; raises when the
     friction drives it to 0 or below."""
     eps1, eps2 = contact_ratios(teeth_1, teeth_2, module_mm, internal,
-                                params.pressure_angle_rad)
+                                radians(params.pressure_angle_deg))
     sgn = -1.0 if internal else 1.0
     eta = 1.0 - params.mu * pi * (1.0 / teeth_1 + sgn / teeth_2) \
         * loss_parameter(eps1, eps2)
@@ -115,7 +115,8 @@ def planetary_efficiency(design, params) -> EfficiencyBreakdown:
                         design.planet_teeth, design.ring_teeth)
     meshes = ((n_s, n_p, False), (n_p, n_r, True))
     (eps_a1, eps_a2), (eps_b1, eps_b2) = [
-        contact_ratios(n_1, n_2, m, internal, params.pressure_angle_rad)
+        contact_ratios(n_1, n_2, m, internal,
+                       radians(params.pressure_angle_deg))
         for n_1, n_2, internal in meshes]
     eta_a, eta_b = [basic_driving_efficiency(n_1, n_2, m, internal, params)
                     for n_1, n_2, internal in meshes]

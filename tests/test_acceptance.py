@@ -224,7 +224,7 @@ def test_criterion_4_loss_parameter_bound(default_ctx):
     # S >= S_floor on every mesh, internal ones included. A 0.75 floor
     # would need S >= 1 + 1/sqrt(2) ~ 1.707, which no admitted
     # zero-shift 20 degree mesh reaches.
-    alpha = default_ctx.efficiency.pressure_angle_rad
+    alpha = math.radians(default_ctx.efficiency.pressure_angle_deg)
     bins = default_bins()
     min_teeth = ConstraintParams().min_teeth
     lowest_bin = min(lo for lo, _ in bins)

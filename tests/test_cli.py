@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from math import inf, nan, radians
 from pathlib import Path
 
@@ -71,6 +72,13 @@ def edited_bearing_table(tmp_path, column, value, rows=None):
     return table, write_config(tmp_path, {
         **MINIMAL, "bearing_table": table.name,
         "output_dir": str(tmp_path / "out")})
+
+
+def sweep_echo(config, out_dir, *options):
+    """The config echo of a ``gearboxopt sweep`` of ``config``."""
+    assert main(["sweep", "--config", str(config), "--out", str(out_dir),
+                 *options]) == 0
+    return json.loads((out_dir / "sweep.json").read_text())["config"]
 
 
 @pytest.fixture(scope="module")
@@ -147,8 +155,7 @@ class TestLoadConfig:
     def test_pressure_angle_in_degrees(self, tmp_path):
         cfg = load_config(write_config(
             tmp_path, dict(MINIMAL, efficiency={"pressure_angle_deg": 25})))
-        assert cfg.efficiency.pressure_angle_rad == pytest.approx(
-            radians(25.0), rel=1e-15)
+        assert cfg.efficiency.pressure_angle_deg == 25.0
 
     @pytest.mark.parametrize("section, key", [("motor", "height_mm"),
                                               ("load", "sun_torque_nm"),
@@ -275,6 +282,31 @@ class TestRunSweep:
             20.0)
         assert "constraints.max_teeth" in echo["applied_defaults"]
 
+    @pytest.mark.parametrize("config, efficiency, options", [
+        ("configs/u12.yaml", {}, []),
+        ("bench/scale.yaml", {}, []),
+        ("configs/u12.yaml", {"pressure_angle_deg": 14.5}, []),
+        ("configs/u12.yaml", {}, ["--architectures", "isspg"]),
+    ], ids=["u12", "scale", "u12-14.5deg", "u12-cli-isspg"])
+    def test_config_echo_reloads_to_itself(self, tmp_path, capsys, config,
+                                           efficiency, options):
+        # the echo states the config that was swept: written back as a
+        # config, it loads to the same sections
+        raw = yaml.safe_load((REPO / config).read_text())
+        raw["efficiency"] = efficiency
+        echo = sweep_echo(write_config(tmp_path, raw), tmp_path / "first",
+                          *options)
+        sections = {name: value for name, value in echo.items()
+                    if name not in ("bearing_table", "applied_defaults")}
+        again = sweep_echo(write_config(tmp_path, sections, "echo.yaml"),
+                           tmp_path / "again")
+        assert {name: again[name] for name in sections} == sections
+        assert echo["efficiency"]["pressure_angle_deg"] == \
+            efficiency.get("pressure_angle_deg", 20.0)
+        if options:
+            assert echo["search"]["architectures"] == ["isspg"]
+            assert "search.architectures" not in echo["applied_defaults"]
+
     def test_comparison_markdown(self, sweep_dir):
         out, _ = sweep_dir
         text = (out / "comparison.md").read_text()
@@ -332,7 +364,8 @@ class TestRunSweep:
                            "base_diameter_mm": base, "tip_diameter_mm": tip}
                     for gear, count, (pitch, base, tip) in zip(
                         ("sun", "planet", "ring"), teeth, gear_circles(
-                            design, cfg.efficiency.pressure_angle_rad))
+                            design,
+                            radians(cfg.efficiency.pressure_angle_deg)))
                 }, path.name
                 carrier = sheet["carrier"]
                 assert carrier["pin_circle_diameter_mm"] == \
@@ -347,7 +380,7 @@ class TestRunSweep:
 
     def test_single_architecture_run(self, u12_config_path, tmp_path):
         cfg = load_config(u12_config_path)
-        document = run_sweep(cfg, architectures=[Architecture.ISSPG],
+        document = run_sweep(replace(cfg, architectures=[Architecture.ISSPG]),
                              out_dir=tmp_path, workers=1)
         assert "comparison" not in document
         names = {p.name for p in tmp_path.iterdir()}
@@ -360,8 +393,9 @@ class TestRunSweep:
         # rejected before the output directory is created
         out_dir = tmp_path / "sweep"
         with pytest.raises(ValueError, match="isspg given twice"):
-            run_sweep(load_config(u12_config_path),
-                      architectures=[Architecture.ISSPG, Architecture.ISSPG],
+            run_sweep(replace(load_config(u12_config_path),
+                              architectures=[Architecture.ISSPG,
+                                             Architecture.ISSPG]),
                       out_dir=out_dir)
         assert not out_dir.exists()
 
@@ -509,7 +543,8 @@ class TestCommandLine:
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_bearing_cell_is_a_clean_error(self, tmp_path,
                                                       capsys, cell):
-        # named with its table line before a fit or report reads it
+        # named with its table line before a fit or report reads it, and
+        # the refused sweep leaves no output directory behind
         table, config = edited_bearing_table(tmp_path, "mass_kg", cell, [3])
         for argv in (["sweep", "--config", str(config)],
                      ["fit-bearings", "--table", str(table)]):
@@ -517,6 +552,7 @@ class TestCommandLine:
             assert capsys.readouterr().err == (
                 f"error: bearing table {table} line 4: all values must be "
                 "positive and finite\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("width", ["1.0", "2.0", "4.0", "6.0", "7.0",
                                        "10.0"])
@@ -528,6 +564,7 @@ class TestCommandLine:
                     if line.startswith("width_mm: "))
         assert line.startswith(f"width_mm: value ~ {float(width):g} * ")
         assert "(R^2 = 1.0000, max residual 0.0%)" in line
+        assert " * bore^0.0000  (R^2" in line  # no sign of rounding noise
         assert main(["sweep", "--config", str(config)]) == 0
         document = json.loads((tmp_path / "out" / "sweep.json").read_text())
         assert document["bearing_fit"]["width_mm"]["r_squared"] == 1.0

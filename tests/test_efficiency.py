@@ -7,7 +7,7 @@ efficiency) and are frozen here to 16 significant digits.
 """
 
 from dataclasses import astuple, replace
-from math import acos, degrees, pi, radians
+from math import acos, degrees, radians
 
 import numpy as np
 import pytest
@@ -76,9 +76,9 @@ class TestParams:
             EfficiencyParams(mu=1.0)
 
     def test_pressure_angle_range(self):
-        for angle in (0.0, pi / 2):
-            with pytest.raises(ValueError, match="pressure_angle_rad"):
-                EfficiencyParams(pressure_angle_rad=angle)
+        for angle in (0.0, 90.0):
+            with pytest.raises(ValueError, match="pressure_angle_deg"):
+                EfficiencyParams(pressure_angle_deg=angle)
 
 
 class TestTipPressureAngle:
@@ -257,8 +257,7 @@ class TestMeshChain:
         # model: equal floats when every verdict passes, and a failed
         # verdict exactly when the reference raises, at a mesh efficiency
         # <= 0 for a sound tooth form and at a degenerate one otherwise
-        params = EfficiencyParams(mu=mu, pressure_angle_rad=radians(
-            alpha_deg))
+        params = EfficiencyParams(mu=mu, pressure_angle_deg=alpha_deg)
         outcomes = set()
         for sun in (1, 2, 3, 5, 12, 20, 31):
             for planet in (1, 2, 4, 9, 17, 40):
@@ -286,13 +285,13 @@ class TestMeshChain:
            rows=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 150),
                                    st.integers(1, 150), st.integers(1, 400)),
                          min_size=1, max_size=30),
-           alpha=st.floats(0.01, 1.56))
+           alpha_deg=st.floats(0.5, 89.4))
     def test_circles_on_columns_equal_scalar_calls_and_oracles(
-            self, modules, rows, alpha):
+            self, modules, rows, alpha_deg):
         # every drawn table also holds a 2-tooth ring, whose tip circle
         # m*N - 2m is 0, and a 1-tooth ring, whose tip circle is negative
         rows = rows + [(0, 20, 40, 2), (0, 20, 40, 1)]
-        params = EfficiencyParams(pressure_angle_rad=alpha)
+        params = EfficiencyParams(pressure_angle_deg=alpha_deg)
         index = np.array([k % len(modules) for k, *_ in rows])
         m = np.array(modules)[index]
         s, p, r = (np.array(column) for column in list(zip(*rows))[1:])
@@ -310,7 +309,7 @@ class TestMeshChain:
             if row_sound:
                 assert tuple(tuple(float(column[i]) for column in gear)
                              for gear in circles) == scalar[2] == \
-                    gear_circles(design, alpha), design
+                    gear_circles(design, radians(alpha_deg)), design
             else:
                 assert scalar[1:] == (None, None)
         assert sound.tolist()[-2:] == [False, False]

@@ -6,7 +6,7 @@ import tracemalloc
 from bisect import bisect_right
 from dataclasses import fields, replace
 from functools import lru_cache, reduce
-from math import ceil, inf, isfinite, nan, pi, prod, radians
+from math import ceil, inf, isfinite, nan, pi, prod
 from operator import or_
 from pathlib import Path
 from unittest import mock
@@ -1015,7 +1015,7 @@ def eval_contexts(draw, bearing):
                       sun_speed_rad_s=draw(st.floats(0.0, 1000.0))),
         constraints=constraints,
         efficiency=EfficiencyParams(mu=draw(st.floats(0.0, 0.9)),
-                                    pressure_angle_rad=radians(alpha_deg)),
+                                    pressure_angle_deg=alpha_deg),
         strength=StrengthParams(fos=draw(st.floats(1.0, 3.0)),
                                 min_face_width_mm=draw(st.floats(0.5,
                                                                  5.0))),
@@ -1177,9 +1177,9 @@ class TestBitExactColumns:
         # eta = 0 at mu ~ 0.46; stepping mu across that point one ulp at
         # a time puts the mesh efficiency within rounding of 0, where one
         # differing bit would flip the verdict
-        alpha = radians(80.0)
+        alpha = 80.0
         eps_a = mesh_chain(1.2, 12, 12, 36, EfficiencyParams(
-            pressure_angle_rad=alpha))[1][4]
+            pressure_angle_deg=alpha))[1][4]
         mu = 1.0 / (pi * (1.0 / 12 + 1.0 / 12) * eps_a)
         mus = [mu]
         for _ in range(6):
@@ -1190,7 +1190,7 @@ class TestBitExactColumns:
             ctx = replace(default_ctx,
                           constraints=ConstraintParams(min_teeth=12),
                           efficiency=EfficiencyParams(
-                              mu=float(mu_k), pressure_angle_rad=alpha))
+                              mu=float(mu_k), pressure_angle_deg=alpha))
             evaluation, = assert_columns_equal_evaluate(
                 Architecture.ISSPG, ctx, ([1.2], [3], [12], [12], [0]))
             verdicts.add(evaluation.feasible)
