@@ -81,6 +81,87 @@ def sweep_echo(config, out_dir, *options):
     return json.loads((out_dir / "sweep.json").read_text())["config"]
 
 
+def _refused_sweep(tmp_path, mapping=None, text=None):
+    """The ``sweep`` argv of a config of ``mapping`` (``MINIMAL`` with an
+    output directory under it) or of raw ``text``, and its path."""
+    path = tmp_path / "run.yaml"
+    if text is None:
+        text = yaml.safe_dump({**MINIMAL, "output_dir": str(tmp_path / "out"),
+                               **mapping})
+    path.write_text(text)
+    return ["sweep", "--config", str(path)], path
+
+
+def _section_refusal(section, key, value, message):
+    """A ``MINIMAL`` config with ``section.key`` set to ``value``, refused
+    with ``message``."""
+    def case(tmp_path, _):
+        argv, _ = _refused_sweep(tmp_path, {section: {
+            **MINIMAL.get(section, {}), key: value}})
+        return argv, 1, f"error: {message}\n"
+    return case
+
+
+def _malformed_yaml(tmp_path, _):
+    argv, path = _refused_sweep(tmp_path, text="motor: [1, 2\n")
+    # the parser's own account of the error follows
+    return argv, 1, (f"error: cannot parse config {path}: while parsing a "
+                     "flow sequence\n")
+
+
+def _top_level_list(tmp_path, _):
+    argv, path = _refused_sweep(tmp_path, text="- motor\n- load\n")
+    return argv, 1, f"error: config {path}: top level must be a mapping\n"
+
+
+def _section_not_mapping(tmp_path, _):
+    argv, _ = _refused_sweep(tmp_path, {"efficiency": [0.06]})
+    return argv, 1, "error: config section 'efficiency' must be a mapping\n"
+
+
+def _missing_bearing_table(tmp_path, _):
+    argv, _ = _refused_sweep(tmp_path, {"bearing_table": "missing.csv"})
+    return argv, 1, ("error: config bearing_table: no such file "
+                     f"{(tmp_path / 'missing.csv').resolve()}\n")
+
+
+def _bearing_cell_text(tmp_path, _):
+    table, config = edited_bearing_table(tmp_path, "mass_kg", "abc", [3])
+    return ["sweep", "--config", str(config)], 1, (
+        f"error: bearing table {table} line 4: could not convert string to "
+        "float: 'abc'\n")
+
+
+def _fractional_tooth_count(_, u12_config_path):
+    return (["eval", "--config", str(u12_config_path), "--design",
+             "20.5,40,100,0.5,3,isspg"], 2,
+            "argument --design: bad design vector: invalid literal for int() "
+            "with base 10: '20.5'")
+
+
+# each refusal: (tmp_path, u12 config) -> (argv, exit code, the start of
+# stderr); an argparse refusal (exit 2) names its message after the usage
+REFUSALS = {
+    "motor-name-number": _section_refusal(
+        "motor", "name", 5, "config motor.name: expected a string, got 5"),
+    "section-not-mapping": _section_not_mapping,
+    "malformed-yaml": _malformed_yaml,
+    "top-level-list": _top_level_list,
+    "missing-bearing-table": _missing_bearing_table,
+    "fractional-tooth-count": _fractional_tooth_count,
+    "negative-ring-clearance": _section_refusal(
+        "constraints", "ring_clearance_mm", -1,
+        "config section 'constraints': ring_clearance_mm must be >= 0"),
+    "zero-density": _section_refusal(
+        "materials", "steel_density_kg_m3", 0,
+        "config section 'materials': densities must be positive"),
+    "negative-pin-engagement": _section_refusal(
+        "mass", "pin_engagement_mm", -1,
+        "config section 'mass': pin_engagement_mm must be >= 0"),
+    "bearing-cell-text": _bearing_cell_text,
+}
+
+
 @pytest.fixture(scope="module")
 def sweep_dir(u12_config_path, tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep")
@@ -592,6 +673,20 @@ class TestCommandLine:
                      ["sweep", "--config", str(path)]):
             assert main(argv) == 1
             assert capsys.readouterr().err.startswith(prefix)
+
+    @pytest.mark.parametrize("case", list(REFUSALS))
+    def test_refusal_is_named(self, tmp_path, capsys, u12_config_path,
+                              case):
+        argv, code, message = REFUSALS[case](tmp_path, u12_config_path)
+        if code == 2:  # argparse refuses before any handler runs
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            assert exit_.value.code == 2
+            assert message in capsys.readouterr().err
+        else:
+            assert main(argv) == code
+            assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_is_a_clean_error(self, tmp_path, capsys):
         path = write_config(tmp_path, {"motor": MINIMAL["motor"]})

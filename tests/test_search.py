@@ -739,6 +739,59 @@ class TestComparison:
         assert empty.winner is None
         assert not empty.isspg_feasible and not empty.esspg_feasible
 
+    def test_esspg_wins_a_bin_both_layouts_fill(self, default_ctx):
+        # at k_e = 100 efficiency outweighs mass: esspg's more efficient,
+        # heavier [5,6) winner beats isspg's, which keeps [6,7)
+        ctx = replace(default_ctx, cost=CostWeights(k_e=100.0))
+        rows = compare_architectures({
+            arch: optimize_bins(arch, ctx, ALL_MODULES, default_bins()[:2])
+            for arch in (Architecture.ISSPG, Architecture.ESSPG)})
+        first, second = rows
+        assert first.winner is Architecture.ESSPG
+        assert first.isspg_feasible and first.esspg_feasible
+        assert first.mass_margin_kg == pytest.approx(-0.18345, abs=1e-5)
+        assert first.efficiency_margin == pytest.approx(0.0019353, abs=1e-7)
+        assert second.winner is Architecture.ISSPG
+        assert second.mass_margin_kg > 0 > second.efficiency_margin
+
+    @pytest.mark.parametrize("k_e, bin_index, winner", [
+        (94.7, 0, Architecture.ISSPG), (94.9, 0, Architecture.ESSPG),
+        (104.3, 1, Architecture.ISSPG), (104.5, 1, Architecture.ESSPG)])
+    def test_efficiency_weight_flips_the_bin(self, default_ctx, k_e,
+                                             bin_index, winner):
+        ctx = replace(default_ctx, cost=CostWeights(k_e=k_e))
+        bins = default_bins()[bin_index:bin_index + 1]
+        row, = compare_architectures({
+            arch: optimize_bins(arch, ctx, ALL_MODULES, bins)
+            for arch in (Architecture.ISSPG, Architecture.ESSPG)})
+        assert row.winner is winner
+
+    def test_isspg_only_bin(self, bin_results):
+        isspg = bin_results[Architecture.ISSPG][:1]
+        esspg = [replace(bin_results[Architecture.ESSPG][0], best=None,
+                         feasible_count=0, empty_reason="ring_diameter")]
+        row, = compare_architectures({Architecture.ISSPG: isspg,
+                                      Architecture.ESSPG: esspg})
+        assert row.winner is Architecture.ISSPG
+        assert row.isspg_feasible and not row.esspg_feasible
+        assert row.mass_margin_kg is None and row.efficiency_margin is None
+
+    def test_exact_key_tie_goes_to_isspg(self, bin_results):
+        isspg = bin_results[Architecture.ISSPG][:1]
+        best = isspg[0].best
+        twin = replace(best, design=replace(best.design,
+                                            arch=Architecture.ESSPG))
+        assert ranking_key(twin) == ranking_key(best)
+        esspg = [replace(bin_results[Architecture.ESSPG][0], best=twin)]
+        for order in ((Architecture.ISSPG, Architecture.ESSPG),
+                      (Architecture.ESSPG, Architecture.ISSPG)):
+            results = {Architecture.ISSPG: isspg, Architecture.ESSPG: esspg}
+            row, = compare_architectures({arch: results[arch]
+                                          for arch in order})
+            assert row.winner is Architecture.ISSPG
+            assert row.mass_margin_kg == 0.0
+            assert row.efficiency_margin == 0.0
+
     def test_requires_matching_sweeps(self, bin_results):
         with pytest.raises(ValueError, match="both architectures"):
             compare_architectures(
