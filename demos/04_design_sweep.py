@@ -42,7 +42,7 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as scratch:
         out_dir = Path(scratch) / "sweep"
-        document = run_sweep(cfg, out_dir=out_dir, workers=1)
+        document = run_sweep(cfg, out_dir=out_dir)
 
         # per-bin winners for each architecture
         for arch, rows in document["results"].items():

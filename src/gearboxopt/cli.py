@@ -19,7 +19,7 @@ sort_keys=True, indent=2, allow_nan=False)``.
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from math import isfinite
@@ -64,12 +64,10 @@ _SECTION_CLASSES = {
     "search": _SearchSection,
 }
 _TOP_LEVEL_KEYS = {*_SECTION_CLASSES, "bearing_table", "output_dir"}
-# fields that must come from the user (datasheet/requirement values)
-_REQUIRED_FIELDS = {
-    "motor": {"outer_diameter_mm", "stator_inner_diameter_mm", "height_mm",
-              "mass_kg", "max_torque_nm", "max_speed_rad_s"},
-    "load": {"sun_torque_nm", "sun_speed_rad_s"},
-}
+
+
+def _required(spec) -> bool:  # datasheet and requirement values
+    return spec.default is MISSING and spec.default_factory is MISSING
 
 
 def _validate_architectures(architectures: list[Architecture]
@@ -113,6 +111,14 @@ class ConfigError(ValueError):
     """A config file problem, with the offending field in the message."""
 
 
+def _is_float_text(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _coerce(section: str, key: str, value: Any, target: Any) -> Any:
     label = f"config {section}.{key}"
     container = get_origin(target)
@@ -127,7 +133,12 @@ def _coerce(section: str, key: str, value: Any, target: Any) -> Any:
                          for item, kind in zip(value, kinds))
     if target is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{label}: expected a number, got {value!r}")
+            # YAML 1.1 reads 138.0e6 as text: it needs a signed exponent
+            hint = ("; YAML needs the form 1.0e+6 for a number with an "
+                    "exponent" if isinstance(value, str)
+                    and _is_float_text(value) else "")
+            raise ConfigError(
+                f"{label}: expected a number, got {value!r}{hint}")
         try:
             return float(value)
         except OverflowError:  # an integer beyond the largest float
@@ -184,7 +195,7 @@ def _build_section(section: str, raw: Any,
                     raise ConfigError(
                         f"config {section}.{key}: {exc}") from exc
             kwargs[key] = value
-        elif key in _REQUIRED_FIELDS.get(section, set()):
+        elif _required(field_map[key]):
             raise ConfigError(f"config section '{section}': missing "
                               f"required key '{key}'")
         else:
@@ -211,8 +222,8 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(
             f"config {path}: unknown top-level key '{sorted(unknown)[0]}' "
             f"(known: {', '.join(sorted(_TOP_LEVEL_KEYS))})")
-    for section in ("motor", "load"):
-        if section not in raw:
+    for section, cls in _SECTION_CLASSES.items():
+        if section not in raw and any(map(_required, fields(cls))):
             raise ConfigError(f"config {path}: missing required section "
                               f"'{section}'")
 
@@ -276,8 +287,10 @@ def _plain(item: Any) -> Any:
 
 
 def _dataclass_dict(value: Any) -> dict:
-    return {spec.name: _plain(getattr(value, spec.name))
-            for spec in fields(value)}
+    """The fields of a dataclass or NamedTuple, each made ``_plain``."""
+    names = (value._fields if isinstance(value, tuple)
+             else [spec.name for spec in fields(value)])
+    return {name: _plain(getattr(value, name)) for name in names}
 
 
 def resolved_config_dict(cfg: RunConfig) -> dict:
@@ -297,42 +310,33 @@ def resolved_config_dict(cfg: RunConfig) -> dict:
     return echo
 
 
-def _evaluation_dict(evaluation: DesignEvaluation) -> dict:
-    out = {
-        "design": _dataclass_dict(evaluation.design),
-        "feasible": evaluation.feasible,
-        "reduction_ratio": evaluation.reduction_ratio,
-    }
+def _scored_dict(evaluation: DesignEvaluation) -> dict:
+    """An evaluation's design and ratio, and its scores if feasible."""
+    out = {"design": _dataclass_dict(evaluation.design),
+           "reduction_ratio": evaluation.design.reduction_ratio}
     if evaluation.feasible:
-        out["efficiency"] = _dataclass_dict(evaluation.efficiency)
-        out["face_width_mm"] = evaluation.face_width_mm
-        out["mass_kg"] = _dataclass_dict(evaluation.mass)
-        out["cost"] = evaluation.cost
-    else:
+        out.update(efficiency=_dataclass_dict(evaluation.efficiency),
+                   face_width_mm=evaluation.face_width_mm,
+                   mass_kg=_dataclass_dict(evaluation.mass),
+                   cost=evaluation.cost)
+    return out
+
+
+def _evaluation_dict(evaluation: DesignEvaluation) -> dict:
+    out = dict(_scored_dict(evaluation), feasible=evaluation.feasible)
+    if not evaluation.feasible:
         out["failure_reasons"] = list(evaluation.failure_reasons)
     return out
 
 
-def _bin_result_dict(result: BinResult) -> dict:
-    return {
-        "bin": [result.lo, result.hi],
-        "candidates_examined": result.candidates_examined,
-        "feasible_count": result.feasible_count,
-        "best": (_evaluation_dict(result.best)
-                 if result.best is not None else None),
-        "empty_reason": result.empty_reason,
-    }
-
-
-def _comparison_dict(row: BinComparison) -> dict:
-    return {
-        "bin": [row.lo, row.hi],
-        "winner": row.winner.value if row.winner else None,
-        "mass_margin_kg": row.mass_margin_kg,
-        "efficiency_margin": row.efficiency_margin,
-        "isspg_feasible": row.isspg_feasible,
-        "esspg_feasible": row.esspg_feasible,
-    }
+def _bin_dict(row: BinResult | BinComparison) -> dict:
+    """A bin's record, its edges as one ``bin`` pair and a best design as
+    ``_evaluation_dict``."""
+    out = _dataclass_dict(row)
+    out["bin"] = [out.pop("lo"), out.pop("hi")]
+    if out.get("best") is not None:
+        out["best"] = _evaluation_dict(out["best"])
+    return out
 
 
 def export_dimension_sheet(evaluation: DesignEvaluation,
@@ -365,8 +369,7 @@ def export_dimension_sheet(evaluation: DesignEvaluation,
         }
 
     return {
-        "design": _dataclass_dict(design),
-        "reduction_ratio": design.reduction_ratio,
+        **_scored_dict(evaluation),
         "gear_ratio": design.gear_ratio,
         "gears": {
             gear: {"teeth": count, "pitch_diameter_mm": pitch,
@@ -374,7 +377,6 @@ def export_dimension_sheet(evaluation: DesignEvaluation,
             for gear, count, (pitch, base, tip)
             in zip(("sun", "planet", "ring"), teeth, circles)
         },
-        "face_width_mm": width,
         "bearings": {
             "planet": bearing_entry(mass_params.planet_bearing_bore_mm),
             "input": bearing_entry(mass_params.input_bearing_bore_mm),
@@ -397,9 +399,6 @@ def export_dimension_sheet(evaluation: DesignEvaluation,
             "base_plate_od_mm": ctx.motor.outer_diameter_mm,
             "base_plate_thickness_mm": mass_params.base_plate_thickness_mm,
         },
-        "efficiency": _dataclass_dict(evaluation.efficiency),
-        "mass_kg": _dataclass_dict(evaluation.mass),
-        "cost": evaluation.cost,
     }
 
 
@@ -469,9 +468,9 @@ def _write_results_csv(path: Path, results: list[BinResult]) -> None:
             best = result.best
             cells = (["empty"] + [""] * (len(_DESIGN_COLUMNS) + len(scores))
                      if best is None else
-                     ["ok", *_design_cells(best.design), best.reduction_ratio,
-                      best.efficiency.eta_overall, best.face_width_mm,
-                      best.mass.total, best.cost])
+                     ["ok", *_design_cells(best.design),
+                      best.design.reduction_ratio, best.efficiency.eta_overall,
+                      best.face_width_mm, best.mass.total, best.cost])
             writer.writerow([result.lo, result.hi, *cells,
                              result.candidates_examined,
                              result.feasible_count, result.empty_reason or ""])
@@ -489,8 +488,8 @@ def _write_candidates_csv(path: Path, evaluations:
             scores = ([ev.efficiency.eta_overall, ev.face_width_mm,
                        ev.mass.total, ev.cost, ""] if ev.feasible else
                       ["", "", "", "", "; ".join(ev.failure_reasons)])
-            writer.writerow([*_design_cells(ev.design), ev.reduction_ratio,
-                             ev.feasible, *scores])
+            writer.writerow([*_design_cells(ev.design),
+                             ev.design.reduction_ratio, ev.feasible, *scores])
 
 
 def _format_cell(result: BinResult) -> str:
@@ -564,14 +563,13 @@ def run_sweep(cfg: RunConfig, out_dir: Optional[Path] = None,
                                  "max_relative_residual")}
             for column, stats in fit_report.items()
         },
-        "results": {arch.value: [_bin_result_dict(r) for r in results[arch]]
+        "results": {arch.value: [_bin_dict(r) for r in results[arch]]
                     for arch in architectures},
     }
     comparison = None
     if (Architecture.ISSPG in results and Architecture.ESSPG in results):
         comparison = compare_architectures(results)
-        document["comparison"] = [_comparison_dict(row)
-                                  for row in comparison]
+        document["comparison"] = [_bin_dict(row) for row in comparison]
 
     out_dir = Path(out_dir) if out_dir is not None else cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)

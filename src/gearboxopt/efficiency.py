@@ -12,6 +12,7 @@ ISSPG and ESSPG layouts. Profile shift coefficients are 0.
 
 from dataclasses import dataclass
 from math import acos, cos, nan, pi, radians, tan
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +32,7 @@ class EfficiencyParams:
             raise ValueError("pressure_angle_deg must lie in (0, 90)")
 
 
-@dataclass(frozen=True)
-class EfficiencyBreakdown:
+class EfficiencyBreakdown(NamedTuple):
     """All intermediate and final efficiency quantities of one design."""
     eps_a1: float       # sun-planet approach contact ratio
     eps_a2: float       # sun-planet recess contact ratio
@@ -43,14 +43,6 @@ class EfficiencyBreakdown:
     eta_a: float        # sun-planet basic driving efficiency
     eta_b: float        # planet-ring basic driving efficiency
     eta_overall: float  # stage efficiency, fixed ring / carrier output
-
-    def __init__(self, eps_a1, eps_a2, eps_b1, eps_b2, eps_a, eps_b, eta_a,
-                 eta_b, eta_overall):
-        # kept by @dataclass: one dict fill, not a setattr call per field
-        self.__dict__.update(
-            eps_a1=eps_a1, eps_a2=eps_a2, eps_b1=eps_b1, eps_b2=eps_b2,
-            eps_a=eps_a, eps_b=eps_b, eta_a=eta_a, eta_b=eta_b,
-            eta_overall=eta_overall)
 
 
 def loss_parameter(eps1: float, eps2: float) -> float:

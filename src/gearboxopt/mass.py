@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from math import inf, nan, pi
 from pathlib import Path
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,8 +104,7 @@ class BearingModel:
         return self.table[-1].bore_mm
 
 
-@dataclass(frozen=True)
-class MassBreakdown:
+class MassBreakdown(NamedTuple):
     """Per-component actuator masses, kg."""
     sun: float
     planets_total: float
@@ -116,14 +116,6 @@ class MassBreakdown:
     base_plate: float
     motor: float
     total: float
-
-    def __init__(self, sun, planets_total, ring, carrier, secondary_carrier,
-                 bearings_total, casing, base_plate, motor, total):
-        # kept by @dataclass: one dict fill, not a setattr call per field
-        self.__dict__.update(
-            sun=sun, planets_total=planets_total, ring=ring, carrier=carrier,
-            secondary_carrier=secondary_carrier, bearings_total=bearings_total,
-            casing=casing, base_plate=base_plate, motor=motor, total=total)
 
 
 def default_bearing_table_path() -> Path:

@@ -124,21 +124,22 @@ class EvalContext:
 class DesignEvaluation:
     """Scored design: the ranking unit of the search."""
     design: GearboxDesign
-    feasible: bool
-    failure_reasons: tuple[str, ...]
-    reduction_ratio: float
+    failure_reasons: tuple[str, ...]    # empty exactly when feasible
     efficiency: Optional[EfficiencyBreakdown]
     face_width_mm: Optional[float]
     mass: Optional[MassBreakdown]
     cost: Optional[float]
 
-    def __init__(self, design, feasible, failure_reasons, reduction_ratio,
-                 efficiency, face_width_mm, mass, cost):
+    def __init__(self, design, failure_reasons, efficiency, face_width_mm,
+                 mass, cost):
         # kept by @dataclass: one dict fill, not a setattr call per field
-        self.__dict__.update(
-            design=design, feasible=feasible, failure_reasons=failure_reasons,
-            reduction_ratio=reduction_ratio, efficiency=efficiency,
-            face_width_mm=face_width_mm, mass=mass, cost=cost)
+        vars(self).update(design=design, failure_reasons=failure_reasons,
+                          efficiency=efficiency, face_width_mm=face_width_mm,
+                          mass=mass, cost=cost)
+
+    @property
+    def feasible(self) -> bool:
+        return not self.failure_reasons
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,6 @@ class BinResult:
     """Outcome of one (ratio bin, architecture) cell of the sweep."""
     lo: float                         # bin lower edge, inclusive
     hi: float                         # bin upper edge, exclusive
-    arch: Architecture
     best: Optional[DesignEvaluation]  # min-cost feasible design
     candidates_examined: int          # enumerated designs in the bin
     feasible_count: int               # of those, fully evaluable
@@ -340,8 +340,7 @@ def enumerate_feasible(motor: MotorSpec, arch: Architecture,
 
 
 def _dropped(design: GearboxDesign, reasons: tuple) -> DesignEvaluation:
-    return DesignEvaluation(design, False, reasons, design.reduction_ratio,
-                            None, None, None, None)
+    return DesignEvaluation(design, reasons, None, None, None, None)
 
 
 def evaluate(design: GearboxDesign, ctx: EvalContext) -> DesignEvaluation:
@@ -374,9 +373,8 @@ def evaluate(design: GearboxDesign, ctx: EvalContext) -> DesignEvaluation:
     cost = ctx.cost.k_m * total - ctx.cost.k_e * eta_overall
     if not isfinite(cost):
         return _dropped(design, (_MASS_RULES[-1],))
-    return DesignEvaluation(design, True, (), design.reduction_ratio,
-                            EfficiencyBreakdown(*chain), width_mm,
-                            MassBreakdown(*parts, total), cost)
+    return DesignEvaluation(design, (), EfficiencyBreakdown._make(chain),
+                            width_mm, MassBreakdown(*parts, total), cost)
 
 
 def ranking_key(evaluation: DesignEvaluation) -> tuple:
@@ -530,7 +528,7 @@ def optimize_bins(arch: Architecture, ctx: EvalContext,
     empty = [bin_ for bin_, winner in zip(bins, best) if winner is None]
     reasons = map(_dominant_rule, _bin_tallies(
         ctx.motor, arch, ctx.constraints, module_set, empty) if empty else [])
-    return [BinResult(lo=lo, hi=hi, arch=arch, best=winner,
+    return [BinResult(lo=lo, hi=hi, best=winner,
                       candidates_examined=n_examined,
                       feasible_count=n_feasible,
                       empty_reason=None if winner is not None
@@ -554,27 +552,14 @@ def compare_architectures(
 
     comparisons = []
     for bin_i, bin_e in zip(isspg, esspg):
-        winner = None
-        mass_margin = None
-        eta_margin = None
-        if bin_i.best is not None and bin_e.best is not None:
-            key_i = ranking_key(bin_i.best)
-            key_e = ranking_key(bin_e.best)
-            # exact key tie falls to ISSPG (fixed, documented preference)
-            winner_eval, loser_eval = ((bin_i.best, bin_e.best)
-                                       if key_i <= key_e
-                                       else (bin_e.best, bin_i.best))
-            winner = winner_eval.design.arch
-            mass_margin = loser_eval.mass.total - winner_eval.mass.total
-            eta_margin = (winner_eval.efficiency.eta_overall
-                          - loser_eval.efficiency.eta_overall)
-        elif bin_i.best is not None:
-            winner = Architecture.ISSPG
-        elif bin_e.best is not None:
-            winner = Architecture.ESSPG
+        # sorted is stable: an exact key tie falls to ISSPG, listed first
+        ranked = sorted((result.best for result in (bin_i, bin_e)
+                         if result.best is not None), key=ranking_key)
+        winner, loser = (*ranked, None, None)[:2]
+        margins = (None, None) if loser is None else (
+            loser.mass.total - winner.mass.total,
+            winner.efficiency.eta_overall - loser.efficiency.eta_overall)
         comparisons.append(BinComparison(
-            lo=bin_i.lo, hi=bin_i.hi, winner=winner,
-            mass_margin_kg=mass_margin, efficiency_margin=eta_margin,
-            isspg_feasible=bin_i.best is not None,
-            esspg_feasible=bin_e.best is not None))
+            bin_i.lo, bin_i.hi, winner.design.arch if winner else None,
+            *margins, bin_i.best is not None, bin_e.best is not None))
     return comparisons

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -18,9 +19,10 @@ from hypothesis import given, settings, strategies as st
 
 from gearboxopt import (Architecture, GearboxDesign, STANDARD_MODULE_SET_MM,
                         bearing_od)
-from gearboxopt.cli import (ConfigError, _json_text, _write_json,
-                            build_context, export_dimension_sheet,
-                            load_config, main, run_sweep)
+from gearboxopt.cli import (_SECTION_CLASSES, ConfigError, _json_text,
+                            _write_json, build_context,
+                            export_dimension_sheet, load_config, main,
+                            resolved_config_dict, run_sweep)
 from gearboxopt.mass import default_bearing_table_path, load_bearing_model
 from gearboxopt.search import evaluate
 
@@ -194,6 +196,42 @@ class TestLoadConfig:
         template = u12_config_path.parent / "template_annotated.yaml"
         with pytest.raises(ConfigError):
             load_config(template)
+
+    def test_filled_template_equals_u12_defaults(self, tmp_path,
+                                                 u12_config_path):
+        # every optional value the template shows is the default, so once
+        # its placeholders hold u12's numbers it resolves as u12.yaml does
+        u12 = yaml.safe_load(u12_config_path.read_text())
+        given = {**u12["motor"], **u12["load"]}
+        template = u12_config_path.parent / "template_annotated.yaml"
+        text, count = re.subn(
+            r"^(\s+)(\w+): REQUIRED",
+            lambda hit: f"{hit[1]}{hit[2]}: {given[hit[2]]!r}",
+            template.read_text(), flags=re.MULTILINE)
+        assert count == 8  # six motor numbers, two load numbers
+        filled = tmp_path / "filled.yaml"
+        filled.write_text(text)
+        echo, expected = (resolved_config_dict(load_config(path))
+                          for path in (filled, u12_config_path))
+        for section in set(_SECTION_CLASSES) - {"motor", "load"}:
+            assert echo[section] == expected[section], section
+        assert echo["motor"] == dict(expected["motor"], name="my-motor")
+        assert echo["load"] == expected["load"]
+
+    def test_exponent_without_sign_is_named(self, tmp_path):
+        path = write_config(tmp_path, dict(MINIMAL, strength={
+            "allowable_bending_stress_pa": "138.0e6"}))
+        with pytest.raises(ConfigError) as error:
+            load_config(path)
+        assert str(error.value) == (
+            "config strength.allowable_bending_stress_pa: expected a number, "
+            "got '138.0e6'; YAML needs the form 1.0e+6 for a number with an "
+            "exponent")
+        path.write_text(path.read_text().replace("'138.0e6'", "138.0e6"))
+        with pytest.raises(ConfigError, match="got '138.0e6'; YAML needs"):
+            load_config(path)
+        path.write_text(path.read_text().replace("138.0e6", "138.0e+6"))
+        assert load_config(path).strength.allowable_bending_stress_pa == 138e6
 
     def test_unknown_top_level_key(self, tmp_path):
         bad = dict(MINIMAL, extra_section={})

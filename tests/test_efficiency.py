@@ -6,7 +6,7 @@ approach/recess contact ratios, loss parameter, per-mesh and stage
 efficiency) and are frozen here to 16 significant digits.
 """
 
-from dataclasses import astuple, replace
+from dataclasses import replace
 from math import acos, degrees, radians
 
 import numpy as np
@@ -269,7 +269,7 @@ class TestMeshChain:
                     sound, fields, _ = mesh_chain(0.7, sun, planet, ring,
                                                   params)
                     if sound and fields[6] > 0 and fields[7] > 0:
-                        assert fields == astuple(
+                        assert fields == tuple(
                             planetary_efficiency(design, params)), design
                         outcomes.add("scored")
                         continue
@@ -329,4 +329,4 @@ class TestMeshChain:
         # rescaled design matches to rounding error on each field
         base = chain(20, 40, 100)
         scaled = chain(20, 40, 100, module_mm=1.2)
-        assert astuple(scaled) == pytest.approx(astuple(base), rel=1e-12)
+        assert tuple(scaled) == pytest.approx(tuple(base), rel=1e-12)

@@ -5,7 +5,7 @@ cylinder/annulus volumes and an explicit least-squares fit on the
 packaged bearing table.
 """
 
-from dataclasses import asdict, replace
+from dataclasses import replace
 from math import inf, nextafter, pi
 
 import pytest
@@ -308,15 +308,15 @@ class TestCarrierAndCasing:
 
 class TestComponentMasses:
     def test_frozen_breakdown(self, bearing_model):
-        actual = asdict(breakdown(REFERENCE, FACE_REFERENCE_MM,
-                                  bearing_model))
+        actual = breakdown(REFERENCE, FACE_REFERENCE_MM,
+                           bearing_model)._asdict()
         assert actual.keys() == BREAKDOWN_KG.keys()
         for key, expected in BREAKDOWN_KG.items():
             assert actual[key] == pytest.approx(expected, rel=REL), key
 
     def test_total_is_component_sum(self, bearing_model):
-        parts = asdict(breakdown(REFERENCE, FACE_REFERENCE_MM,
-                                 bearing_model))
+        parts = breakdown(REFERENCE, FACE_REFERENCE_MM,
+                          bearing_model)._asdict()
         total = parts.pop("total")
         assert total == pytest.approx(sum(parts.values()), rel=1e-15)
 
@@ -364,7 +364,7 @@ class TestComponentMasses:
                                 params, ctx.mass_terms))
                         if sound:
                             assert (*parts, sum(parts)) == tuple(
-                                asdict(actuator_mass(*args)).values())
+                                actuator_mass(*args))
                             assert dimensions == (
                                 pin_circle_diameter_mm(design),
                                 carrier_disk_od_mm(design),

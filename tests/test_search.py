@@ -141,7 +141,7 @@ def scalar_bins(arch, ctx, modules, bins):
                     if evaluation.feasible]
         best = min(feasible, key=ranking_key, default=None)
         results.append(BinResult(
-            lo=lo, hi=hi, arch=arch, best=best,
+            lo=lo, hi=hi, best=best,
             candidates_examined=len(candidates),
             feasible_count=len(feasible),
             empty_reason=None if best is not None else diagnosis(
@@ -326,7 +326,8 @@ class TestEvaluate:
         result = evaluate(REFERENCE, default_ctx)
         assert result.feasible
         assert result.failure_reasons == ()
-        assert result.reduction_ratio == pytest.approx(6.0, rel=1e-15)
+        assert result.design.reduction_ratio == pytest.approx(
+            6.0, rel=1e-15)
         assert result.cost == pytest.approx(REFERENCE_COST, rel=1e-12)
         assert result.mass.total == pytest.approx(1.3818381711166409,
                                                   rel=1e-12)
@@ -492,7 +493,7 @@ class TestOptimizeBins:
         for results in bin_results.values():
             for result in results:
                 if result.best is not None:
-                    assert result.lo <= result.best.reduction_ratio \
+                    assert result.lo <= result.best.design.reduction_ratio \
                         < result.hi
                     assert result.empty_reason is None
 
@@ -1110,11 +1111,10 @@ class TestScoreColumns:
                 len(evaluation.failure_reasons) == 1
                 and evaluation.failure_reasons[0] in _MODEL_RULES)
             # the shared model code keeps np.float64 out of the records
-            numbers = [evaluation.reduction_ratio]
+            numbers = [evaluation.design.reduction_ratio]
             if evaluation.feasible:
                 numbers += [evaluation.face_width_mm, evaluation.cost,
-                            *vars(evaluation.efficiency).values(),
-                            *vars(evaluation.mass).values()]
+                            *evaluation.efficiency, *evaluation.mass]
             assert {type(x) for x in numbers} == {float}
             if evaluation.feasible:
                 assert scores.cost[i] == evaluation.cost
@@ -1362,8 +1362,7 @@ class TestExtremeInputs:
                 assert scores.feasible[0] == result.feasible, result
             if result.feasible:
                 numbers = [result.face_width_mm, result.cost,
-                           *vars(result.efficiency).values(),
-                           *vars(result.mass).values()]
+                           *result.efficiency, *result.mass]
                 assert all(isfinite(x) for x in numbers), result
             else:
                 assert result.failure_reasons, result
