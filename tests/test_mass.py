@@ -154,6 +154,13 @@ class TestBearingFit:
         assert bearing_model.width_c == pytest.approx(FIT_WIDTH_C, rel=REL)
         assert bearing_model.width_k == pytest.approx(FIT_WIDTH_K, rel=REL)
 
+    def test_packaged_model_is_hashable(self, bearing_model, default_ctx):
+        # ``EvalContext`` is a frozen dataclass that hashes its bearing
+        again = load_bearing_model()
+        assert again == bearing_model
+        assert hash(again) == hash(bearing_model)
+        assert hash(replace(default_ctx, bearing=again)) == hash(default_ctx)
+
     def test_fit_quality_bounds(self, bearing_model):
         report = bearing_fit_report(bearing_model)
         stats = report["mass_kg"]

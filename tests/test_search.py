@@ -356,6 +356,16 @@ class TestEvaluate:
                              num_planets=2)
         self._assert_unscored(evaluate(tiny, relaxed), "tooth_form")
 
+    def test_integer_module_scores_as_its_float(self, default_ctx):
+        # the scalar path takes a module as given, int or float
+        design = GearboxDesign(arch=Architecture.ESSPG, sun_teeth=20,
+                               planet_teeth=20, ring_teeth=60, module_mm=1,
+                               num_planets=4)
+        result = evaluate(design, default_ctx)
+        assert result.feasible
+        assert result == evaluate(replace(design, module_mm=1.0),
+                                  default_ctx)
+
     @staticmethod
     def _assert_unscored(result, rule):
         assert not result.feasible
