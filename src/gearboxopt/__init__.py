@@ -13,10 +13,10 @@ from .geometry import (Architecture, ConstraintParams, GearboxDesign,
                        constraint_failures, interference_margin_mm,
                        max_gearbox_diameter)
 from .mass import (MassBreakdown, MassModelParams, MaterialSpec,
-                   base_plate_mass, bearing_fit_report, bearing_mass,
-                   bearing_od, bearing_width, default_bearing_table_path,
-                   fit_bearing_model, gearbox_stack_height_mm,
-                   load_bearing_model, load_bearing_table, planet_pin_mass)
+                   base_plate_mass, bearing_fit_report, bearing_value,
+                   default_bearing_table_path, fit_bearing_model,
+                   gearbox_stack_height_mm, load_bearing_model,
+                   load_bearing_table, planet_pin_mass)
 from .search import (BinResult, CostWeights, DesignEvaluation, EvalContext,
                      compare_architectures, default_bins, enumerate_feasible,
                      evaluate, optimize_bins, ranking_key, validate_bins)
@@ -31,8 +31,8 @@ __all__ = [
     "EvalContext", "GearboxDesign", "LewisFormula", "LoadCase",
     "MassBreakdown", "MassModelParams", "MaterialSpec", "MotorSpec",
     "STANDARD_MODULE_SET_MM", "StrengthParams", "VelocityFormula",
-    "base_plate_mass", "bearing_fit_report", "bearing_mass", "bearing_od",
-    "bearing_width", "compare_architectures", "constraint_failures",
+    "base_plate_mass", "bearing_fit_report", "bearing_value",
+    "compare_architectures", "constraint_failures",
     "default_bearing_table_path", "default_bins", "enumerate_feasible",
     "evaluate", "fit_bearing_model", "gearbox_stack_height_mm",
     "interference_margin_mm", "lewis_form_factor", "load_bearing_model",

@@ -31,9 +31,9 @@ import yaml
 from .efficiency import EfficiencyParams, mesh_chain
 from .geometry import (Architecture, ConstraintParams, GearboxDesign,
                        MotorSpec, STANDARD_MODULE_SET_MM)
-from .mass import (BearingModel, MassModelParams, MaterialSpec,
-                   bearing_fit_report, bearing_mass, bearing_od,
-                   bearing_width, component_masses, gearbox_stack_height_mm,
+from .mass import (_FITTED_COLUMNS, BearingModel, MassModelParams,
+                   MaterialSpec, bearing_fit_report, bearing_value,
+                   component_masses, gearbox_stack_height_mm,
                    load_bearing_model)
 from .search import (BinComparison, BinResult, CostWeights,
                      DesignEvaluation, EvalContext, compare_architectures,
@@ -210,7 +210,7 @@ def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a YAML run config, applying documented defaults."""
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.safe_load(path.read_bytes())  # PyYAML finds the encoding
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -353,20 +353,17 @@ def export_dimension_sheet(evaluation: DesignEvaluation,
             "cannot export a dimension sheet for an infeasible design: "
             + "; ".join(evaluation.failure_reasons))
     design, width = evaluation.design, evaluation.face_width_mm
-    bearing, mass_params = ctx.bearing, ctx.mass_params
+    mass_params = ctx.mass_params
     teeth = design.sun_teeth, design.planet_teeth, design.ring_teeth
     *_, circles = mesh_chain(design.module_mm, *teeth, ctx.efficiency)
     *_, (pin_circle, disk_od, disk_id, casing_length) = component_masses(
         design.arch, design.module_mm, design.num_planets, *teeth, width,
-        ctx.motor, bearing, ctx.materials, mass_params, ctx.mass_terms)
+        ctx.motor, ctx.bearing, ctx.materials, mass_params, ctx.mass_terms)
 
     def bearing_entry(bore_mm: float) -> dict:
-        return {
-            "bore_mm": bore_mm,
-            "od_mm": bearing_od(bore_mm, bearing),
-            "width_mm": bearing_width(bore_mm, bearing),
-            "mass_kg": bearing_mass(bore_mm, bearing),
-        }
+        return dict(bore_mm=bore_mm, **{
+            column: bearing_value(column, bore_mm, ctx.bearing)
+            for column in _FITTED_COLUMNS})
 
     return {
         **_scored_dict(evaluation),
@@ -444,7 +441,7 @@ def _json_text(value: Any, indent: str = "\n") -> str:
 
 def _write_json(path: Path, document: dict) -> None:
     # the text is built first, so a value it rejects leaves no file
-    path.write_text(_json_text(document) + "\n")
+    path.write_text(_json_text(document) + "\n", encoding="utf-8")
 
 
 _DESIGN_COLUMNS = ["sun_teeth", "planet_teeth", "ring_teeth", "module_mm",
@@ -461,7 +458,7 @@ def _write_results_csv(path: Path, results: list[BinResult]) -> None:
               "total_mass_kg", "cost"]
     columns = ["bin_lo", "bin_hi", "status", *_DESIGN_COLUMNS, *scores,
                "candidates_examined", "feasible_count", "empty_reason"]
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
         for result in results:
@@ -481,7 +478,7 @@ def _write_candidates_csv(path: Path, evaluations:
     columns = [*_DESIGN_COLUMNS, "reduction_ratio", "feasible",
                "eta_overall", "face_width_mm", "total_mass_kg", "cost",
                "failure_reasons"]
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
         for ev in evaluations:
@@ -530,7 +527,7 @@ def _write_comparison_md(path: Path, cfg: RunConfig,
         lines.append("Defaults applied for: "
                      + ", ".join(cfg.applied_defaults) + ".")
         lines.append("")
-    path.write_text("\n".join(lines))
+    path.write_text("\n".join(lines), encoding="utf-8")
 
 
 def run_sweep(cfg: RunConfig, out_dir: Optional[Path] = None,

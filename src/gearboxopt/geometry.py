@@ -181,17 +181,12 @@ def max_gearbox_diameter(motor: MotorSpec, arch: Architecture,
     Largest ring-gear pitch diameter the motor envelope admits (mm).
 
     ESSPG rings may grow to the motor OD minus clearance; ISSPG rings
-    must fit inside the stator bore minus the same clearance.
+    must fit inside the stator bore minus the same clearance. A bound
+    <= 0 leaves no room: ``ring_diameter`` then fails every design.
     """
     if arch is _ESSPG:
-        bound = motor.outer_diameter_mm - params.ring_clearance_mm
-    else:
-        bound = motor.stator_inner_diameter_mm - params.ring_clearance_mm
-    if bound <= 0:
-        raise ValueError(
-            f"motor {motor.name} leaves no room for a {arch.value} gearbox "
-            f"(diameter bound {bound:.1f} mm)")
-    return bound
+        return motor.outer_diameter_mm - params.ring_clearance_mm
+    return motor.stator_inner_diameter_mm - params.ring_clearance_mm
 
 
 # the feasibility rules, in the order ``constraint_rules`` returns their

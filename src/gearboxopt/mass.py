@@ -8,9 +8,9 @@ Component rules:
   mass of small fasteners excluded elsewhere.
 - The ring gear is a steel annulus from its tip circle out to the pitch
   circle plus twice a radial wall (default 2.5 modules).
-- Bearings follow a continuous power-law regression mass ~ c*bore^k
-  fitted at startup to a thin-section deep-groove table shipped as CSV;
-  OD and width get analogous fits for dimensioning neighbors.
+- Bearings follow a power law value ~ c*bore^k per column (mass, OD,
+  width) of a thin-section deep-groove table shipped as CSV, fitted at
+  startup; OD and width dimension the neighbors.
 - Carriers are aluminum hollow disks spanning the planet orbit, plus
   steel planet pins; the secondary (support) carrier repeats the disk
   without the pins.
@@ -22,7 +22,7 @@ Units: mm in, kg out; densities in kg/m^3.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import inf, nan, pi
 from pathlib import Path
 from importlib import resources
@@ -86,14 +86,11 @@ class BearingRow:
 
 @dataclass(frozen=True)
 class BearingModel:
-    """Power-law fits over a bearing table: value ~ c * bore^k."""
+    """Per fitted column of a bearing table, (c, k) of value ~ c*bore^k."""
     table: tuple[BearingRow, ...]
-    mass_c: float
-    mass_k: float
-    od_c: float
-    od_k: float
-    width_c: float
-    width_k: float
+    mass_kg: tuple[float, float]
+    od_mm: tuple[float, float]
+    width_mm: tuple[float, float]
 
     @property
     def bore_min_mm(self) -> float:
@@ -102,6 +99,10 @@ class BearingModel:
     @property
     def bore_max_mm(self) -> float:
         return self.table[-1].bore_mm
+
+
+# the table columns fitted against the bore, in report order
+_FITTED_COLUMNS = tuple(spec.name for spec in fields(BearingModel)[1:])
 
 
 class MassBreakdown(NamedTuple):
@@ -131,7 +132,7 @@ def load_bearing_table(path: str | Path) -> tuple[BearingRow, ...]:
     Rows must be strictly increasing in bore with positive, finite
     entries.
     """
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != _BEARING_CSV_HEADER:
@@ -172,19 +173,20 @@ def _power_law_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(np.exp(log_c)), float(k)
 
 
+def _column(table: tuple[BearingRow, ...], name: str) -> np.ndarray:
+    return np.array([getattr(row, name) for row in table])
+
+
 def fit_bearing_model(table: tuple[BearingRow, ...]) -> BearingModel:
-    """Fit the three power laws over a loaded table."""
-    bore = np.array([row.bore_mm for row in table])
-    mass_c, mass_k = _power_law_fit(bore, np.array([r.mass_kg for r in table]))
-    od_c, od_k = _power_law_fit(bore, np.array([r.od_mm for r in table]))
-    width_c, width_k = _power_law_fit(bore,
-                                      np.array([r.width_mm for r in table]))
+    """Fit the power law of each fitted column over a loaded table."""
+    bore = _column(table, "bore_mm")
+    fits = {name: _power_law_fit(bore, _column(table, name))
+            for name in _FITTED_COLUMNS}
+    mass_k = fits["mass_kg"][1]
     if mass_k <= 0:
         raise ValueError(
             f"bearing mass fit is not monotone increasing (k={mass_k:.3f})")
-    return BearingModel(table=tuple(table), mass_c=mass_c, mass_k=mass_k,
-                        od_c=od_c, od_k=od_k, width_c=width_c,
-                        width_k=width_k)
+    return BearingModel(table=tuple(table), **fits)
 
 
 def load_bearing_model(path: str | Path | None = None) -> BearingModel:
@@ -193,27 +195,15 @@ def load_bearing_model(path: str | Path | None = None) -> BearingModel:
     return fit_bearing_model(load_bearing_table(table_path))
 
 
-def _fitted(bore_mm: float, model: BearingModel, c: float, k: float):
+def bearing_value(column: str, bore_mm: float, model: BearingModel) -> float:
+    """A fitted column (``mass_kg``, ``od_mm`` or ``width_mm``) at a bore;
+    rejects out-of-range bores."""
     if not model.bore_min_mm <= bore_mm <= model.bore_max_mm:
         raise ValueError(
             f"bearing bore {bore_mm:.2f} mm outside the fitted range "
             f"[{model.bore_min_mm:.0f}, {model.bore_max_mm:.0f}] mm")
+    c, k = getattr(model, column)
     return c * bore_mm ** k
-
-
-def bearing_mass(bore_mm: float, model: BearingModel) -> float:
-    """Fitted bearing mass at a bore (kg); rejects out-of-range bores."""
-    return _fitted(bore_mm, model, model.mass_c, model.mass_k)
-
-
-def bearing_od(bore_mm: float, model: BearingModel) -> float:
-    """Fitted bearing outer diameter at a bore (mm)."""
-    return _fitted(bore_mm, model, model.od_c, model.od_k)
-
-
-def bearing_width(bore_mm: float, model: BearingModel) -> float:
-    """Fitted bearing width at a bore (mm)."""
-    return _fitted(bore_mm, model, model.width_c, model.width_k)
 
 
 def bearing_fit_report(model: BearingModel) -> dict:
@@ -223,17 +213,10 @@ def bearing_fit_report(model: BearingModel) -> dict:
     A column of equal values has no variance to explain and reports
     R^2 = 1: its fit reproduces it to rounding.
     """
-    bore = np.array([row.bore_mm for row in model.table])
+    bore = _column(model.table, "bore_mm")
     report = {}
-    columns = {
-        "mass_kg": (np.array([r.mass_kg for r in model.table]),
-                    model.mass_c, model.mass_k),
-        "od_mm": (np.array([r.od_mm for r in model.table]),
-                  model.od_c, model.od_k),
-        "width_mm": (np.array([r.width_mm for r in model.table]),
-                     model.width_c, model.width_k),
-    }
-    for name, (actual, c, k) in columns.items():
+    for name in _FITTED_COLUMNS:
+        actual, (c, k) = _column(model.table, name), getattr(model, name)
         fitted = c * bore ** k
         log_actual = np.log(actual)
         ss_res = float(np.sum((log_actual - np.log(fitted)) ** 2))
@@ -291,9 +274,9 @@ def context_terms(motor: MotorSpec, bearing: BearingModel,
     return ((0.0, 0.0) if params.fastener_offset else (shaft, planet),
             low, high, shaft_ok, planet_ok,
             motor.outer_diameter_mm - 2.0 * params.casing_wall_mm,
-            bearing_od(shaft, bearing) if shaft_ok else nan,
-            bearing_mass(shaft, bearing) if shaft_ok else nan,
-            bearing_mass(planet, bearing) if planet_ok else nan,
+            bearing_value("od_mm", shaft, bearing) if shaft_ok else nan,
+            bearing_value("mass_kg", shaft, bearing) if shaft_ok else nan,
+            bearing_value("mass_kg", planet, bearing) if planet_ok else nan,
             base_plate_mass(motor, materials, params))
 
 
@@ -345,11 +328,11 @@ def component_masses(arch: Architecture, module_mm, num_planets, sun_teeth,
     if arch is not _ISSPG:
         casing_length = casing_length + gearbox_stack_height_mm(width, params)
     if module_index is None:
-        output_kg = bearing_mass(pin_circle, bearing)
+        output_kg = bearing_value("mass_kg", pin_circle, bearing)
     else:
-        output_kg = bearing.mass_c * per_key(  # bearing_mass's power law
-            lambda bore: bore ** bearing.mass_k if low <= bore <= high
-            else nan, pin_circle, module_index, sun_teeth + planet_teeth)
+        (c, k), key = bearing.mass_kg, sun_teeth + planet_teeth
+        output_kg = c * per_key(lambda bore: bore ** k if low <= bore <= high
+                                else nan, pin_circle, module_index, key)
     return sound, verdicts, (
         _annulus_kg(steel, width, d_sun, sun_bore),
         n * _annulus_kg(steel, width, d_planet, planet_bore),

@@ -13,7 +13,7 @@ derating for pitch-line speed. All gears of the stage share this width
 (single mesh plane).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from math import pi
 
@@ -54,6 +54,10 @@ class StrengthParams:
             raise ValueError("fos must be >= 1")
         if self.min_face_width_mm <= 0:
             raise ValueError("min_face_width_mm must be positive")
+        for spec in fields(self):  # a formula selection is an enum member
+            if issubclass(spec.type, Enum) and not isinstance(
+                    getattr(self, spec.name), spec.type):
+                raise ValueError(f"{spec.name} must be a {spec.type.__name__}")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from enum import Enum
 from math import acos, cos, inf, pi, radians, tan
 
 from gearboxopt import (Architecture, EfficiencyBreakdown, MassBreakdown,
-                        base_plate_mass, bearing_mass, bearing_od,
+                        base_plate_mass, bearing_value,
                         gearbox_stack_height_mm, loss_parameter,
                         overall_efficiency, planet_pin_mass)
 
@@ -209,16 +209,18 @@ def actuator_mass(design, motor, face_width_mm, bearing, materials,
                                  materials)
     ring = ring_gear_mass(design.ring_teeth, m, width,
                           params.ring_radial_thickness_coeff * m, materials)
-    disk_od, shaft_od = carrier_disk_od_mm(design), bearing_od(shaft, bearing)
+    disk_od = carrier_disk_od_mm(design)
+    shaft_od = bearing_value("od_mm", shaft, bearing)
     if not shaft_od < disk_od:
         raise ValueError(f"carrier disk OD {disk_od:.1f} mm does not clear "
                          f"the {shaft_od:.1f} mm sun-shaft bearing")
     disk = _annulus_kg(materials.aluminum_density_kg_m3,
                        params.carrier_disk_thickness_mm, disk_od, shaft_od)
+    bearings = [bearing_value("mass_kg", bore, bearing) for bore
+                in (planet, shaft, output_bearing_bore_mm(design))]
     parts = (sun, planets, ring,
              disk + n * planet_pin_mass(width, materials, params), disk,
-             n * bearing_mass(planet, bearing) + bearing_mass(shaft, bearing)
-             + bearing_mass(output_bearing_bore_mm(design), bearing),
+             n * bearings[0] + bearings[1] + bearings[2],
              casing_mass(design, motor, width, materials, params),
              base_plate_mass(motor, materials, params), motor.mass_kg)
     return MassBreakdown(*parts, sum(parts))

@@ -18,7 +18,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from gearboxopt import (Architecture, GearboxDesign, STANDARD_MODULE_SET_MM,
-                        bearing_od)
+                        bearing_value)
 from gearboxopt.cli import (_SECTION_CLASSES, ConfigError, _json_text,
                             _write_json, build_context,
                             export_dimension_sheet, load_config, main,
@@ -514,10 +514,27 @@ class TestRunSweep:
                 assert sheet["bearings"]["output"]["bore_mm"] == \
                     output_bearing_bore_mm(design), path.name
                 assert carrier["disk_od_mm"] == carrier_disk_od_mm(design)
-                assert carrier["disk_id_mm"] == bearing_od(
-                    params.input_bearing_bore_mm, bearing)
+                assert carrier["disk_id_mm"] == bearing_value(
+                    "od_mm", params.input_bearing_bore_mm, bearing)
                 assert sheet["casing"]["length_mm"] == casing_length_mm(
                     design, cfg.motor, sheet["face_width_mm"], params)
+
+    def test_layout_without_room_is_reported(self, tmp_path):
+        # a 65 mm ring clearance leaves the isspg ring a 0 mm bound: its
+        # every bin is empty by ring_diameter, and esspg still fills one
+        config = write_config(tmp_path, {
+            **MINIMAL, "constraints": {"ring_clearance_mm": 65.0}})
+        document = run_sweep(load_config(config), out_dir=tmp_path / "out")
+        isspg, esspg = (document["results"][arch.value]
+                        for arch in Architecture)
+        assert [row["empty_reason"] for row in isspg] == [
+            "ring_diameter"] * 10
+        assert [row["empty_reason"] for row in esspg] == [
+            None] + ["ring_diameter"] * 9
+        assert esspg[0]["feasible_count"] == 2
+        assert esspg[0]["bin"] == [5.0, 6.0]
+        assert [row["winner"] for row in document["comparison"]] == [
+            "esspg"] + [None] * 9
 
     def test_single_architecture_run(self, u12_config_path, tmp_path):
         cfg = load_config(u12_config_path)
@@ -593,6 +610,26 @@ class TestCommandLine:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_config_and_reports_are_utf8_in_a_c_locale(self, tmp_path,
+                                                       u12_config_path):
+        # a C locale makes Python's default text encoding ASCII
+        config = tmp_path / "u12.yaml"
+        config.write_bytes(u12_config_path.read_bytes().replace(
+            b"name: U12", 'name: "U12 \u03a9"'.encode()))
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+                   PYTHONUTF8="0", PYTHONPATH=os.pathsep.join(filter(None, [
+                       str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "gearboxopt.cli", "sweep", "--config",
+             str(config), "--out", str(tmp_path / "c")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        run_sweep(load_config(config), out_dir=tmp_path / "utf8")
+        assert report_digest(tmp_path / "c") == report_digest(
+            tmp_path / "utf8")
+        assert "motor U12 \u03a9." in (
+            tmp_path / "c" / "comparison.md").read_text(encoding="utf-8")
 
     def test_sweep_command(self, u12_config_path, tmp_path, capsys):
         code = main(["sweep", "--config", str(u12_config_path),

@@ -206,9 +206,12 @@ class TestEnvelope:
                                     params) == pytest.approx(95.6)
 
     def test_max_gearbox_diameter_degenerate(self, u12):
+        # a bound <= 0 is returned, not refused: every ring fails it
         params = ConstraintParams(ring_clearance_mm=70.0)
-        with pytest.raises(ValueError):
-            max_gearbox_diameter(u12, Architecture.ISSPG, params)
+        assert max_gearbox_diameter(u12, Architecture.ISSPG,
+                                    params) == pytest.approx(-5.0)
+        assert constraint_failures(REFERENCE, u12, params) == [
+            "ring_diameter"]
         # the outer envelope still leaves room
         assert max_gearbox_diameter(u12, Architecture.ESSPG,
                                     params) == pytest.approx(35.6)

@@ -15,8 +15,8 @@ import gearboxopt.mass
 from gearboxopt import (Architecture, ConstraintParams, GearboxDesign,
                         MassBreakdown, MassModelParams, MaterialSpec,
                         StrengthParams, base_plate_mass, bearing_fit_report,
-                        bearing_mass, bearing_od, bearing_width,
-                        default_bearing_table_path, fit_bearing_model,
+                        bearing_value, default_bearing_table_path,
+                        fit_bearing_model,
                         gearbox_stack_height_mm, load_bearing_model,
                         load_bearing_table, planet_pin_mass)
 from gearboxopt.mass import component_masses, context_terms
@@ -147,12 +147,12 @@ class TestBearingTable:
 
 class TestBearingFit:
     def test_frozen_fit_constants(self, bearing_model):
-        assert bearing_model.mass_c == pytest.approx(FIT_MASS_C, rel=REL)
-        assert bearing_model.mass_k == pytest.approx(FIT_MASS_K, rel=REL)
-        assert bearing_model.od_c == pytest.approx(FIT_OD_C, rel=REL)
-        assert bearing_model.od_k == pytest.approx(FIT_OD_K, rel=REL)
-        assert bearing_model.width_c == pytest.approx(FIT_WIDTH_C, rel=REL)
-        assert bearing_model.width_k == pytest.approx(FIT_WIDTH_K, rel=REL)
+        assert bearing_model.mass_kg == pytest.approx(
+            (FIT_MASS_C, FIT_MASS_K), rel=REL)
+        assert bearing_model.od_mm == pytest.approx((FIT_OD_C, FIT_OD_K),
+                                                    rel=REL)
+        assert bearing_model.width_mm == pytest.approx(
+            (FIT_WIDTH_C, FIT_WIDTH_K), rel=REL)
 
     def test_packaged_model_is_hashable(self, bearing_model, default_ctx):
         # ``EvalContext`` is a frozen dataclass that hashes its bearing
@@ -172,24 +172,24 @@ class TestBearingFit:
         assert len(stats["relative_residuals"]) == 13
 
     def test_fitted_values(self, bearing_model):
-        assert bearing_mass(30.0, bearing_model) == pytest.approx(
-            BEARING_MASS_30_KG, rel=REL)
-        assert bearing_od(15.0, bearing_model) == pytest.approx(
-            BEARING_OD_15_MM, rel=REL)
-        assert bearing_width(30.0, bearing_model) == pytest.approx(
-            BEARING_WIDTH_30_MM, rel=REL)
+        assert bearing_value("mass_kg", 30.0, bearing_model) == \
+            pytest.approx(BEARING_MASS_30_KG, rel=REL)
+        assert bearing_value("od_mm", 15.0, bearing_model) == \
+            pytest.approx(BEARING_OD_15_MM, rel=REL)
+        assert bearing_value("width_mm", 30.0, bearing_model) == \
+            pytest.approx(BEARING_WIDTH_30_MM, rel=REL)
 
     def test_range_guard(self, bearing_model):
         with pytest.raises(ValueError, match="outside the fitted range"):
-            bearing_mass(5.0, bearing_model)
+            bearing_value("mass_kg", 5.0, bearing_model)
         with pytest.raises(ValueError, match="outside the fitted range"):
-            bearing_od(70.0, bearing_model)
+            bearing_value("od_mm", 70.0, bearing_model)
         # the guard is closed at both ends of the table
         low, high = bearing_model.bore_min_mm, bearing_model.bore_max_mm
-        assert bearing_mass(high, bearing_model) > \
-            bearing_mass(low, bearing_model)
+        assert bearing_value("mass_kg", high, bearing_model) > \
+            bearing_value("mass_kg", low, bearing_model)
         with pytest.raises(ValueError, match="outside the fitted range"):
-            bearing_width(nextafter(high, inf), bearing_model)
+            bearing_value("width_mm", nextafter(high, inf), bearing_model)
 
     @pytest.mark.parametrize("column, value", [
         *[("width_mm", width) for width in (1.0, 2.0, 4.0, 6.0, 7.0, 10.0)],
@@ -264,7 +264,7 @@ class TestCarrierAndCasing:
         assert pin_circle == pytest.approx(30.0)
         # pin circle plus half the 21 mm planet tip diameter
         assert disk_od == pytest.approx(40.5)
-        assert disk_id == bearing_od(15.0, bearing_model)
+        assert disk_id == bearing_value("od_mm", 15.0, bearing_model)
 
     def test_pin_mass(self):
         # 10 mm pin, length = width + 4 mm engagement
@@ -328,9 +328,9 @@ class TestComponentMasses:
         assert total == pytest.approx(sum(parts.values()), rel=1e-15)
 
     def test_bearing_count_rule(self, bearing_model):
-        expected = (3 * bearing_mass(10.0, bearing_model)
-                    + bearing_mass(15.0, bearing_model)
-                    + bearing_mass(30.0, bearing_model))
+        expected = (3 * bearing_value("mass_kg", 10.0, bearing_model)
+                    + bearing_value("mass_kg", 15.0, bearing_model)
+                    + bearing_value("mass_kg", 30.0, bearing_model))
         masses = breakdown(REFERENCE, FACE_REFERENCE_MM, bearing_model)
         assert masses.bearings_total == pytest.approx(expected, rel=1e-15)
 
@@ -375,8 +375,9 @@ class TestComponentMasses:
                             assert dimensions == (
                                 pin_circle_diameter_mm(design),
                                 carrier_disk_od_mm(design),
-                                bearing_od(params.input_bearing_bore_mm,
-                                           ctx.bearing),
+                                bearing_value(
+                                    "od_mm", params.input_bearing_bore_mm,
+                                    ctx.bearing),
                                 casing_length_mm(design, ctx.motor, 12.5,
                                                  params))
                             failed.add(None)
@@ -405,11 +406,12 @@ class TestComponentMasses:
                                                      monkeypatch):
         bores = []
 
-        def counting_od(bore_mm, model):
-            bores.append(bore_mm)
-            return bearing_od(bore_mm, model)
+        def counting_value(column, bore_mm, model):
+            if column == "od_mm":
+                bores.append(bore_mm)
+            return bearing_value(column, bore_mm, model)
 
-        monkeypatch.setattr(gearboxopt.mass, "bearing_od", counting_od)
+        monkeypatch.setattr(gearboxopt.mass, "bearing_value", counting_value)
         ctx = replace(default_ctx)
         first = evaluate(REFERENCE, ctx)
         for module_mm in (0.6, 0.7, 0.5):

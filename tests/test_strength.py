@@ -10,7 +10,7 @@ import pytest
 
 from gearboxopt import (Architecture, GearboxDesign, LewisFormula, LoadCase,
                         StrengthParams, VelocityFormula, lewis_form_factor)
-from gearboxopt.strength import lewis_width
+from gearboxopt.strength import dynamic_factor, lewis_width
 
 REL = 1e-12
 
@@ -58,6 +58,14 @@ class TestParams:
         with pytest.raises(ValueError):
             StrengthParams(min_face_width_mm=0.0)
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("lewis_formula", "full_depth_20deg", "LewisFormula"),
+        ("velocity_formula", "barth", "VelocityFormula")])
+    def test_formula_must_be_a_member(self, field, value, kind):
+        # the member's value is not the member
+        with pytest.raises(ValueError, match=f"^{field} must be a {kind}$"):
+            StrengthParams(**{field: value})
+
 
 class TestLoadPath:
     def test_sun_pitch_radius(self):
@@ -101,6 +109,13 @@ class TestFactors:
     def test_lewis_formula_enum(self):
         assert lewis_form_factor(
             30, LewisFormula.FULL_DEPTH_20DEG) == lewis_form_factor(30)
+
+    def test_unknown_formula_refused(self):
+        with pytest.raises(ValueError,
+                           match="unknown Lewis formula full_depth_20deg"):
+            lewis_form_factor(20, "full_depth_20deg")
+        with pytest.raises(ValueError, match="unknown velocity formula barth"):
+            dynamic_factor(1.0, "barth")
 
     def test_velocity_factor(self, u12_load):
         v = 418.9 * 0.005

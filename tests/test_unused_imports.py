@@ -1,6 +1,7 @@
 """Every name a module, test or demo imports is referenced in it, every
-function and class the package defines is referenced in it, and every
-oracle of the reference models is read by the tests."""
+function and class the package defines is referenced in it, every
+oracle of the reference models is read by the tests, and no line of
+them is longer than 79 characters."""
 
 import ast
 from pathlib import Path
@@ -59,6 +60,15 @@ def test_scan_finds_an_unused_import():
                          ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_no_line_over_79_characters():
+    long_lines = [
+        f"{path.relative_to(ROOT)}:{number}"
+        for path in SOURCES + [ROOT / "src" / "gearboxopt" / "__init__.py"]
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > 79]
+    assert long_lines == []
 
 
 def test_scan_finds_an_unreferenced_definition():
