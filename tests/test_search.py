@@ -6,6 +6,7 @@ import tracemalloc
 from bisect import bisect_right
 from dataclasses import fields, replace
 from functools import lru_cache, reduce
+from hashlib import sha256
 from math import ceil, inf, isfinite, nan, pi, prod
 from operator import or_
 from pathlib import Path
@@ -29,8 +30,8 @@ from gearboxopt.geometry import _RULE_ORDER, constraint_rules
 from gearboxopt.mass import load_bearing_model
 from gearboxopt.search import (_DIAG_SUN_TEETH_CAP, _MODEL_RULES,
                                _bin_columns, _bin_tallies, _designs,
-                               _dominant_rule, bin_candidates,
-                               enumerate_feasible, score_columns)
+                               _dominant_rule, enumerate_feasible,
+                               score_columns, validate_module_set)
 from gearboxopt.strength import lewis_width
 
 from conftest import U12
@@ -87,6 +88,14 @@ def diagnosis(motor, arch, constraints, modules, lo, hi):
     return counts, _dominant_rule(counts)
 
 
+def bin_designs(motor, arch, constraints, modules, lo, hi):
+    """The feasible designs of one bin [lo, hi): its ``_bin_columns``
+    rows."""
+    _, columns = _bin_columns(motor, arch, constraints, sorted(modules),
+                              [(lo, hi)])
+    return _designs(arch, columns)
+
+
 def split_bins(row_bin, columns, count):
     """``_bin_columns``' rows cut into one column tuple per bin, on its
     ascending bin column."""
@@ -134,8 +143,8 @@ def scalar_bins(arch, ctx, modules, bins):
     every bin candidate."""
     results = []
     for lo, hi in bins:
-        candidates = bin_candidates(ctx.motor, arch, ctx.constraints,
-                                    modules, lo, hi)
+        candidates = bin_designs(ctx.motor, arch, ctx.constraints,
+                                 modules, lo, hi)
         feasible = [evaluation for evaluation
                     in (evaluate(design, ctx) for design in candidates)
                     if evaluation.feasible]
@@ -197,7 +206,8 @@ class TestHelpers:
     @pytest.mark.parametrize("modules", [
         [], [0.5, 0.6, 0.5], [0.5, nan], [0.0, 0.5], [0.5, inf],
         [-0.5, 0.5], [0.5, -inf]])
-    @pytest.mark.parametrize("entry", ["optimize_bins", "bin_candidates",
+    @pytest.mark.parametrize("entry", ["optimize_bins",
+                                       "validate_module_set",
                                        "enumerate_feasible"])
     def test_module_set_validated(self, default_ctx, entry, modules):
         # a repeated module would be counted twice in every tally; a
@@ -205,9 +215,7 @@ class TestHelpers:
         calls = {
             "optimize_bins": lambda: optimize_bins(
                 Architecture.ISSPG, default_ctx, modules, default_bins()),
-            "bin_candidates": lambda: bin_candidates(
-                U12, Architecture.ISSPG, ConstraintParams(), modules, 5.0,
-                6.0),
+            "validate_module_set": lambda: validate_module_set(modules),
             "enumerate_feasible": lambda: list(enumerate_feasible(
                 U12, Architecture.ISSPG, ConstraintParams(), modules))}
         with pytest.raises(ValueError, match="module"):
@@ -220,12 +228,12 @@ class TestHelpers:
         # pass module_range, and its window would hold d_max/m suns
         constraints = ConstraintParams()
         for lo, hi in ((5.0, 6.0), (-inf, inf)):
-            assert (bin_candidates(U12, Architecture.ISSPG, constraints,
-                                   [tiny, 0.5], lo, hi)
-                    == bin_candidates(U12, Architecture.ISSPG, constraints,
-                                      [0.5], lo, hi))
-        assert bin_candidates(U12, Architecture.ESSPG, constraints,
-                              [tiny, 2.0], 5.0, 6.0) == []
+            assert (bin_designs(U12, Architecture.ISSPG, constraints,
+                                [tiny, 0.5], lo, hi)
+                    == bin_designs(U12, Architecture.ISSPG, constraints,
+                                   [0.5], lo, hi))
+        assert bin_designs(U12, Architecture.ESSPG, constraints,
+                           [tiny, 2.0], 5.0, 6.0) == []
         # the diagnosis still counts the module's rows
         results = optimize_bins(Architecture.ISSPG, default_ctx, [tiny],
                                 [(5.0, 6.0)])
@@ -300,8 +308,24 @@ class TestEnumeration:
         for arch in Architecture:
             assert list(enumerate_feasible(
                 U12, arch, ConstraintParams(), ALL_MODULES)) == \
-                bin_candidates(U12, arch, ConstraintParams(), ALL_MODULES,
-                               2.0, 1000.0)
+                bin_designs(U12, arch, ConstraintParams(), ALL_MODULES,
+                            2.0, 1000.0)
+
+    @pytest.mark.parametrize("arch, count, digest", [
+        (Architecture.ISSPG, 2270, "d697d838e792a9e8823ca324bfbfeb7e"
+                                   "5b2846c86283695c15c5f2144b997a59"),
+        (Architecture.ESSPG, 23207, "e6e67ab492528e00fac852d13ea28998"
+                                    "4dcfd6af87df5f4230dde158a108a440")])
+    def test_u12_sequence_pinned(self, u12_config_path, arch, count,
+                                 digest):
+        # bench/make_reference.py draws the point-eval pool from this
+        # sequence with rng.sample, so its order is part of the pool
+        cfg = load_config(u12_config_path)
+        keys = [(d.module_mm, d.num_planets, d.sun_teeth, d.planet_teeth)
+                for d in enumerate_feasible(cfg.motor, arch, cfg.constraints,
+                                            cfg.module_set)]
+        assert len(keys) == count
+        assert sha256(repr(keys).encode()).hexdigest() == digest
 
     def test_membership(self):
         designs = set(enumerate_feasible(U12, Architecture.ISSPG,
@@ -563,7 +587,7 @@ class TestOptimizeBins:
             assert any(r.candidates_examined for r in results)
             for r in results:
                 reasons = {evaluate(design, ctx).failure_reasons
-                           for design in bin_candidates(
+                           for design in bin_designs(
                                ctx.motor, arch, ctx.constraints, modules,
                                r.lo, r.hi)}
                 assert not r.candidates_examined or (rule,) in reasons
@@ -955,13 +979,13 @@ class TestRatioWindow:
     @given(motor=motors(), constraints=constraint_sets(),
            arch=st.sampled_from(list(Architecture)), modules=module_sets,
            bins=fractional_bins())
-    def test_bin_candidates_equal_naive_scan(self, motor, constraints, arch,
-                                             modules, bins):
+    def test_bin_designs_equal_naive_scan(self, motor, constraints, arch,
+                                          modules, bins):
         naive = naive_rectangle(arch, constraints, modules, motor)
         for lo, hi in bins:
-            assert bin_candidates(motor, arch, constraints, modules, lo,
-                                  hi) == [d for d in naive
-                                          if lo <= d.reduction_ratio < hi]
+            assert bin_designs(motor, arch, constraints, modules, lo,
+                               hi) == [d for d in naive
+                                       if lo <= d.reduction_ratio < hi]
 
     @settings(max_examples=30)
     @given(motor=motors(), constraints=constraint_sets(),
@@ -1108,8 +1132,8 @@ class TestScoreColumns:
                                             ctx.constraints, [module_mm],
                                             [(lo, lo + width)]), 1)
         scores = score_columns(arch, ctx, *columns)
-        designs = bin_candidates(ctx.motor, arch, ctx.constraints,
-                                 [module_mm], lo, lo + width)
+        designs = bin_designs(ctx.motor, arch, ctx.constraints,
+                              [module_mm], lo, lo + width)
         assert len(scores.feasible) == len(designs)
         for i, design in enumerate(designs):
             evaluation = evaluate(design, ctx)
