@@ -256,15 +256,15 @@ def _bin_columns(motor: MotorSpec, arch: Architecture,
                  constraints: ConstraintParams, module_set: list[float],
                  bins: list[tuple[float, float]]) -> tuple:
     """
-    The rows of ``bin_candidates`` over ascending, disjoint bins and the
-    ascending, distinct modules of ``validate_module_set``: each row's
-    bin index, ascending, and the rows' (module_mm, n_p, N_s, N_p,
-    module index) columns, each bin's rows in lexicographic order. Each
-    module adds one planet range per sun over [bins[0].lo, bins[-1].hi),
-    inside its ring envelope and the tooth cap, widened by one tooth at
-    each end because rounding of the edges can drop a design whose float
-    ratio lies in a bin; one ``_window_rows`` call builds the rows of
-    every module.
+    Every feasible design with lo <= R < hi, R the float (N_s+N_r)/N_s,
+    for ascending, disjoint bins [lo, hi) and the ascending, distinct
+    modules of ``validate_module_set``: each row's bin index, ascending,
+    and the rows' (module_mm, n_p, N_s, N_p, module index) columns, each
+    bin's rows in lexicographic order. Each module adds one planet range
+    per sun over [bins[0].lo, bins[-1].hi), inside its ring envelope and
+    the tooth cap, widened by one tooth at each end because rounding of
+    the edges can drop a design whose float ratio lies in a bin; one
+    ``_window_rows`` call builds the rows of every module.
     Modules outside [module_min_mm, module_max_mm] add no rows
     (module_range). The (planet count, row) cells that fail no rule and
     lie in a bin are found by one ``np.nonzero``, and each column is
@@ -320,23 +320,14 @@ def _designs(arch: Architecture, columns: tuple[np.ndarray, ...],
             for m, n, s, p in zip(modules, planets, suns, planet_teeth)]
 
 
-def bin_candidates(motor: MotorSpec, arch: Architecture,
-                   constraints: ConstraintParams, module_set: list[float],
-                   lo: float, hi: float) -> list[GearboxDesign]:
-    """Every feasible design with lo <= R < hi, R the float
-    (N_s+N_r)/N_s, in lexicographic (m, n_p, N_s, N_p) order."""
-    _, columns = _bin_columns(motor, arch, constraints,
-                              validate_module_set(module_set), [(lo, hi)])
-    return _designs(arch, columns)
-
-
 def enumerate_feasible(motor: MotorSpec, arch: Architecture,
                        constraints: ConstraintParams,
                        module_set: list[float]) -> Iterator[GearboxDesign]:
     """Every feasible design in lexicographic (m, n_p, N_s, N_p) order:
-    the candidates of an unbounded ratio window."""
-    yield from bin_candidates(motor, arch, constraints, module_set,
-                              -inf, inf)
+    the rows of an unbounded ratio window."""
+    _, columns = _bin_columns(motor, arch, constraints,
+                              validate_module_set(module_set), [(-inf, inf)])
+    yield from _designs(arch, columns)
 
 
 def _dropped(design: GearboxDesign, reasons: tuple) -> DesignEvaluation:

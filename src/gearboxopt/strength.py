@@ -23,23 +23,18 @@ from .geometry import require_finite
 
 
 class LewisFormula(Enum):
-    """Form-factor fit selection."""
+    """Label of the form-factor fit, the only one lewis_width uses."""
     FULL_DEPTH_20DEG = "full_depth_20deg"  # y = 0.154 - 0.912/N
 
 
 class VelocityFormula(Enum):
-    """Velocity-factor fit selection."""
+    """Label of the velocity-factor fit, the only one lewis_width uses."""
     BARTH = "barth"  # K_v = 3 / (3 + V), V in m/s
-
-
-# hot-path aliases, as geometry._ESSPG
-_FULL_DEPTH_20DEG = LewisFormula.FULL_DEPTH_20DEG
-_BARTH = VelocityFormula.BARTH
 
 
 @dataclass(frozen=True)
 class StrengthParams:
-    """Material allowable, safety factor, and formula selections."""
+    """Material allowable, safety factor, and the fits' labels."""
     allowable_bending_stress_pa: float = 138e6  # cast carbon steel
     fos: float = 2.0                            # factor of safety
     min_face_width_mm: float = 3.0              # manufacturing floor
@@ -54,7 +49,7 @@ class StrengthParams:
             raise ValueError("fos must be >= 1")
         if self.min_face_width_mm <= 0:
             raise ValueError("min_face_width_mm must be positive")
-        for spec in fields(self):  # a formula selection is an enum member
+        for spec in fields(self):  # a fit label is an enum member
             if issubclass(spec.type, Enum) and not isinstance(
                     getattr(self, spec.name), spec.type):
                 raise ValueError(f"{spec.name} must be a {spec.type.__name__}")
@@ -72,25 +67,19 @@ class LoadCase:
             raise ValueError("load case values must be >= 0")
 
 
-def lewis_form_factor(tooth_count: int,
-                      formula: LewisFormula = _FULL_DEPTH_20DEG) -> float:
+def lewis_form_factor(tooth_count: int) -> float:
     """
-    Lewis form factor y (circular-pitch form).
-
-    The default fit is the 20 deg full-depth involute table fit
-    y = 0.154 - 0.912/N; strictly increasing in N, bounded by 0.154.
+    Lewis form factor y (circular-pitch form): the 20 deg full-depth
+    involute table fit y = 0.154 - 0.912/N; strictly increasing in N,
+    bounded by 0.154.
     """
-    if formula is _FULL_DEPTH_20DEG:
-        return 0.154 - 0.912 / tooth_count
-    raise ValueError(f"unknown Lewis formula {formula}")
+    return 0.154 - 0.912 / tooth_count
 
 
-def dynamic_factor(pitch_speed_m_s, formula: VelocityFormula = _BARTH):
-    """Derating factor K_v in (0, 1] at a pitch-line speed V (m/s); the
-    Barth fit is K_v = 3 / (3 + V)."""
-    if formula is _BARTH:
-        return 3.0 / (3.0 + pitch_speed_m_s)
-    raise ValueError(f"unknown velocity formula {formula}")
+def dynamic_factor(pitch_speed_m_s):
+    """Derating factor K_v in (0, 1] at a pitch-line speed V (m/s): the
+    Barth fit K_v = 3 / (3 + V)."""
+    return 3.0 / (3.0 + pitch_speed_m_s)
 
 
 def lewis_width(module_mm, sun_teeth, planet_teeth, num_planets,
@@ -113,10 +102,8 @@ def lewis_width(module_mm, sun_teeth, planet_teeth, num_planets,
     else:
         minimum, maximum = np.minimum, np.maximum
     f_t = load.sun_torque_nm / (num_planets * r_sun_m)
-    y = lewis_form_factor(minimum(sun_teeth, planet_teeth),
-                          params.lewis_formula)
-    k_v = dynamic_factor(load.sun_speed_rad_s * r_sun_m,
-                         params.velocity_formula)
+    y = lewis_form_factor(minimum(sun_teeth, planet_teeth))
+    k_v = dynamic_factor(load.sun_speed_rad_s * r_sun_m)
     pitch_m = pi * module_mm / 1000.0  # circular pitch, meters
     strength = params.allowable_bending_stress_pa * y * k_v * pitch_m
     sound = strength > 0
