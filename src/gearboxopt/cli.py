@@ -18,6 +18,7 @@ sort_keys=True, indent=2, allow_nan=False)``.
 
 import argparse
 import csv
+import re
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
@@ -64,6 +65,11 @@ _SECTION_CLASSES = {
     "search": _SearchSection,
 }
 _TOP_LEVEL_KEYS = {*_SECTION_CLASSES, "bearing_table", "output_dir"}
+_ARCHS = "|".join(arch.value for arch in Architecture)
+# every name ``run_sweep`` writes
+_REPORT_NAME = re.compile(
+    rf"sweep\.json|comparison\.md|(results|candidates)_({_ARCHS})\.csv"
+    rf"|dimension_sheet_({_ARCHS})_.*\.json")
 
 
 def _required(spec) -> bool:  # datasheet and requirement values
@@ -206,11 +212,32 @@ def _build_section(section: str, raw: Any,
         raise ConfigError(f"config section '{section}': {exc}") from exc
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A safe loader that refuses a key given twice in one mapping. Keys
+    are compared as composed, before ``<<`` merges are flattened, so a
+    key may override a merged one."""
+
+    def compose_mapping_node(self, anchor):
+        node = super().compose_mapping_node(anchor)
+        seen = set()
+        for key_node, _ in node.value:
+            if (key_node.tag == "tag:yaml.org,2002:merge"
+                    or not isinstance(key_node, yaml.ScalarNode)):
+                continue  # an unhashable key is refused on construction
+            key = self.construct_object(key_node)
+            if key in seen:
+                raise yaml.composer.ComposerError(
+                    problem=f"found repeated key {key!r}",
+                    problem_mark=key_node.start_mark)
+            seen.add(key)
+        return node
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a YAML run config, applying documented defaults."""
     path = Path(path)
-    try:
-        raw = yaml.safe_load(path.read_bytes())  # PyYAML finds the encoding
+    try:  # PyYAML finds the encoding
+        raw = yaml.load(path.read_bytes(), Loader=_UniqueKeyLoader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -541,7 +568,9 @@ def run_sweep(cfg: RunConfig, out_dir: Optional[Path] = None,
     are reported, not errors. A refused sweep makes no output directory:
     ``workers`` (None or an int >= 1) and the architectures are checked,
     and the search is run, before it is made. ``workers`` is otherwise
-    ignored: the sweep is serial.
+    ignored: the sweep is serial. The directory holds one sweep: every
+    file of a name the sweep writes is removed before it writes, and no
+    other file is touched.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
@@ -570,6 +599,9 @@ def run_sweep(cfg: RunConfig, out_dir: Optional[Path] = None,
 
     out_dir = Path(out_dir) if out_dir is not None else cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
+    for path in out_dir.iterdir():
+        if _REPORT_NAME.fullmatch(path.name):
+            path.unlink()
     _write_json(out_dir / "sweep.json", document)
     for arch in architectures:
         _write_results_csv(out_dir / f"results_{arch.value}.csv",
@@ -625,9 +657,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         defaults = set(cfg.applied_defaults) - {"search.architectures"}
         cfg = replace(cfg, architectures=args.architectures,
                       applied_defaults=tuple(sorted(defaults)))
-    document = run_sweep(cfg, out_dir=args.out,
+    out_dir = cfg.output_dir if args.out is None else Path(args.out)
+    document = run_sweep(cfg, out_dir=out_dir,
                          log_candidates=args.log_candidates)
-    out_dir = Path(args.out) if args.out else cfg.output_dir
     print(f"sweep complete: {len(cfg.bins)} bins x "
           f"{len(cfg.architectures)} architecture(s) -> {out_dir}")
     for arch in cfg.architectures:

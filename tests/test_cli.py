@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from gearboxopt import (Architecture, GearboxDesign, STANDARD_MODULE_SET_MM,
                         bearing_value)
 from gearboxopt.cli import (_SECTION_CLASSES, ConfigError, _json_text,
-                            _write_json, build_context,
+                            _UniqueKeyLoader, _write_json, build_context,
                             export_dimension_sheet, load_config, main,
                             resolved_config_dict, run_sweep)
 from gearboxopt.mass import default_bearing_table_path, load_bearing_model
@@ -149,6 +149,20 @@ def _missing_bearing_table(tmp_path, _):
                      f"{(tmp_path / 'missing.csv').resolve()}\n")
 
 
+def _repeated_key(sections, repeat, key):
+    """``sections`` of ``MINIMAL``, with an output directory under it, and
+    then the YAML line ``repeat``, which gives ``key`` a second time;
+    refused with the key and the line of its repeat."""
+    def case(tmp_path, _):
+        text = yaml.safe_dump({**{name: MINIMAL[name] for name in sections},
+                               "output_dir": str(tmp_path / "out")})
+        argv, path = _refused_sweep(tmp_path, text=text + repeat)
+        return argv, 1, (f"error: cannot parse config {path}: found "
+                         f"repeated key '{key}'\n  in \"<byte string>\", "
+                         f"line {text.count(chr(10)) + 1},")
+    return case
+
+
 def _bearing_cell_text(tmp_path, _):
     table, config = edited_bearing_table(tmp_path, "mass_kg", "abc", [3])
     return ["sweep", "--config", str(config)], 1, (
@@ -183,6 +197,11 @@ REFUSALS = {
         "mass", "pin_engagement_mm", -1,
         "config section 'mass': pin_engagement_mm must be >= 0"),
     "bearing-cell-text": _bearing_cell_text,
+    "repeated-section-key": _repeated_key(
+        ["motor"], "load: {sun_torque_nm: 3.0, sun_speed_rad_s: 418.9, "
+        "sun_torque_nm: 2.0}\n", "sun_torque_nm"),
+    "repeated-section": _repeated_key(
+        ["motor", "load"], "motor: {name: U12}\n", "motor"),
 }
 
 
@@ -208,6 +227,17 @@ class TestLoadConfig:
         assert cfg.bearing_table_path is None
         assert "efficiency.mu" in cfg.applied_defaults
         assert "search.bins" in cfg.applied_defaults
+
+    @pytest.mark.parametrize("text", [
+        "load: {<<: {sun_torque_nm: 1.0, sun_speed_rad_s: 9.0}, "
+        "sun_torque_nm: 3.0}\n",
+        # the anchored mapping is flattened by the later merge of it
+        # before it is built itself
+        "a:\n  b: &b {<<: {x: 1}, x: 2}\nc: {<<: *b}\n"],
+        ids=["override", "merged-override"])
+    def test_merged_key_may_be_overridden(self, text):
+        assert yaml.load(text, Loader=_UniqueKeyLoader) == yaml.safe_load(
+            text)
 
     def test_shipped_u12_config(self, u12_config_path):
         cfg = load_config(u12_config_path)
@@ -536,6 +566,24 @@ class TestRunSweep:
         assert [row["winner"] for row in document["comparison"]] == [
             "esspg"] + [None] * 9
 
+    def test_rerun_leaves_one_sweep(self, u12_config_path, tmp_path):
+        # the earlier sweep's reports of both layouts and its candidate
+        # logs go; a file of any other name stays
+        cfg = load_config(u12_config_path)
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        run_sweep(cfg, out_dir=used)
+        others = ("notes.txt", "results_old.csv", "sweep.json.bak")
+        for name in ("candidates_isspg.csv", "candidates_esspg.csv",
+                     *others):
+            (used / name).write_text("earlier")
+        isspg = replace(cfg, architectures=[Architecture.ISSPG])
+        run_sweep(isspg, out_dir=used)
+        for name in others:
+            assert (used / name).read_text() == "earlier"
+            (used / name).unlink()
+        run_sweep(isspg, out_dir=fresh)
+        assert report_digest(used) == report_digest(fresh)
+
     def test_single_architecture_run(self, u12_config_path, tmp_path):
         cfg = load_config(u12_config_path)
         document = run_sweep(replace(cfg, architectures=[Architecture.ISSPG]),
@@ -638,6 +686,18 @@ class TestCommandLine:
         out = capsys.readouterr().out
         assert "sweep complete" in out
         assert "isspg: 2/10 bins feasible" in out
+
+    def test_empty_out_is_the_current_directory(self, u12_config_path,
+                                                tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--config", str(u12_config_path),
+                     "--architectures", "isspg", "--out", ""]) == 0
+        assert "architecture(s) -> .\n" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "dimension_sheet_isspg_5-6.json",
+            "dimension_sheet_isspg_6-7.json", "results_isspg.csv",
+            "sweep.json"]
 
     def test_repeated_architecture_rejected(self, u12_config_path,
                                             tmp_path, capsys):
