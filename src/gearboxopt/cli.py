@@ -215,7 +215,8 @@ def _build_section(section: str, raw: Any,
 class _UniqueKeyLoader(yaml.SafeLoader):
     """A safe loader that refuses a key given twice in one mapping. Keys
     are compared as composed, before ``<<`` merges are flattened, so a
-    key may override a merged one."""
+    key may override a merged one; by construction time a merge may
+    already have flattened a merged mapping in place."""
 
     def compose_mapping_node(self, anchor):
         node = super().compose_mapping_node(anchor)

@@ -157,9 +157,10 @@ def _repeated_key(sections, repeat, key):
         text = yaml.safe_dump({**{name: MINIMAL[name] for name in sections},
                                "output_dir": str(tmp_path / "out")})
         argv, path = _refused_sweep(tmp_path, text=text + repeat)
+        line = text.count("\n") + 1
         return argv, 1, (f"error: cannot parse config {path}: found "
                          f"repeated key '{key}'\n  in \"<byte string>\", "
-                         f"line {text.count(chr(10)) + 1},")
+                         f"line {line},")
     return case
 
 
