@@ -1,6 +1,6 @@
 """
-Config-driven front end: sweep orchestration, report emission, and
-parametric dimension-sheet export.
+Config-driven front end: the YAML config loader, sweep orchestration
+and the command line. The reports are rendered by ``gearboxopt.report``.
 
 Subcommands:
 
@@ -11,33 +11,28 @@ Subcommands:
 - fit-bearings print the bearing regression and its residuals
 
 All runs are seedless and deterministic: identical configs produce
-byte-identical reports. Every JSON text, the reports' and ``eval``'s,
-comes from ``_json_text``, whose bytes equal ``json.dumps(...,
-sort_keys=True, indent=2, allow_nan=False)``.
+byte-identical reports.
 """
 
 import argparse
-import csv
 import re
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
-from json.encoder import encode_basestring_ascii
-from math import isfinite
 from pathlib import Path
-from typing import Any, Iterable, Optional, get_args, get_origin
+from typing import Any, Optional, get_args, get_origin
 
 import yaml
 
-from .efficiency import EfficiencyParams, mesh_chain
+from .efficiency import EfficiencyParams
 from .geometry import (Architecture, ConstraintParams, GearboxDesign,
                        MotorSpec, STANDARD_MODULE_SET_MM)
-from .mass import (_FITTED_COLUMNS, BearingModel, MassModelParams,
-                   MaterialSpec, bearing_fit_report, bearing_value,
-                   component_masses, gearbox_stack_height_mm,
-                   load_bearing_model)
-from .search import (BinComparison, BinResult, CostWeights,
-                     DesignEvaluation, EvalContext, compare_architectures,
+from .mass import (BearingModel, MassModelParams, MaterialSpec,
+                   bearing_fit_report, load_bearing_model)
+from .report import (_bin_dict, _dataclass_dict, _evaluation_dict,
+                     _json_text, _write_candidates_csv, comparison_md,
+                     export_dimension_sheet, results_csv)
+from .search import (CostWeights, EvalContext, compare_architectures,
                      default_bins, enumerate_feasible, evaluate,
                      optimize_bins, validate_bins, validate_module_set)
 from .strength import LoadCase, StrengthParams
@@ -237,8 +232,9 @@ class _UniqueKeyLoader(yaml.SafeLoader):
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a YAML run config, applying documented defaults."""
     path = Path(path)
-    try:  # PyYAML finds the encoding
-        raw = yaml.load(path.read_bytes(), Loader=_UniqueKeyLoader)
+    try:  # PyYAML finds the encoding and names the file in its marks
+        with open(path, "rb") as handle:
+            raw = yaml.load(handle, Loader=_UniqueKeyLoader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -305,22 +301,6 @@ def build_context(cfg: RunConfig, bearing: BearingModel) -> EvalContext:
                        bearing=bearing, cost=cfg.cost)
 
 
-def _plain(item: Any) -> Any:
-    """``item`` with enum members as their values and tuples as lists."""
-    if isinstance(item, Enum):
-        return item.value
-    if isinstance(item, (list, tuple)):
-        return [_plain(entry) for entry in item]
-    return item
-
-
-def _dataclass_dict(value: Any) -> dict:
-    """The fields of a dataclass or NamedTuple, each made ``_plain``."""
-    names = (value._fields if isinstance(value, tuple)
-             else [spec.name for spec in fields(value)])
-    return {name: _plain(getattr(value, name)) for name in names}
-
-
 def resolved_config_dict(cfg: RunConfig) -> dict:
     """
     The model-relevant config with every default filled in, as echoed
@@ -338,226 +318,6 @@ def resolved_config_dict(cfg: RunConfig) -> dict:
     return echo
 
 
-def _scored_dict(evaluation: DesignEvaluation) -> dict:
-    """An evaluation's design and ratio, and its scores if feasible."""
-    out = {"design": _dataclass_dict(evaluation.design),
-           "reduction_ratio": evaluation.design.reduction_ratio}
-    if evaluation.feasible:
-        out.update(efficiency=_dataclass_dict(evaluation.efficiency),
-                   face_width_mm=evaluation.face_width_mm,
-                   mass_kg=_dataclass_dict(evaluation.mass),
-                   cost=evaluation.cost)
-    return out
-
-
-def _evaluation_dict(evaluation: DesignEvaluation) -> dict:
-    out = dict(_scored_dict(evaluation), feasible=evaluation.feasible)
-    if not evaluation.feasible:
-        out["failure_reasons"] = list(evaluation.failure_reasons)
-    return out
-
-
-def _bin_dict(row: BinResult | BinComparison) -> dict:
-    """A bin's record, its edges as one ``bin`` pair and a best design as
-    ``_evaluation_dict``."""
-    out = _dataclass_dict(row)
-    out["bin"] = [out.pop("lo"), out.pop("hi")]
-    if out.get("best") is not None:
-        out["best"] = _evaluation_dict(out["best"])
-    return out
-
-
-def export_dimension_sheet(evaluation: DesignEvaluation,
-                           ctx: EvalContext) -> dict:
-    """
-    Every derived dimension of one feasible design, units in the key
-    names, plus its mass and efficiency summary. The gear circles are the
-    ones ``mesh_chain`` scores the design at; the pin circle, carrier
-    disk, output bearing and casing the ones ``component_masses`` prices
-    it at.
-    """
-    if not evaluation.feasible:
-        raise ValueError(
-            "cannot export a dimension sheet for an infeasible design: "
-            + "; ".join(evaluation.failure_reasons))
-    design, width = evaluation.design, evaluation.face_width_mm
-    mass_params = ctx.mass_params
-    teeth = design.sun_teeth, design.planet_teeth, design.ring_teeth
-    *_, circles = mesh_chain(design.module_mm, *teeth, ctx.efficiency)
-    *_, (pin_circle, disk_od, disk_id, casing_length) = component_masses(
-        design.arch, design.module_mm, design.num_planets, *teeth, width,
-        ctx.motor, ctx.bearing, ctx.materials, mass_params, ctx.mass_terms)
-
-    def bearing_entry(bore_mm: float) -> dict:
-        return dict(bore_mm=bore_mm, **{
-            column: bearing_value(column, bore_mm, ctx.bearing)
-            for column in _FITTED_COLUMNS})
-
-    return {
-        **_scored_dict(evaluation),
-        "gear_ratio": design.gear_ratio,
-        "gears": {
-            gear: {"teeth": count, "pitch_diameter_mm": pitch,
-                   "base_diameter_mm": base, "tip_diameter_mm": tip}
-            for gear, count, (pitch, base, tip)
-            in zip(("sun", "planet", "ring"), teeth, circles)
-        },
-        "bearings": {
-            "planet": bearing_entry(mass_params.planet_bearing_bore_mm),
-            "input": bearing_entry(mass_params.input_bearing_bore_mm),
-            "output": bearing_entry(pin_circle),
-        },
-        "carrier": {
-            "disk_od_mm": disk_od,
-            "disk_id_mm": disk_id,
-            "disk_thickness_mm": mass_params.carrier_disk_thickness_mm,
-            "pin_circle_diameter_mm": pin_circle,
-            "pin_diameter_mm": mass_params.planet_bearing_bore_mm,
-            "pin_length_mm": width + mass_params.pin_engagement_mm,
-            "pin_count": design.num_planets,
-        },
-        "casing": {
-            "od_mm": ctx.motor.outer_diameter_mm,
-            "wall_mm": mass_params.casing_wall_mm,
-            "length_mm": casing_length,
-            "stack_height_mm": gearbox_stack_height_mm(width, mass_params),
-            "base_plate_od_mm": ctx.motor.outer_diameter_mm,
-            "base_plate_thickness_mm": mass_params.base_plate_thickness_mm,
-        },
-    }
-
-
-def _json_text(value: Any, indent: str = "\n") -> str:
-    """
-    The text of ``json.dumps(value, sort_keys=True, indent=2,
-    allow_nan=False)`` for str, finite float, None, bool, int, str-keyed
-    dict, list and tuple values. Before Python 3.13 json indents only in
-    its pure-Python encoder; this writer keeps its bytes and escapes
-    strings in C. A non-finite float raises ``ValueError`` (JSON has no
-    Infinity or NaN), any other value, a non-str key included,
-    ``TypeError``.
-    """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, float):
-        if not isfinite(value):
-            raise ValueError("Out of range float values are not JSON "
-                             f"compliant: {value!r}")
-        return float.__repr__(value)
-    if value is None:
-        return "null"
-    if value is True or value is False:
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        # the C escaper raises TypeError on a key that is not a str
-        items = [encode_basestring_ascii(key) + ": "
-                 + _json_text(value[key], inner) for key in sorted(value)]
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        items, brackets = [_json_text(item, inner) for item in value], "[]"
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not "
-                        "JSON serializable")
-    if not items:
-        return brackets
-    return (brackets[0] + inner + ("," + inner).join(items) + indent
-            + brackets[1])
-
-
-def _write_json(path: Path, document: dict) -> None:
-    # the text is built first, so a value it rejects leaves no file
-    path.write_text(_json_text(document) + "\n", encoding="utf-8")
-
-
-_DESIGN_COLUMNS = ["sun_teeth", "planet_teeth", "ring_teeth", "module_mm",
-                   "num_planets"]
-
-
-def _design_cells(design: GearboxDesign) -> list:
-    """The ``_DESIGN_COLUMNS`` cells of a CSV row."""
-    return [getattr(design, name) for name in _DESIGN_COLUMNS]
-
-
-def _write_results_csv(path: Path, results: list[BinResult]) -> None:
-    scores = ["reduction_ratio", "eta_overall", "face_width_mm",
-              "total_mass_kg", "cost"]
-    columns = ["bin_lo", "bin_hi", "status", *_DESIGN_COLUMNS, *scores,
-               "candidates_examined", "feasible_count", "empty_reason"]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for result in results:
-            best = result.best
-            cells = (["empty"] + [""] * (len(_DESIGN_COLUMNS) + len(scores))
-                     if best is None else
-                     ["ok", *_design_cells(best.design),
-                      best.design.reduction_ratio, best.efficiency.eta_overall,
-                      best.face_width_mm, best.mass.total, best.cost])
-            writer.writerow([result.lo, result.hi, *cells,
-                             result.candidates_examined,
-                             result.feasible_count, result.empty_reason or ""])
-
-
-def _write_candidates_csv(path: Path, evaluations:
-                          Iterable[DesignEvaluation]) -> None:
-    columns = [*_DESIGN_COLUMNS, "reduction_ratio", "feasible",
-               "eta_overall", "face_width_mm", "total_mass_kg", "cost",
-               "failure_reasons"]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for ev in evaluations:
-            scores = ([ev.efficiency.eta_overall, ev.face_width_mm,
-                       ev.mass.total, ev.cost, ""] if ev.feasible else
-                      ["", "", "", "", "; ".join(ev.failure_reasons)])
-            writer.writerow([*_design_cells(ev.design),
-                             ev.design.reduction_ratio, ev.feasible, *scores])
-
-
-def _format_cell(result: BinResult) -> str:
-    if result.best is None:
-        return f"infeasible ({result.empty_reason})"
-    best = result.best
-    d = best.design
-    return (f"{best.mass.total:.3f} kg, eta {best.efficiency.eta_overall:.4f}"
-            f" (Ns={d.sun_teeth}, Np={d.planet_teeth}, Nr={d.ring_teeth},"
-            f" m={d.module_mm:g}, np={d.num_planets})")
-
-
-def _write_comparison_md(path: Path, cfg: RunConfig,
-                         results: dict[Architecture, list[BinResult]],
-                         comparison: list[BinComparison]) -> None:
-    lines = ["# Architecture comparison", ""]
-    lines.append(
-        f"Cost = K_m*mass - K_e*efficiency with K_m={cfg.cost.k_m:g}, "
-        f"K_e={cfg.cost.k_e:g}; friction coefficient mu="
-        f"{cfg.efficiency.mu:g}; motor {cfg.motor.name}.")
-    lines.append("")
-    lines.append("| Ratio bin | ISSPG best | ESSPG best | Winner | "
-                 "Mass margin (kg) | Efficiency margin |")
-    lines.append("|---|---|---|---|---|---|")
-    isspg = results[Architecture.ISSPG]
-    esspg = results[Architecture.ESSPG]
-    for row, bin_i, bin_e in zip(comparison, isspg, esspg):
-        winner = row.winner.value if row.winner else "none"
-        mass_margin = (f"{row.mass_margin_kg:.3f}"
-                       if row.mass_margin_kg is not None else "-")
-        eta_margin = (f"{row.efficiency_margin:.5f}"
-                      if row.efficiency_margin is not None else "-")
-        lines.append(f"| [{row.lo:g}, {row.hi:g}) | {_format_cell(bin_i)} | "
-                     f"{_format_cell(bin_e)} | {winner} | {mass_margin} | "
-                     f"{eta_margin} |")
-    lines.append("")
-    if cfg.applied_defaults:
-        lines.append("Defaults applied for: "
-                     + ", ".join(cfg.applied_defaults) + ".")
-        lines.append("")
-    path.write_text("\n".join(lines), encoding="utf-8")
-
-
 def run_sweep(cfg: RunConfig, out_dir: Optional[Path] = None,
               log_candidates: bool = False,
               workers: Optional[int] = None) -> dict:
@@ -566,12 +326,13 @@ def run_sweep(cfg: RunConfig, out_dir: Optional[Path] = None,
     report files.
 
     Returns the sweep document (the content of sweep.json). Empty bins
-    are reported, not errors. A refused sweep makes no output directory:
-    ``workers`` (None or an int >= 1) and the architectures are checked,
-    and the search is run, before it is made. ``workers`` is otherwise
-    ignored: the sweep is serial. The directory holds one sweep: every
-    file of a name the sweep writes is removed before it writes, and no
-    other file is touched.
+    are reported, not errors. A refused sweep makes no output directory
+    and removes no file: ``workers`` (None or an int >= 1) and the
+    architectures are checked, the search is run and every report but
+    the candidate logs is rendered before it is made. ``workers`` is
+    otherwise ignored: the sweep is serial. The directory holds one
+    sweep: every file of a name the sweep writes is removed before it
+    writes, and no other file is touched.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
@@ -581,50 +342,43 @@ def run_sweep(cfg: RunConfig, out_dir: Optional[Path] = None,
     results = {arch: optimize_bins(arch, ctx, cfg.module_set, cfg.bins)
                for arch in architectures}
 
-    fit_report = bearing_fit_report(bearing)
     document = {
         "config": resolved_config_dict(cfg),
         "bearing_fit": {
             column: {key: stats[key]
                      for key in ("c", "k", "r_squared",
                                  "max_relative_residual")}
-            for column, stats in fit_report.items()
-        },
+            for column, stats in bearing_fit_report(bearing).items()},
         "results": {arch.value: [_bin_dict(r) for r in results[arch]]
                     for arch in architectures},
     }
-    comparison = None
-    if (Architecture.ISSPG in results and Architecture.ESSPG in results):
-        comparison = compare_architectures(results)
-        document["comparison"] = [_bin_dict(row) for row in comparison]
+    texts = {}
+    if Architecture.ISSPG in results and Architecture.ESSPG in results:
+        document["comparison"] = [_bin_dict(row) for row
+                                  in compare_architectures(results)]
+        texts["comparison.md"] = comparison_md(document)
+    texts["sweep.json"] = _json_text(document) + "\n"
+    for arch in architectures:
+        texts[f"results_{arch.value}.csv"] = results_csv(
+            document["results"][arch.value])
+        for result in results[arch]:
+            if result.best is not None:
+                sheet = export_dimension_sheet(result.best, ctx)
+                texts[f"dimension_sheet_{arch.value}_{result.lo:g}-"
+                      f"{result.hi:g}.json"] = _json_text(sheet) + "\n"
 
     out_dir = Path(out_dir) if out_dir is not None else cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     for path in out_dir.iterdir():
         if _REPORT_NAME.fullmatch(path.name):
             path.unlink()
-    _write_json(out_dir / "sweep.json", document)
-    for arch in architectures:
-        _write_results_csv(out_dir / f"results_{arch.value}.csv",
-                           results[arch])
-        for result in results[arch]:
-            if result.best is None:
-                continue
-            sheet = export_dimension_sheet(result.best, ctx)
-            name = (f"dimension_sheet_{arch.value}_"
-                    f"{result.lo:g}-{result.hi:g}.json")
-            _write_json(out_dir / name, sheet)
-        if log_candidates:
-            # one evaluation at a time: the rows are written as scored
-            evaluations = (evaluate(design, ctx) for design
-                           in enumerate_feasible(cfg.motor, arch,
-                                                 cfg.constraints,
-                                                 cfg.module_set))
-            _write_candidates_csv(out_dir / f"candidates_{arch.value}.csv",
-                                  evaluations)
-    if comparison is not None:
-        _write_comparison_md(out_dir / "comparison.md", cfg, results,
-                             comparison)
+    for name, text in texts.items():
+        (out_dir / name).write_text(text, encoding="utf-8", newline="")
+    for arch in architectures if log_candidates else ():
+        designs = enumerate_feasible(cfg.motor, arch, cfg.constraints,
+                                     cfg.module_set)
+        _write_candidates_csv(out_dir / f"candidates_{arch.value}.csv",
+                              (evaluate(design, ctx) for design in designs))
     return document
 
 

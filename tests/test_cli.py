@@ -19,11 +19,13 @@ from hypothesis import given, settings, strategies as st
 
 from gearboxopt import (Architecture, GearboxDesign, STANDARD_MODULE_SET_MM,
                         bearing_value)
-from gearboxopt.cli import (_SECTION_CLASSES, ConfigError, _json_text,
-                            _UniqueKeyLoader, _write_json, build_context,
-                            export_dimension_sheet, load_config, main,
+import gearboxopt.cli
+from gearboxopt.cli import (_SECTION_CLASSES, ConfigError, _UniqueKeyLoader,
+                            build_context, load_config, main,
                             resolved_config_dict, run_sweep)
 from gearboxopt.mass import default_bearing_table_path, load_bearing_model
+from gearboxopt.report import (_json_text, comparison_md,
+                               export_dimension_sheet, results_csv)
 from gearboxopt.search import evaluate
 
 from reference_models import (carrier_disk_od_mm, casing_length_mm,
@@ -159,7 +161,7 @@ def _repeated_key(sections, repeat, key):
         argv, path = _refused_sweep(tmp_path, text=text + repeat)
         line = text.count("\n") + 1
         return argv, 1, (f"error: cannot parse config {path}: found "
-                         f"repeated key '{key}'\n  in \"<byte string>\", "
+                         f"repeated key '{key}'\n  in \"{path}\", "
                          f"line {line},")
     return case
 
@@ -615,22 +617,55 @@ class TestRunSweep:
             (REPO / "bench" / "data" / f"reference_{name}.json").read_text())
         assert report_digest(tmp_path) == reference["report_digest"]
 
-    def test_reports_reject_non_finite_numbers(self, tmp_path):
+    @pytest.mark.parametrize("config, architectures, reports", [
+        ("configs/u12.yaml", None, 3), ("bench/scale.yaml", None, 1),
+        ("configs/u12.yaml", [Architecture.ISSPG], 1)],
+        ids=["u12", "scale", "u12-isspg"])
+    def test_reports_render_from_sweep_json(self, config, architectures,
+                                            reports, tmp_path):
+        # the results CSVs and comparison.md say what sweep.json says:
+        # rendered from the reloaded document, they equal the files
+        cfg = load_config(REPO / config)
+        if architectures is not None:
+            cfg = replace(cfg, architectures=architectures)
+        run_sweep(cfg, out_dir=tmp_path)
+        document = json.loads((tmp_path / "sweep.json").read_text())
+        texts = {f"results_{arch}.csv": results_csv(entries)
+                 for arch, entries in document["results"].items()}
+        if "comparison" in document:
+            texts["comparison.md"] = comparison_md(document)
+        assert len(texts) == reports
+        assert set(texts) == {
+            path.name for path in tmp_path.iterdir()
+            if path.suffix in (".csv", ".md")}
+        for name, text in texts.items():
+            assert text.encode() == (tmp_path / name).read_bytes(), name
+
+    def test_reports_reject_non_finite_numbers(self):
         # JSON has no Infinity or NaN; such a number is a bug to surface
         for value in (float("inf"), float("nan")):
-            path = tmp_path / "report.json"
             with pytest.raises(ValueError, match="JSON compliant"):
-                _write_json(path, {"cost": value})
-            assert not path.exists()
+                _json_text({"cost": value})
 
     @pytest.mark.parametrize("value", [np.int64(3), {1, 2}, {1: 2},
                                        {"a": 1, 2: 3}],
                              ids=["numpy-int", "set", "int-key", "mixed-keys"])
-    def test_reports_reject_other_types(self, tmp_path, value):
-        path = tmp_path / "report.json"
+    def test_reports_reject_other_types(self, value):
         with pytest.raises(TypeError):
-            _write_json(path, {"value": [value]})
-        assert not path.exists()
+            _json_text({"value": [value]})
+
+    def test_rejected_report_writes_no_file(self, u12_config_path,
+                                            tmp_path, monkeypatch):
+        # every report is rendered before the first is written, so a
+        # value the JSON text rejects leaves the directory as it was
+        def sheet_of_nan(evaluation, ctx):
+            return {"cost": nan}
+
+        monkeypatch.setattr(gearboxopt.cli, "export_dimension_sheet",
+                            sheet_of_nan)
+        with pytest.raises(ValueError, match="JSON compliant"):
+            run_sweep(load_config(u12_config_path), out_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
 
     def test_dimension_sheet_rejects_infeasible(self, u12_config_path):
         cfg = load_config(u12_config_path)
