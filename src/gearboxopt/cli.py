@@ -328,11 +328,11 @@ def run_sweep(cfg: RunConfig, out_dir: Optional[Path] = None,
     Returns the sweep document (the content of sweep.json). Empty bins
     are reported, not errors. A refused sweep makes no output directory
     and removes no file: ``workers`` (None or an int >= 1) and the
-    architectures are checked, the search is run and every report but
-    the candidate logs is rendered before it is made. ``workers`` is
-    otherwise ignored: the sweep is serial. The directory holds one
-    sweep: every file of a name the sweep writes is removed before it
-    writes, and no other file is touched.
+    architectures are checked, the search is run, the designs of each
+    candidate log are listed and every other report is rendered before
+    it is made. ``workers`` is otherwise ignored: the sweep is serial.
+    The directory holds one sweep: every file of a name the sweep writes
+    is removed before it writes, and no other file is touched.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
@@ -341,6 +341,9 @@ def run_sweep(cfg: RunConfig, out_dir: Optional[Path] = None,
     ctx = build_context(cfg, bearing)
     results = {arch: optimize_bins(arch, ctx, cfg.module_set, cfg.bins)
                for arch in architectures}
+    candidates = {arch: list(enumerate_feasible(
+        cfg.motor, arch, cfg.constraints, cfg.module_set))
+        for arch in (architectures if log_candidates else ())}
 
     document = {
         "config": resolved_config_dict(cfg),
@@ -374,9 +377,7 @@ def run_sweep(cfg: RunConfig, out_dir: Optional[Path] = None,
             path.unlink()
     for name, text in texts.items():
         (out_dir / name).write_text(text, encoding="utf-8", newline="")
-    for arch in architectures if log_candidates else ():
-        designs = enumerate_feasible(cfg.motor, arch, cfg.constraints,
-                                     cfg.module_set)
+    for arch, designs in candidates.items():
         _write_candidates_csv(out_dir / f"candidates_{arch.value}.csv",
                               (evaluate(design, ctx) for design in designs))
     return document

@@ -9,10 +9,9 @@ per architecture spans all bins and modules: one ``_window_rows`` call
 builds its (m, N_s, N_p) rows as numpy columns, the planet counts are a
 broadcast axis, and one ``geometry.constraint_rules`` call gives every
 rule's verdict. No window may exceed ``_WINDOW_BOUND`` suns or (planet
-count, row) cells, nor any empty bin's diagnosis grid (module, planet
-count, row) cells. Each row goes to its bin once, and a stable sort on
-(bin, module) keeps each bin in lexicographic order next to an
-ascending bin column.
+count, row) cells, nor any diagnosis grid (module, planet count, row)
+cells. Each row goes to its bin once, and a stable sort on (bin, module)
+keeps each bin in lexicographic order next to an ascending bin column.
 
 The search keeps the rows that fail no rule and scores them with
 
@@ -31,13 +30,13 @@ dropped by the first model rule of ``_MODEL_RULES`` it fails, by name.
 The cheapest feasible design per bin (default [5,6) ... [14,15)) and
 architecture is reported. Ties break deterministically: lower mass,
 then higher efficiency, then lexicographic (m, n_p, N_s, N_p). An
-empty bin reports the most frequent blocker of its diagnosis window.
-The rows of every empty bin of an architecture are built once, each
-bin's rows one slice. One ``constraint_rules`` call on one certificate
-cell per bin decides every bin that lies wholly outside the ring
-envelope, where ``ring_diameter`` fails every cell and no rule can tie
-it; each other slice is checked by its own ``constraint_rules`` call
-with the modules as a leading axis.
+empty bin that holds no row of the window lies outside the ring
+envelope and is named ``ring_diameter`` in closed form, or
+``module_range`` when no module of the set is allowed. Each other empty
+bin reports the most frequent blocker of its diagnosis window; the rows
+of all such bins are built once, each bin's rows one slice, and each
+slice is checked by its own ``constraint_rules`` call with the modules
+as a leading axis.
 """
 
 from dataclasses import dataclass
@@ -64,10 +63,9 @@ from .strength import LoadCase, StrengthParams, lewis_width
 _DIAG_SUN_TEETH_CAP = 60
 
 # most suns or (planet count, row) cells a window, or (module, planet
-# count, row) cells one bin's diagnosis grid, may hold, checked before
-# any of its arrays is built, and for every empty bin's grid, also one
-# the ring envelope decides and never builds: 16x scale's unbounded
-# window (41,776 rows x 6 planet counts)
+# count, row) cells the diagnosis grid of one empty bin that the window
+# reaches, may hold, checked before any of its arrays is built: 16x
+# scale's unbounded window (41,776 rows x 6 planet counts)
 _WINDOW_BOUND = 4_000_000
 
 # the model rules of ``evaluate``, in the order it checks them; the
@@ -175,7 +173,8 @@ class ColumnScores(NamedTuple):
 
 def validate_bins(bins: list[tuple[float, float]]
                   ) -> list[tuple[float, float]]:
-    """Require ascending, non-overlapping, non-empty, finite bins."""
+    """Require ascending, non-overlapping, non-empty, finite bins, each
+    with an upper edge above 2."""
     if not bins:
         raise ValueError("at least one ratio bin is required")
     for lo, hi in bins:
@@ -183,6 +182,9 @@ def validate_bins(bins: list[tuple[float, float]]
             raise ValueError(f"bin [{lo}, {hi}) has a non-finite edge")
         if not lo < hi:
             raise ValueError(f"bin [{lo}, {hi}) is empty")
+        if not hi > 2:
+            raise ValueError(f"bin [{lo}, {hi}) holds no design: every "
+                             f"reduction 2 + 2*N_p/N_s is above 2")
     for (_, hi_prev), (lo_next, _) in zip(bins, bins[1:]):
         if lo_next < hi_prev:
             raise ValueError("bins must be ascending and non-overlapping")
@@ -259,40 +261,48 @@ def _bin_columns(motor: MotorSpec, arch: Architecture,
     Every feasible design with lo <= R < hi, R the float (N_s+N_r)/N_s,
     for ascending, disjoint bins [lo, hi) and the ascending, distinct
     modules of ``validate_module_set``: each row's bin index, ascending,
-    and the rows' (module_mm, n_p, N_s, N_p, module index) columns, each
-    bin's rows in lexicographic order. Each module adds one planet range
-    per sun over [bins[0].lo, bins[-1].hi), inside its ring envelope and
-    the tooth cap, widened by one tooth at each end because rounding of
-    the edges can drop a design whose float ratio lies in a bin; one
-    ``_window_rows`` call builds the rows of every module.
-    Modules outside [module_min_mm, module_max_mm] add no rows
-    (module_range). The (planet count, row) cells that fail no rule and
-    lie in a bin are found by one ``np.nonzero``, and each column is
-    indexed by row or planet-count index once, in sorted order.
+    the rows' (module_mm, n_p, N_s, N_p, module index) columns, each
+    bin's rows in lexicographic order, and each bin's closed-form empty
+    reason: None where the window holds a row of the bin, else
+    ``ring_diameter``, which every design of an allowed module in the
+    bin fails, or ``module_range`` when no module of the set is allowed.
+    The window is the ring envelope: each module adds one planet
+    range per sun over [bins[0].lo, bins[-1].hi), with m*N_r <= d_max,
+    widened by one tooth at each end because rounding of the edges can
+    drop a design whose float ratio lies in a bin; one ``_window_rows``
+    call builds the rows of every module. Modules outside
+    [module_min_mm, module_max_mm] add no rows (module_range); every
+    other rule, the tooth cap too, filters the rows. The (planet count,
+    row) cells that fail no rule and lie in a bin are found by one
+    ``np.nonzero``, and each column is indexed by row or planet-count
+    index once, in sorted order.
     """
     n_min = constraints.min_teeth
-    n_cap = inf if constraints.max_teeth is None else constraints.max_teeth
     d_max = max_gearbox_diameter(motor, arch, constraints)
     los, his = np.array(bins, dtype=np.float64).reshape(-1, 2).T
     modules = np.array([m for m in module_set if constraints.module_min_mm
                         <= m <= constraints.module_max_mm], dtype=np.float64)
-    # each module's suns run from n_min to its ring envelope or the cap;
-    # an envelope that overflows to inf is refused by the sun bound
+    # each module's suns run from n_min to its ring envelope, the largest
+    # ring that ring_diameter admits; an envelope that overflows to inf is
+    # refused by the sun bound
     with np.errstate(over="ignore"):
         max_ring = np.floor(d_max / modules + 1e-9)
-    sun_counts = np.maximum(np.minimum(max_ring - 2 * n_min, n_cap)
-                            - n_min + 1, 0)
+        max_ring -= modules * max_ring > d_max
+    sun_counts = np.maximum(max_ring - 3 * n_min + 1, 0)
     _bounded(arch, sun_counts.sum(), "suns")
     sun_counts = sun_counts.astype(np.int64)
     sun_module = np.repeat(np.arange(len(modules)), sun_counts)
     suns = n_min + _segment_offsets(sun_counts)
     sun, planet, ring, planet_counts, sizes = _window_rows(
         arch, constraints, suns, los[:1], his[-1:],
-        np.minimum((max_ring[sun_module] - suns) // 2, n_cap), slack=1)
+        (max_ring[sun_module] - suns) // 2, slack=1)
     module_index = np.repeat(sun_module, sizes)
     ratio = (sun + ring) / sun
     index = np.searchsorted(los, ratio, side="right") - 1
     row_bin = np.where((index >= 0) & (ratio < his[index]), index, -1)
+    outside = "ring_diameter" if len(modules) else "module_range"
+    reasons = [None if reached else outside
+               for reached in np.isin(np.arange(len(los)), row_bin).tolist()]
     failed = reduce(or_, constraint_rules(
         arch, modules[module_index], planet_counts, sun, planet, ring, motor,
         constraints))
@@ -307,7 +317,7 @@ def _bin_columns(motor: MotorSpec, arch: Architecture,
     module_index = module_index[row]
     return row_bin[row], (modules[module_index],
                           planet_counts[planet_index, 0], sun[row],
-                          planet[row], module_index)
+                          planet[row], module_index), reasons
 
 
 def _designs(arch: Architecture, columns: tuple[np.ndarray, ...],
@@ -325,8 +335,9 @@ def enumerate_feasible(motor: MotorSpec, arch: Architecture,
                        module_set: list[float]) -> Iterator[GearboxDesign]:
     """Every feasible design in lexicographic (m, n_p, N_s, N_p) order:
     the rows of an unbounded ratio window."""
-    _, columns = _bin_columns(motor, arch, constraints,
-                              validate_module_set(module_set), [(-inf, inf)])
+    _, columns, _ = _bin_columns(motor, arch, constraints,
+                                 validate_module_set(module_set),
+                                 [(-inf, inf)])
     yield from _designs(arch, columns)
 
 
@@ -424,19 +435,11 @@ def _bin_tallies(motor: MotorSpec, arch: Architecture,
 
     The rows do not depend on the module. One ``_window_rows`` call
     builds every bin's rows as one slice, and no bin's (module, planet
-    count, row) grid may exceed ``_WINDOW_BOUND``. A bin outside the
-    ring envelope is decided without its grid. A rounded product grows
-    with either positive factor, so where the bin's smallest ring at the
-    smallest module fails ``ring_diameter``, every cell fails it. Only a
-    rule whose name sorts first can then tie it and win, and none covers
-    the grid where the bin's first row, at the smallest module and
-    planet count, passes it. Such a bin's tally is
-    ``{"ring_diameter": cells}``, the rules that cannot outrank it left
-    uncounted; one ``constraint_rules`` call checks every bin's
-    certificate. Each other bin with rows takes one ``constraint_rules``
-    call with the modules as a leading (M, 1, 1) axis, so a rule that
-    does not read the module is computed once per bin, and each
-    verdict's count is scaled by the grid axes it lacks.
+    count, row) grid may exceed ``_WINDOW_BOUND``. Each bin with rows
+    takes one ``constraint_rules`` call with the modules as a leading
+    (M, 1, 1) axis, so a rule that does not read the module is computed
+    once per bin, and each verdict's count is scaled by the grid axes it
+    lacks.
     """
     los, his = np.array(bins, dtype=np.float64).reshape(-1, 2).T
     sun, planet, ring, planet_counts, sizes = _window_rows(
@@ -445,28 +448,11 @@ def _bin_tallies(motor: MotorSpec, arch: Architecture,
     rows = sizes.reshape(len(bins), -1).sum(axis=1)
     grids = (len(module_set) * len(planet_counts) * rows).tolist()
     _bounded(arch, max(grids), "(module, planet count, row) cells")
-    # the certificate cells: each bin's first row, paired with its
-    # smallest ring, at the smallest module and planet count; where that
-    # ring is not the first row's own, ``geometric`` fails and the bin is
-    # tallied
-    filled = np.flatnonzero(rows)
-    first = (np.cumsum(rows) - rows)[filled]
-    verdicts = dict(zip(_RULE_ORDER, constraint_rules(
-        arch, min(module_set), constraints.min_planets, sun[first],
-        planet[first], np.minimum.reduceat(ring, first), motor,
-        constraints)))
-    outranking = reduce(or_, (verdict for name, verdict in verdicts.items()
-                              if name < "ring_diameter"))
-    decided = np.zeros(len(bins), dtype=bool)
-    decided[filled] = verdicts["ring_diameter"] & ~outranking
     modules = np.array(module_set, dtype=np.float64)[:, None, None]
     slices = zip(*(np.split(column, np.cumsum(rows)[:-1])
                    for column in (sun, planet, ring)))
     tallies = []
-    for cells, window, envelope in zip(grids, slices, decided.tolist()):
-        if envelope:
-            tallies.append({"ring_diameter": cells})
-            continue
+    for cells, window in zip(grids, slices):
         verdicts = constraint_rules(arch, modules, planet_counts, *window,
                                     motor, constraints) if cells else ()
         tallies.append({name: count for name, verdict
@@ -491,16 +477,18 @@ def optimize_bins(arch: Architecture, ctx: EvalContext,
     call scores the whole search window; the bin column gives each
     bin's counts, its cheapest cost and the feasible rows at exactly
     that cost, which ``evaluate`` scores in (m, n_p, N_s, N_p) order for
-    ``ranking_key``. Empty bins carry the dominant
-    blocking constraint instead: the most frequent rule of
-    ``_bin_tallies``, which builds one diagnosis window for all of them,
-    decides the bins outside the ring envelope from one certificate cell
-    each and checks each other bin's slice of it on its own.
+    ``ranking_key``. Empty bins carry the dominant blocking constraint
+    instead: a bin that holds no row of the window lies outside the ring
+    envelope and takes its closed-form reason from ``_bin_columns``.
+    Each other empty bin is named by the most frequent rule of
+    ``_bin_tallies``, which builds one diagnosis window for all of them
+    and checks each bin's slice of it on its own.
     """
     bins = validate_bins(bins)
     module_set = validate_module_set(module_set)
-    row_bin, columns = _bin_columns(ctx.motor, arch, ctx.constraints,
-                                    module_set, bins)
+    row_bin, columns, closed = _bin_columns(ctx.motor, arch,
+                                            ctx.constraints, module_set,
+                                            bins)
     examined = np.bincount(row_bin, minlength=len(bins))
     feasible_count = np.zeros_like(examined)
     best = [None] * len(bins)
@@ -516,16 +504,18 @@ def optimize_bins(arch: Architecture, ctx: EvalContext,
         for i, group in groupby(shortlisted, key=itemgetter(0)):
             best[i] = min((evaluate(design, ctx) for _, design in group),
                           key=ranking_key)
-    empty = [bin_ for bin_, winner in zip(bins, best) if winner is None]
+    empty = [bin_ for bin_, winner, reason in zip(bins, best, closed)
+             if winner is None and reason is None]
     reasons = map(_dominant_rule, _bin_tallies(
         ctx.motor, arch, ctx.constraints, module_set, empty) if empty else [])
     return [BinResult(lo=lo, hi=hi, best=winner,
                       candidates_examined=n_examined,
                       feasible_count=n_feasible,
                       empty_reason=None if winner is not None
-                      else next(reasons))
-            for (lo, hi), winner, n_examined, n_feasible
-            in zip(bins, best, examined.tolist(), feasible_count.tolist())]
+                      else reason or next(reasons))
+            for (lo, hi), winner, reason, n_examined, n_feasible
+            in zip(bins, best, closed, examined.tolist(),
+                   feasible_count.tolist())]
 
 
 def compare_architectures(

@@ -190,6 +190,10 @@ REFUSALS = {
     "top-level-list": _top_level_list,
     "missing-bearing-table": _missing_bearing_table,
     "fractional-tooth-count": _fractional_tooth_count,
+    "bin-at-or-below-two": _section_refusal(
+        "search", "bins", [[1, 2]],
+        "config search.bins: bin [1.0, 2.0) holds no design: every "
+        "reduction 2 + 2*N_p/N_s is above 2"),
     "negative-ring-clearance": _section_refusal(
         "constraints", "ring_clearance_mm", -1,
         "config section 'constraints': ring_clearance_mm must be >= 0"),
@@ -667,6 +671,23 @@ class TestRunSweep:
             run_sweep(load_config(u12_config_path), out_dir=tmp_path)
         assert not any(tmp_path.iterdir())
 
+    def test_refused_candidate_log_leaves_the_directory(self, tmp_path):
+        # the esspg candidate window of a 600 mm motor exceeds the bound;
+        # it is built before the directory is touched, so the earlier
+        # sweep's reports stay as they were
+        text = (REPO / "configs" / "u12.yaml").read_text()
+        config = tmp_path / "u600.yaml"
+        config.write_text(text.replace("outer_diameter_mm: 105.6",
+                                       "outer_diameter_mm: 600.0"))
+        used = tmp_path / "used"
+        run_sweep(load_config(REPO / "configs" / "u12.yaml"), out_dir=used)
+        before = report_digest(used)
+        cfg = replace(load_config(config),
+                      architectures=[Architecture.ESSPG])
+        with pytest.raises(ValueError, match="esspg candidate window"):
+            run_sweep(cfg, out_dir=used, log_candidates=True)
+        assert report_digest(used) == before
+
     def test_dimension_sheet_rejects_infeasible(self, u12_config_path):
         cfg = load_config(u12_config_path)
         bad = GearboxDesign(arch=Architecture.ISSPG, sun_teeth=20,
@@ -889,7 +910,10 @@ class TestCommandLine:
         ({"constraints": {"module_min_mm": 1e-6},
           "search": {"module_set": [1e-6]}}, "suns"),
         ({"motor": {**MINIMAL["motor"], "outer_diameter_mm": 1e9}}, "suns"),
-        ({"search": {"bins": [[20, 1e12]]}}, "cells"),
+        # 104 window rows of [5, 300) that the bore drops, and a
+        # diagnosis grid over the eight standard modules
+        ({"search": {"bins": [[5, 300]]},
+          "mass": {"planet_bearing_bore_mm": 1e300}}, "cells"),
         ({"constraints": {"max_planets": 10**9}}, "cells"),
     ], ids=["tiny-module", "huge-motor", "huge-bin", "huge-planet-range"])
     def test_oversized_window_is_a_clean_error(self, tmp_path, capsys,

@@ -136,8 +136,8 @@ class TestContactRatios:
                                                min_teeth=min_teeth))
         smallest = []
         for arch in cfg.architectures:
-            _, columns = _bin_columns(ctx.motor, arch, ctx.constraints,
-                                      cfg.module_set, cfg.bins)
+            _, columns, _ = _bin_columns(ctx.motor, arch, ctx.constraints,
+                                         cfg.module_set, cfg.bins)
             feasible = score_columns(arch, ctx, *columns).feasible
             m, _, s, p, index = (column[feasible] for column in columns)
             _, (a1, a2, b1, b2, *_), _ = mesh_chain(m, s, p, s + 2 * p,

@@ -45,8 +45,8 @@ ALL_MODULES = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2]
 # output bearing bore above the bearing table
 SCALE_MOTOR = replace(U12, outer_diameter_mm=160.0,
                       stator_inner_diameter_mm=110.0, name="U12-scale")
-# no two planets fit: every u12 design fails planet_interference, and no
-# empty bin can be decided by the ring envelope alone
+# no two planets fit: every u12 design fails planet_interference, so
+# every bin is empty, and the bins the search window reaches are tallied
 CLEARANCE_1E4 = ConstraintParams(planet_clearance_mm=1e4)
 
 
@@ -91,16 +91,37 @@ def diagnosis(motor, arch, constraints, modules, lo, hi):
 def bin_designs(motor, arch, constraints, modules, lo, hi):
     """The feasible designs of one bin [lo, hi): its ``_bin_columns``
     rows."""
-    _, columns = _bin_columns(motor, arch, constraints, sorted(modules),
-                              [(lo, hi)])
+    _, columns, _ = _bin_columns(motor, arch, constraints, sorted(modules),
+                                 [(lo, hi)])
     return _designs(arch, columns)
 
 
-def split_bins(row_bin, columns, count):
+def split_bins(row_bin, columns, closed):
     """``_bin_columns``' rows cut into one column tuple per bin, on its
     ascending bin column."""
-    ends = np.cumsum(np.bincount(row_bin, minlength=count))[:-1]
+    ends = np.cumsum(np.bincount(row_bin, minlength=len(closed)))[:-1]
     return list(zip(*(np.split(column, ends) for column in columns)))
+
+
+def closed_form_verdict(motor, arch, constraints, modules, lo, hi):
+    """None where a naive scan finds an (m, N_s, N_p) of an allowed
+    module, each gear at min_teeth or more, with its ring inside the
+    envelope and its ratio in [lo, hi); else an empty bin's closed-form
+    reason: ring_diameter, or module_range when no module is allowed."""
+    d_max = max_gearbox_diameter(motor, arch, constraints)
+    allowed = [module_mm for module_mm in modules
+               if constraints.module_min_mm <= module_mm
+               <= constraints.module_max_mm]
+    for module_mm in allowed:
+        top = int(d_max / module_mm) + 1
+        for sun in range(constraints.min_teeth, top):
+            for planet in range(constraints.min_teeth, top):
+                ring = sun + 2 * planet
+                if module_mm * ring > d_max:
+                    break
+                if lo <= (sun + ring) / sun < hi:
+                    return None
+    return "ring_diameter" if allowed else "module_range"
 
 
 def mask_gather_bin_columns(motor, arch, constraints, module_set, bins):
@@ -109,19 +130,18 @@ def mask_gather_bin_columns(motor, arch, constraints, module_set, bins):
     the broadcast grid, then a stable argsort on an int64 (bin, module)
     key."""
     n_min = constraints.min_teeth
-    n_cap = inf if constraints.max_teeth is None else constraints.max_teeth
     d_max = max_gearbox_diameter(motor, arch, constraints)
     los, his = np.array(bins, dtype=np.float64).reshape(-1, 2).T
     modules = np.array([m for m in module_set if constraints.module_min_mm
                         <= m <= constraints.module_max_mm], dtype=np.float64)
     max_ring = np.floor(d_max / modules + 1e-9)
-    sun_counts = np.maximum(np.minimum(max_ring - 2 * n_min, n_cap)
-                            - n_min + 1, 0).astype(np.int64)
+    max_ring -= modules * max_ring > d_max
+    sun_counts = np.maximum(max_ring - 3 * n_min + 1, 0).astype(np.int64)
     sun_module = np.repeat(np.arange(len(modules)), sun_counts)
     suns = n_min + search._segment_offsets(sun_counts)
     sun, planet, ring, planet_counts, sizes = search._window_rows(
         arch, constraints, suns, los[:1], his[-1:],
-        np.minimum((max_ring[sun_module] - suns) // 2, n_cap), slack=1)
+        (max_ring[sun_module] - suns) // 2, slack=1)
     module_index = np.repeat(sun_module, sizes)
     ratio = (2 * sun + 2 * planet) / sun
     index = np.searchsorted(los, ratio, side="right") - 1
@@ -149,12 +169,15 @@ def scalar_bins(arch, ctx, modules, bins):
                     in (evaluate(design, ctx) for design in candidates)
                     if evaluation.feasible]
         best = min(feasible, key=ranking_key, default=None)
+        reason = None if best is not None else (
+            closed_form_verdict(ctx.motor, arch, ctx.constraints, modules,
+                                lo, hi)
+            or diagnosis(ctx.motor, arch, ctx.constraints, modules, lo,
+                         hi)[1])
         results.append(BinResult(
             lo=lo, hi=hi, best=best,
             candidates_examined=len(candidates),
-            feasible_count=len(feasible),
-            empty_reason=None if best is not None else diagnosis(
-                ctx.motor, arch, ctx.constraints, modules, lo, hi)[1]))
+            feasible_count=len(feasible), empty_reason=reason))
     return results
 
 
@@ -188,6 +211,11 @@ class TestHelpers:
             validate_bins([(6.0, 6.0)])
         with pytest.raises(ValueError):
             validate_bins([(5.0, 6.5), (6.0, 7.0)])
+        # R = 2 + 2*N_p/N_s > 2: no design lies below an upper edge of 2
+        with pytest.raises(ValueError, match=r"\[1.0, 2.0\) holds no design: "
+                           r"every reduction 2 \+ 2\*N_p/N_s is above 2"):
+            validate_bins([(1.0, 2.0)])
+        assert validate_bins([(1.0, 2.5)]) == [(1.0, 2.5)]
 
     @pytest.mark.parametrize("bin_", [(14.0, inf), (-inf, 6.0),
                                       (nan, 6.0)])
@@ -265,11 +293,11 @@ class TestEnumeration:
                                            ConstraintParams(), ALL_MODULES))]
         bins = default_bins()
         for arch in Architecture:
-            row_bin, columns = _bin_columns(U12, arch, ConstraintParams(),
-                                            ALL_MODULES, bins)
+            row_bin, columns, closed = _bin_columns(
+                U12, arch, ConstraintParams(), ALL_MODULES, bins)
             assert np.all(np.diff(row_bin) >= 0)
             windows += [_designs(arch, columns_of_bin) for columns_of_bin
-                        in split_bins(row_bin, columns, len(bins))]
+                        in split_bins(row_bin, columns, closed)]
         for designs in windows:
             keys = [(d.module_mm, d.num_planets, d.sun_teeth,
                      d.planet_teeth) for d in designs]
@@ -287,8 +315,8 @@ class TestEnumeration:
         assert np.min_scalar_type(len(bins) * len(ALL_MODULES)) == key_type
         top_keys = []
         for arch in Architecture:
-            row_bin, columns = _bin_columns(motor, arch, ConstraintParams(),
-                                            ALL_MODULES, bins)
+            row_bin, columns, _ = _bin_columns(
+                motor, arch, ConstraintParams(), ALL_MODULES, bins)
             ref_bin, ref_columns = mask_gather_bin_columns(
                 motor, arch, ConstraintParams(), ALL_MODULES, bins)
             assert len(row_bin) > 0
@@ -622,9 +650,11 @@ class TestDiagnosis:
             assert 0 < counts["ring_diameter"] < diagnosis_cells(
                 default_ctx.constraints, ALL_MODULES, lo, hi)
 
-    def test_full_ring_diameter_tie_goes_to_planet_interference(self):
-        # every cell of u12 isspg [7,8) fails both rules; the tie goes to
-        # the first name, so the envelope alone cannot decide the bin
+    def test_full_ring_diameter_tie_goes_to_planet_interference(
+            self, default_ctx):
+        # every cell of u12 isspg [7,8) fails both rules; the tally's tie
+        # goes to the first name. The search window holds no row of the
+        # bin, so the sweep names the ring envelope without a tally.
         counts = scalar_tallies(U12, Architecture.ISSPG, CLEARANCE_1E4,
                                 ALL_MODULES, 7.0, 8.0)
         assert counts["ring_diameter"] == counts["planet_interference"] \
@@ -632,11 +662,17 @@ class TestDiagnosis:
             == 38_880
         assert diagnosis(U12, Architecture.ISSPG, CLEARANCE_1E4, ALL_MODULES,
                          7.0, 8.0) == (counts, "planet_interference")
+        ctx = replace(default_ctx, constraints=CLEARANCE_1E4)
+        with mock.patch.object(search, "_bin_tallies") as tallies:
+            result, = optimize_bins(Architecture.ISSPG, ctx, ALL_MODULES,
+                                    [(7.0, 8.0)])
+        tallies.assert_not_called()
+        assert result.empty_reason == "ring_diameter"
 
-    def test_failed_certificate_cell_is_tallied_in_full(self):
-        # 0.5 mm fails module_range, so the first row at the smallest
-        # module cannot certify the bin; the full tally still names
-        # ring_diameter
+    def test_tally_with_a_disallowed_module_is_full(self):
+        # 0.5 mm fails module_range, and every cell of u12 isspg [7,8),
+        # its 0.5 mm cells too, fails ring_diameter: the full tally
+        # names ring_diameter
         constraints = ConstraintParams(module_min_mm=0.6)
         counts = scalar_tallies(U12, Architecture.ISSPG, constraints,
                                 ALL_MODULES, 7.0, 8.0)
@@ -644,6 +680,41 @@ class TestDiagnosis:
         assert counts["planet_interference"] == 25_920
         assert diagnosis(U12, Architecture.ISSPG, constraints, ALL_MODULES,
                          7.0, 8.0) == (counts, "ring_diameter")
+
+    def test_closed_form_reads_the_allowed_modules(self, default_ctx):
+        # u12 isspg [7,8) holds no envelope cell. With 0.1 to 0.3 mm
+        # outside [0.5, 1.2] mm, its tally names module_range, the rule
+        # of three modules in four; the sweep names the ring envelope,
+        # which every design of the allowed 0.5 mm fails. With no module
+        # allowed, every design fails module_range.
+        modules = [0.1, 0.2, 0.3, 0.5]
+        _, reason = diagnosis(U12, Architecture.ISSPG,
+                              default_ctx.constraints, modules, 7.0, 8.0)
+        assert reason == "module_range"
+        for module_set, verdict in ((modules, "ring_diameter"),
+                                    (modules[:3], "module_range")):
+            result, = optimize_bins(Architecture.ISSPG, default_ctx,
+                                    module_set, [(7.0, 8.0)])
+            assert result.empty_reason == verdict
+
+    def test_envelope_edge_is_exact(self, default_ctx):
+        # d_max/m lies within 1e-9 below 100 teeth: the 100-tooth ring of
+        # 20/40 at 0.6 mm, the one design of [5.95, 6.01) that could fit,
+        # fails ring_diameter, so the bin holds no window row and is
+        # named in closed form, where its tally ties on every cell and
+        # names planet_interference
+        motor = replace(U12, stator_inner_diameter_mm=70.0 - 1e-12)
+        assert 99 < max_gearbox_diameter(motor, Architecture.ISSPG,
+                                         CLEARANCE_1E4) / 0.6 < 100
+        assert constraint_failures(replace(REFERENCE, module_mm=0.6), motor,
+                                   CLEARANCE_1E4) == [
+            "planet_interference", "ring_diameter"]
+        ctx = replace(default_ctx, motor=motor, constraints=CLEARANCE_1E4)
+        assert diagnosis(motor, Architecture.ISSPG, CLEARANCE_1E4, [0.6],
+                         5.95, 6.01)[1] == "planet_interference"
+        result, = optimize_bins(Architecture.ISSPG, ctx, [0.6],
+                                [(5.95, 6.01)])
+        assert result.empty_reason == "ring_diameter"
 
     @pytest.mark.parametrize("arch, lo", [(Architecture.ISSPG, 7.0),
                                           (Architecture.ESSPG, 11.0)])
@@ -664,13 +735,11 @@ class TestDiagnosis:
                                               (Architecture.ESSPG, 6)])
     def test_u12_call_counts(self, default_ctx, monkeypatch, arch, filled):
         # one search window per architecture, built by one window-rows
-        # call, checked by one rules call and scored in one pass; one
-        # diagnosis window for every empty bin, built by one window-rows
-        # call, whose bins all lie outside the ring envelope and are
-        # decided by one rules call on their certificate cells, and no
-        # scoring of bins without rows
+        # call, checked by one rules call and scored in one pass; every
+        # empty bin lies outside the ring envelope and is named without
+        # a diagnosis, and bins without rows are not scored
         calls = dict.fromkeys(("score_columns", "_window_rows",
-                               "constraint_rules"), 0)
+                               "constraint_rules", "_bin_tallies"), 0)
         scored_rows = []
 
         def counted(name):
@@ -687,24 +756,24 @@ class TestDiagnosis:
         results = optimize_bins(arch, default_ctx, ALL_MODULES,
                                 default_bins())
         assert sum(r.candidates_examined > 0 for r in results) == filled
-        # the search window and the diagnosis window
-        assert calls == {"score_columns": 1, "_window_rows": 2,
-                         "constraint_rules": 2}
+        assert calls == {"score_columns": 1, "_window_rows": 1,
+                         "constraint_rules": 1, "_bin_tallies": 0}
         assert scored_rows == [sum(r.candidates_examined for r in results)]
         empty = [(r.lo, r.hi) for r in results if not r.candidates_examined]
         optimize_bins(arch, default_ctx, ALL_MODULES, empty)
         assert calls["score_columns"] == 1
 
-    def test_u12_diagnosis_allocates_one_bin_at_a_time(self, default_ctx):
+    def test_u12_diagnosis_allocates_one_bin_at_a_time(self):
         # numpy reports its buffers to tracemalloc; the whole diagnosis
-        # window's (module, planet count, row) grid peaks above 3 MB. At a
-        # 1e4 mm planet clearance every bin is empty and tallied in full.
-        ctx = replace(default_ctx, constraints=CLEARANCE_1E4)
-        optimize_bins(Architecture.ISSPG, ctx, ALL_MODULES, default_bins())
+        # window's (module, planet count, row) grid over the ten default
+        # bins peaks above 3 MB. At a 1e4 mm planet clearance every cell
+        # fails a rule.
+        args = (U12, Architecture.ISSPG, CLEARANCE_1E4, ALL_MODULES,
+                default_bins())
+        _bin_tallies(*args)
         tracemalloc.start()
         try:
-            optimize_bins(Architecture.ISSPG, ctx, ALL_MODULES,
-                          default_bins())
+            _bin_tallies(*args)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -715,8 +784,9 @@ class TestDiagnosis:
         # a diagnosis call is the one with a module axis; its rows lie
         # in one bin, and its grid is no larger than that bin's
         # (module, planet count, row) grid. At a 1e4 mm planet clearance
-        # every bin is empty and tallied; by default every empty bin
-        # lies outside the ring envelope, and no grid is built.
+        # every bin is empty, and the two that the search window reaches
+        # are tallied; by default every empty bin lies outside the ring
+        # envelope, and no grid is built.
         bins = default_bins()
         grids = {}
         rules = search.constraint_rules
@@ -737,7 +807,7 @@ class TestDiagnosis:
                                         constraints=CLEARANCE_1E4),
                                 ALL_MODULES, bins)
         assert all(r.best is None for r in results)
-        assert sorted(grids) == list(range(len(bins)))
+        assert sorted(grids) == [0, 1]
         for i, cells in grids.items():
             assert cells <= diagnosis_cells(CLEARANCE_1E4, ALL_MODULES,
                                             *bins[i])
@@ -938,16 +1008,6 @@ def diagnosis_cells(constraints, modules, lo, hi):
                             - constraints.min_planets + 1) * rows)
 
 
-def assert_tally_equals_scan(counts, scalar, cells):
-    """A diagnosis tally equals the scalar scan's, except that a bin
-    decided by the ring envelope may count ring_diameter alone: then
-    every one of the grid's cells fails it, and the scan names it too."""
-    if counts != scalar:
-        assert counts == {"ring_diameter": cells}
-        assert scalar["ring_diameter"] == cells
-        assert scalar_verdict(scalar) == "ring_diameter"
-
-
 class TestRatioWindow:
     @settings(max_examples=60)
     @given(motor=motors(), constraints=constraint_sets(),
@@ -999,9 +1059,7 @@ class TestRatioWindow:
             counts, verdict = diagnosis(motor, arch, constraints, modules,
                                         lo, hi)
             assert verdict == scalar_verdict(scalar)
-            assert_tally_equals_scan(
-                counts, scalar,
-                diagnosis_cells(constraints, modules, lo, hi))
+            assert counts == scalar
 
     @settings(max_examples=60)
     @given(motor=motors(), constraints=constraint_sets(),
@@ -1051,23 +1109,26 @@ class TestRatioWindow:
         results = optimize_bins(arch, ctx, modules, bins)
         assert [(r.lo, r.hi) for r in results] == bins
         # the merged passes themselves, over every bin at once: each
-        # bin's rows in lexicographic order and its tallies
-        merged = zip(results,
-                     split_bins(*_bin_columns(motor, arch, constraints,
-                                              modules, bins), len(bins)),
+        # bin's rows in lexicographic order, its closed-form reason, set
+        # exactly where the naive scan finds no envelope cell, and its
+        # tallies
+        row_bin, columns, closed = _bin_columns(motor, arch, constraints,
+                                                modules, bins)
+        merged = zip(results, split_bins(row_bin, columns, closed), closed,
                      _bin_tallies(motor, arch, constraints, modules, bins))
-        for result, columns, counts in merged:
+        for result, columns, reason, counts in merged:
             in_bin = [d for d in naive
                       if result.lo <= d.reduction_ratio < result.hi]
             assert _designs(arch, columns) == in_bin
             assert result.candidates_examined == len(in_bin)
+            assert reason == closed_form_verdict(
+                motor, arch, constraints, modules, result.lo, result.hi)
             scalar = scalar_tallies(motor, arch, constraints, modules,
                                     result.lo, result.hi)
-            assert_tally_equals_scan(
-                counts, scalar,
-                diagnosis_cells(constraints, modules, result.lo, result.hi))
+            assert counts == scalar
             if result.best is None:
-                assert result.empty_reason == scalar_verdict(scalar)
+                assert result.empty_reason == (reason
+                                               or scalar_verdict(scalar))
 
 
 # --- columnar scoring against scalar evaluate ------------------------------
@@ -1130,7 +1191,7 @@ class TestScoreColumns:
         ctx = data.draw(eval_contexts(bearing_model))
         columns, = split_bins(*_bin_columns(ctx.motor, arch,
                                             ctx.constraints, [module_mm],
-                                            [(lo, lo + width)]), 1)
+                                            [(lo, lo + width)]))
         scores = score_columns(arch, ctx, *columns)
         designs = bin_designs(ctx.motor, arch, ctx.constraints,
                               [module_mm], lo, lo + width)
@@ -1223,15 +1284,16 @@ class TestBitExactColumns:
     def test_window_columns_equal_evaluate(self, bearing_model, data, arch,
                                            modules, bins):
         ctx = data.draw(window_contexts(bearing_model))
-        _, columns = _bin_columns(ctx.motor, arch, ctx.constraints, modules,
-                                  bins)
+        _, columns, _ = _bin_columns(ctx.motor, arch, ctx.constraints,
+                                     modules, bins)
         assert_columns_equal_evaluate(arch, ctx, columns)
 
     def test_empty_window(self, default_ctx):
         # no module of the set lies in the allowed range
-        _, columns = _bin_columns(default_ctx.motor, Architecture.ISSPG,
-                                  default_ctx.constraints, [1.5],
-                                  default_bins())
+        _, columns, closed = _bin_columns(
+            default_ctx.motor, Architecture.ISSPG, default_ctx.constraints,
+            [1.5], default_bins())
+        assert closed == ["module_range"] * len(default_bins())
         assert len(columns[0]) == 0
         scores = score_columns(Architecture.ISSPG, default_ctx, *columns)
         assert all(len(column) == 0 for column in scores)
@@ -1290,8 +1352,8 @@ def per_bin_search(arch, ctx, modules, bins):
     cheapest rows with ``evaluate``."""
     cells = []
     for lo, hi in bins:
-        _, columns = _bin_columns(ctx.motor, arch, ctx.constraints, modules,
-                                  [(lo, hi)])
+        _, columns, _ = _bin_columns(ctx.motor, arch, ctx.constraints,
+                                     modules, [(lo, hi)])
         best, feasible_count = None, 0
         if len(columns[0]):
             scores = score_columns(arch, ctx, *columns)
@@ -1427,42 +1489,49 @@ class TestWindowBound:
                      "suns")
 
     def test_huge_bin(self, default_ctx):
-        # the search window is empty, and the diagnosis window would hold
-        # about 3e13 planets per sun
-        self.refused(Architecture.ISSPG, default_ctx, ALL_MODULES,
-                     [(20.0, 1e12)], r"\(planet count, row\) cells")
+        # the search window holds no row of the bin, so the bin lies
+        # outside the ring envelope and no diagnosis window, which would
+        # hold about 3e13 planets per sun, is built
+        with mock.patch.object(search, "_bin_tallies") as tallies:
+            result, = optimize_bins(Architecture.ISSPG, default_ctx,
+                                    ALL_MODULES, [(20.0, 1e12)])
+        tallies.assert_not_called()
+        assert result.empty_reason == "ring_diameter"
 
     def test_module_axis_of_the_diagnosis(self, default_ctx):
-        # the search window is empty, and the diagnosis window holds
-        # 229,600 rows x 6 planet counts, inside the bound; its grid over
-        # the eight modules does not
-        self.refused(Architecture.ISSPG, default_ctx, ALL_MODULES,
-                     [(20.0, 300.0)], r"\(module, planet count, row\) cells")
-        results = optimize_bins(Architecture.ISSPG, default_ctx, [0.5],
-                                [(20.0, 300.0)])
-        assert results[0].empty_reason == "ring_diameter"
+        # [5, 300) holds 104 window rows at 0.5 mm, which a 1e300 mm
+        # planet-bearing bore drops; the diagnosis window holds 241,890
+        # rows x 6 planet counts, inside the bound; its grid over the
+        # eight modules does not. The verdict is the geometric tally's,
+        # not the bore that emptied the bin: a first-failure count over
+        # the window rows (ROADMAP item 2) is expected to change it.
+        ctx = replace(default_ctx, mass_params=MassModelParams(
+            planet_bearing_bore_mm=1e300))
+        self.refused(Architecture.ISSPG, ctx, ALL_MODULES, [(5.0, 300.0)],
+                     r"\(module, planet count, row\) cells")
+        result, = optimize_bins(Architecture.ISSPG, ctx, [0.5],
+                                [(5.0, 300.0)])
+        assert (result.candidates_examined, result.feasible_count) == (104, 0)
+        assert result.empty_reason == "ring_diameter"
 
     def test_diagnosis_bound_holds_per_bin(self, default_ctx, monkeypatch):
-        # seven bins of about 1.57e6 (module, planet count, row) cells
-        # each, 1.1e7 together: each bin's grid is inside the bound, and
-        # each verdict is that of a sweep of its bin alone
-        bins = [(float(lo), float(lo + 40)) for lo in range(20, 300, 40)]
-        counts = []
-
-        def recorded(arch, count, what):
-            counts.append((what, count))
-            return bounded(arch, count, what)
-        bounded = search._bounded
-        monkeypatch.setattr(search, "_bounded", recorded)
-        results = optimize_bins(Architecture.ISSPG, default_ctx,
-                                ALL_MODULES, bins)
-        grid, = (count for what, count in counts
-                 if what == "(module, planet count, row) cells")
-        assert 1.5e6 < grid <= search._WINDOW_BOUND
-        assert [r.empty_reason for r in results] == ["ring_diameter"] * 7
+        # at a 1e4 mm planet clearance the search window reaches u12
+        # isspg [5,6) and [6,7), and planet_interference drops every row
+        # of them; under a bound of the larger of their (module, planet
+        # count, row) grids, each grid is inside it and both together are
+        # not, and each verdict is that of a sweep of its bin alone
+        ctx = replace(default_ctx, constraints=CLEARANCE_1E4)
+        bins = [(5.0, 6.0), (6.0, 7.0)]
+        grids = [diagnosis_cells(CLEARANCE_1E4, ALL_MODULES, *bin_)
+                 for bin_ in bins]
+        monkeypatch.setattr(search, "_WINDOW_BOUND", max(grids))
+        assert sum(grids) > search._WINDOW_BOUND
+        results = optimize_bins(Architecture.ISSPG, ctx, ALL_MODULES, bins)
+        assert [r.empty_reason for r in results] == [
+            "planet_interference"] * 2
         for bin_, result in zip(bins, results, strict=True):
-            assert optimize_bins(Architecture.ISSPG, default_ctx,
-                                 ALL_MODULES, [bin_]) == [result]
+            assert optimize_bins(Architecture.ISSPG, ctx, ALL_MODULES,
+                                 [bin_]) == [result]
 
     def test_huge_planet_count_range(self, default_ctx):
         ctx = replace(default_ctx,
