@@ -280,31 +280,18 @@ def context_terms(motor: MotorSpec, bearing: BearingModel,
             base_plate_mass(motor, materials, params))
 
 
-def component_masses(arch: Architecture, module_mm, num_planets, sun_teeth,
-                     planet_teeth, ring_teeth, face_width_mm,
-                     motor: MotorSpec, bearing: BearingModel,
-                     materials: MaterialSpec, params: MassModelParams,
-                     terms: tuple, module_index=None) -> tuple:
+def mass_verdicts(module_mm, sun_teeth, planet_teeth, ring_teeth,
+                  params: MassModelParams, terms: tuple) -> tuple:
     """Whether the mass rules admit a design, their verdicts in component
     order (gears, sun-shaft bearing, disk clearance, planet bearing,
-    output bearing, casing, a ring outer diameter whose square is finite),
-    the ``MassBreakdown`` fields before the total and the dimensions they
-    are priced at: the pin circle (the output bearing's bore), the
-    carrier disk OD, the sun-shaft bearing OD (the disk's ID) and the
-    casing length. Both are none for one design not admitted, or for
-    columns whose context fails a verdict. For one design or numpy
-    columns, given the ``context_terms`` of the other inputs. On columns,
-    the output bearing's mass is taken once per (``module_index``,
-    N_s + N_p), nan outside the table.
-
-    The sun and planets are steel cylinders at pitch diameter, solid with
-    ``fastener_offset`` on (the extra material stands in for excluded
-    nuts, bolts and circlips); the ring is a steel annulus from its
-    inward tip circle out to the pitch circle plus twice its radial wall.
-    The secondary carrier is the bare disk."""
+    output bearing, casing, a ring outer diameter whose square is finite)
+    and the sun, planet, ring tip, ring outer, pin circle and carrier disk
+    diameters they check, for one design or numpy columns, given the
+    ``context_terms`` of the other inputs. None reads the face width, the
+    planet count or the efficiency."""
     ((sun_bore, planet_bore), low, high, shaft_ok, planet_ok, casing_inner,
-     shaft_od, shaft_kg, planet_kg, plate) = terms
-    m, n, width = module_mm, num_planets, face_width_mm
+     shaft_od) = terms[:7]
+    m = module_mm
     d_sun, d_planet, d_ring = m * sun_teeth, m * planet_teeth, m * ring_teeth
     ring_wall = params.ring_radial_thickness_coeff * m
     ring_tip, ring_outer = d_ring - 2.0 * m, d_ring + 2.0 * ring_wall
@@ -315,10 +302,39 @@ def component_masses(arch: Architecture, module_mm, num_planets, sun_teeth,
         & (ring_tip > 0), shaft_ok, shaft_od < disk_od, planet_ok,
         (low <= pin_circle) & (pin_circle <= high), casing_inner > 0,
         ring_outer * ring_outer < inf)
-    sound = (gears_ok & shaft_ok & disk_ok & planet_ok & output_ok
-             & casing_ok & squares)
+    return (gears_ok & shaft_ok & disk_ok & planet_ok & output_ok & casing_ok
+            & squares), verdicts, (d_sun, d_planet, ring_tip, ring_outer,
+                                   pin_circle, disk_od)
+
+
+def component_masses(arch: Architecture, module_mm, num_planets, sun_teeth,
+                     planet_teeth, ring_teeth, face_width_mm,
+                     motor: MotorSpec, bearing: BearingModel,
+                     materials: MaterialSpec, params: MassModelParams,
+                     terms: tuple, module_index=None) -> tuple:
+    """Whether the mass rules admit a design and their verdicts, both from
+    ``mass_verdicts``, the ``MassBreakdown`` fields before the total and
+    the dimensions they are priced at: the pin circle (the output
+    bearing's bore), the carrier disk OD, the sun-shaft bearing OD (the
+    disk's ID) and the casing length. Both are none for one design not
+    admitted, or for columns whose context fails a verdict. For one
+    design or numpy columns, given the ``context_terms`` of the other
+    inputs. On columns, the output bearing's mass is taken once per
+    (``module_index``, N_s + N_p), nan outside the table.
+
+    The sun and planets are steel cylinders at pitch diameter, solid with
+    ``fastener_offset`` on (the extra material stands in for excluded
+    nuts, bolts and circlips); the ring is a steel annulus from its
+    inward tip circle out to the pitch circle plus twice its radial wall.
+    The secondary carrier is the bare disk."""
+    ((sun_bore, planet_bore), low, high, shaft_ok, planet_ok, casing_inner,
+     shaft_od, shaft_kg, planet_kg, plate) = terms
+    m, n, width = module_mm, num_planets, face_width_mm
+    sound, verdicts, (d_sun, d_planet, ring_tip, ring_outer, pin_circle,
+                      disk_od) = mass_verdicts(m, sun_teeth, planet_teeth,
+                                               ring_teeth, params, terms)
     # a failed verdict of the context alone fails every row of columns too
-    if sound is False or not (shaft_ok and planet_ok and casing_ok):
+    if sound is False or not (shaft_ok and planet_ok and casing_inner > 0):
         return sound, verdicts, None, None
     steel, aluminum = (materials.steel_density_kg_m3,
                        materials.aluminum_density_kg_m3)

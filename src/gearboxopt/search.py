@@ -17,9 +17,12 @@ The search keeps the rows that fail no rule and scores them with
 
     cost = K_m * actuator_mass - K_e * efficiency
 
+The mass rules that read neither the face width nor the planet count
+(``mass.mass_verdicts``) drop window cells before scoring: on a large
+motor most cells put the output bearing's bore past the bearing table.
 ``score_columns`` runs the model functions of scalar ``evaluate``
 (``mesh_chain``, ``lewis_width``, ``component_masses``, each written
-once for floats and numpy columns) once on the whole window's columns,
+once for floats and numpy columns) once on the admitted cells' columns,
 equal to ``evaluate`` bit for bit row by row. The bin column then gives
 each bin's candidate and feasible counts and its cheapest cost; scalar
 ``evaluate`` builds the records of the feasible rows at exactly that
@@ -54,7 +57,7 @@ from .geometry import (_RULE_ORDER, Architecture, ConstraintParams,
                        constraint_rules, max_gearbox_diameter, require_finite)
 from .mass import (BearingModel, MassBreakdown, MassModelParams,
                    MaterialSpec, component_masses, context_terms,
-                   load_bearing_model)
+                   load_bearing_model, mass_verdicts)
 from .strength import LoadCase, StrengthParams, lewis_width
 
 # sun-teeth ceiling for empty-bin diagnostics; feasibility always
@@ -164,7 +167,7 @@ class BinComparison:
 
 
 class ColumnScores(NamedTuple):
-    """``evaluate`` over the rows of a bin, one column per quantity."""
+    """``evaluate`` over the rows it is given, one column per quantity."""
     feasible: np.ndarray     # equals evaluate(...).feasible row by row
     cost: np.ndarray         # equals evaluate(...).cost on feasible rows
     mass_total: np.ndarray   # kg
@@ -473,10 +476,12 @@ def optimize_bins(arch: Architecture, ctx: EvalContext,
                   bins: list[tuple[float, float]]) -> list[BinResult]:
     """
     Evaluate all candidates whose reduction ratio falls in some bin and
-    keep the min-cost feasible design per bin. One ``score_columns``
-    call scores the whole search window; the bin column gives each
-    bin's counts, its cheapest cost and the feasible rows at exactly
-    that cost, which ``evaluate`` scores in (m, n_p, N_s, N_p) order for
+    keep the min-cost feasible design per bin. Every window cell counts
+    as examined; a cell that ``mass_verdicts`` fails is infeasible
+    unscored, and one ``score_columns`` call scores the other cells. The
+    bin column of those cells gives each bin's feasible count, its
+    cheapest cost and the feasible rows at exactly that cost, which
+    ``evaluate`` scores in (m, n_p, N_s, N_p) order for
     ``ranking_key``. Empty bins carry the dominant blocking constraint
     instead: a bin that holds no row of the window lies outside the ring
     envelope and takes its closed-form reason from ``_bin_columns``.
@@ -490,6 +495,13 @@ def optimize_bins(arch: Architecture, ctx: EvalContext,
                                             ctx.constraints, module_set,
                                             bins)
     examined = np.bincount(row_bin, minlength=len(bins))
+    # a cell that a mass rule fails without its face width is infeasible
+    m, _, s, p, _ = columns
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        admitted = mass_verdicts(m, s, p, s + 2 * p, ctx.mass_params,
+                                 ctx.mass_terms)[0]
+    row_bin, columns = row_bin[admitted], tuple(column[admitted]
+                                                for column in columns)
     feasible_count = np.zeros_like(examined)
     best = [None] * len(bins)
     if len(row_bin):

@@ -130,9 +130,10 @@ def _section_refusal(section, key, value, message):
 
 def _malformed_yaml(tmp_path, _):
     argv, path = _refused_sweep(tmp_path, text="motor: [1, 2\n")
-    # the parser's own account of the error follows
+    # the parser's own account of the error follows, its mark naming the
+    # config file
     return argv, 1, (f"error: cannot parse config {path}: while parsing a "
-                     "flow sequence\n")
+                     f"flow sequence\n  in \"{path}\", line 1, column ")
 
 
 def _top_level_list(tmp_path, _):

@@ -27,7 +27,8 @@ from gearboxopt import search
 from gearboxopt.cli import build_context, load_config, run_sweep
 from gearboxopt.efficiency import mesh_chain
 from gearboxopt.geometry import _RULE_ORDER, constraint_rules
-from gearboxopt.mass import load_bearing_model
+from gearboxopt.mass import (component_masses, load_bearing_model,
+                              mass_verdicts)
 from gearboxopt.search import (_DIAG_SUN_TEETH_CAP, _MODEL_RULES,
                                _bin_columns, _bin_tallies, _designs,
                                _dominant_rule, enumerate_feasible,
@@ -604,12 +605,18 @@ class TestOptimizeBins:
     def test_context_mass_rule_drops_every_row(self, default_ctx, changes,
                                                rule):
         # a planet pin or a casing annulus whose diameter cannot be
-        # squared: the sweep completes without a winner, and scalar
-        # evaluate names the rule for the bins' candidates
+        # squared: the sweep completes without a winner and scores no
+        # cell, and scalar evaluate names the rule for the bins'
+        # candidates. The empty reasons equal full scoring's, which come
+        # from the constraint-only diagnosis, not from this rule.
         ctx = replace(default_ctx, mass_params=MassModelParams(**changes))
         modules = [0.5, 0.8]
         for arch in Architecture:
-            results = optimize_bins(arch, ctx, modules, default_bins())
+            expected = fully_scored_bins(arch, ctx, modules, default_bins())
+            with mock.patch.object(search, "score_columns") as scored:
+                results = optimize_bins(arch, ctx, modules, default_bins())
+            assert scored.call_count == 0
+            assert results == expected
             assert all(r.best is None and r.feasible_count == 0
                        for r in results)
             assert any(r.candidates_examined for r in results)
@@ -1231,6 +1238,37 @@ class TestScoreColumns:
         assert not scores.feasible[0]
 
 
+class TestMassVerdicts:
+    @settings(max_examples=150)
+    @given(data=st.data(), arch=st.sampled_from(list(Architecture)),
+           module_mm=st.sampled_from([0.5, 0.8, 1.0, 1.2]),
+           lo=st.integers(6, 24).map(lambda k: k / 2.0))
+    def test_columns_equal_scalar_component_masses(self, bearing_model,
+                                                   data, arch, module_mm,
+                                                   lo):
+        # the verdicts read no face width: a nan width leaves them as
+        # they are. Every cell they drop is infeasible under evaluate.
+        ctx = data.draw(eval_contexts(bearing_model))
+        columns, = split_bins(*_bin_columns(ctx.motor, arch,
+                                            ctx.constraints, [module_mm],
+                                            [(lo, lo + 1.0)]))
+        m, _, s, p, _ = (np.asarray(column) for column in columns)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            admitted, verdicts, _ = mass_verdicts(
+                m, s, p, s + 2 * p, ctx.mass_params, ctx.mass_terms)
+        verdicts = [np.broadcast_to(verdict, m.shape).tolist()
+                    for verdict in verdicts]
+        for i, design in enumerate(_designs(arch, columns)):
+            sound, scalar, _, _ = component_masses(
+                arch, design.module_mm, design.num_planets,
+                design.sun_teeth, design.planet_teeth, design.ring_teeth,
+                nan, ctx.motor, ctx.bearing, ctx.materials, ctx.mass_params,
+                ctx.mass_terms)
+            assert [verdict[i] for verdict in verdicts] == list(scalar)
+            assert admitted[i] == sound
+            assert admitted[i] or not evaluate(design, ctx).feasible
+
+
 def assert_columns_equal_evaluate(arch, ctx, columns):
     """``score_columns`` over (module_mm, n_p, N_s, N_p, module index)
     columns equals scalar ``evaluate`` on every row with ``==``: the
@@ -1346,6 +1384,15 @@ class TestBitExactColumns:
         assert verdicts == {True, False}
 
 
+def fully_scored_bins(arch, ctx, modules, bins):
+    """``optimize_bins`` with every window cell sent to ``score_columns``,
+    none dropped by ``mass_verdicts`` first."""
+    def admit_all(module_mm, *_):
+        return np.ones(np.shape(module_mm), dtype=bool), None, None
+    with mock.patch.object(search, "mass_verdicts", admit_all):
+        return optimize_bins(arch, ctx, modules, bins)
+
+
 def per_bin_search(arch, ctx, modules, bins):
     """(best, candidates_examined, feasible_count) of each bin, scoring
     each bin's rows alone with ``score_columns`` and ranking its
@@ -1394,6 +1441,30 @@ class TestOnePassSearch:
             assert ranked.call_count == one_pass_calls
         assert [(r.best, r.candidates_examined, r.feasible_count)
                 for r in results] == reference
+
+    def test_scale_scores_only_the_admitted_cells(self, default_ctx,
+                                                  monkeypatch):
+        # 9,149 of the 12,370 esspg window cells of the benchmark's scale
+        # motor put the output bearing's bore past the bearing table;
+        # they count as examined and infeasible, and only the other
+        # 3,221 cells are scored
+        ctx = replace(default_ctx, motor=SCALE_MOTOR)
+        args = (Architecture.ESSPG, ctx, ALL_MODULES, default_bins())
+        reference = per_bin_search(*args)
+        expected = fully_scored_bins(*args)
+        scored = []
+        original = search.score_columns
+
+        def recorded(arch, ctx, module_mm, *rest):
+            scored.append(len(module_mm))
+            return original(arch, ctx, module_mm, *rest)
+        monkeypatch.setattr(search, "score_columns", recorded)
+        results = optimize_bins(*args)
+        assert scored == [3221]
+        assert sum(r.candidates_examined for r in results) == 12370
+        assert [(r.best, r.candidates_examined, r.feasible_count)
+                for r in results] == reference
+        assert results == expected
 
 
 # --- every accepted input is scored or named --------------------------------
