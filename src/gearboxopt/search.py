@@ -13,22 +13,24 @@ count, row) cells, nor any diagnosis grid (module, planet count, row)
 cells. Each row goes to its bin once, and a stable sort on (bin, module)
 keeps each bin in lexicographic order next to an ascending bin column.
 
-The search keeps the rows that fail no rule and scores them with
+The search keeps the cells that fail no rule and scores them with
 
     cost = K_m * actuator_mass - K_e * efficiency
 
 The mass rules that read neither the face width nor the planet count
-(``mass.mass_verdicts``) drop window cells before scoring: on a large
-motor most cells put the output bearing's bore past the bearing table.
-``score_columns`` runs the model functions of scalar ``evaluate``
-(``mesh_chain``, ``lewis_width``, ``component_masses``, each written
-once for floats and numpy columns) once on the admitted cells' columns,
-equal to ``evaluate`` bit for bit row by row. The bin column then gives
-each bin's candidate and feasible counts and its cheapest cost; scalar
-``evaluate`` builds the records of the feasible rows at exactly that
-cost, and ``ranking_key`` picks the winner. ``evaluate`` reads the
-models' verdicts itself: a design that passes the constraints is
-dropped by the first model rule of ``_MODEL_RULES`` it fails, by name.
+(``mass.mass_verdicts``) decide each window row once, before its planet
+counts expand it into cells: on a large motor most rows put the output
+bearing's bore past the bearing table, and their cells are examined
+but never gathered or scored. ``score_columns`` runs the model
+functions of scalar ``evaluate`` (``mesh_chain``, ``lewis_width``,
+``component_masses``, each written once for floats and numpy columns)
+once on the admitted rows' cells, equal to ``evaluate`` bit for bit
+cell by cell. The bin column then gives each bin's feasible count and
+its cheapest cost; scalar ``evaluate`` builds the records of the
+feasible cells at exactly that cost, and ``ranking_key`` picks the
+winner. ``evaluate`` reads the models' verdicts itself: a design that
+passes the constraints is dropped by the first model rule of
+``_MODEL_RULES`` it fails, by name.
 
 The cheapest feasible design per bin (default [5,6) ... [14,15)) and
 architecture is reported. Ties break deterministically: lower mass,
@@ -257,28 +259,35 @@ def _window_rows(arch: Architecture, constraints: ConstraintParams,
             sizes)
 
 
-def _bin_columns(motor: MotorSpec, arch: Architecture,
-                 constraints: ConstraintParams, module_set: list[float],
-                 bins: list[tuple[float, float]]) -> tuple:
+class _Window(NamedTuple):
+    """The (m, N_s, N_p) rows of an architecture's search window."""
+    modules: np.ndarray        # the allowed modules of the set, ascending
+    module_index: np.ndarray   # each row's index into ``modules``
+    sun: np.ndarray
+    planet: np.ndarray
+    ring: np.ndarray
+    row_bin: np.ndarray        # each row's bin index, -1 outside every bin
+    planet_counts: np.ndarray  # the (k, 1) planet-count axis of the cells
+    reasons: list              # each bin's closed-form empty reason
+
+
+def _search_window(motor: MotorSpec, arch: Architecture,
+                   constraints: ConstraintParams, module_set: list[float],
+                   bins: list[tuple[float, float]]) -> _Window:
     """
-    Every feasible design with lo <= R < hi, R the float (N_s+N_r)/N_s,
-    for ascending, disjoint bins [lo, hi) and the ascending, distinct
-    modules of ``validate_module_set``: each row's bin index, ascending,
-    the rows' (module_mm, n_p, N_s, N_p, module index) columns, each
-    bin's rows in lexicographic order, and each bin's closed-form empty
-    reason: None where the window holds a row of the bin, else
-    ``ring_diameter``, which every design of an allowed module in the
-    bin fails, or ``module_range`` when no module of the set is allowed.
-    The window is the ring envelope: each module adds one planet
-    range per sun over [bins[0].lo, bins[-1].hi), with m*N_r <= d_max,
-    widened by one tooth at each end because rounding of the edges can
-    drop a design whose float ratio lies in a bin; one ``_window_rows``
-    call builds the rows of every module. Modules outside
-    [module_min_mm, module_max_mm] add no rows (module_range); every
-    other rule, the tooth cap too, filters the rows. The (planet count,
-    row) cells that fail no rule and lie in a bin are found by one
-    ``np.nonzero``, and each column is indexed by row or planet-count
-    index once, in sorted order.
+    The rows of the search window of ascending, disjoint bins [lo, hi)
+    and the ascending, distinct modules of ``validate_module_set``, each
+    row tagged with the bin that holds its float ratio (N_s+N_r)/N_s,
+    and each bin's closed-form empty reason: None where the window holds
+    a row of the bin, else ``ring_diameter``, which every design of an
+    allowed module in the bin fails, or ``module_range`` when no module
+    of the set is allowed. The window is the ring envelope: each module
+    adds one planet range per sun over [bins[0].lo, bins[-1].hi), with
+    m*N_r <= d_max, widened by one tooth at each end because rounding of
+    the edges can drop a design whose float ratio lies in a bin; one
+    ``_window_rows`` call builds the rows of every module. Modules
+    outside [module_min_mm, module_max_mm] add no rows (module_range);
+    every other rule, the tooth cap too, is left to ``_window_cells``.
     """
     n_min = constraints.min_teeth
     d_max = max_gearbox_diameter(motor, arch, constraints)
@@ -299,28 +308,63 @@ def _bin_columns(motor: MotorSpec, arch: Architecture,
     sun, planet, ring, planet_counts, sizes = _window_rows(
         arch, constraints, suns, los[:1], his[-1:],
         (max_ring[sun_module] - suns) // 2, slack=1)
-    module_index = np.repeat(sun_module, sizes)
     ratio = (sun + ring) / sun
     index = np.searchsorted(los, ratio, side="right") - 1
     row_bin = np.where((index >= 0) & (ratio < his[index]), index, -1)
     outside = "ring_diameter" if len(modules) else "module_range"
     reasons = [None if reached else outside
                for reached in np.isin(np.arange(len(los)), row_bin).tolist()]
-    failed = reduce(or_, constraint_rules(
+    return _Window(modules, np.repeat(sun_module, sizes), sun, planet, ring,
+                   row_bin, planet_counts, reasons)
+
+
+def _window_cells(arch: Architecture, motor: MotorSpec,
+                  constraints: ConstraintParams, window: _Window,
+                  rows: np.ndarray) -> tuple:
+    """
+    The (planet count, row) cells of ``window`` that fail no rule: each
+    row's count of them, and the cells of the rows that the mask
+    ``rows`` keeps, which must lie in bins, as their bin index,
+    ascending, and their (module_mm, n_p, N_s, N_p, module index)
+    columns, each bin's cells in lexicographic order. One
+    ``constraint_rules`` call checks every cell; ``np.nonzero`` finds
+    the kept cells, and each column is indexed by row or planet-count
+    index once, in sorted order.
+    """
+    modules, module_index, sun, planet, ring, row_bin, planet_counts, _ = (
+        window)
+    passed = ~reduce(or_, constraint_rules(
         arch, modules[module_index], planet_counts, sun, planet, ring, motor,
         constraints))
     # the kept (n_p, row) cells come in (n_p, m, N_s, N_p) order, so a
     # stable sort on (bin, module) puts each bin in (m, n_p, N_s, N_p)
     # order; the smallest key type lets argsort use a radix sort
-    planet_index, row = np.nonzero(~failed & (row_bin >= 0))
+    planet_index, row = np.nonzero(passed & rows)
     key = row_bin[row] * len(modules) + module_index[row]
-    order = np.argsort(key.astype(np.min_scalar_type(len(los) * len(modules))),
+    order = np.argsort(key.astype(np.min_scalar_type(len(window.reasons)
+                                                     * len(modules))),
                        kind="stable")
     planet_index, row = planet_index[order], row[order]
     module_index = module_index[row]
-    return row_bin[row], (modules[module_index],
-                          planet_counts[planet_index, 0], sun[row],
-                          planet[row], module_index), reasons
+    return np.count_nonzero(passed, axis=0), row_bin[row], (
+        modules[module_index], planet_counts[planet_index, 0], sun[row],
+        planet[row], module_index)
+
+
+def _bin_columns(motor: MotorSpec, arch: Architecture,
+                 constraints: ConstraintParams, module_set: list[float],
+                 bins: list[tuple[float, float]]) -> tuple:
+    """
+    Every feasible design with lo <= R < hi, R the float (N_s+N_r)/N_s:
+    the ``_window_cells`` of every row of ``_search_window`` that lies
+    in a bin, as each design's bin index, ascending, and the designs'
+    (module_mm, n_p, N_s, N_p, module index) columns, each bin's rows in
+    lexicographic order, and each bin's closed-form empty reason.
+    """
+    window = _search_window(motor, arch, constraints, module_set, bins)
+    _, row_bin, columns = _window_cells(arch, motor, constraints, window,
+                                        window.row_bin >= 0)
+    return row_bin, columns, window.reasons
 
 
 def _designs(arch: Architecture, columns: tuple[np.ndarray, ...],
@@ -476,32 +520,39 @@ def optimize_bins(arch: Architecture, ctx: EvalContext,
                   bins: list[tuple[float, float]]) -> list[BinResult]:
     """
     Evaluate all candidates whose reduction ratio falls in some bin and
-    keep the min-cost feasible design per bin. Every window cell counts
-    as examined; a cell that ``mass_verdicts`` fails is infeasible
-    unscored, and one ``score_columns`` call scores the other cells. The
-    bin column of those cells gives each bin's feasible count, its
-    cheapest cost and the feasible rows at exactly that cost, which
-    ``evaluate`` scores in (m, n_p, N_s, N_p) order for
-    ``ranking_key``. Empty bins carry the dominant blocking constraint
-    instead: a bin that holds no row of the window lies outside the ring
-    envelope and takes its closed-form reason from ``_bin_columns``.
-    Each other empty bin is named by the most frequent rule of
-    ``_bin_tallies``, which builds one diagnosis window for all of them
-    and checks each bin's slice of it on its own.
+    keep the min-cost feasible design per bin. ``mass_verdicts``, which
+    reads neither the face width nor the planet count, admits or drops
+    each (m, N_s, N_p) row of the window once, before the rows expand
+    into (planet count, row) cells. Every cell that passes the
+    constraints counts as examined, summed from each row's pass count;
+    the cells of a dropped row are infeasible unscored, and one
+    ``score_columns`` call scores the cells of the admitted rows. Their
+    bin column gives each bin's feasible count, its cheapest cost and
+    the feasible rows at exactly that cost, which ``evaluate`` scores in
+    (m, n_p, N_s, N_p) order for ``ranking_key``. Empty bins carry the
+    dominant blocking constraint instead: a bin that holds no row of the
+    window lies outside the ring envelope and takes its closed-form
+    reason from ``_search_window``. Each other empty bin is named by the
+    most frequent rule of ``_bin_tallies``, which builds one diagnosis
+    window for all of them and checks each bin's slice of it on its own.
     """
     bins = validate_bins(bins)
     module_set = validate_module_set(module_set)
-    row_bin, columns, closed = _bin_columns(ctx.motor, arch,
-                                            ctx.constraints, module_set,
-                                            bins)
-    examined = np.bincount(row_bin, minlength=len(bins))
-    # a cell that a mass rule fails without its face width is infeasible
-    m, _, s, p, _ = columns
+    window = _search_window(ctx.motor, arch, ctx.constraints, module_set,
+                            bins)
+    in_bin = window.row_bin >= 0
+    # a row that a mass rule fails without its face width or planet count
+    # drops each of its cells; deciding it before the rows expand into
+    # cells keeps these temporaries out of the cell grid's lifetime
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        admitted = mass_verdicts(m, s, p, s + 2 * p, ctx.mass_params,
-                                 ctx.mass_terms)[0]
-    row_bin, columns = row_bin[admitted], tuple(column[admitted]
-                                                for column in columns)
+        admitted = in_bin & mass_verdicts(
+            window.modules[window.module_index], window.sun, window.planet,
+            window.ring, ctx.mass_params, ctx.mass_terms)[0]
+    passes, row_bin, columns = _window_cells(arch, ctx.motor,
+                                             ctx.constraints, window,
+                                             admitted)
+    examined = np.bincount(window.row_bin[in_bin], weights=passes[in_bin],
+                           minlength=len(bins)).astype(np.int64)
     feasible_count = np.zeros_like(examined)
     best = [None] * len(bins)
     if len(row_bin):
@@ -516,7 +567,7 @@ def optimize_bins(arch: Architecture, ctx: EvalContext,
         for i, group in groupby(shortlisted, key=itemgetter(0)):
             best[i] = min((evaluate(design, ctx) for _, design in group),
                           key=ranking_key)
-    empty = [bin_ for bin_, winner, reason in zip(bins, best, closed)
+    empty = [bin_ for bin_, winner, reason in zip(bins, best, window.reasons)
              if winner is None and reason is None]
     reasons = map(_dominant_rule, _bin_tallies(
         ctx.motor, arch, ctx.constraints, module_set, empty) if empty else [])
@@ -526,7 +577,7 @@ def optimize_bins(arch: Architecture, ctx: EvalContext,
                       empty_reason=None if winner is not None
                       else reason or next(reasons))
             for (lo, hi), winner, reason, n_examined, n_feasible
-            in zip(bins, best, closed, examined.tolist(),
+            in zip(bins, best, window.reasons, examined.tolist(),
                    feasible_count.tolist())]
 
 

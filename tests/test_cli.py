@@ -8,7 +8,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from math import inf, nan, radians
 from pathlib import Path
 
@@ -21,7 +21,7 @@ from gearboxopt import (Architecture, GearboxDesign, STANDARD_MODULE_SET_MM,
                         bearing_value)
 import gearboxopt.cli
 from gearboxopt.cli import (_SECTION_CLASSES, ConfigError, _UniqueKeyLoader,
-                            build_context, load_config, main,
+                            _coerce, build_context, load_config, main,
                             resolved_config_dict, run_sweep)
 from gearboxopt.mass import default_bearing_table_path, load_bearing_model
 from gearboxopt.report import (_json_text, comparison_md,
@@ -292,6 +292,25 @@ class TestLoadConfig:
             load_config(path)
         path.write_text(path.read_text().replace("138.0e6", "138.0e+6"))
         assert load_config(path).strength.allowable_bending_stress_pa == 138e6
+
+    def test_every_section_field_type_is_coerced(self, u12_config_path):
+        # a field type that _coerce does not know is refused only once a
+        # config sets that key; the echo of a config sets every key of
+        # every section, as YAML writes it
+        cfg = load_config(u12_config_path)
+        echo = resolved_config_dict(cfg)
+        built = dict(vars(cfg), mass=cfg.mass_params, search=cfg)
+        for section, cls in _SECTION_CLASSES.items():
+            for field_ in fields(cls):
+                assert _coerce(section, field_.name,
+                               echo[section][field_.name], field_.type) \
+                    == getattr(built[section], field_.name)
+
+    def test_unsupported_field_type_is_named(self):
+        with pytest.raises(ConfigError) as error:
+            _coerce("search", "bins", {}, dict)
+        assert str(error.value) == (
+            "config search.bins: unsupported field type <class 'dict'>")
 
     def test_unknown_top_level_key(self, tmp_path):
         bad = dict(MINIMAL, extra_section={})

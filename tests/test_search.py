@@ -182,6 +182,34 @@ def scalar_bins(arch, ctx, modules, bins):
     return results
 
 
+def naive_examined(motor, arch, constraints, modules, bins):
+    """Each bin's count of designs that fail no constraint: a scalar
+    ``constraint_failures`` scan of every planet count of every
+    (m, N_s, N_p) whose ratio lies in the bin and whose ring fits the
+    envelope (a larger ring fails ring_diameter)."""
+    d_max = max_gearbox_diameter(motor, arch, constraints)
+    los = [lo for lo, _ in bins]
+    counts = [0] * len(bins)
+    for module_mm in modules:
+        top = int(d_max / module_mm) + 1
+        for sun in range(constraints.min_teeth, top):
+            for planet in range(constraints.min_teeth, top):
+                ring = sun + 2 * planet
+                if module_mm * ring > d_max:
+                    break
+                i = bisect_right(los, (sun + ring) / sun) - 1
+                if i < 0 or (sun + ring) / sun >= bins[i][1]:
+                    continue
+                counts[i] += sum(
+                    not constraint_failures(GearboxDesign(
+                        arch=arch, sun_teeth=sun, planet_teeth=planet,
+                        ring_teeth=ring, module_mm=module_mm,
+                        num_planets=n), motor, constraints)
+                    for n in range(constraints.min_planets,
+                                   constraints.max_planets + 1))
+    return counts
+
+
 @pytest.fixture(scope="module")
 def bin_results(default_ctx):
     return {arch: optimize_bins(arch, default_ctx, ALL_MODULES,
@@ -626,6 +654,27 @@ class TestOptimizeBins:
                                ctx.motor, arch, ctx.constraints, modules,
                                r.lo, r.hi)}
                 assert not r.candidates_examined or (rule,) in reasons
+
+
+    @pytest.mark.parametrize("motor, changes", [
+        (U12, {}), (SCALE_MOTOR, {}),
+        (U12, dict(planet_bearing_bore_mm=1e300))],
+        ids=["u12", "scale", "planet-bore-1e300"])
+    def test_examined_counts_equal_naive_scan(self, default_ctx, motor,
+                                              changes):
+        # the mass rules drop whole rows before the cells are gathered,
+        # and every bin still counts each constraint-feasible cell; at a
+        # 1e300 mm planet bore they drop every row
+        ctx = replace(default_ctx, motor=motor,
+                      mass_params=MassModelParams(**changes))
+        for arch in Architecture:
+            results = optimize_bins(arch, ctx, ALL_MODULES, default_bins())
+            assert [r.candidates_examined for r in results] == \
+                naive_examined(motor, arch, ctx.constraints, ALL_MODULES,
+                               default_bins())
+            assert any(r.candidates_examined for r in results)
+            assert not changes or not any(r.feasible_count
+                                          for r in results)
 
 
 class TestDiagnosis:
@@ -1447,20 +1496,27 @@ class TestOnePassSearch:
         # 9,149 of the 12,370 esspg window cells of the benchmark's scale
         # motor put the output bearing's bore past the bearing table;
         # they count as examined and infeasible, and only the other
-        # 3,221 cells are scored
+        # 3,221 cells are scored. The mass rules read no planet count and
+        # decide each of the window's 8,317 rows once.
         ctx = replace(default_ctx, motor=SCALE_MOTOR)
         args = (Architecture.ESSPG, ctx, ALL_MODULES, default_bins())
         reference = per_bin_search(*args)
         expected = fully_scored_bins(*args)
-        scored = []
-        original = search.score_columns
+        scored, decided = [], []
+        original, verdicts = search.score_columns, search.mass_verdicts
 
         def recorded(arch, ctx, module_mm, *rest):
             scored.append(len(module_mm))
             return original(arch, ctx, module_mm, *rest)
+
+        def decide(module_mm, *rest):
+            decided.append(len(module_mm))
+            return verdicts(module_mm, *rest)
         monkeypatch.setattr(search, "score_columns", recorded)
+        monkeypatch.setattr(search, "mass_verdicts", decide)
         results = optimize_bins(*args)
         assert scored == [3221]
+        assert decided == [8317]
         assert sum(r.candidates_examined for r in results) == 12370
         assert [(r.best, r.candidates_examined, r.feasible_count)
                 for r in results] == reference
