@@ -655,7 +655,6 @@ class TestOptimizeBins:
                                r.lo, r.hi)}
                 assert not r.candidates_examined or (rule,) in reasons
 
-
     @pytest.mark.parametrize("motor, changes", [
         (U12, {}), (SCALE_MOTOR, {}),
         (U12, dict(planet_bearing_bore_mm=1e300))],
