@@ -6,9 +6,11 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import fields, replace
+from itertools import zip_longest
 from math import inf, nan, radians
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from gearboxopt.report import (_json_text, comparison_md,
                                export_dimension_sheet, results_csv)
 from gearboxopt.search import evaluate
 
+from make_golden import GOLDEN, GOLDEN_CONFIGS
 from reference_models import (carrier_disk_od_mm, casing_length_mm,
                               gear_circles, output_bearing_bore_mm,
                               pin_circle_diameter_mm)
@@ -75,6 +78,24 @@ def report_digest(out_dir):
         digest.update(path.relative_to(out_dir).as_posix().encode() + b"\0")
         digest.update(len(content).to_bytes(8, "little") + content)
     return digest.hexdigest()
+
+
+def tree_difference(golden, fresh):
+    """None when two directory trees hold the same files with the same
+    bytes; else the file names on one side only, or the first differing
+    file and its first differing line."""
+    names = [{path.relative_to(root).as_posix() for path in root.rglob("*")
+              if path.is_file()} for root in (golden, fresh)]
+    if names[0] != names[1]:
+        return (f"only in golden: {sorted(names[0] - names[1])}; only in "
+                f"fresh: {sorted(names[1] - names[0])}")
+    for name in sorted(names[0]):
+        lines = [(root / name).read_bytes().splitlines(keepends=True)
+                 for root in (golden, fresh)]
+        for number, (old, new) in enumerate(zip_longest(*lines), 1):
+            if old != new:
+                return f"{name} line {number}: golden {old!r}, fresh {new!r}"
+    return None
 
 
 def write_config(tmp_path, mapping, name="run.yaml"):
@@ -632,14 +653,29 @@ class TestRunSweep:
                       out_dir=out_dir)
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("name, config", [
-        ("u12", REPO / "configs" / "u12.yaml"),
-        ("scale", REPO / "bench" / "scale.yaml")])
-    def test_reports_equal_benchmark_reference(self, name, config, tmp_path):
-        run_sweep(load_config(config), out_dir=tmp_path)
-        reference = json.loads(
-            (REPO / "bench" / "data" / f"reference_{name}.json").read_text())
-        assert report_digest(tmp_path) == reference["report_digest"]
+    @pytest.mark.parametrize("name", list(GOLDEN_CONFIGS))
+    def test_reports_equal_golden_tree(self, name, tmp_path):
+        # tests/make_golden.py rewrites the trees after an intended change
+        run_sweep(load_config(GOLDEN_CONFIGS[name]), out_dir=tmp_path)
+        assert tree_difference(GOLDEN / name, tmp_path) is None
+
+    def test_tree_difference_names_the_file_and_line(self, tmp_path):
+        golden, copy = GOLDEN / "u12", tmp_path / "u12"
+        shutil.copytree(golden, copy)
+        assert tree_difference(golden, copy) is None
+        # one byte of the [7,8) row, the fourth line
+        results = copy / "results_isspg.csv"
+        results.write_bytes(results.read_bytes().replace(
+            b"7.0,8.0,empty", b"7.0,8.1,empty"))
+        assert tree_difference(golden, copy) == (
+            "results_isspg.csv line 4: golden "
+            "b'7.0,8.0,empty,,,,,,,,,,,0,0,ring_diameter\\n', fresh "
+            "b'7.0,8.1,empty,,,,,,,,,,,0,0,ring_diameter\\n'")
+        (copy / "comparison.md").unlink()
+        (copy / "notes.txt").write_text("")
+        assert tree_difference(golden, copy) == (
+            "only in golden: ['comparison.md']; only in fresh: "
+            "['notes.txt']")
 
     @pytest.mark.parametrize("config, architectures, reports", [
         ("configs/u12.yaml", None, 3), ("bench/scale.yaml", None, 1),
