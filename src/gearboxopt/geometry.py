@@ -225,8 +225,8 @@ def constraint_rules(arch: Architecture, module_mm, num_planets, sun_teeth,
 def constraint_failures(design: GearboxDesign, motor: MotorSpec,
                         params: ConstraintParams) -> list[str]:
     """Names of all violated feasibility constraints (empty when
-    feasible), in ``_RULE_ORDER``, so empty search bins can name their
-    dominant blocker."""
+    feasible), in ``_RULE_ORDER``; ``evaluate`` drops a design at the
+    first."""
     return list(compress(_RULE_ORDER, constraint_rules(
         design.arch, design.module_mm, design.num_planets, design.sun_teeth,
         design.planet_teeth, design.ring_teeth, motor, params)))

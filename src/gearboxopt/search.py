@@ -5,13 +5,13 @@ Candidates are generated per ratio window, not enumerated over the
 whole (m, n_p, N_s, N_p) box and then binned. Since the reduction is
 R = (N_s+N_r)/N_s = 2 + 2*N_p/N_s, the planets of each sun that fall
 in a half-open bin [lo, hi) form one short integer range. One window
-per architecture spans all bins and modules: one ``_window_rows`` call
-builds its (m, N_s, N_p) rows as numpy columns, the planet counts are a
+per architecture spans all bins and modules: ``_search_window`` builds
+its (m, N_s, N_p) rows as numpy columns, the planet counts are a
 broadcast axis, and one ``geometry.constraint_rules`` call gives every
 rule's verdict. No window may exceed ``_WINDOW_BOUND`` suns or (planet
-count, row) cells, nor any diagnosis grid (module, planet count, row)
-cells. Each row goes to its bin once, and a stable sort on (bin, module)
-keeps each bin in lexicographic order next to an ascending bin column.
+count, row) cells. Each row goes to its bin once, and a stable sort on
+(bin, module) keeps each bin in lexicographic order next to an
+ascending bin column.
 
 The search keeps the cells that fail no rule and scores them with
 
@@ -38,10 +38,10 @@ then higher efficiency, then lexicographic (m, n_p, N_s, N_p). An
 empty bin that holds no row of the window lies outside the ring
 envelope and is named ``ring_diameter`` in closed form, or
 ``module_range`` when no module of the set is allowed. Each other empty
-bin reports the most frequent blocker of its diagnosis window; the rows
-of all such bins are built once, each bin's rows one slice, and each
-slice is checked by its own ``constraint_rules`` call with the modules
-as a leading axis.
+bin is named from its own window cells: each cell drops at its first
+failed stage of ``_STAGES``, the order in which ``evaluate`` names a
+dropped design, and the bin reads the stage at which its last cell
+drops.
 """
 
 from dataclasses import dataclass
@@ -62,15 +62,9 @@ from .mass import (BearingModel, MassBreakdown, MassModelParams,
                    load_bearing_model, mass_verdicts)
 from .strength import LoadCase, StrengthParams, lewis_width
 
-# sun-teeth ceiling for empty-bin diagnostics; feasibility always
-# appears first at small suns (smallest ring for a given ratio), so
-# scanning this far is enough to name the dominant blocker
-_DIAG_SUN_TEETH_CAP = 60
-
-# most suns or (planet count, row) cells a window, or (module, planet
-# count, row) cells the diagnosis grid of one empty bin that the window
-# reaches, may hold, checked before any of its arrays is built: 16x
-# scale's unbounded window (41,776 rows x 6 planet counts)
+# most suns or (planet count, row) cells a window may hold, checked
+# before any of its arrays is built: 16x scale's unbounded window
+# (41,776 rows x 6 planet counts)
 _WINDOW_BOUND = 4_000_000
 
 # the model rules of ``evaluate``, in the order it checks them; the
@@ -80,6 +74,8 @@ _MODEL_RULES = ("tooth_form", "efficiency_range", "lewis_range", "gear_bore",
                 "planet_bearing_range", "output_bearing_range", "casing_wall",
                 "mass_range")
 _TOOTH_FORM, _EFFICIENCY_RANGE, _LEWIS_RANGE, *_MASS_RULES = _MODEL_RULES
+# every stage at which ``evaluate`` drops a design, in its order
+_STAGES = _RULE_ORDER + _MODEL_RULES
 
 
 @dataclass(frozen=True)
@@ -153,7 +149,7 @@ class BinResult:
     best: Optional[DesignEvaluation]  # min-cost feasible design
     candidates_examined: int          # enumerated designs in the bin
     feasible_count: int               # of those, fully evaluable
-    empty_reason: Optional[str]       # dominant blocker when best is None
+    empty_reason: Optional[str]       # last stage to drop a cell, if empty
 
 
 @dataclass(frozen=True)
@@ -230,35 +226,6 @@ def _bounded(arch: Architecture, count, what: str) -> None:
             f"more than the bound of {_WINDOW_BOUND:,}")
 
 
-def _window_rows(arch: Architecture, constraints: ConstraintParams,
-                 suns: np.ndarray, edges_lo: np.ndarray, edges_hi: np.ndarray,
-                 planet_max=inf, slack: int = 0) -> tuple[np.ndarray, ...]:
-    """
-    The (N_s, N_p, N_r) rows of a ratio window, its planet counts as a
-    (k, 1) column, and the row count of each (edge pair, sun), edge
-    pairs outermost: each edge pair's rows are one lexicographic slice.
-    R = 2 + 2*N_p/N_s, so a sun's planets in [lo, hi) lie in
-    [ceil((lo-2)*N_s/2), ceil((hi-2)*N_s/2)), floored at min_teeth,
-    capped at planet_max (one cap, or one per sun) and widened by
-    ``slack`` teeth at each end. The (planet count, row) cells, counted
-    as if there were one row at least, must stay within
-    ``_WINDOW_BOUND``.
-    """
-    low, high = constraints.min_planets, constraints.max_planets
-    first = np.maximum(np.ceil((edges_lo[:, None] - 2.0) * suns / 2.0)
-                       - slack, constraints.min_teeth).ravel()
-    stop = np.minimum(np.ceil((edges_hi[:, None] - 2.0) * suns / 2.0)
-                      + slack, planet_max + 1).ravel()
-    sizes = np.maximum(stop - first, 0)
-    _bounded(arch, max(sizes.sum(), 1) * (high - low + 1),
-             "(planet count, row) cells")
-    sizes = sizes.astype(np.int64)
-    sun = np.repeat(np.tile(suns, len(edges_lo)), sizes)
-    planet = np.repeat(first.astype(np.int64), sizes) + _segment_offsets(sizes)
-    return (sun, planet, sun + 2 * planet, np.arange(low, high + 1)[:, None],
-            sizes)
-
-
 class _Window(NamedTuple):
     """The (m, N_s, N_p) rows of an architecture's search window."""
     modules: np.ndarray        # the allowed modules of the set, ascending
@@ -283,13 +250,17 @@ def _search_window(motor: MotorSpec, arch: Architecture,
     allowed module in the bin fails, or ``module_range`` when no module
     of the set is allowed. The window is the ring envelope: each module
     adds one planet range per sun over [bins[0].lo, bins[-1].hi), with
-    m*N_r <= d_max, widened by one tooth at each end because rounding of
-    the edges can drop a design whose float ratio lies in a bin; one
-    ``_window_rows`` call builds the rows of every module. Modules
-    outside [module_min_mm, module_max_mm] add no rows (module_range);
-    every other rule, the tooth cap too, is left to ``_window_cells``.
+    m*N_r <= d_max. R = 2 + 2*N_p/N_s, so a sun's planets in [lo, hi)
+    lie in [ceil((lo-2)*N_s/2), ceil((hi-2)*N_s/2)); the range is floored
+    at min_teeth and widened by one tooth at each end, because rounding
+    of the edges can drop a design whose float ratio lies in a bin.
+    Modules outside [module_min_mm, module_max_mm] add no rows
+    (module_range); every other rule, the tooth cap too, is left to
+    ``_window_cells``. The (planet count, row) cells, counted as if there
+    were one row at least, must stay within ``_WINDOW_BOUND``.
     """
     n_min = constraints.min_teeth
+    low, high = constraints.min_planets, constraints.max_planets
     d_max = max_gearbox_diameter(motor, arch, constraints)
     los, his = np.array(bins, dtype=np.float64).reshape(-1, 2).T
     modules = np.array([m for m in module_set if constraints.module_min_mm
@@ -305,9 +276,16 @@ def _search_window(motor: MotorSpec, arch: Architecture,
     sun_counts = sun_counts.astype(np.int64)
     sun_module = np.repeat(np.arange(len(modules)), sun_counts)
     suns = n_min + _segment_offsets(sun_counts)
-    sun, planet, ring, planet_counts, sizes = _window_rows(
-        arch, constraints, suns, los[:1], his[-1:],
-        (max_ring[sun_module] - suns) // 2, slack=1)
+    first = np.maximum(np.ceil((los[0] - 2.0) * suns / 2.0) - 1, n_min)
+    stop = np.minimum(np.ceil((his[-1] - 2.0) * suns / 2.0) + 1,
+                      (max_ring[sun_module] - suns) // 2 + 1)
+    sizes = np.maximum(stop - first, 0)
+    _bounded(arch, max(sizes.sum(), 1) * (high - low + 1),
+             "(planet count, row) cells")
+    sizes = sizes.astype(np.int64)
+    sun = np.repeat(suns, sizes)
+    planet = np.repeat(first.astype(np.int64), sizes) + _segment_offsets(sizes)
+    ring = sun + 2 * planet
     ratio = (sun + ring) / sun
     index = np.searchsorted(los, ratio, side="right") - 1
     row_bin = np.where((index >= 0) & (ratio < his[index]), index, -1)
@@ -315,7 +293,7 @@ def _search_window(motor: MotorSpec, arch: Architecture,
     reasons = [None if reached else outside
                for reached in np.isin(np.arange(len(los)), row_bin).tolist()]
     return _Window(modules, np.repeat(sun_module, sizes), sun, planet, ring,
-                   row_bin, planet_counts, reasons)
+                   row_bin, np.arange(low, high + 1)[:, None], reasons)
 
 
 def _window_cells(arch: Architecture, motor: MotorSpec,
@@ -471,48 +449,35 @@ def score_columns(arch: Architecture, ctx: EvalContext, module_mm,
                         eta_overall=eta_overall)
 
 
-def _bin_tallies(motor: MotorSpec, arch: Architecture,
-                 constraints: ConstraintParams, module_set: list[float],
-                 bins: list[tuple[float, float]]) -> list[dict[str, int]]:
+def _empty_reasons(arch: Architecture, ctx: EvalContext, window: _Window,
+                   rows: np.ndarray, mass_rules: tuple) -> list:
     """
-    Violations per rule, zero counts left out, in the diagnosis window of
-    each of ascending, disjoint bins over distinct modules: suns up to
-    the diagnostic ceiling, each with exactly every bin's planet range,
-    and no feasibility filter.
-
-    The rows do not depend on the module. One ``_window_rows`` call
-    builds every bin's rows as one slice, and no bin's (module, planet
-    count, row) grid may exceed ``_WINDOW_BOUND``. Each bin with rows
-    takes one ``constraint_rules`` call with the modules as a leading
-    (M, 1, 1) axis, so a rule that does not read the module is computed
-    once per bin, and each verdict's count is scaled by the grid axes it
-    lacks.
+    ``window.reasons`` with each bin of the rows that the mask ``rows``
+    keeps named by the last stage at which one of its (planet count, row)
+    cells drops. Each cell drops at its first failed stage of
+    ``_STAGES``, as ``evaluate`` names it: the rules, ``mesh_chain``,
+    ``lewis_width`` and ``mass_rules``, the window rows' verdicts of
+    ``mass_verdicts``. The bins must be empty: a cell that passes every
+    verdict fails at a cost that is not finite, ``mass_range``.
     """
-    los, his = np.array(bins, dtype=np.float64).reshape(-1, 2).T
-    sun, planet, ring, planet_counts, sizes = _window_rows(
-        arch, constraints,
-        np.arange(constraints.min_teeth, _DIAG_SUN_TEETH_CAP + 1), los, his)
-    rows = sizes.reshape(len(bins), -1).sum(axis=1)
-    grids = (len(module_set) * len(planet_counts) * rows).tolist()
-    _bounded(arch, max(grids), "(module, planet count, row) cells")
-    modules = np.array(module_set, dtype=np.float64)[:, None, None]
-    slices = zip(*(np.split(column, np.cumsum(rows)[:-1])
-                   for column in (sun, planet, ring)))
-    tallies = []
-    for cells, window in zip(grids, slices):
-        verdicts = constraint_rules(arch, modules, planet_counts, *window,
-                                    motor, constraints) if cells else ()
-        tallies.append({name: count for name, verdict
-                        in zip(_RULE_ORDER, verdicts)
-                        if (count := np.count_nonzero(verdict)
-                            * (cells // np.size(verdict)))})
-    return tallies
-
-
-def _dominant_rule(counts: dict[str, int]) -> str:
-    """The most frequent rule of a tally; ties go to the first name."""
-    return min(counts, key=lambda name: (-counts[name], name),
-               default="no_candidates_in_ratio_window")
+    module_index = window.module_index[rows]
+    m, s, p, r = (window.modules[module_index], window.sun[rows],
+                  window.planet[rows], window.ring[rows])
+    n = window.planet_counts
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tooth_ok, (*_, eta_a, eta_b, _), _ = mesh_chain(
+            m, s, p, r, ctx.efficiency, module_index)
+        lewis_ok = lewis_width(m, s, p, n, ctx.load, ctx.strength)[0]
+    failed = np.broadcast_arrays(
+        *constraint_rules(arch, m, n, s, p, r, ctx.motor, ctx.constraints),
+        ~tooth_ok, ~((eta_a > 0) & (eta_b > 0)), ~lewis_ok,
+        *(np.logical_not(verdict[rows] if np.ndim(verdict) else verdict)
+          for verdict in mass_rules[:-1]), True)
+    last = np.full(len(window.reasons), -1)
+    np.maximum.at(last, window.row_bin[rows],
+                  np.argmax(failed, axis=0).max(axis=0))
+    return [_STAGES[stage] if stage >= 0 else reason
+            for stage, reason in zip(last.tolist(), window.reasons)]
 
 
 def optimize_bins(arch: Architecture, ctx: EvalContext,
@@ -529,12 +494,10 @@ def optimize_bins(arch: Architecture, ctx: EvalContext,
     ``score_columns`` call scores the cells of the admitted rows. Their
     bin column gives each bin's feasible count, its cheapest cost and
     the feasible rows at exactly that cost, which ``evaluate`` scores in
-    (m, n_p, N_s, N_p) order for ``ranking_key``. Empty bins carry the
-    dominant blocking constraint instead: a bin that holds no row of the
-    window lies outside the ring envelope and takes its closed-form
-    reason from ``_search_window``. Each other empty bin is named by the
-    most frequent rule of ``_bin_tallies``, which builds one diagnosis
-    window for all of them and checks each bin's slice of it on its own.
+    (m, n_p, N_s, N_p) order for ``ranking_key``. An empty bin that
+    holds no row of the window lies outside the ring envelope and takes
+    its closed-form reason from ``_search_window``; ``_empty_reasons``
+    names each other empty bin from its own window cells.
     """
     bins = validate_bins(bins)
     module_set = validate_module_set(module_set)
@@ -545,9 +508,10 @@ def optimize_bins(arch: Architecture, ctx: EvalContext,
     # drops each of its cells; deciding it before the rows expand into
     # cells keeps these temporaries out of the cell grid's lifetime
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        admitted = in_bin & mass_verdicts(
+        sound, mass_rules, _ = mass_verdicts(
             window.modules[window.module_index], window.sun, window.planet,
-            window.ring, ctx.mass_params, ctx.mass_terms)[0]
+            window.ring, ctx.mass_params, ctx.mass_terms)
+    admitted = in_bin & sound
     passes, row_bin, columns = _window_cells(arch, ctx.motor,
                                              ctx.constraints, window,
                                              admitted)
@@ -567,17 +531,18 @@ def optimize_bins(arch: Architecture, ctx: EvalContext,
         for i, group in groupby(shortlisted, key=itemgetter(0)):
             best[i] = min((evaluate(design, ctx) for _, design in group),
                           key=ranking_key)
-    empty = [bin_ for bin_, winner, reason in zip(bins, best, window.reasons)
-             if winner is None and reason is None]
-    reasons = map(_dominant_rule, _bin_tallies(
-        ctx.motor, arch, ctx.constraints, module_set, empty) if empty else [])
+    reasons = window.reasons
+    pending = np.array([winner is None and reason is None
+                        for winner, reason in zip(best, reasons)])
+    if pending.any():
+        reasons = _empty_reasons(arch, ctx, window,
+                                 in_bin & pending[window.row_bin], mass_rules)
     return [BinResult(lo=lo, hi=hi, best=winner,
                       candidates_examined=n_examined,
                       feasible_count=n_feasible,
-                      empty_reason=None if winner is not None
-                      else reason or next(reasons))
+                      empty_reason=None if winner is not None else reason)
             for (lo, hi), winner, reason, n_examined, n_feasible
-            in zip(bins, best, window.reasons, examined.tolist(),
+            in zip(bins, best, reasons, examined.tolist(),
                    feasible_count.tolist())]
 
 

@@ -966,12 +966,8 @@ class TestCommandLine:
         ({"constraints": {"module_min_mm": 1e-6},
           "search": {"module_set": [1e-6]}}, "suns"),
         ({"motor": {**MINIMAL["motor"], "outer_diameter_mm": 1e9}}, "suns"),
-        # 104 window rows of [5, 300) that the bore drops, and a
-        # diagnosis grid over the eight standard modules
-        ({"search": {"bins": [[5, 300]]},
-          "mass": {"planet_bearing_bore_mm": 1e300}}, "cells"),
         ({"constraints": {"max_planets": 10**9}}, "cells"),
-    ], ids=["tiny-module", "huge-motor", "huge-bin", "huge-planet-range"])
+    ], ids=["tiny-module", "huge-motor", "huge-planet-range"])
     def test_oversized_window_is_a_clean_error(self, tmp_path, capsys,
                                                overrides, what):
         path = write_config(tmp_path, {**MINIMAL, "output_dir": str(
@@ -981,6 +977,19 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith("error: the ")
         assert f"{what}, more than the bound of" in err
+
+    def test_wide_bin_names_the_bore_that_empties_it(self, tmp_path):
+        # the bore drops the 125 candidates of [5, 300) over the eight
+        # standard modules; the bin is swept, not refused
+        path = write_config(tmp_path, {
+            **MINIMAL, "search": {"bins": [[5, 300]]},
+            "mass": {"planet_bearing_bore_mm": 1e300}})
+        assert main(["sweep", "--config", str(path), "--architectures",
+                     "isspg", "--out", str(tmp_path / "out")]) == 0
+        document = json.loads((tmp_path / "out" / "sweep.json").read_text())
+        assert document["results"]["isspg"] == [{
+            "best": None, "bin": [5.0, 300.0], "candidates_examined": 125,
+            "empty_reason": "planet_bearing_range", "feasible_count": 0}]
 
 
 # --- the JSON writer --------------------------------------------------------

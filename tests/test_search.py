@@ -2,12 +2,11 @@
 comparison, cross-checked against naive nested-loop scans."""
 
 import csv
-import tracemalloc
 from bisect import bisect_right
 from dataclasses import fields, replace
 from functools import lru_cache, reduce
 from hashlib import sha256
-from math import ceil, inf, isfinite, nan, pi, prod
+from math import inf, isfinite, nan, pi
 from operator import or_
 from pathlib import Path
 from unittest import mock
@@ -29,10 +28,9 @@ from gearboxopt.efficiency import mesh_chain
 from gearboxopt.geometry import _RULE_ORDER, constraint_rules
 from gearboxopt.mass import (component_masses, load_bearing_model,
                               mass_verdicts)
-from gearboxopt.search import (_DIAG_SUN_TEETH_CAP, _MODEL_RULES,
-                               _bin_columns, _bin_tallies, _designs,
-                               _dominant_rule, enumerate_feasible,
-                               score_columns, validate_module_set)
+from gearboxopt.search import (_MODEL_RULES, _bin_columns, _designs,
+                               enumerate_feasible, score_columns,
+                               validate_module_set)
 from gearboxopt.strength import lewis_width
 
 from conftest import U12
@@ -47,7 +45,7 @@ ALL_MODULES = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2]
 SCALE_MOTOR = replace(U12, outer_diameter_mm=160.0,
                       stator_inner_diameter_mm=110.0, name="U12-scale")
 # no two planets fit: every u12 design fails planet_interference, so
-# every bin is empty, and the bins the search window reaches are tallied
+# every bin is empty, and the bins the search window reaches read it
 CLEARANCE_1E4 = ConstraintParams(planet_clearance_mm=1e4)
 
 
@@ -80,13 +78,6 @@ def rule_masks(arch, module_mm, num_planets, sun_teeth, planet_teeth,
                                 planet_teeth, ring_teeth, motor, constraints)
     return {name: np.broadcast_to(verdict, shape)
             for name, verdict in zip(_RULE_ORDER, verdicts)}
-
-
-def diagnosis(motor, arch, constraints, modules, lo, hi):
-    """The tally of one bin's diagnosis window and its dominant rule."""
-    counts, = _bin_tallies(motor, arch, constraints, sorted(modules),
-                           [(lo, hi)])
-    return counts, _dominant_rule(counts)
 
 
 def bin_designs(motor, arch, constraints, modules, lo, hi):
@@ -125,28 +116,57 @@ def closed_form_verdict(motor, arch, constraints, modules, lo, hi):
     return "ring_diameter" if allowed else "module_range"
 
 
+def window_designs(motor, arch, constraints, modules, lo, hi):
+    """The (planet count, row) cells of the search window in [lo, hi) by
+    a nested loop: every planet count of every (m, N_s, N_p) of an
+    allowed module, each gear at min_teeth or more, with its ring inside
+    the envelope."""
+    d_max = max_gearbox_diameter(motor, arch, constraints)
+    designs = []
+    for module_mm in modules:
+        if not (constraints.module_min_mm <= module_mm
+                <= constraints.module_max_mm):
+            continue
+        for sun in range(constraints.min_teeth, int(d_max / module_mm) + 1):
+            for planet in range(constraints.min_teeth, 10**9):
+                ring = sun + 2 * planet
+                if module_mm * ring > d_max or (sun + ring) / sun >= hi:
+                    break
+                if lo <= (sun + ring) / sun:
+                    designs += [GearboxDesign(
+                        arch=arch, sun_teeth=sun, planet_teeth=planet,
+                        ring_teeth=ring, module_mm=module_mm,
+                        num_planets=n)
+                        for n in range(constraints.min_planets,
+                                       constraints.max_planets + 1)]
+    return designs
+
+
+def naive_empty_reason(arch, ctx, modules, lo, hi):
+    """None where scalar ``evaluate`` finds a feasible search-window cell
+    in [lo, hi); else the bin's closed-form reason when it holds no
+    window cell, or the last stage of ``_RULE_ORDER + _MODEL_RULES`` at
+    which one of its window cells drops, each at ``evaluate``'s first
+    reason."""
+    reasons = [evaluate(design, ctx).failure_reasons
+               for design in window_designs(ctx.motor, arch,
+                                            ctx.constraints, modules, lo, hi)]
+    if not reasons:
+        return closed_form_verdict(ctx.motor, arch, ctx.constraints,
+                                   modules, lo, hi)
+    if not all(reasons):
+        return None
+    return max((dropped[0] for dropped in reasons),
+               key=(_RULE_ORDER + _MODEL_RULES).index)
+
+
 def mask_gather_bin_columns(motor, arch, constraints, module_set, bins):
     """``_bin_columns`` as it was written before its index gather: the
-    kept (planet count, row) cells taken by five boolean-mask gathers of
-    the broadcast grid, then a stable argsort on an int64 (bin, module)
-    key."""
-    n_min = constraints.min_teeth
-    d_max = max_gearbox_diameter(motor, arch, constraints)
-    los, his = np.array(bins, dtype=np.float64).reshape(-1, 2).T
-    modules = np.array([m for m in module_set if constraints.module_min_mm
-                        <= m <= constraints.module_max_mm], dtype=np.float64)
-    max_ring = np.floor(d_max / modules + 1e-9)
-    max_ring -= modules * max_ring > d_max
-    sun_counts = np.maximum(max_ring - 3 * n_min + 1, 0).astype(np.int64)
-    sun_module = np.repeat(np.arange(len(modules)), sun_counts)
-    suns = n_min + search._segment_offsets(sun_counts)
-    sun, planet, ring, planet_counts, sizes = search._window_rows(
-        arch, constraints, suns, los[:1], his[-1:],
-        (max_ring[sun_module] - suns) // 2, slack=1)
-    module_index = np.repeat(sun_module, sizes)
-    ratio = (2 * sun + 2 * planet) / sun
-    index = np.searchsorted(los, ratio, side="right") - 1
-    row_bin = np.where((index >= 0) & (ratio < his[index]), index, -1)
+    kept (planet count, row) cells of ``_search_window`` taken by five
+    boolean-mask gathers of the broadcast grid, then a stable argsort on
+    an int64 (bin, module) key."""
+    modules, module_index, sun, planet, ring, row_bin, planet_counts, _ = (
+        search._search_window(motor, arch, constraints, module_set, bins))
     failed = reduce(or_, constraint_rules(
         arch, modules[module_index], planet_counts, sun, planet, ring, motor,
         constraints))
@@ -170,11 +190,8 @@ def scalar_bins(arch, ctx, modules, bins):
                     in (evaluate(design, ctx) for design in candidates)
                     if evaluation.feasible]
         best = min(feasible, key=ranking_key, default=None)
-        reason = None if best is not None else (
-            closed_form_verdict(ctx.motor, arch, ctx.constraints, modules,
-                                lo, hi)
-            or diagnosis(ctx.motor, arch, ctx.constraints, modules, lo,
-                         hi)[1])
+        reason = None if best is not None else naive_empty_reason(
+            arch, ctx, modules, lo, hi)
         results.append(BinResult(
             lo=lo, hi=hi, best=best,
             candidates_examined=len(candidates),
@@ -249,16 +266,16 @@ class TestHelpers:
     @pytest.mark.parametrize("bin_", [(14.0, inf), (-inf, 6.0),
                                       (nan, 6.0)])
     def test_non_finite_bin_edges_rejected(self, default_ctx, bin_):
-        # an infinite edge would size the diagnosis window's planet
-        # ranges as inf before the int64 cast; the sweep refuses it
-        # before either window is built
+        # an infinite edge would size the search window's planet ranges
+        # as inf before the int64 cast; the sweep refuses it before the
+        # window is built
         with pytest.raises(ValueError):
             validate_bins([bin_])
-        with mock.patch.object(search, "_window_rows") as window_rows:
+        with mock.patch.object(search, "_search_window") as window:
             with pytest.raises(ValueError, match="non-finite"):
                 optimize_bins(Architecture.ISSPG, default_ctx, [0.5],
                               [bin_])
-        window_rows.assert_not_called()
+        window.assert_not_called()
 
     @pytest.mark.parametrize("modules", [
         [], [0.5, 0.6, 0.5], [0.5, nan], [0.0, 0.5], [0.5, inf],
@@ -267,7 +284,7 @@ class TestHelpers:
                                        "validate_module_set",
                                        "enumerate_feasible"])
     def test_module_set_validated(self, default_ctx, entry, modules):
-        # a repeated module would be counted twice in every tally; a
+        # a repeated module would be counted twice in every count; a
         # module that is not finite and > 0 cannot size a window
         calls = {
             "optimize_bins": lambda: optimize_bins(
@@ -291,7 +308,7 @@ class TestHelpers:
                                    [0.5], lo, hi))
         assert bin_designs(U12, Architecture.ESSPG, constraints,
                            [tiny, 2.0], 5.0, 6.0) == []
-        # the diagnosis still counts the module's rows
+        # no module of the set is allowed: named in closed form
         results = optimize_bins(Architecture.ISSPG, default_ctx, [tiny],
                                 [(5.0, 6.0)])
         assert results[0].best is None
@@ -635,8 +652,8 @@ class TestOptimizeBins:
         # a planet pin or a casing annulus whose diameter cannot be
         # squared: the sweep completes without a winner and scores no
         # cell, and scalar evaluate names the rule for the bins'
-        # candidates. The empty reasons equal full scoring's, which come
-        # from the constraint-only diagnosis, not from this rule.
+        # candidates. Each bin with a candidate reads the rule, the last
+        # stage at which its cells drop.
         ctx = replace(default_ctx, mass_params=MassModelParams(**changes))
         modules = [0.5, 0.8]
         for arch in Architecture:
@@ -654,6 +671,8 @@ class TestOptimizeBins:
                                ctx.motor, arch, ctx.constraints, modules,
                                r.lo, r.hi)}
                 assert not r.candidates_examined or (rule,) in reasons
+                assert r.empty_reason == (rule if r.candidates_examined
+                                          else "ring_diameter")
 
     @pytest.mark.parametrize("motor, changes", [
         (U12, {}), (SCALE_MOTOR, {}),
@@ -676,76 +695,79 @@ class TestOptimizeBins:
                                           for r in results)
 
 
-class TestDiagnosis:
-    def test_ring_diameter_blocks_high_ratios(self, default_ctx):
-        _, reason = diagnosis(U12, Architecture.ISSPG,
-                              default_ctx.constraints, ALL_MODULES, 7.0, 8.0)
-        assert reason == "ring_diameter"
+# each case's changes to the default context, and the bins (arch, lower
+# edge) that the search window reaches and the models or rules empty,
+# by their empty reason; every other empty bin reads ring_diameter
+U12_REACHED = ["isspg 5", "isspg 6"] + [f"esspg {lo}" for lo in range(5, 11)]
+EMPTY_REASON_CASES = {
+    "u12": ({}, {}),
+    "scale": (dict(motor=SCALE_MOTOR),
+              {"output_bearing_range": ["esspg 13", "esspg 14"]}),
+    # only the efficiency model reads the pressure angle: at 10 degrees
+    # every ring of u12 isspg [5,7) lies inside its base circle
+    "u12-10deg": (dict(efficiency=EfficiencyParams(pressure_angle_deg=10.0)),
+                  {"tooth_form": ["isspg 5", "isspg 6"]}),
+    # isspg's cells fail both, and tooth_form is checked first
+    "u12-10deg-bore-1e300": (dict(
+        efficiency=EfficiencyParams(pressure_angle_deg=10.0),
+        mass_params=MassModelParams(planet_bearing_bore_mm=1e300)),
+        {"tooth_form": ["isspg 5", "isspg 6"],
+         "planet_bearing_range": U12_REACHED[2:]}),
+    "u12-bore-1e300": (dict(mass_params=MassModelParams(
+        planet_bearing_bore_mm=1e300)), {"planet_bearing_range": U12_REACHED}),
+    "u12-casing-1e300": (dict(mass_params=MassModelParams(
+        casing_wall_mm=1e300)), {"casing_wall": U12_REACHED}),
+    # mu = 0.9 leaves every 20 degree mesh above zero efficiency
+    "u12-mu-0.9-85deg": (dict(efficiency=EfficiencyParams(
+        mu=0.9, pressure_angle_deg=85.0)),
+        {"efficiency_range": U12_REACHED}),
+    "u12-clearance-1e4": (dict(constraints=CLEARANCE_1E4),
+                          {"planet_interference": U12_REACHED}),
+}
 
-    def test_window_without_integer_candidates(self, default_ctx):
-        counts, reason = diagnosis(U12, Architecture.ISSPG,
-                                   default_ctx.constraints, ALL_MODULES,
-                                   5.001, 5.002)
-        assert counts == {}
-        assert reason == "no_candidates_in_ratio_window"
 
-    def test_scale_empty_bin_tallies_over_all_modules(self, default_ctx):
-        # the sweep's own module set: the hypothesis strategies draw at
-        # most two modules, which can hide a module-order or
-        # weight-accumulation fault in the merged diagnosis; the scale
-        # motor's empty esspg bins reach inside the ring envelope, so
-        # both are tallied in full
-        bins = [(13.0, 14.0), (14.0, 15.0)]
-        tallies = _bin_tallies(SCALE_MOTOR, Architecture.ESSPG,
-                               default_ctx.constraints, ALL_MODULES, bins)
-        for (lo, hi), counts in zip(bins, tallies, strict=True):
-            assert counts == scalar_tallies(SCALE_MOTOR, Architecture.ESSPG,
-                                            default_ctx.constraints,
-                                            ALL_MODULES, lo, hi)
-            assert 0 < counts["ring_diameter"] < diagnosis_cells(
-                default_ctx.constraints, ALL_MODULES, lo, hi)
+class TestEmptyReason:
+    @pytest.mark.parametrize("case", list(EMPTY_REASON_CASES))
+    def test_empty_reasons_equal_naive_scan(self, default_ctx, case):
+        changes, reached = EMPTY_REASON_CASES[case]
+        ctx = replace(default_ctx, **changes)
+        named = {}
+        for arch in Architecture:
+            results = optimize_bins(arch, ctx, ALL_MODULES, default_bins())
+            assert [r.empty_reason for r in results] == [
+                naive_empty_reason(arch, ctx, ALL_MODULES, r.lo, r.hi)
+                for r in results]
+            named |= {f"{arch.value} {r.lo:g}": r.empty_reason
+                      for r in results
+                      if r.empty_reason not in (None, "ring_diameter")}
+        assert named == {bin_: reason for reason, bins in reached.items()
+                         for bin_ in bins}
 
-    def test_full_ring_diameter_tie_goes_to_planet_interference(
-            self, default_ctx):
-        # every cell of u12 isspg [7,8) fails both rules; the tally's tie
-        # goes to the first name. The search window holds no row of the
-        # bin, so the sweep names the ring envelope without a tally.
-        counts = scalar_tallies(U12, Architecture.ISSPG, CLEARANCE_1E4,
-                                ALL_MODULES, 7.0, 8.0)
-        assert counts["ring_diameter"] == counts["planet_interference"] \
-            == diagnosis_cells(CLEARANCE_1E4, ALL_MODULES, 7.0, 8.0) \
-            == 38_880
-        assert diagnosis(U12, Architecture.ISSPG, CLEARANCE_1E4, ALL_MODULES,
-                         7.0, 8.0) == (counts, "planet_interference")
-        ctx = replace(default_ctx, constraints=CLEARANCE_1E4)
-        with mock.patch.object(search, "_bin_tallies") as tallies:
-            result, = optimize_bins(Architecture.ISSPG, ctx, ALL_MODULES,
-                                    [(7.0, 8.0)])
-        tallies.assert_not_called()
+    def test_bin_without_an_integer_ratio_is_closed_form(self, default_ctx):
+        # no (N_s, N_p) has a ratio in [5.001, 5.002) inside the envelope
+        result, = optimize_bins(Architecture.ISSPG, default_ctx,
+                                ALL_MODULES, [(5.001, 5.002)])
+        assert result.candidates_examined == 0
         assert result.empty_reason == "ring_diameter"
 
-    def test_tally_with_a_disallowed_module_is_full(self):
-        # 0.5 mm fails module_range, and every cell of u12 isspg [7,8),
-        # its 0.5 mm cells too, fails ring_diameter: the full tally
-        # names ring_diameter
-        constraints = ConstraintParams(module_min_mm=0.6)
-        counts = scalar_tallies(U12, Architecture.ISSPG, constraints,
-                                ALL_MODULES, 7.0, 8.0)
-        assert counts["ring_diameter"] == 38_880
-        assert counts["planet_interference"] == 25_920
-        assert diagnosis(U12, Architecture.ISSPG, constraints, ALL_MODULES,
-                         7.0, 8.0) == (counts, "ring_diameter")
+    def test_full_planet_interference_outside_the_envelope(self,
+                                                           default_ctx):
+        # every cell of u12 isspg [7,8) fails planet_interference, but the
+        # search window holds no row of the bin, so the sweep names the
+        # ring envelope without a funnel
+        ctx = replace(default_ctx, constraints=CLEARANCE_1E4)
+        with mock.patch.object(search, "_empty_reasons") as funnel:
+            result, = optimize_bins(Architecture.ISSPG, ctx, ALL_MODULES,
+                                    [(7.0, 8.0)])
+        funnel.assert_not_called()
+        assert result.empty_reason == "ring_diameter"
 
     def test_closed_form_reads_the_allowed_modules(self, default_ctx):
         # u12 isspg [7,8) holds no envelope cell. With 0.1 to 0.3 mm
-        # outside [0.5, 1.2] mm, its tally names module_range, the rule
-        # of three modules in four; the sweep names the ring envelope,
-        # which every design of the allowed 0.5 mm fails. With no module
+        # outside [0.5, 1.2] mm, the sweep names the ring envelope, which
+        # every design of the allowed 0.5 mm fails. With no module
         # allowed, every design fails module_range.
         modules = [0.1, 0.2, 0.3, 0.5]
-        _, reason = diagnosis(U12, Architecture.ISSPG,
-                              default_ctx.constraints, modules, 7.0, 8.0)
-        assert reason == "module_range"
         for module_set, verdict in ((modules, "ring_diameter"),
                                     (modules[:3], "module_range")):
             result, = optimize_bins(Architecture.ISSPG, default_ctx,
@@ -756,8 +778,7 @@ class TestDiagnosis:
         # d_max/m lies within 1e-9 below 100 teeth: the 100-tooth ring of
         # 20/40 at 0.6 mm, the one design of [5.95, 6.01) that could fit,
         # fails ring_diameter, so the bin holds no window row and is
-        # named in closed form, where its tally ties on every cell and
-        # names planet_interference
+        # named in closed form
         motor = replace(U12, stator_inner_diameter_mm=70.0 - 1e-12)
         assert 99 < max_gearbox_diameter(motor, Architecture.ISSPG,
                                          CLEARANCE_1E4) / 0.6 < 100
@@ -765,36 +786,19 @@ class TestDiagnosis:
                                    CLEARANCE_1E4) == [
             "planet_interference", "ring_diameter"]
         ctx = replace(default_ctx, motor=motor, constraints=CLEARANCE_1E4)
-        assert diagnosis(motor, Architecture.ISSPG, CLEARANCE_1E4, [0.6],
-                         5.95, 6.01)[1] == "planet_interference"
         result, = optimize_bins(Architecture.ISSPG, ctx, [0.6],
                                 [(5.95, 6.01)])
         assert result.empty_reason == "ring_diameter"
 
-    @pytest.mark.parametrize("arch, lo", [(Architecture.ISSPG, 7.0),
-                                          (Architecture.ESSPG, 11.0)])
-    def test_rule_counts_scale_with_the_module_set(self, arch, lo):
-        # four modules, two outside [0.5, 1.2] mm, a tooth cap and a
-        # planet-count floor: the module-free counts are scaled by the
-        # module count and the module rules summed over every module
-        constraints = ConstraintParams(max_teeth=40, min_planets=3)
-        modules = [0.4, 0.5, 0.8, 1.4]
-        counts, _ = diagnosis(U12, arch, constraints, modules, lo, lo + 1.0)
-        assert counts == scalar_tallies(U12, arch, constraints, modules,
-                                        lo, lo + 1.0)
-        assert set(counts) == {"meshing", "planet_interference",
-                               "module_range", "tooth_count_cap",
-                               "ring_diameter"}
-
     @pytest.mark.parametrize("arch, filled", [(Architecture.ISSPG, 2),
                                               (Architecture.ESSPG, 6)])
     def test_u12_call_counts(self, default_ctx, monkeypatch, arch, filled):
-        # one search window per architecture, built by one window-rows
-        # call, checked by one rules call and scored in one pass; every
-        # empty bin lies outside the ring envelope and is named without
-        # a diagnosis, and bins without rows are not scored
-        calls = dict.fromkeys(("score_columns", "_window_rows",
-                               "constraint_rules", "_bin_tallies"), 0)
+        # one search window per architecture, checked by one rules call
+        # and scored in one pass; every empty bin lies outside the ring
+        # envelope and is named in closed form, and bins without rows
+        # are not scored
+        calls = dict.fromkeys(("score_columns", "_search_window",
+                               "constraint_rules"), 0)
         scored_rows = []
 
         def counted(name):
@@ -811,66 +815,12 @@ class TestDiagnosis:
         results = optimize_bins(arch, default_ctx, ALL_MODULES,
                                 default_bins())
         assert sum(r.candidates_examined > 0 for r in results) == filled
-        assert calls == {"score_columns": 1, "_window_rows": 1,
-                         "constraint_rules": 1, "_bin_tallies": 0}
+        assert calls == {"score_columns": 1, "_search_window": 1,
+                         "constraint_rules": 1}
         assert scored_rows == [sum(r.candidates_examined for r in results)]
         empty = [(r.lo, r.hi) for r in results if not r.candidates_examined]
         optimize_bins(arch, default_ctx, ALL_MODULES, empty)
         assert calls["score_columns"] == 1
-
-    def test_u12_diagnosis_allocates_one_bin_at_a_time(self):
-        # numpy reports its buffers to tracemalloc; the whole diagnosis
-        # window's (module, planet count, row) grid over the ten default
-        # bins peaks above 3 MB. At a 1e4 mm planet clearance every cell
-        # fails a rule.
-        args = (U12, Architecture.ISSPG, CLEARANCE_1E4, ALL_MODULES,
-                default_bins())
-        _bin_tallies(*args)
-        tracemalloc.start()
-        try:
-            _bin_tallies(*args)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5e6
-
-    def test_each_diagnosis_call_checks_one_bin(self, default_ctx,
-                                                monkeypatch):
-        # a diagnosis call is the one with a module axis; its rows lie
-        # in one bin, and its grid is no larger than that bin's
-        # (module, planet count, row) grid. At a 1e4 mm planet clearance
-        # every bin is empty, and the two that the search window reaches
-        # are tallied; by default every empty bin lies outside the ring
-        # envelope, and no grid is built.
-        bins = default_bins()
-        grids = {}
-        rules = search.constraint_rules
-
-        def recorded(arch, module_mm, num_planets, sun, planet, *rest):
-            if np.ndim(module_mm) == 3:
-                ratio = (2 * sun + 2 * planet) / sun
-                index = {bisect_right([lo for lo, _ in bins], r) - 1
-                         for r in ratio.tolist()}
-                assert len(index) == 1
-                grids[index.pop()] = prod(np.broadcast_shapes(
-                    np.shape(module_mm), np.shape(num_planets),
-                    np.shape(sun), np.shape(planet)))
-            return rules(arch, module_mm, num_planets, sun, planet, *rest)
-        monkeypatch.setattr(search, "constraint_rules", recorded)
-        results = optimize_bins(Architecture.ISSPG,
-                                replace(default_ctx,
-                                        constraints=CLEARANCE_1E4),
-                                ALL_MODULES, bins)
-        assert all(r.best is None for r in results)
-        assert sorted(grids) == [0, 1]
-        for i, cells in grids.items():
-            assert cells <= diagnosis_cells(CLEARANCE_1E4, ALL_MODULES,
-                                            *bins[i])
-        grids.clear()
-        results = optimize_bins(Architecture.ISSPG, default_ctx,
-                                ALL_MODULES, bins)
-        assert sum(r.best is None for r in results) == 8
-        assert grids == {}
 
 
 class TestComparison:
@@ -1023,46 +973,6 @@ module_sets = st.lists(st.sampled_from(MODULE_CHOICES), min_size=1,
                        max_size=2, unique=True).map(sorted)
 
 
-def scalar_tallies(motor, arch, constraints, modules, lo, hi):
-    """The diagnosis window scanned one design at a time."""
-    counts = {}
-    for module_mm in sorted(modules):
-        for num_planets in range(constraints.min_planets,
-                                 constraints.max_planets + 1):
-            for sun in range(constraints.min_teeth,
-                             _DIAG_SUN_TEETH_CAP + 1):
-                planet_lo = max(constraints.min_teeth,
-                                ceil((lo - 2.0) * sun / 2.0))
-                for planet in range(planet_lo,
-                                    ceil((hi - 2.0) * sun / 2.0)):
-                    design = GearboxDesign(
-                        arch=arch, sun_teeth=sun, planet_teeth=planet,
-                        ring_teeth=sun + 2 * planet, module_mm=module_mm,
-                        num_planets=num_planets)
-                    for name in constraint_failures(design, motor,
-                                                    constraints):
-                        counts[name] = counts.get(name, 0) + 1
-    return counts
-
-
-def scalar_verdict(counts):
-    """``_dominant_rule``'s answer from a scalar tally."""
-    if not counts:
-        return "no_candidates_in_ratio_window"
-    return max(sorted(counts), key=lambda name: counts[name])
-
-
-def diagnosis_cells(constraints, modules, lo, hi):
-    """The (module, planet count, row) cells of one bin's diagnosis
-    grid."""
-    rows = sum(max(0, ceil((hi - 2.0) * sun / 2.0)
-                   - max(constraints.min_teeth, ceil((lo - 2.0) * sun / 2.0)))
-               for sun in range(constraints.min_teeth,
-                                _DIAG_SUN_TEETH_CAP + 1))
-    return (len(modules) * (constraints.max_planets
-                            - constraints.min_planets + 1) * rows)
-
-
 class TestRatioWindow:
     @settings(max_examples=60)
     @given(motor=motors(), constraints=constraint_sets(),
@@ -1101,20 +1011,6 @@ class TestRatioWindow:
             assert bin_designs(motor, arch, constraints, modules, lo,
                                hi) == [d for d in naive
                                        if lo <= d.reduction_ratio < hi]
-
-    @settings(max_examples=30)
-    @given(motor=motors(), constraints=constraint_sets(),
-           arch=st.sampled_from(list(Architecture)), modules=module_sets,
-           bins=fractional_bins())
-    def test_diagnosis_tallies_equal_scalar_scan(self, motor, constraints,
-                                                 arch, modules, bins):
-        for lo, hi in bins:
-            scalar = scalar_tallies(motor, arch, constraints, modules, lo,
-                                    hi)
-            counts, verdict = diagnosis(motor, arch, constraints, modules,
-                                        lo, hi)
-            assert verdict == scalar_verdict(scalar)
-            assert counts == scalar
 
     @settings(max_examples=60)
     @given(motor=motors(), constraints=constraint_sets(),
@@ -1166,24 +1062,20 @@ class TestRatioWindow:
         # the merged passes themselves, over every bin at once: each
         # bin's rows in lexicographic order, its closed-form reason, set
         # exactly where the naive scan finds no envelope cell, and its
-        # tallies
+        # empty reason
         row_bin, columns, closed = _bin_columns(motor, arch, constraints,
                                                 modules, bins)
-        merged = zip(results, split_bins(row_bin, columns, closed), closed,
-                     _bin_tallies(motor, arch, constraints, modules, bins))
-        for result, columns, reason, counts in merged:
+        merged = zip(results, split_bins(row_bin, columns, closed), closed)
+        for result, columns, reason in merged:
             in_bin = [d for d in naive
                       if result.lo <= d.reduction_ratio < result.hi]
             assert _designs(arch, columns) == in_bin
             assert result.candidates_examined == len(in_bin)
             assert reason == closed_form_verdict(
                 motor, arch, constraints, modules, result.lo, result.hi)
-            scalar = scalar_tallies(motor, arch, constraints, modules,
-                                    result.lo, result.hi)
-            assert counts == scalar
             if result.best is None:
-                assert result.empty_reason == (reason
-                                               or scalar_verdict(scalar))
+                assert result.empty_reason == naive_empty_reason(
+                    arch, ctx, modules, result.lo, result.hi)
 
 
 # --- columnar scoring against scalar evaluate ------------------------------
@@ -1435,8 +1327,9 @@ class TestBitExactColumns:
 def fully_scored_bins(arch, ctx, modules, bins):
     """``optimize_bins`` with every window cell sent to ``score_columns``,
     none dropped by ``mass_verdicts`` first."""
-    def admit_all(module_mm, *_):
-        return np.ones(np.shape(module_mm), dtype=bool), None, None
+    def admit_all(module_mm, *rest):
+        _, verdicts, dimensions = mass_verdicts(module_mm, *rest)
+        return np.ones(np.shape(module_mm), dtype=bool), verdicts, dimensions
     with mock.patch.object(search, "mass_verdicts", admit_all):
         return optimize_bins(arch, ctx, modules, bins)
 
@@ -1616,48 +1509,27 @@ class TestWindowBound:
 
     def test_huge_bin(self, default_ctx):
         # the search window holds no row of the bin, so the bin lies
-        # outside the ring envelope and no diagnosis window, which would
-        # hold about 3e13 planets per sun, is built
-        with mock.patch.object(search, "_bin_tallies") as tallies:
+        # outside the ring envelope and is named without a funnel
+        with mock.patch.object(search, "_empty_reasons") as funnel:
             result, = optimize_bins(Architecture.ISSPG, default_ctx,
                                     ALL_MODULES, [(20.0, 1e12)])
-        tallies.assert_not_called()
+        funnel.assert_not_called()
         assert result.empty_reason == "ring_diameter"
 
-    def test_module_axis_of_the_diagnosis(self, default_ctx):
-        # [5, 300) holds 104 window rows at 0.5 mm, which a 1e300 mm
-        # planet-bearing bore drops; the diagnosis window holds 241,890
-        # rows x 6 planet counts, inside the bound; its grid over the
-        # eight modules does not. The verdict is the geometric tally's,
-        # not the bore that emptied the bin: a first-failure count over
-        # the window rows (ROADMAP item 2) is expected to change it.
+    def test_wide_bin_reached_by_the_window(self, default_ctx):
+        # a 1e300 mm planet-bearing bore drops the 104 candidates of
+        # [5, 300) at 0.5 mm and the 125 over the eight modules; the bin
+        # is named from its window cells, which the window bound covers
         ctx = replace(default_ctx, mass_params=MassModelParams(
             planet_bearing_bore_mm=1e300))
-        self.refused(Architecture.ISSPG, ctx, ALL_MODULES, [(5.0, 300.0)],
-                     r"\(module, planet count, row\) cells")
-        result, = optimize_bins(Architecture.ISSPG, ctx, [0.5],
-                                [(5.0, 300.0)])
-        assert (result.candidates_examined, result.feasible_count) == (104, 0)
-        assert result.empty_reason == "ring_diameter"
-
-    def test_diagnosis_bound_holds_per_bin(self, default_ctx, monkeypatch):
-        # at a 1e4 mm planet clearance the search window reaches u12
-        # isspg [5,6) and [6,7), and planet_interference drops every row
-        # of them; under a bound of the larger of their (module, planet
-        # count, row) grids, each grid is inside it and both together are
-        # not, and each verdict is that of a sweep of its bin alone
-        ctx = replace(default_ctx, constraints=CLEARANCE_1E4)
-        bins = [(5.0, 6.0), (6.0, 7.0)]
-        grids = [diagnosis_cells(CLEARANCE_1E4, ALL_MODULES, *bin_)
-                 for bin_ in bins]
-        monkeypatch.setattr(search, "_WINDOW_BOUND", max(grids))
-        assert sum(grids) > search._WINDOW_BOUND
-        results = optimize_bins(Architecture.ISSPG, ctx, ALL_MODULES, bins)
-        assert [r.empty_reason for r in results] == [
-            "planet_interference"] * 2
-        for bin_, result in zip(bins, results, strict=True):
-            assert optimize_bins(Architecture.ISSPG, ctx, ALL_MODULES,
-                                 [bin_]) == [result]
+        for modules, examined in (([0.5], 104), (ALL_MODULES, 125)):
+            result, = optimize_bins(Architecture.ISSPG, ctx, modules,
+                                    [(5.0, 300.0)])
+            assert (result.candidates_examined,
+                    result.feasible_count) == (examined, 0)
+            assert result.empty_reason == "planet_bearing_range" == \
+                naive_empty_reason(Architecture.ISSPG, ctx, modules, 5.0,
+                                   300.0)
 
     def test_huge_planet_count_range(self, default_ctx):
         ctx = replace(default_ctx,
