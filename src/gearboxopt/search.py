@@ -457,8 +457,9 @@ def _empty_reasons(arch: Architecture, ctx: EvalContext, window: _Window,
     cells drops. Each cell drops at its first failed stage of
     ``_STAGES``, as ``evaluate`` names it: the rules, ``mesh_chain``,
     ``lewis_width`` and ``mass_rules``, the window rows' verdicts of
-    ``mass_verdicts``. The bins must be empty: a cell that passes every
-    verdict fails at a cost that is not finite, ``mass_range``.
+    ``mass_verdicts``. The bins must be empty, so a cell that passes every
+    earlier stage drops at ``mass_range``: a ring too wide to square, or
+    a cost that is not finite.
     """
     module_index = window.module_index[rows]
     m, s, p, r = (window.modules[module_index], window.sun[rows],

@@ -6,6 +6,7 @@ from bisect import bisect_right
 from dataclasses import fields, replace
 from functools import lru_cache, reduce
 from hashlib import sha256
+from itertools import count
 from math import inf, isfinite, nan, pi
 from operator import or_
 from pathlib import Path
@@ -128,7 +129,7 @@ def window_designs(motor, arch, constraints, modules, lo, hi):
                 <= constraints.module_max_mm):
             continue
         for sun in range(constraints.min_teeth, int(d_max / module_mm) + 1):
-            for planet in range(constraints.min_teeth, 10**9):
+            for planet in count(constraints.min_teeth):
                 ring = sun + 2 * planet
                 if module_mm * ring > d_max or (sun + ring) / sun >= hi:
                     break
@@ -284,7 +285,7 @@ class TestHelpers:
                                        "validate_module_set",
                                        "enumerate_feasible"])
     def test_module_set_validated(self, default_ctx, entry, modules):
-        # a repeated module would be counted twice in every count; a
+        # a repeated module would count its designs twice; a
         # module that is not finite and > 0 cannot size a window
         calls = {
             "optimize_bins": lambda: optimize_bins(
